@@ -366,7 +366,7 @@ int main(int argc, char** argv) {
     if (use_udp) {
       // The mux fd is watched, not adopted: when it turns readable the loop
       // thread drains it (datagrams route to per-peer queues with no global
-      // lock) and hands fresh peers to the session as classic Transports.
+      // lock) and hands fresh peers to the session, which pumps them.
       net::transport::UdpListener* ul = udp_listener.get();
       net::transport::ServerSession* sp = &session;
       loop.watch_fd(ul->fd(), [ul, sp] {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <condition_variable>
 #include <deque>
 #include <set>
 #include <stdexcept>
@@ -36,65 +35,6 @@ Frame make_frame(MsgType type, std::uint32_t round, std::uint32_t client_id,
   f.payload = std::move(payload);
   return f;
 }
-
-}  // namespace
-
-/// Shared inbox between the session thread (which drains the event loop
-/// and routes a standby connection's frames here) and the replication
-/// publisher's Transport view of that connection.
-struct LoopPeerState {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<Frame> inbox;
-  std::atomic<bool> closed{false};
-};
-
-namespace {
-
-/// Transport adapter over one event-loop connection, handed to the
-/// replication publisher when a standby subscribes in event-loop mode.
-/// recv() pops from the shared inbox the session fills; send() queues
-/// encoded bytes on the loop.
-class LoopPeerTransport final : public Transport {
- public:
-  LoopPeerTransport(EventLoop* loop, ConnId conn,
-                    std::shared_ptr<LoopPeerState> state)
-      : loop_(loop), conn_(conn), state_(std::move(state)) {}
-
-  bool send(const Frame& f) override {
-    if (state_->closed.load()) return false;
-    loop_->send(conn_, std::make_shared<const std::vector<std::uint8_t>>(
-                           encode_frame(f)));
-    return true;
-  }
-
-  std::optional<Frame> recv(std::chrono::milliseconds timeout) override {
-    std::unique_lock<std::mutex> lk(state_->mu);
-    if (state_->inbox.empty() && timeout.count() > 0)
-      state_->cv.wait_for(lk, timeout, [&] {
-        return !state_->inbox.empty() || state_->closed.load();
-      });
-    if (state_->inbox.empty()) return std::nullopt;
-    Frame f = std::move(state_->inbox.front());
-    state_->inbox.pop_front();
-    return f;
-  }
-
-  bool closed() const override { return state_->closed.load(); }
-
-  void close() override {
-    state_->closed.store(true);
-    state_->cv.notify_all();
-    loop_->close_conn(conn_);
-  }
-
-  std::string peer() const override { return "event-loop"; }
-
- private:
-  EventLoop* loop_;
-  ConnId conn_;
-  std::shared_ptr<LoopPeerState> state_;
-};
 
 }  // namespace
 
@@ -389,6 +329,58 @@ void validate_update_agg(const UpdateAggPayload& a, std::int64_t dense_size,
 
 // --- ServerSession. ------------------------------------------------------
 
+/// What the session keeps of a standby peer: the frames dispatch routed to
+/// it, and whether the connection is gone. Session thread only.
+struct ServerSession::StandbyLink {
+  std::deque<Frame> inbox;
+  bool closed = false;
+};
+
+/// The replication publisher's Transport view of a standby peer, on either
+/// carrier. The publisher only polls with recv(0) from the session thread,
+/// so recv() just pops the inbox dispatch fills; send() and close() are the
+/// session's own send and close by ConnId.
+class ServerSession::StandbyTransport final : public Transport {
+ public:
+  StandbyTransport(ServerSession* session, ConnId conn,
+                   std::shared_ptr<StandbyLink> link)
+      : session_(session), conn_(conn), link_(std::move(link)) {}
+
+  bool send(const Frame& f) override {
+    return !link_->closed && session_->send(conn_, f) != 0;
+  }
+
+  std::optional<Frame> recv(std::chrono::milliseconds) override {
+    if (link_->inbox.empty()) return std::nullopt;
+    Frame f = std::move(link_->inbox.front());
+    link_->inbox.pop_front();
+    return f;
+  }
+
+  bool closed() const override { return link_->closed; }
+
+  void close() override {
+    if (!link_->closed) session_->close(conn_);
+  }
+
+  std::string peer() const override { return "standby"; }
+
+ private:
+  ServerSession* session_;
+  ConnId conn_;
+  std::shared_ptr<StandbyLink> link_;
+};
+
+namespace {
+
+/// Trace id of a frame on a relay link: the leaf it is addressed to or
+/// from, -1 for relay-level frames.
+int relay_trace_id(const Frame& f) {
+  return f.client_id == kServerId ? -1 : static_cast<int>(f.client_id);
+}
+
+}  // namespace
+
 ServerSession::ServerSession(ServerSessionConfig cfg, nn::ModelFactory factory,
                              const data::Dataset* test)
     : cfg_(std::move(cfg)),
@@ -403,39 +395,34 @@ ServerSession::ServerSession(ServerSessionConfig cfg, nn::ModelFactory factory,
                   "ServerSession: quorum out of range");
   ADAFL_CHECK_MSG(cfg_.params.agg_group >= 0,
                   "ServerSession: negative agg_group");
-  conns_.resize(static_cast<std::size_t>(cfg_.expected_clients));
-  ever_joined_.assign(static_cast<std::size_t>(cfg_.expected_clients), false);
-  leaf_relay_.assign(static_cast<std::size_t>(cfg_.expected_clients), -1);
-  child_live_.assign(static_cast<std::size_t>(cfg_.expected_clients), 0);
+  const auto n = static_cast<std::size_t>(cfg_.expected_clients);
+  client_conn_.assign(n, kNoConn);
+  ever_joined_.assign(n, false);
+  leaf_relay_.assign(n, -1);
+  child_live_.assign(n, 0);
+  pending_decode_.assign(n, 0);
   WelcomeInfo w;
   w.rounds = static_cast<std::uint32_t>(cfg_.rounds);
   w.param_count = core_.global().size();
   w.params = cfg_.params;
   w.config = cfg_.client_config;
-  welcome_payload_ = encode_welcome(w);
+  welcome_ = make_frame(MsgType::kWelcome, 0, kServerId, encode_welcome(w));
 }
 
 void ServerSession::add_transport(std::unique_ptr<Transport> t) {
   if (!t) return;
-  std::lock_guard<std::mutex> lock(pending_mu_);
-  pending_.push_back(std::move(t));
+  std::lock_guard<std::mutex> lock(arrivals_mu_);
+  arrivals_.push_back(std::move(t));
 }
 
 void ServerSession::attach_event_loop(EventLoop* loop) {
   loop_ = loop;
-  client_conn_.assign(static_cast<std::size_t>(cfg_.expected_clients),
-                      kNoConn);
-  pending_decode_.assign(static_cast<std::size_t>(cfg_.expected_clients), 0);
-  welcome_frame_bytes_ = std::make_shared<const std::vector<std::uint8_t>>(
-      encode_frame(make_frame(MsgType::kWelcome, 0, kServerId,
-                              welcome_payload_)));
+  welcome_bytes_ =
+      std::make_shared<const std::vector<std::uint8_t>>(encode_frame(welcome_));
 }
 
 bool ServerSession::direct_connected(int id) const {
-  if (loop_ != nullptr &&
-      client_conn_[static_cast<std::size_t>(id)] != kNoConn)
-    return true;
-  return static_cast<bool>(conns_[static_cast<std::size_t>(id)]);
+  return client_conn_[static_cast<std::size_t>(id)] != kNoConn;
 }
 
 bool ServerSession::connected(int id) const {
@@ -447,21 +434,9 @@ bool ServerSession::connected(int id) const {
          child_live_[static_cast<std::size_t>(id)] != 0;
 }
 
-void ServerSession::drop_loop_conn(ConnId conn) {
-  auto it = conn_client_.find(conn);
-  if (it != conn_client_.end()) {
-    const int id = it->second;
-    if (client_conn_[static_cast<std::size_t>(id)] == conn)
-      client_conn_[static_cast<std::size_t>(id)] = kNoConn;
-    conn_client_.erase(it);
-  }
-  auto st = standby_links_.find(conn);
-  if (st != standby_links_.end()) {
-    st->second->closed.store(true);
-    st->second->cv.notify_all();
-    standby_links_.erase(st);
-  }
-  loop_->close_conn(conn);
+bool ServerSession::owes_update(const RoundCtx& rc, int id) const {
+  return rc.phase == Phase::kUpdate && rc.awaiting.count(id) != 0 &&
+         !delivered_[static_cast<std::size_t>(id)];
 }
 
 void ServerSession::request_stop(bool write_checkpoint) {
@@ -476,7 +451,7 @@ void ServerSession::write_checkpoint(
   ck.producer = "deployed";
   ck.next_round = static_cast<std::uint32_t>(next_round);
   ck.total_rounds = static_cast<std::uint32_t>(cfg_.rounds);
-  ck.config_crc = crc32(welcome_payload_);
+  ck.config_crc = crc32(welcome_.payload);
   ck.global = snap.global;
   core::ServerCheckpoint::AdaFlCoreState a;
   a.g_hat = snap.g_hat;
@@ -508,7 +483,7 @@ int ServerSession::resume_from_checkpoint() {
   };
   if (ck.producer != "deployed")
     reject("written by '" + ck.producer + "', not the deployed server");
-  if (ck.config_crc != crc32(welcome_payload_))
+  if (ck.config_crc != crc32(welcome_.payload))
     reject("run configuration changed since the checkpoint was written");
   if (ck.total_rounds != static_cast<std::uint32_t>(cfg_.rounds))
     reject("round count mismatch (checkpoint has " +
@@ -537,77 +512,111 @@ int ServerSession::resume_from_checkpoint() {
 }
 
 void ServerSession::drop_all_connections() {
-  for (auto& conn : conns_) {
-    if (!conn) continue;
-    conn->close();  // abrupt: no SHUTDOWN, clients redial or back off
-    conn.reset();
+  for (auto& [conn, p] : peers_) {
+    if (p.pumped) p.pumped->close();  // abrupt: no SHUTDOWN, peers redial
+    if (p.standby) p.standby->closed = true;
   }
-  for (auto& rb : relays_)
-    if (rb.conn) rb.conn->close();
+  peers_.clear();
   relays_.clear();
-  relay_conn_.clear();
+  std::fill(client_conn_.begin(), client_conn_.end(), kNoConn);
   std::fill(leaf_relay_.begin(), leaf_relay_.end(), -1);
   std::fill(child_live_.begin(), child_live_.end(), 0);
-  if (loop_ != nullptr) {
-    for (auto& [conn, state] : standby_links_) {
-      state->closed.store(true);
-      state->cv.notify_all();
-    }
-    standby_links_.clear();
-    conn_client_.clear();
-    std::fill(client_conn_.begin(), client_conn_.end(), kNoConn);
-    loop_->stop();  // closes every loop-owned socket
-  }
-  std::lock_guard<std::mutex> lock(pending_mu_);
-  for (auto& t : pending_) t->close();
-  pending_.clear();
+  if (loop_ != nullptr) loop_->stop();  // closes every loop-owned socket
+  std::lock_guard<std::mutex> lock(arrivals_mu_);
+  for (auto& t : arrivals_) t->close();
+  arrivals_.clear();
 }
 
 double ServerSession::trace_now() const {
   return std::chrono::duration<double>(Clock::now() - trace_t0_).count();
 }
 
-std::size_t ServerSession::send_to(
-    int id, const Frame& f,
-    const std::shared_ptr<const std::vector<std::uint8_t>>* pre) {
-  if (!direct_connected(id)) {
-    // Relay-covered leaf: route via its relay with the frame addressed to
-    // the leaf (client_id rewritten); the relay forwards it down.
-    const int ridx = leaf_relay_[static_cast<std::size_t>(id)];
-    if (ridx >= 0) {
-      Frame rf = f;
-      rf.client_id = static_cast<std::uint32_t>(id);
-      return send_to_relay(static_cast<std::size_t>(ridx), rf);
-    }
-  }
-  if (loop_ != nullptr &&
-      client_conn_[static_cast<std::size_t>(id)] != kNoConn) {
+std::size_t ServerSession::send(ConnId conn, const Frame& f,
+                                const SharedBytes* bytes) {
+  const auto it = peers_.find(conn);
+  if (it == peers_.end()) return 0;
+  Peer& p = it->second;
+  if (!p.pumped) {
     // Queued on the loop thread; a dead peer surfaces via take_closed() on
     // a later pass, exactly like a lost datagram would.
-    loop_->send(client_conn_[static_cast<std::size_t>(id)],
-                pre != nullptr
-                    ? *pre
-                    : std::make_shared<const std::vector<std::uint8_t>>(
-                          encode_frame(f)));
-    if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-      cfg_.tracer->record(metrics::ev_frame(
-          metrics::TraceEventType::kFrameTx, static_cast<int>(f.round), id,
-          to_string(f.type), static_cast<std::int64_t>(f.wire_size()),
-          trace_now()));
-    return f.wire_size();
-  }
-  auto& conn = conns_[static_cast<std::size_t>(id)];
-  if (!conn) return 0;
-  if (!conn->send(f)) {
-    conn.reset();  // peer gone; it may redial later
+    loop_->send(conn, bytes != nullptr && *bytes
+                          ? *bytes
+                          : std::make_shared<const std::vector<std::uint8_t>>(
+                                encode_frame(f)));
+  } else if (!p.pumped->send(f)) {
+    if (p.role == Role::kRelay)
+      p.pumped->close();  // the next pump reaps the binding
+    else
+      close(conn);
     return 0;
   }
-  if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
+  if (p.role != Role::kStandby && cfg_.tracer != nullptr &&
+      cfg_.tracer->enabled())
     cfg_.tracer->record(metrics::ev_frame(
-        metrics::TraceEventType::kFrameTx, static_cast<int>(f.round), id,
+        metrics::TraceEventType::kFrameTx, static_cast<int>(f.round),
+        p.role == Role::kClient ? p.client : relay_trace_id(f),
         to_string(f.type), static_cast<std::int64_t>(f.wire_size()),
         trace_now()));
   return f.wire_size();
+}
+
+void ServerSession::close(ConnId conn) {
+  const auto it = peers_.find(conn);
+  if (it != peers_.end()) {
+    Peer& p = it->second;
+    switch (p.role) {
+      case Role::kClient:
+        if (client_conn_[static_cast<std::size_t>(p.client)] == conn)
+          client_conn_[static_cast<std::size_t>(p.client)] = kNoConn;
+        break;
+      case Role::kRelay: {
+        // Clear the leaves' routes and liveness but keep their round state
+        // (scores, awaiting): a promoted standby re-binding the range can
+        // still recover the round; unrecovered loss falls to the round
+        // deadline exactly as a flat client crash does.
+        const std::size_t ridx = relay_index(conn);
+        const RelayBinding& rb = relays_[ridx];
+        for (int id = rb.base; id < rb.base + rb.count; ++id) {
+          leaf_relay_[static_cast<std::size_t>(id)] = -1;
+          child_live_[static_cast<std::size_t>(id)] = 0;
+        }
+        relays_.erase(relays_.begin() + static_cast<std::ptrdiff_t>(ridx));
+        for (auto& r : leaf_relay_)  // bindings above ridx shifted down
+          if (r > static_cast<int>(ridx)) --r;
+        break;
+      }
+      case Role::kStandby:
+        p.standby->closed = true;
+        break;
+      case Role::kUnbound:
+        break;
+    }
+    if (p.pumped) p.pumped->close();
+    peers_.erase(it);
+  }
+  if (loop_ != nullptr && conn < kPumpedBase) loop_->close_conn(conn);
+}
+
+std::size_t ServerSession::relay_index(ConnId conn) const {
+  return static_cast<std::size_t>(
+      std::find_if(relays_.begin(), relays_.end(),
+                   [conn](const RelayBinding& rb) {
+                     return rb.conn_id == conn;
+                   }) -
+      relays_.begin());
+}
+
+std::size_t ServerSession::send_to(int id, const Frame& f,
+                                   const SharedBytes* bytes) {
+  if (direct_connected(id))
+    return send(client_conn_[static_cast<std::size_t>(id)], f, bytes);
+  // Relay-covered leaf: route via its relay with the frame addressed to the
+  // leaf (client_id rewritten); the relay forwards it down.
+  const int ridx = leaf_relay_[static_cast<std::size_t>(id)];
+  if (ridx < 0) return 0;
+  Frame rf = f;
+  rf.client_id = static_cast<std::uint32_t>(id);
+  return send(relays_[static_cast<std::size_t>(ridx)].conn_id, rf);
 }
 
 void ServerSession::ensure_model_frame(RoundCtx& rc) {
@@ -619,156 +628,38 @@ void ServerSession::ensure_model_frame(RoundCtx& rc) {
                               static_cast<std::uint32_t>(rc.round),
                               kServerId, encode_model(m));
   if (loop_ != nullptr)
-    // Encode the full wire frame once per round; every connection gets
-    // the same immutable buffer (10k-client broadcast = one encode).
+    // Encode the full wire frame once per round; every loop connection
+    // gets the same immutable buffer (10k-client broadcast = one encode).
     rc.model_bytes = std::make_shared<const std::vector<std::uint8_t>>(
         encode_frame(rc.model_frame));
   rc.model_ready = true;
 }
 
-void ServerSession::send_model(RoundCtx& rc, int id) {
+void ServerSession::send_model(RoundCtx& rc, ConnId conn, int book_id,
+                               char& sent) {
   ensure_model_frame(rc);
-  const Frame& f = rc.model_frame;
-  const bool retransmit = rc.sent_model[static_cast<std::size_t>(id)];
-  const std::size_t sent =
-      send_to(id, f, rc.model_bytes ? &rc.model_bytes : nullptr);
-  if (sent == 0) return;
-  rc.sent_model[static_cast<std::size_t>(id)] = true;
-  rc.ledger->record_download(id, static_cast<std::int64_t>(sent));
+  const std::size_t bytes = send(conn, rc.model_frame, &rc.model_bytes);
+  if (bytes == 0) return;
+  const bool retransmit = sent != 0;
+  sent = 1;
+  rc.ledger->record_download(book_id, static_cast<std::int64_t>(bytes));
   if (retransmit) {
-    rc.ledger->record_retransmit(id, static_cast<std::int64_t>(sent));
+    rc.ledger->record_retransmit(book_id, static_cast<std::int64_t>(bytes));
     if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
       cfg_.tracer->record(metrics::ev_retransmit(
-          rc.round, id, static_cast<std::int64_t>(sent), trace_now()));
+          rc.round, book_id, static_cast<std::int64_t>(bytes), trace_now()));
   }
 }
 
-std::size_t ServerSession::send_to_relay(std::size_t ridx, const Frame& f) {
-  RelayBinding& rb = relays_[ridx];
-  if (rb.loop_conn != kNoConn) {
-    loop_->send(rb.loop_conn,
-                std::make_shared<const std::vector<std::uint8_t>>(
-                    encode_frame(f)));
-  } else if (rb.conn) {
-    if (!rb.conn->send(f)) {
-      // Dead relay link: close and let the poll pass reap the binding (a
-      // drop_relay here would invalidate indices mid-iteration in callers).
-      rb.conn->close();
-      return 0;
-    }
-  } else {
-    return 0;
-  }
+void ServerSession::resend_select(RoundCtx& rc, int id) {
+  const std::size_t sent = send_to(
+      id, make_frame(MsgType::kSelect, static_cast<std::uint32_t>(rc.round),
+                     kServerId, encode_f64(rc.ratio_of.at(id))));
+  if (sent == 0) return;
+  rc.ledger->record_retransmit(id, static_cast<std::int64_t>(sent));
   if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-    cfg_.tracer->record(metrics::ev_frame(
-        metrics::TraceEventType::kFrameTx, static_cast<int>(f.round),
-        f.client_id == kServerId ? -1 : static_cast<int>(f.client_id),
-        to_string(f.type), static_cast<std::int64_t>(f.wire_size()),
-        trace_now()));
-  return f.wire_size();
-}
-
-void ServerSession::send_model_to_relay(RoundCtx& rc, std::size_t ridx) {
-  ensure_model_frame(rc);
-  const bool retransmit = relays_[ridx].sent_model;
-  const std::size_t sent = send_to_relay(ridx, rc.model_frame);
-  if (sent == 0) return;
-  RelayBinding& rb = relays_[ridx];
-  rb.sent_model = true;
-  // One MODEL feeds the whole subtree; book it against the range base.
-  rc.ledger->record_download(rb.base, static_cast<std::int64_t>(sent));
-  if (retransmit) {
-    rc.ledger->record_retransmit(rb.base, static_cast<std::int64_t>(sent));
-    if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-      cfg_.tracer->record(metrics::ev_retransmit(
-          rc.round, rb.base, static_cast<std::int64_t>(sent), trace_now()));
-  }
-}
-
-void ServerSession::drop_relay(std::size_t ridx) {
-  RelayBinding& rb = relays_[ridx];
-  // Clear the leaves' routes and liveness but keep their round state
-  // (scores, awaiting): a promoted standby re-binding the range can still
-  // recover the round; unrecovered loss falls to the round deadline exactly
-  // as a flat client crash does.
-  for (int id = rb.base; id < rb.base + rb.count; ++id) {
-    if (leaf_relay_[static_cast<std::size_t>(id)] ==
-        static_cast<int>(ridx)) {
-      leaf_relay_[static_cast<std::size_t>(id)] = -1;
-      child_live_[static_cast<std::size_t>(id)] = 0;
-    }
-  }
-  if (rb.loop_conn != kNoConn) {
-    relay_conn_.erase(rb.loop_conn);
-    loop_->close_conn(rb.loop_conn);
-  }
-  if (rb.conn) rb.conn->close();
-  relays_.erase(relays_.begin() + static_cast<std::ptrdiff_t>(ridx));
-  // Compact: bindings above ridx shifted down by one.
-  for (auto& r : leaf_relay_)
-    if (r > static_cast<int>(ridx)) --r;
-  for (auto& [conn, idx] : relay_conn_)
-    if (idx > ridx) --idx;
-}
-
-void ServerSession::handle_relay_hello(RoundCtx& rc,
-                                       const RelayHelloPayload& h,
-                                       std::unique_ptr<Transport> conn,
-                                       ConnId loop_conn) {
-  const int g = cfg_.params.agg_group;
-  ADAFL_CHECK_MSG(h.version == kProtocolVersion,
-                  "session: relay protocol version mismatch");
-  ADAFL_CHECK_MSG(g > 0,
-                  "session: relay joined but the run has agg_group == 0");
-  const auto base = static_cast<std::int64_t>(h.base);
-  const auto count = static_cast<std::int64_t>(h.count);
-  ADAFL_CHECK_MSG(base % g == 0 && count % g == 0 &&
-                      base + count <= cfg_.expected_clients,
-                  "session: relay range [" << base << ", " << base + count
-                                           << ") invalid for this run");
-  // A rebinding (redialed relay or promoted standby) supersedes any
-  // existing binding its range overlaps.
-  for (std::size_t i = relays_.size(); i-- > 0;) {
-    const RelayBinding& rb = relays_[i];
-    if (base < rb.base + rb.count && rb.base < base + count) drop_relay(i);
-  }
-  RelayBinding rb;
-  rb.base = static_cast<int>(base);
-  rb.count = static_cast<int>(count);
-  rb.conn = std::move(conn);
-  rb.loop_conn = loop_conn;
-  const std::size_t ridx = relays_.size();
-  relays_.push_back(std::move(rb));
-  if (loop_conn != kNoConn) relay_conn_[loop_conn] = ridx;
-  for (std::int64_t id = base; id < base + count; ++id) {
-    leaf_relay_[static_cast<std::size_t>(id)] = static_cast<int>(ridx);
-    child_live_[static_cast<std::size_t>(id)] = 0;  // until announced
-  }
-  // WELCOME: the relay caches the payload verbatim and serves its children.
-  send_to_relay(ridx,
-                make_frame(MsgType::kWelcome, 0, kServerId, welcome_payload_));
-  // In-round catch-up: the current MODEL (the relay re-broadcasts it), and
-  // pending SELECTs for its leaves when the update phase is in flight.
-  if (rc.model_ready) send_model_to_relay(rc, ridx);
-  if (rc.phase == Phase::kUpdate) {
-    for (std::int64_t id = base; id < base + count; ++id) {
-      const int lid = static_cast<int>(id);
-      if (rc.awaiting.count(lid) == 0 ||
-          delivered_[static_cast<std::size_t>(lid)])
-        continue;
-      const Frame sf = make_frame(MsgType::kSelect,
-                                  static_cast<std::uint32_t>(rc.round),
-                                  static_cast<std::uint32_t>(lid),
-                                  encode_f64(rc.ratio_of.at(lid)));
-      const std::size_t sent = send_to_relay(ridx, sf);
-      if (sent != 0) {
-        rc.ledger->record_retransmit(lid, static_cast<std::int64_t>(sent));
-        if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-          cfg_.tracer->record(metrics::ev_retransmit(
-              rc.round, lid, static_cast<std::int64_t>(sent), trace_now()));
-      }
-    }
-  }
+    cfg_.tracer->record(metrics::ev_retransmit(
+        rc.round, id, static_cast<std::int64_t>(sent), trace_now()));
 }
 
 void ServerSession::handle_relay_frame(RoundCtx& rc, std::size_t ridx,
@@ -809,20 +700,7 @@ void ServerSession::handle_relay_frame(RoundCtx& rc, std::size_t ridx,
           cfg_.tracer->record(
               metrics::ev_reconnect(rc.round, id, trace_now()));
       }
-      if (rc.phase == Phase::kUpdate && rc.awaiting.count(id) != 0 &&
-          !delivered_[static_cast<std::size_t>(id)]) {
-        const Frame sf = make_frame(MsgType::kSelect,
-                                    static_cast<std::uint32_t>(rc.round),
-                                    static_cast<std::uint32_t>(id),
-                                    encode_f64(rc.ratio_of.at(id)));
-        const std::size_t sent = send_to_relay(ridx, sf);
-        if (sent != 0) {
-          rc.ledger->record_retransmit(id, static_cast<std::int64_t>(sent));
-          if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-            cfg_.tracer->record(metrics::ev_retransmit(
-                rc.round, id, static_cast<std::int64_t>(sent), trace_now()));
-        }
-      }
+      if (owes_update(rc, id)) resend_select(rc, id);
       return;
     }
     case MsgType::kChildGone: {
@@ -833,7 +711,7 @@ void ServerSession::handle_relay_frame(RoundCtx& rc, std::size_t ridx,
       return;
     }
     case MsgType::kPing:
-      send_to_relay(ridx, make_frame(MsgType::kPong, f.round, kServerId));
+      send(rb.conn_id, make_frame(MsgType::kPong, f.round, kServerId));
       return;
     default:
       return;  // PONG, duplicates, unexpected types: ignore
@@ -924,36 +802,26 @@ void ServerSession::nudge(RoundCtx& rc) {
     for (int id = 0; id < cfg_.expected_clients; ++id) {
       if (!direct_connected(id) || rc.scored[static_cast<std::size_t>(id)])
         continue;
-      send_model(rc, id);
+      send_model(rc, client_conn_[static_cast<std::size_t>(id)], id,
+                 rc.sent_model[static_cast<std::size_t>(id)]);
     }
     // One MODEL per relay with any live unscored leaf; the relay re-serves
     // it locally to exactly the children that still owe a score.
-    for (std::size_t ridx = 0; ridx < relays_.size(); ++ridx) {
-      const RelayBinding& rb = relays_[ridx];
+    for (RelayBinding& rb : relays_) {
       bool owed = false;
       for (int id = rb.base; id < rb.base + rb.count && !owed; ++id)
         owed = child_live_[static_cast<std::size_t>(id)] != 0 &&
                !rc.scored[static_cast<std::size_t>(id)];
-      if (owed) send_model_to_relay(rc, ridx);
+      if (owed) send_model(rc, rb.conn_id, rb.base, rb.sent_model);
     }
     return;
   }
   // Update phase: re-send SELECT to selected clients that have not
   // delivered. A duplicate SELECT makes the client re-send its cached
   // update bytes (it never compresses twice).
-  for (int id : rc.awaiting) {
-    if (!connected(id) || delivered_[static_cast<std::size_t>(id)]) continue;
-    const Frame sf =
-        make_frame(MsgType::kSelect, static_cast<std::uint32_t>(rc.round),
-                   kServerId, encode_f64(rc.ratio_of.at(id)));
-    const std::size_t sent = send_to(id, sf);
-    if (sent != 0) {
-      rc.ledger->record_retransmit(id, static_cast<std::int64_t>(sent));
-      if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-        cfg_.tracer->record(metrics::ev_retransmit(
-            rc.round, id, static_cast<std::int64_t>(sent), trace_now()));
-    }
-  }
+  for (int id : rc.awaiting)
+    if (connected(id) && !delivered_[static_cast<std::size_t>(id)])
+      resend_select(rc, id);
 }
 
 void ServerSession::handle_frame(RoundCtx& rc, int id, const Frame& f) {
@@ -970,37 +838,6 @@ void ServerSession::handle_frame(RoundCtx& rc, int id, const Frame& f) {
       rc.scored[static_cast<std::size_t>(id)] = true;
       return;
     }
-    case MsgType::kUpdate: {
-      if (rc.phase != Phase::kUpdate ||
-          f.round != static_cast<std::uint32_t>(rc.round) ||
-          rc.awaiting.count(id) == 0 ||
-          delivered_[static_cast<std::size_t>(id)])
-        return;
-      // Decode straight into the client's reused delivery slot. The slot is
-      // only marked delivered after validation: a throw below leaves it
-      // unmarked (and droppable), so a partial decode cannot be aggregated.
-      core::AdaFlDelivery& dl = delivery_slots_[static_cast<std::size_t>(id)];
-      parse_update_fields(f.payload, dl);
-      // Slots are reused across rounds; a slot that once held a relay
-      // partial's metadata must not poison a later direct delivery.
-      dl.meta_only = false;
-      // Reject protocol-valid-but-wrong updates here, inside the service
-      // loop's CheckError net: the offending peer is dropped and the round
-      // degrades. deserialize() already bounds top-k indices by dense_size,
-      // so past these two checks apply_round cannot throw on this delivery.
-      ADAFL_CHECK_MSG(dl.msg.kind == compress::CodecKind::kTopK,
-                      "session: UPDATE from client "
-                          << id << " carries a non-top-k message");
-      ADAFL_CHECK_MSG(
-          dl.msg.dense_size ==
-              static_cast<std::int64_t>(core_.global().size()),
-          "session: UPDATE from client " << id << " dimension mismatch");
-      delivered_[static_cast<std::size_t>(id)] = 1;
-      ++delivered_count_;
-      rc.ledger->record_upload(id, static_cast<std::int64_t>(f.wire_size()),
-                               true);
-      return;
-    }
     case MsgType::kPing:
       send_to(id, make_frame(MsgType::kPong, f.round, kServerId));
       return;
@@ -1010,211 +847,53 @@ void ServerSession::handle_frame(RoundCtx& rc, int id, const Frame& f) {
 }
 
 bool ServerSession::service(RoundCtx& rc) {
-  bool progress = false;
-
-  // 0) Keep standby leases alive (answer their PINGs) and reap dead ones.
+  // Keep standby leases alive (answer their PINGs) and reap dead ones.
   if (cfg_.publisher != nullptr) cfg_.publisher->service();
 
-  // Event-loop frames first; the classic Transport path below still runs so
-  // add_transport() connections (the UDP mux) work alongside the loop.
-  if (loop_ != nullptr && service_event_loop(rc)) progress = true;
-
-  // 1) Handshake pending transports (HELLO -> WELCOME -> in-round catchup).
-  std::vector<std::unique_ptr<Transport>> pending;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    pending.swap(pending_);
+  if (loop_ != nullptr) {
+    // Closes are taken before the drain and accepts after it, so every
+    // drained frame's connection and every closed one is already known.
+    gone_ = loop_->take_closed();
+    loop_->poll_all(frame_batch_);
+    for (const ConnId conn : loop_->take_accepted()) peers_.try_emplace(conn);
   }
-  for (auto& t : pending) {
-    std::optional<Frame> f;
-    try {
-      f = t->recv(std::chrono::milliseconds(0));
-    } catch (const CheckError&) {
-      continue;  // malformed stream before HELLO: drop
-    }
-    if (!f) {
-      if (!t->closed()) {  // still waiting for its HELLO
-        std::lock_guard<std::mutex> lock(pending_mu_);
-        pending_.push_back(std::move(t));
-      }
-      continue;
-    }
-    progress = true;
-    if (f->type == MsgType::kStandbyHello) {
-      // A replication peer, not a client: hand the connection to the
-      // publisher (or drop it when replication is not configured).
-      try {
-        ADAFL_CHECK_MSG(parse_hello(f->payload) == kProtocolVersion,
-                        "session: standby protocol version mismatch");
-      } catch (const CheckError&) {
-        continue;
-      }
-      if (cfg_.publisher != nullptr) cfg_.publisher->adopt(std::move(t));
-      continue;
-    }
-    if (f->type == MsgType::kRelayHello) {
-      // A mid-tier aggregator announcing its leaf range.
-      if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-        cfg_.tracer->record(metrics::ev_frame(
-            metrics::TraceEventType::kFrameRx, static_cast<int>(f->round),
-            -1, to_string(f->type),
-            static_cast<std::int64_t>(f->wire_size()), trace_now()));
-      try {
-        const RelayHelloPayload h = parse_relay_hello(f->payload);
-        handle_relay_hello(rc, h, std::move(t), kNoConn);
-      } catch (const CheckError&) {
-        // invalid claim: drop the connection (t closes on destruction)
-      }
-      continue;
-    }
-    int id = -1;
-    try {
-      ADAFL_CHECK_MSG(f->type == MsgType::kHello,
-                      "session: expected HELLO, got " << to_string(f->type));
-      ADAFL_CHECK_MSG(parse_hello(f->payload) == kProtocolVersion,
-                      "session: protocol version mismatch");
-      ADAFL_CHECK_MSG(f->client_id < static_cast<std::uint32_t>(
-                                         cfg_.expected_clients),
-                      "session: client id " << f->client_id
-                                            << " out of range");
-      id = static_cast<int>(f->client_id);
-    } catch (const CheckError&) {
-      continue;  // bad handshake: drop
-    }
-    const bool rejoin = ever_joined_[static_cast<std::size_t>(id)];
-    conns_[static_cast<std::size_t>(id)] = std::move(t);  // replaces any stale conn
-    ever_joined_[static_cast<std::size_t>(id)] = true;
-    const bool traced = cfg_.tracer != nullptr && cfg_.tracer->enabled();
-    if (traced)
-      cfg_.tracer->record(metrics::ev_frame(
-          metrics::TraceEventType::kFrameRx, static_cast<int>(f->round), id,
-          to_string(f->type), static_cast<std::int64_t>(f->wire_size()),
-          trace_now()));
-    if (rejoin) {
-      rc.ledger->record_reconnect(id);
-      if (traced)
-        cfg_.tracer->record(metrics::ev_reconnect(rc.round, id, trace_now()));
-    }
-    send_to(id, make_frame(MsgType::kWelcome, 0, kServerId,
-                           welcome_payload_));
-    // Catch the rejoiner up with the in-flight round state.
-    if (rc.phase == Phase::kScore &&
-        !rc.scored[static_cast<std::size_t>(id)]) {
-      send_model(rc, id);
-    } else if (rc.phase == Phase::kUpdate && rc.awaiting.count(id) != 0 &&
-               !delivered_[static_cast<std::size_t>(id)]) {
-      const Frame sf = make_frame(MsgType::kSelect,
-                                  static_cast<std::uint32_t>(rc.round),
-                                  kServerId, encode_f64(rc.ratio_of.at(id)));
-      const std::size_t sent = send_to(id, sf);
-      if (sent != 0) {
-        rc.ledger->record_retransmit(id, static_cast<std::int64_t>(sent));
-        if (traced)
-          cfg_.tracer->record(metrics::ev_retransmit(
-              rc.round, id, static_cast<std::int64_t>(sent), trace_now()));
-      }
-    }
-  }
-
-  // 2) One non-blocking poll pass over every attached connection.
-  for (int id = 0; id < cfg_.expected_clients; ++id) {
-    auto& conn = conns_[static_cast<std::size_t>(id)];
-    while (conn) {
-      std::optional<Frame> f;
-      try {
-        f = conn->recv(std::chrono::milliseconds(0));
-      } catch (const CheckError&) {
-        conn.reset();  // malformed stream: drop the connection
-        break;
-      }
-      if (!f) {
-        if (conn->closed()) conn.reset();  // EOF noticed
-        break;
-      }
-      progress = true;
-      if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-        cfg_.tracer->record(metrics::ev_frame(
-            metrics::TraceEventType::kFrameRx, static_cast<int>(f->round),
-            id, to_string(f->type),
-            static_cast<std::int64_t>(f->wire_size()), trace_now()));
-      try {
-        handle_frame(rc, id, *f);
-      } catch (const CheckError&) {
-        conn.reset();  // bad payload: drop, round degrades
-      }
-    }
-  }
-
-  // 3) Poll classic-mode relay connections. A malformed or dead stream
-  // drops the whole binding; its leaves fall back to unreachable until a
-  // redial or standby promotion re-binds the range.
-  for (std::size_t ridx = 0; ridx < relays_.size();) {
-    bool dropped = false;
-    while (relays_[ridx].conn) {
-      std::optional<Frame> f;
-      try {
-        f = relays_[ridx].conn->recv(std::chrono::milliseconds(0));
-      } catch (const CheckError&) {
-        drop_relay(ridx);
-        dropped = true;
-        break;
-      }
-      if (!f) {
-        if (relays_[ridx].conn->closed()) {
-          drop_relay(ridx);
-          dropped = true;
-        }
-        break;
-      }
-      progress = true;
-      if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-        cfg_.tracer->record(metrics::ev_frame(
-            metrics::TraceEventType::kFrameRx, static_cast<int>(f->round),
-            f->client_id == kServerId ? -1 : static_cast<int>(f->client_id),
-            to_string(f->type), static_cast<std::int64_t>(f->wire_size()),
-            trace_now()));
-      try {
-        handle_relay_frame(rc, ridx, *f);
-      } catch (const CheckError&) {
-        drop_relay(ridx);
-        dropped = true;
-        break;
-      }
-    }
-    if (!dropped) ++ridx;
-  }
+  pump();
+  const bool progress = !frame_batch_.empty();
+  if (progress) dispatch(rc);
+  frame_batch_.clear();  // frees the payloads before the idle wait
+  // Closed connections are reaped after their last frames were handled.
+  for (const ConnId conn : gone_) close(conn);
+  gone_.clear();
   return progress;
 }
 
-bool ServerSession::service_event_loop(RoundCtx& rc) {
-  // Accepted connections stay unbound (and unserviced) until their first
-  // frame — the HELLO — arrives; nothing to do for them here.
-  loop_->take_accepted();
-  for (const ConnId conn : loop_->take_closed()) {
-    auto rit = relay_conn_.find(conn);
-    if (rit != relay_conn_.end()) {
-      drop_relay(rit->second);
-      continue;
-    }
-    auto it = conn_client_.find(conn);
-    if (it != conn_client_.end()) {
-      if (client_conn_[static_cast<std::size_t>(it->second)] == conn)
-        client_conn_[static_cast<std::size_t>(it->second)] = kNoConn;
-      conn_client_.erase(it);
-    }
-    auto st = standby_links_.find(conn);
-    if (st != standby_links_.end()) {
-      st->second->closed.store(true);
-      st->second->cv.notify_all();
-      standby_links_.erase(st);
-    }
+void ServerSession::pump() {
+  {
+    std::lock_guard<std::mutex> lock(arrivals_mu_);
+    for (auto& t : arrivals_) peers_[next_pumped_++].pumped = std::move(t);
+    arrivals_.clear();
   }
+  const auto now = Clock::now();
+  for (auto it = peers_.lower_bound(kPumpedBase); it != peers_.end(); ++it) {
+    Transport& t = *it->second.pumped;
+    try {
+      while (std::optional<Frame> f = t.recv(std::chrono::milliseconds(0)))
+        frame_batch_.push_back(InFrame{it->first, std::move(*f), now});
+    } catch (const CheckError&) {
+      t.close();  // malformed stream: its earlier frames still count
+    }
+    if (t.closed()) gone_.push_back(it->first);
+  }
+}
 
-  frame_batch_.clear();
-  loop_->poll_all(frame_batch_);
-  if (frame_batch_.empty()) return false;
-
+void ServerSession::dispatch(RoundCtx& rc) {
   const bool traced = cfg_.tracer != nullptr && cfg_.tracer->enabled();
+  const auto trace_rx = [&](const Frame& f, int id) {
+    cfg_.tracer->record(metrics::ev_frame(
+        metrics::TraceEventType::kFrameRx, static_cast<int>(f.round), id,
+        to_string(f.type), static_cast<std::int64_t>(f.wire_size()),
+        trace_now()));
+  };
 
   // Pass 1 (sequential, arrival order): dispatch-latency metric, standby
   // routing, handshakes, and every non-UPDATE frame. Aggregatable UPDATE
@@ -1223,207 +902,206 @@ bool ServerSession::service_event_loop(RoundCtx& rc) {
   decode_jobs_.clear();
   const auto drained_at = Clock::now();
   for (std::size_t i = 0; i < frame_batch_.size(); ++i) {
-    const InFrame& inf = frame_batch_[i];
-    if (dispatch_hist_ != nullptr)
+    InFrame& inf = frame_batch_[i];
+    const Frame& f = inf.frame;
+    if (dispatch_hist_ != nullptr && inf.conn < kPumpedBase)
       dispatch_hist_->observe(
           std::chrono::duration<double, std::milli>(drained_at - inf.enqueued)
               .count());
-    auto st = standby_links_.find(inf.conn);
-    if (st != standby_links_.end()) {
-      // Replication peer: its frames belong to the publisher, delivered via
-      // the shared inbox its LoopPeerTransport recv()s from.
-      {
-        std::lock_guard<std::mutex> lk(st->second->mu);
-        st->second->inbox.push_back(inf.frame);
-      }
-      st->second->cv.notify_all();
-      continue;
-    }
-    auto rit = relay_conn_.find(inf.conn);
-    if (rit != relay_conn_.end()) {
-      if (traced)
-        cfg_.tracer->record(metrics::ev_frame(
-            metrics::TraceEventType::kFrameRx,
-            static_cast<int>(inf.frame.round),
-            inf.frame.client_id == kServerId
-                ? -1
-                : static_cast<int>(inf.frame.client_id),
-            to_string(inf.frame.type),
-            static_cast<std::int64_t>(inf.frame.wire_size()), trace_now()));
-      try {
-        handle_relay_frame(rc, rit->second, inf.frame);
-      } catch (const CheckError&) {
-        drop_relay(rit->second);  // hostile relay: drop the whole binding
-      }
-      continue;
-    }
-    auto bound = conn_client_.find(inf.conn);
-    if (bound == conn_client_.end()) {
-      handle_loop_handshake(rc, inf);
-      continue;
-    }
-    const int id = bound->second;
-    if (traced)
-      cfg_.tracer->record(metrics::ev_frame(
-          metrics::TraceEventType::kFrameRx,
-          static_cast<int>(inf.frame.round), id, to_string(inf.frame.type),
-          static_cast<std::int64_t>(inf.frame.wire_size()), trace_now()));
-    if (inf.frame.type == MsgType::kUpdate) {
-      if (rc.phase == Phase::kUpdate &&
-          inf.frame.round == static_cast<std::uint32_t>(rc.round) &&
-          rc.awaiting.count(id) != 0 &&
-          !delivered_[static_cast<std::size_t>(id)] &&
-          !pending_decode_[static_cast<std::size_t>(id)]) {
-        pending_decode_[static_cast<std::size_t>(id)] = 1;
-        decode_jobs_.push_back(DecodeJob{i, id});
-      }
-      continue;  // stale/duplicate UPDATE: ignored, as in handle_frame
-    }
-    try {
-      handle_frame(rc, id, inf.frame);
-    } catch (const CheckError&) {
-      drop_loop_conn(inf.conn);  // bad payload: drop, round degrades
-    }
-  }
-
-  // Pass 2 (parallel): decode every collected UPDATE into its client's
-  // private delivery slot. Jobs touch disjoint slots and no shared state;
-  // CheckError is captured per job — never thrown across the worker pool.
-  if (!decode_jobs_.empty()) {
-    decode_ok_.assign(decode_jobs_.size(), 0);
-    const auto jn = static_cast<std::int64_t>(decode_jobs_.size());
-    core::parallel_for_blocked(0, jn, [&](std::int64_t lo, std::int64_t hi) {
-      for (std::int64_t j = lo; j < hi; ++j) {
-        const DecodeJob& job = decode_jobs_[static_cast<std::size_t>(j)];
-        core::AdaFlDelivery& dl =
-            delivery_slots_[static_cast<std::size_t>(job.client)];
+    const auto it = peers_.find(inf.conn);
+    if (it == peers_.end()) continue;  // closed earlier in this pass
+    Peer& p = it->second;
+    switch (p.role) {
+      case Role::kUnbound:
+        handshake(rc, inf.conn, f);
+        break;
+      case Role::kStandby:
+        p.standby->inbox.push_back(std::move(inf.frame));  // the publisher's
+        break;
+      case Role::kRelay:
+        if (traced) trace_rx(f, relay_trace_id(f));
         try {
-          parse_update_fields(frame_batch_[job.batch_index].frame.payload,
-                              dl);
-          dl.meta_only = false;  // reused slot may hold stale relay metadata
-          ADAFL_CHECK_MSG(dl.msg.kind == compress::CodecKind::kTopK,
-                          "session: UPDATE from client "
-                              << job.client
-                              << " carries a non-top-k message");
-          ADAFL_CHECK_MSG(
-              dl.msg.dense_size ==
-                  static_cast<std::int64_t>(core_.global().size()),
-              "session: UPDATE from client " << job.client
-                                             << " dimension mismatch");
-          decode_ok_[static_cast<std::size_t>(j)] = 1;
+          handle_relay_frame(rc, relay_index(inf.conn), f);
         } catch (const CheckError&) {
-          // leave decode_ok_ 0; the offender is dropped below
+          close(inf.conn);  // hostile relay: drop the whole binding
         }
+        break;
+      case Role::kClient: {
+        const int id = p.client;
+        if (traced) trace_rx(f, id);
+        if (f.type != MsgType::kUpdate) {
+          try {
+            handle_frame(rc, id, f);
+          } catch (const CheckError&) {
+            close(inf.conn);  // bad payload: drop, round degrades
+          }
+        } else if (f.round == static_cast<std::uint32_t>(rc.round) &&
+                   owes_update(rc, id) &&
+                   !pending_decode_[static_cast<std::size_t>(id)]) {
+          pending_decode_[static_cast<std::size_t>(id)] = 1;
+          decode_jobs_.push_back(DecodeJob{i, id});
+        }  // else a stale or duplicate UPDATE: ignored
+        break;
       }
-    });
-
-    // Pass 3 (sequential, batch order): commit decode results.
-    for (std::size_t j = 0; j < decode_jobs_.size(); ++j) {
-      const DecodeJob& job = decode_jobs_[j];
-      pending_decode_[static_cast<std::size_t>(job.client)] = 0;
-      if (!decode_ok_[j]) {
-        drop_loop_conn(frame_batch_[job.batch_index].conn);
-        continue;
-      }
-      delivered_[static_cast<std::size_t>(job.client)] = 1;
-      ++delivered_count_;
-      rc.ledger->record_upload(
-          job.client,
-          static_cast<std::int64_t>(
-              frame_batch_[job.batch_index].frame.wire_size()),
-          true);
     }
   }
-  return true;
+  if (decode_jobs_.empty()) return;
+
+  // Pass 2 (parallel): decode every collected UPDATE straight into its
+  // client's private delivery slot. Jobs touch disjoint slots and no shared
+  // state; CheckError is captured per job — never thrown across the worker
+  // pool. A slot is only marked delivered in pass 3, so a partial decode
+  // cannot be aggregated.
+  decode_ok_.assign(decode_jobs_.size(), 0);
+  const auto jn = static_cast<std::int64_t>(decode_jobs_.size());
+  core::parallel_for_blocked(0, jn, [&](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t j = lo; j < hi; ++j) {
+      const DecodeJob& job = decode_jobs_[static_cast<std::size_t>(j)];
+      core::AdaFlDelivery& dl =
+          delivery_slots_[static_cast<std::size_t>(job.client)];
+      try {
+        parse_update_fields(frame_batch_[job.batch_index].frame.payload, dl);
+        dl.meta_only = false;  // reused slot may hold stale relay metadata
+        // Reject protocol-valid-but-wrong updates here: the offending peer
+        // is dropped and the round degrades. deserialize() already bounds
+        // top-k indices by dense_size, so past these two checks
+        // apply_round cannot throw on this delivery.
+        ADAFL_CHECK_MSG(dl.msg.kind == compress::CodecKind::kTopK,
+                        "session: UPDATE from client "
+                            << job.client << " carries a non-top-k message");
+        ADAFL_CHECK_MSG(
+            dl.msg.dense_size ==
+                static_cast<std::int64_t>(core_.global().size()),
+            "session: UPDATE from client " << job.client
+                                           << " dimension mismatch");
+        decode_ok_[static_cast<std::size_t>(j)] = 1;
+      } catch (const CheckError&) {
+        // leave decode_ok_ 0; the offender is dropped below
+      }
+    }
+  });
+
+  // Pass 3 (sequential, batch order): commit decode results.
+  for (std::size_t j = 0; j < decode_jobs_.size(); ++j) {
+    const DecodeJob& job = decode_jobs_[j];
+    const InFrame& inf = frame_batch_[job.batch_index];
+    pending_decode_[static_cast<std::size_t>(job.client)] = 0;
+    if (!decode_ok_[j]) {
+      close(inf.conn);
+      continue;
+    }
+    delivered_[static_cast<std::size_t>(job.client)] = 1;
+    ++delivered_count_;
+    rc.ledger->record_upload(
+        job.client, static_cast<std::int64_t>(inf.frame.wire_size()), true);
+  }
 }
 
-void ServerSession::handle_loop_handshake(RoundCtx& rc, const InFrame& inf) {
-  const Frame& f = inf.frame;
-  const bool traced = cfg_.tracer != nullptr && cfg_.tracer->enabled();
-  if (f.type == MsgType::kStandbyHello) {
-    // A replication peer, not a client: hand the connection to the
-    // publisher (or drop it when replication is not configured).
-    try {
-      ADAFL_CHECK_MSG(parse_hello(f.payload) == kProtocolVersion,
-                      "session: standby protocol version mismatch");
-    } catch (const CheckError&) {
-      loop_->close_conn(inf.conn);
-      return;
-    }
-    if (cfg_.publisher == nullptr) {
-      loop_->close_conn(inf.conn);
-      return;
-    }
-    auto state = std::make_shared<LoopPeerState>();
-    standby_links_[inf.conn] = state;
-    cfg_.publisher->adopt(std::make_unique<LoopPeerTransport>(
-        loop_, inf.conn, std::move(state)));
-    return;
-  }
-  if (f.type == MsgType::kRelayHello) {
-    if (traced)
-      cfg_.tracer->record(metrics::ev_frame(
-          metrics::TraceEventType::kFrameRx, static_cast<int>(f.round), -1,
-          to_string(f.type), static_cast<std::int64_t>(f.wire_size()),
-          trace_now()));
-    try {
-      const RelayHelloPayload h = parse_relay_hello(f.payload);
-      handle_relay_hello(rc, h, nullptr, inf.conn);
-    } catch (const CheckError&) {
-      loop_->close_conn(inf.conn);  // invalid claim: drop
-    }
-    return;
-  }
-  int id = -1;
+void ServerSession::handshake(RoundCtx& rc, ConnId conn, const Frame& f) {
+  RelayHelloPayload relay;
   try {
-    ADAFL_CHECK_MSG(f.type == MsgType::kHello,
-                    "session: expected HELLO, got " << to_string(f.type));
-    ADAFL_CHECK_MSG(parse_hello(f.payload) == kProtocolVersion,
-                    "session: protocol version mismatch");
-    ADAFL_CHECK_MSG(
-        f.client_id < static_cast<std::uint32_t>(cfg_.expected_clients),
-        "session: client id " << f.client_id << " out of range");
-    id = static_cast<int>(f.client_id);
+    switch (f.type) {
+      case MsgType::kStandbyHello:
+        ADAFL_CHECK_MSG(cfg_.publisher != nullptr,
+                        "session: standby joined but replication is off");
+        ADAFL_CHECK_MSG(parse_hello(f.payload) == kProtocolVersion,
+                        "session: standby protocol version mismatch");
+        break;
+      case MsgType::kRelayHello: {
+        relay = parse_relay_hello(f.payload);
+        const int g = cfg_.params.agg_group;
+        ADAFL_CHECK_MSG(relay.version == kProtocolVersion,
+                        "session: relay protocol version mismatch");
+        ADAFL_CHECK_MSG(
+            g > 0, "session: relay joined but the run has agg_group == 0");
+        const auto base = static_cast<std::int64_t>(relay.base);
+        const auto count = static_cast<std::int64_t>(relay.count);
+        ADAFL_CHECK_MSG(base % g == 0 && count % g == 0 &&
+                            base + count <= cfg_.expected_clients,
+                        "session: relay range [" << base << ", "
+                                                 << base + count
+                                                 << ") invalid for this run");
+        break;
+      }
+      default:
+        ADAFL_CHECK_MSG(f.type == MsgType::kHello,
+                        "session: expected HELLO, got " << to_string(f.type));
+        ADAFL_CHECK_MSG(parse_hello(f.payload) == kProtocolVersion,
+                        "session: protocol version mismatch");
+        ADAFL_CHECK_MSG(
+            f.client_id < static_cast<std::uint32_t>(cfg_.expected_clients),
+            "session: client id " << f.client_id << " out of range");
+    }
   } catch (const CheckError&) {
-    loop_->close_conn(inf.conn);  // bad handshake: drop
+    close(conn);  // bad handshake or invalid claim: drop
     return;
   }
-  const bool rejoin = ever_joined_[static_cast<std::size_t>(id)];
-  const ConnId old = client_conn_[static_cast<std::size_t>(id)];
-  if (old != kNoConn && old != inf.conn) {
-    conn_client_.erase(old);  // redial replaces any stale binding
-    loop_->close_conn(old);
+
+  Peer& p = peers_.at(conn);
+  if (f.type == MsgType::kStandbyHello) {
+    // A replication peer, not a client: its frames now belong to the
+    // publisher, which talks to it through a Transport view.
+    p.role = Role::kStandby;
+    p.standby = std::make_shared<StandbyLink>();
+    cfg_.publisher->adopt(
+        std::make_unique<StandbyTransport>(this, conn, p.standby));
+    return;
   }
-  client_conn_[static_cast<std::size_t>(id)] = inf.conn;
-  conn_client_[inf.conn] = id;
-  ever_joined_[static_cast<std::size_t>(id)] = true;
+  const bool is_relay = f.type == MsgType::kRelayHello;
+  const int id = is_relay ? -1 : static_cast<int>(f.client_id);
+  const bool traced = cfg_.tracer != nullptr && cfg_.tracer->enabled();
   if (traced)
     cfg_.tracer->record(metrics::ev_frame(
         metrics::TraceEventType::kFrameRx, static_cast<int>(f.round), id,
         to_string(f.type), static_cast<std::int64_t>(f.wire_size()),
         trace_now()));
-  if (rejoin) {
-    rc.ledger->record_reconnect(id);
-    if (traced)
-      cfg_.tracer->record(metrics::ev_reconnect(rc.round, id, trace_now()));
-  }
-  send_to(id, make_frame(MsgType::kWelcome, 0, kServerId, welcome_payload_),
-          &welcome_frame_bytes_);
-  // Catch the joiner up with the in-flight round state.
-  if (rc.phase == Phase::kScore && !rc.scored[static_cast<std::size_t>(id)]) {
-    send_model(rc, id);
-  } else if (rc.phase == Phase::kUpdate && rc.awaiting.count(id) != 0 &&
-             !delivered_[static_cast<std::size_t>(id)]) {
-    const Frame sf = make_frame(MsgType::kSelect,
-                                static_cast<std::uint32_t>(rc.round),
-                                kServerId, encode_f64(rc.ratio_of.at(id)));
-    const std::size_t sent = send_to(id, sf);
-    if (sent != 0) {
-      rc.ledger->record_retransmit(id, static_cast<std::int64_t>(sent));
-      if (traced)
-        cfg_.tracer->record(metrics::ev_retransmit(
-            rc.round, id, static_cast<std::int64_t>(sent), trace_now()));
+  if (is_relay) {
+    // A mid-tier aggregator claiming leaves [base, base + count). A
+    // rebinding (redialed relay or promoted standby) supersedes every
+    // binding its range overlaps.
+    const int base = static_cast<int>(relay.base);
+    const int count = static_cast<int>(relay.count);
+    for (std::size_t i = relays_.size(); i-- > 0;)
+      if (base < relays_[i].base + relays_[i].count &&
+          relays_[i].base < base + count)
+        close(relays_[i].conn_id);
+    p.role = Role::kRelay;
+    relays_.push_back(RelayBinding{base, count, conn});
+    for (int leaf = base; leaf < base + count; ++leaf) {
+      leaf_relay_[static_cast<std::size_t>(leaf)] =
+          static_cast<int>(relays_.size() - 1);
+      child_live_[static_cast<std::size_t>(leaf)] = 0;  // until announced
     }
+  } else {
+    const ConnId old = client_conn_[static_cast<std::size_t>(id)];
+    if (old != kNoConn) close(old);  // a redial replaces any stale binding
+    p.role = Role::kClient;
+    p.client = id;
+    client_conn_[static_cast<std::size_t>(id)] = conn;
+    if (ever_joined_[static_cast<std::size_t>(id)]) {
+      rc.ledger->record_reconnect(id);
+      if (traced)
+        cfg_.tracer->record(metrics::ev_reconnect(rc.round, id, trace_now()));
+    }
+    ever_joined_[static_cast<std::size_t>(id)] = true;
+  }
+
+  // WELCOME (a relay caches it verbatim for its children), then catch-up
+  // with the in-flight round. A relay always gets the round's MODEL, built
+  // on demand, to re-broadcast to its subtree, plus the SELECTs its leaves
+  // still owe; a client gets the MODEL it has not scored or the SELECT it
+  // has not answered.
+  send(conn, welcome_, &welcome_bytes_);
+  if (is_relay) {
+    RelayBinding& rb = relays_.back();
+    send_model(rc, conn, rb.base, rb.sent_model);
+    for (int leaf = rb.base; leaf < rb.base + rb.count; ++leaf)
+      if (owes_update(rc, leaf)) resend_select(rc, leaf);
+  } else if (rc.phase == Phase::kScore &&
+             !rc.scored[static_cast<std::size_t>(id)]) {
+    send_model(rc, conn, id, rc.sent_model[static_cast<std::size_t>(id)]);
+  } else if (owes_update(rc, id)) {
+    resend_select(rc, id);
   }
 }
 
@@ -1494,14 +1172,14 @@ fl::TrainLog ServerSession::run() {
     RoundCtx rc;
     rc.round = round;
     rc.phase = Phase::kScore;
-    rc.sent_model.assign(static_cast<std::size_t>(n), false);
+    rc.sent_model.assign(static_cast<std::size_t>(n), 0);
     rc.scored.assign(static_cast<std::size_t>(n), false);
     rc.scores.assign(static_cast<std::size_t>(n), 0.0);
     rc.ledger = &log.ledger;
     delivery_slots_.resize(static_cast<std::size_t>(n));
     delivered_.assign(static_cast<std::size_t>(n), 0);
     delivered_count_ = 0;
-    for (auto& rb : relays_) rb.sent_model = false;
+    for (auto& rb : relays_) rb.sent_model = 0;
 
     // Whole-round cap (both phases share it); disabled when 0. A client
     // that scores and then dies can otherwise pin the round to the full
@@ -1515,9 +1193,11 @@ fl::TrainLog ServerSession::run() {
     // client gets its own MODEL; each relay gets one, which it re-serves to
     // its whole subtree.
     for (int id = 0; id < n; ++id)
-      if (direct_connected(id)) send_model(rc, id);
-    for (std::size_t ridx = 0; ridx < relays_.size(); ++ridx)
-      send_model_to_relay(rc, ridx);
+      if (direct_connected(id))
+        send_model(rc, client_conn_[static_cast<std::size_t>(id)], id,
+                   rc.sent_model[static_cast<std::size_t>(id)]);
+    for (RelayBinding& rb : relays_)
+      send_model(rc, rb.conn_id, rb.base, rb.sent_model);
 
     // --- Score phase: wait until every live client scored, or the deadline
     // passed with at least a quorum. Late joiners are serviced throughout.
@@ -1675,52 +1355,24 @@ fl::TrainLog ServerSession::run() {
     }
   }
 
-  // --- Orderly shutdown: tell everyone training is over.
-  for (int id = 0; id < n; ++id) {
-    auto& conn = conns_[static_cast<std::size_t>(id)];
-    if (!conn) continue;
-    conn->send(make_frame(MsgType::kShutdown, 0, kServerId));
-    conn->close();
-    conn.reset();
-  }
-  // One SHUTDOWN per relay; it broadcasts to its subtree and exits.
-  for (std::size_t ridx = 0; ridx < relays_.size(); ++ridx)
-    send_to_relay(ridx, make_frame(MsgType::kShutdown, 0, kServerId));
-  for (auto& rb : relays_)
-    if (rb.conn) {
-      rb.conn->close();
-      rb.conn.reset();
-    }
-  if (loop_ != nullptr) {
-    const Frame sd = make_frame(MsgType::kShutdown, 0, kServerId);
-    const auto sd_bytes = std::make_shared<const std::vector<std::uint8_t>>(
-        encode_frame(sd));
-    for (int id = 0; id < n; ++id)
-      if (client_conn_[static_cast<std::size_t>(id)] != kNoConn)
-        send_to(id, sd, &sd_bytes);
-  }
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    for (auto& t : pending_) t->close();
-    pending_.clear();
-  }
+  // --- Orderly shutdown: tell everyone training is over — one SHUTDOWN per
+  // direct client and per relay, which broadcasts it to its subtree.
+  const Frame sd = make_frame(MsgType::kShutdown, 0, kServerId);
+  const SharedBytes sd_bytes =
+      loop_ != nullptr
+          ? std::make_shared<const std::vector<std::uint8_t>>(encode_frame(sd))
+          : nullptr;
+  for (int id = 0; id < n; ++id)
+    if (direct_connected(id))
+      send(client_conn_[static_cast<std::size_t>(id)], sd, &sd_bytes);
+  for (const RelayBinding& rb : relays_) send(rb.conn_id, sd);
   // Standbys stand down on a completed run — SIGKILL never reaches this,
   // which is exactly when promotion is wanted.
   if (cfg_.publisher != nullptr) cfg_.publisher->shutdown_standbys();
-  if (loop_ != nullptr) {
-    // The SHUTDOWN broadcast (and the publisher's stand-down frames, which
-    // ride LoopPeerTransport) are async loop commands: drain them before
-    // stopping so the final frames actually leave the box.
-    loop_->flush(std::chrono::milliseconds(2000));
-    for (auto& [conn, state] : standby_links_) {
-      state->closed.store(true);
-      state->cv.notify_all();
-    }
-    standby_links_.clear();
-    conn_client_.clear();
-    std::fill(client_conn_.begin(), client_conn_.end(), kNoConn);
-    loop_->stop();
-  }
+  // Loop sends are async commands: drain them before the loop stops so the
+  // final frames actually leave the box.
+  if (loop_ != nullptr) loop_->flush(std::chrono::milliseconds(2000));
+  drop_all_connections();
 
   if (traced) tracer->flush();
   core_.set_tracer(nullptr);

@@ -55,10 +55,6 @@ namespace adafl::net::transport {
 /// Protocol version carried in HELLO; bumped on incompatible changes.
 constexpr std::uint32_t kProtocolVersion = 1;
 
-/// Shared inbox between an event-loop standby connection and the Transport
-/// adapter handed to the replication publisher (defined in session.cpp).
-struct LoopPeerState;
-
 // --- Message payload codecs (exposed for tests and scripted peers). ------
 
 /// WELCOME: run configuration a joining client needs.
@@ -226,15 +222,28 @@ struct ServerSessionConfig {
 
   /// Optional metrics registry. When set, the session records the
   /// "server.round_latency_ms" histogram (wall time per committed round)
-  /// and — in event-loop mode — "server.frame_dispatch_ms" (enqueue on the
-  /// loop thread to drain on the session thread, the p99 of which is the
-  /// scaling health metric). Not owned; must outlive run().
+  /// and — with an event loop attached — "server.frame_dispatch_ms"
+  /// (enqueue on the loop thread to drain on the session thread, the p99
+  /// of which is the scaling health metric). Not owned; must outlive run().
   metrics::Registry* registry = nullptr;
 };
 
-/// Runs the AdaFL server over any Transport mix (TCP and/or loopback).
-/// add_transport() may be called from another thread (e.g. an accept loop)
-/// at any time before or during run().
+/// Runs the AdaFL server over any mix of carriers.
+///
+/// Peer model: every connection is a ConnId, whichever carrier brings it.
+///  - Loop carrier: an attached EventLoop owns its TCP sockets and hands the
+///    session frames under the ids it assigns (counting up from 0).
+///  - Pumped carrier: a Transport passed to add_transport() gets a
+///    session-assigned id from a disjoint range (kPumpedBase and up); each
+///    service pass recv(0)s it on the session thread.
+/// Both carriers feed one frame batch per pass, and from there on nothing
+/// depends on the carrier: one handshake binds a connection as a client
+/// (HELLO), a relay range (RELAY_HELLO) or a replication standby
+/// (STANDBY_HELLO) and catches it up with the in-flight round; one
+/// three-pass dispatch handles every frame (UPDATEs decode in parallel); one
+/// send and one close take a ConnId. No thread is added for the pumped
+/// carrier. add_transport() may be called from another thread (e.g. an
+/// accept loop) at any time before or during run().
 class ServerSession {
  public:
   /// `test` may be null (no evaluation; records carry accuracy 0).
@@ -242,17 +251,16 @@ class ServerSession {
                 const data::Dataset* test);
 
   /// Hands a freshly-connected (not yet handshaken) transport to the
-  /// session. Thread-safe.
+  /// session, which pumps it from the next service pass on. Thread-safe.
   void add_transport(std::unique_ptr<Transport> t);
 
-  /// Switches the session onto an event-loop transport backend: the loop
-  /// (configured with its listener adopted, not yet started) owns every
-  /// TCP socket, run() starts/stops it, and the round loop drains the
-  /// loop's per-shard frame queues instead of polling Transports — UPDATE
-  /// payloads of one service pass decode in parallel on the worker pool
-  /// (one disjoint delivery slot per client), everything else is handled
-  /// on the session thread in arrival order. add_transport() connections
-  /// keep working alongside (the UDP path). Call before run().
+  /// Adds the loop carrier: the loop (configured with its listener adopted
+  /// or an fd watched, not yet started) owns its sockets, run() starts and
+  /// stops it, and its frames join each pass's batch alongside the pumped
+  /// add_transport() peers (the UDP path keeps using those). With a loop
+  /// attached, an idle pass waits on the loop's activity signal instead of
+  /// sleeping, and "server.frame_dispatch_ms" times loop frames from
+  /// enqueue to drain. Call before run().
   void attach_event_loop(EventLoop* loop);
 
   /// Runs all configured rounds; returns the training log. Call once.
@@ -273,12 +281,13 @@ class ServerSession {
 
  private:
   enum class Phase { kScore, kUpdate };
+  using SharedBytes = std::shared_ptr<const std::vector<std::uint8_t>>;
 
   /// Per-round mutable state shared by the service loop.
   struct RoundCtx {
     int round = 0;
     Phase phase = Phase::kScore;
-    std::vector<bool> sent_model;
+    std::vector<char> sent_model;
     std::vector<bool> scored;
     std::vector<double> scores;
     std::map<int, double> ratio_of;  ///< selected id -> compression ratio
@@ -286,28 +295,62 @@ class ServerSession {
     metrics::CommLedger* ledger = nullptr;
     /// The round's MODEL frame, built lazily on first send and reused for
     /// every broadcast/nudge/rejoin (the global does not change within a
-    /// round). In event-loop mode `model_bytes` additionally caches the
+    /// round). With a loop attached `model_bytes` additionally caches the
     /// encoded frame ONCE — the same immutable buffer is queued to every
-    /// connection, so a 10k-client broadcast encodes the model one time.
+    /// loop connection, so a 10k-client broadcast encodes the model once.
     Frame model_frame;
-    std::shared_ptr<const std::vector<std::uint8_t>> model_bytes;
+    SharedBytes model_bytes;
     bool model_ready = false;
     /// Relay-delivered group partials of this round, keyed by group base
     /// (first accepted UPDATE-AGG per group wins; duplicates are ignored).
     std::map<int, compress::EncodedGradient> wire_partials;
   };
 
-  /// Sends `f` on client `id`'s connection; on failure the connection is
-  /// dropped. Returns delivered frame size (0 on failure). When `pre` is
-  /// non-null in event-loop mode, the pre-encoded bytes are queued instead
-  /// of re-encoding `f` (broadcast fast path).
-  std::size_t send_to(
-      int id, const Frame& f,
-      const std::shared_ptr<const std::vector<std::uint8_t>>* pre = nullptr);
-  void send_model(RoundCtx& rc, int id);
-  /// Builds rc.model_frame (and, in event-loop mode, rc.model_bytes) once
+  // --- Peers: one ConnId space over two carriers. -------------------------
+  /// add_transport() peers take ids from here up; EventLoop ids count up
+  /// from 0 and never reach it.
+  static constexpr ConnId kPumpedBase = ConnId{1} << 63;
+  static constexpr ConnId kNoConn = ~ConnId{0};
+
+  /// A standby's inbox and liveness, shared with the publisher's Transport
+  /// view of it (both defined in session.cpp).
+  struct StandbyLink;
+  class StandbyTransport;
+
+  enum class Role : std::uint8_t { kUnbound, kClient, kRelay, kStandby };
+  struct Peer {
+    Role role = Role::kUnbound;
+    int client = -1;                        ///< kClient: the bound client id
+    std::unique_ptr<Transport> pumped;      ///< null on the loop carrier
+    std::shared_ptr<StandbyLink> standby;   ///< kStandby only
+  };
+
+  /// Sends `f` on `conn`. `bytes`, when it points at a non-null buffer, is
+  /// f's encoded image shared across a broadcast (used on the loop
+  /// carrier). Returns the wire size, or 0 when the peer is gone. A failed
+  /// pumped send closes a client or standby at once (quorum and live
+  /// counts read it); a relay's binding is reaped by the next pump, since
+  /// callers iterate relays_ by index.
+  std::size_t send(ConnId conn, const Frame& f,
+                   const SharedBytes* bytes = nullptr);
+  /// Forgets `conn`'s binding (client, relay range with its leaves' routes
+  /// and liveness, or standby) and closes it on its carrier. Idempotent.
+  void close(ConnId conn);
+  /// Sends `f` to client `id`: on its direct connection, or through the
+  /// relay covering it with the frame addressed to the leaf.
+  std::size_t send_to(int id, const Frame& f,
+                      const SharedBytes* bytes = nullptr);
+  /// Sends the round's MODEL on `conn` (a client or a relay) and books it
+  /// against `book_id`. `sent` records the send; a repeat within the round
+  /// books as a retransmission.
+  void send_model(RoundCtx& rc, ConnId conn, int book_id, char& sent);
+  /// Builds rc.model_frame (and, with a loop attached, rc.model_bytes) once
   /// per round; later calls are no-ops.
   void ensure_model_frame(RoundCtx& rc);
+  /// True when selected client `id` still owes this round's UPDATE.
+  bool owes_update(const RoundCtx& rc, int id) const;
+  /// Re-sends SELECT to client `id` and books it as a retransmission.
+  void resend_select(RoundCtx& rc, int id);
   /// True when client `id` is reachable: a direct live connection, or a
   /// live relay route with the leaf announced alive behind it. This is the
   /// definition quorum/deadline math uses, so a relay connection counts as
@@ -315,38 +358,33 @@ class ServerSession {
   bool connected(int id) const;
   /// True only for a direct (non-relayed) live connection to `id`.
   bool direct_connected(int id) const;
-  /// Services pending handshakes and one poll pass over all connections.
-  /// Returns true if any frame was processed (progress).
+  /// One service pass: gathers frames from both carriers into frame_batch_,
+  /// dispatches them, then reaps closed connections. Returns true if any
+  /// frame arrived (progress).
   bool service(RoundCtx& rc);
-  /// service() for event-loop mode: drain shard queues, parallel-decode
-  /// UPDATE frames, handle the rest sequentially in arrival order.
-  bool service_event_loop(RoundCtx& rc);
-  /// Handles the first frame of an unbound event-loop connection
-  /// (HELLO -> client binding + WELCOME + catchup; STANDBY_HELLO -> hand
-  /// to the replication publisher; anything else -> close).
-  void handle_loop_handshake(RoundCtx& rc, const InFrame& inf);
-  /// Closes an event-loop connection and forgets its client binding.
-  void drop_loop_conn(ConnId conn);
+  /// Moves add_transport() arrivals into peers_ and recv(0)s every pumped
+  /// peer into frame_batch_; dead ones are noted in gone_.
+  void pump();
+  /// Handles frame_batch_ in three passes: (1) in arrival order, routes
+  /// standby frames, runs handshakes and handles every non-UPDATE frame,
+  /// collecting aggregatable UPDATEs as decode jobs; (2) decodes them in
+  /// parallel, one disjoint delivery slot per client; (3) commits them in
+  /// batch order.
+  void dispatch(RoundCtx& rc);
+  /// Handles the first frame of an unbound connection: HELLO binds a client,
+  /// RELAY_HELLO a relay leaf range (superseding overlapping bindings) and
+  /// STANDBY_HELLO hands the peer to the replication publisher; clients and
+  /// relays then get WELCOME and in-round catch-up. Anything else, or an
+  /// invalid claim, closes the connection.
+  void handshake(RoundCtx& rc, ConnId conn, const Frame& f);
   void handle_frame(RoundCtx& rc, int id, const Frame& f);
-  /// Binds a freshly-handshaken mid-tier relay (classic `conn` XOR
-  /// event-loop `loop_conn`), replacing any binding overlapping its range,
-  /// and catches it up with the in-flight round (WELCOME + MODEL + pending
-  /// SELECTs for its leaves). Throws CheckError on an invalid claim.
-  void handle_relay_hello(RoundCtx& rc, const RelayHelloPayload& h,
-                          std::unique_ptr<Transport> conn, ConnId loop_conn);
   /// Dispatches one frame arriving on relay `ridx`'s connection. Frames
   /// carry the leaf id in frame.client_id; CheckError propagates to the
   /// caller, which must drop the relay.
   void handle_relay_frame(RoundCtx& rc, std::size_t ridx, const Frame& f);
   void handle_update_agg(RoundCtx& rc, std::size_t ridx, const Frame& f);
-  /// Sends on relay `ridx`'s connection (either mode); returns bytes sent.
-  std::size_t send_to_relay(std::size_t ridx, const Frame& f);
-  /// Pushes the round's MODEL to relay `ridx` (once per round; re-sends
-  /// book as retransmissions). The relay re-broadcasts to its children.
-  void send_model_to_relay(RoundCtx& rc, std::size_t ridx);
-  /// Drops relay `ridx`: closes its connection, clears its leaves' routes
-  /// and liveness, and compacts the relay table.
-  void drop_relay(std::size_t ridx);
+  /// Index of `conn`'s relay binding, or relays_.size() when it has none.
+  std::size_t relay_index(ConnId conn) const;
   /// Re-sends the stalled phase's pending frame (MODEL / SELECT); books the
   /// bytes as retransmitted.
   void nudge(RoundCtx& rc);
@@ -357,7 +395,8 @@ class ServerSession {
   /// Loads + validates the checkpoint and restores the core. Returns the
   /// round to resume at.
   int resume_from_checkpoint();
-  /// Abruptly closes every connection (no SHUTDOWN): the stop path.
+  /// Abruptly closes every connection on both carriers (no SHUTDOWN) and
+  /// stops the loop.
   void drop_all_connections();
   /// Wall-clock seconds since run() started (trace event timestamps).
   double trace_now() const;
@@ -369,11 +408,17 @@ class ServerSession {
   /// Full test set, materialised on first eval and reused every round.
   nn::Batch eval_batch_;
   core::AdaFlServerCore core_;
-  std::vector<std::uint8_t> welcome_payload_;
+  /// WELCOME frame; its payload doubles as the checkpoint config stamp.
+  Frame welcome_;
+  SharedBytes welcome_bytes_;  ///< its wire image, with a loop attached
 
-  std::mutex pending_mu_;
-  std::vector<std::unique_ptr<Transport>> pending_;  ///< awaiting HELLO
-  std::vector<std::unique_ptr<Transport>> conns_;    ///< by client id
+  EventLoop* loop_ = nullptr;
+  std::map<ConnId, Peer> peers_;  ///< every open connection, bound or not
+  std::mutex arrivals_mu_;
+  std::vector<std::unique_ptr<Transport>> arrivals_;  ///< add_transport()
+  ConnId next_pumped_ = kPumpedBase;
+  std::vector<ConnId> gone_;  ///< closed connections, reaped after dispatch
+  std::vector<ConnId> client_conn_;  ///< client id -> direct conn, kNoConn
   std::vector<bool> ever_joined_;
 
   // --- Mid-tier relay state (hierarchical aggregation). -------------------
@@ -381,33 +426,22 @@ class ServerSession {
   struct RelayBinding {
     int base = 0;
     int count = 0;
-    std::unique_ptr<Transport> conn;       ///< classic mode (else null)
-    std::uint64_t loop_conn = ~0ull;       ///< event-loop mode (else ~0)
-    bool sent_model = false;               ///< MODEL pushed this round
+    ConnId conn_id = kNoConn;
+    char sent_model = 0;  ///< MODEL pushed this round
   };
   std::vector<RelayBinding> relays_;
   std::vector<int> leaf_relay_;   ///< leaf id -> relays_ index, -1 = none
   std::vector<char> child_live_;  ///< per-leaf liveness behind a relay
-  std::map<ConnId, std::size_t> relay_conn_;  ///< loop conn -> relays_ idx
 
-  // --- Event-loop mode state (loop_ != nullptr). --------------------------
-  static constexpr ConnId kNoConn = ~ConnId{0};
-  EventLoop* loop_ = nullptr;
-  std::vector<ConnId> client_conn_;        ///< client id -> conn (kNoConn)
-  std::map<ConnId, int> conn_client_;      ///< conn -> bound client id
-  /// Standby connections adopted by the replication publisher: the session
-  /// forwards their frames into this shared inbox (see LoopPeerTransport
-  /// in session.cpp).
-  std::map<ConnId, std::shared_ptr<LoopPeerState>> standby_links_;
-  std::vector<InFrame> frame_batch_;       ///< reused per service pass
+  // --- Dispatch scratch, reused across passes. ----------------------------
+  std::vector<InFrame> frame_batch_;
   struct DecodeJob {
     std::size_t batch_index = 0;
     int client = 0;
   };
-  std::vector<DecodeJob> decode_jobs_;     ///< reused per service pass
+  std::vector<DecodeJob> decode_jobs_;
   std::vector<char> decode_ok_;
-  std::vector<char> pending_decode_;       ///< per-client in-batch dedupe
-  std::shared_ptr<const std::vector<std::uint8_t>> welcome_frame_bytes_;
+  std::vector<char> pending_decode_;  ///< per-client in-batch dedupe
   metrics::Histogram* dispatch_hist_ = nullptr;
 
   /// Per-client delivery slots reused across rounds (frame decoding lands

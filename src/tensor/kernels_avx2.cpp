@@ -44,13 +44,15 @@ constexpr std::int64_t kKc = 256;
 // registers for two B vectors and the A broadcast.
 constexpr int kTileRows = 6;
 
-// Lane masks for n-tails: mask_for(c) enables the first c of 8 lanes.
+// Lane masks for n-tails: mask_for(c) enables the first c of 8 lanes. c is
+// clamped to [0, 8] so the load stays inside kMaskTable when a full tile
+// passes its remaining width (> 8 lanes) unclamped.
 alignas(32) constexpr std::int32_t kMaskTable[16] = {
     -1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0};
 
 inline __m256i mask_for(std::int64_t active_lanes) {
-  return _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(kMaskTable + 8 - active_lanes));
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
+      kMaskTable + 8 - std::clamp<std::int64_t>(active_lanes, 0, 8)));
 }
 
 // One H x 16 tile of C over a depth block of klen:
@@ -151,8 +153,8 @@ void gemm_accumulate(const float* pa, std::int64_t a_row, std::int64_t a_dep,
     for (std::int64_t jt = 0; jt < n; jt += 16) {
       const std::int64_t rem = n - jt;
       const bool tail = rem < 16;
-      const __m256i mlo = mask_for(std::min<std::int64_t>(rem, 8));
-      const __m256i mhi = mask_for(std::max<std::int64_t>(rem - 8, 0));
+      const __m256i mlo = mask_for(rem);
+      const __m256i mhi = mask_for(rem - 8);
       for (std::int64_t kb = 0; kb < k; kb += kKc) {
         const std::int64_t klen = std::min(kKc, k - kb);
         const float* bblk = pb + kb * n + jt;
@@ -216,8 +218,8 @@ void matmul_nt_avx2(const float* pa, const float* pb, float* pc,
       const std::int64_t rem = n - jt;
       const std::int64_t jw = std::min<std::int64_t>(rem, 16);
       const bool tail = rem < 16;
-      const __m256i mlo = mask_for(std::min<std::int64_t>(rem, 8));
-      const __m256i mhi = mask_for(std::max<std::int64_t>(rem - 8, 0));
+      const __m256i mlo = mask_for(rem);
+      const __m256i mhi = mask_for(rem - 8);
       for (std::int64_t kb = 0; kb < k; kb += kKc) {
         const std::int64_t klen = std::min(kKc, k - kb);
         for (std::int64_t jj = 0; jj < jw; ++jj) {

@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "metrics/trace.h"
@@ -403,6 +404,44 @@ TEST(TierFaults, SlowRelayedScoresDoNotTripQuorumExit) {
                                                     kRounds, topo, opt);
   ASSERT_EQ(delays_fired.load(), 3) << "the scripted delays never fired";
   ASSERT_EQ(sim.global, tiered.global);
+}
+
+TEST(TierFaults, BindingRelayGetsTheRoundModelWithoutANudge) {
+  // A relay binding after the round's broadcast is caught up like a direct
+  // client: WELCOME, then the round's MODEL at once, with no wait for the
+  // retransmit nudge (a minute here).
+  using namespace net::transport;
+  const auto spec = testutil::small_task_spec();  // 4 clients
+  core::AdaFlParams params = testutil::small_params();
+  params.agg_group = 4;
+  auto task = cli::build_task(spec);
+  ServerSessionConfig scfg = testutil::make_server_config(
+      spec, testutil::small_client_config(), params, kRounds);
+  scfg.retransmit_nudge = std::chrono::seconds(60);
+  ServerSession server(scfg, task.factory, &task.test);
+  std::thread runner([&server] { server.run(); });
+
+  auto [root_end, relay_end] = make_loopback_pair();
+  server.add_transport(std::move(root_end));
+  RelayHelloPayload h;
+  h.version = kProtocolVersion;
+  h.base = 0;
+  h.count = 4;
+  Frame hello;
+  hello.type = MsgType::kRelayHello;
+  hello.client_id = kServerId;
+  hello.payload = encode_relay_hello(h);
+  ASSERT_TRUE(relay_end->send(hello));
+  const auto welcome = relay_end->recv(std::chrono::milliseconds(2000));
+  const auto model = relay_end->recv(std::chrono::milliseconds(2000));
+  server.request_stop(/*write_checkpoint=*/false);
+  runner.join();
+
+  ASSERT_TRUE(welcome.has_value());
+  EXPECT_EQ(welcome->type, MsgType::kWelcome);
+  ASSERT_TRUE(model.has_value()) << "no MODEL within 2 s of binding";
+  EXPECT_EQ(model->type, MsgType::kModel);
+  EXPECT_EQ(model->round, 1u);
 }
 
 }  // namespace
