@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 #include "tensor/check.h"
 
@@ -103,6 +104,34 @@ std::string ArgParser::usage() const {
     os << "\n      " << opt.help << "\n";
   }
   return os.str();
+}
+
+std::vector<Endpoint> parse_endpoints(const std::string& list) {
+  if (list.empty())
+    throw std::invalid_argument("empty endpoint list (expected host:port)");
+  std::vector<Endpoint> out;
+  for (std::size_t pos = 0;;) {
+    const auto comma = list.find(',', pos);
+    const std::string item = list.substr(
+        pos, comma == std::string::npos ? std::string::npos : comma - pos);
+    const auto colon = item.rfind(':');
+    int port = 0;
+    std::size_t used = 0;
+    if (colon != std::string::npos && colon > 0) {
+      try {
+        port = std::stoi(item.substr(colon + 1), &used);
+      } catch (const std::exception&) {
+        used = 0;
+      }
+    }
+    if (used == 0 || colon + 1 + used != item.size() || port < 1 ||
+        port > 65535)
+      throw std::invalid_argument("bad endpoint '" + item +
+                                  "' (expected host:port)");
+    out.push_back({item.substr(0, colon), static_cast<std::uint16_t>(port)});
+    if (comma == std::string::npos) return out;
+    pos = comma + 1;
+  }
 }
 
 }  // namespace adafl::cli

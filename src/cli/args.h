@@ -1,6 +1,7 @@
 // Minimal --key=value argument parser for the command-line tools.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -47,5 +48,17 @@ class ArgParser {
   bool help_requested_ = false;
   std::string error_;
 };
+
+/// One `host:port` entry of an endpoint list.
+struct Endpoint {
+  std::string host;
+  std::uint16_t port = 0;
+};
+
+/// Parses a comma-separated `host:port[,host:port...]` list (--server,
+/// --parent, --standby), keeping its order: primary first, standbys after.
+/// Throws std::invalid_argument naming the malformed item; an empty list is
+/// malformed.
+std::vector<Endpoint> parse_endpoints(const std::string& list);
 
 }  // namespace adafl::cli

@@ -4,11 +4,13 @@
 // contiguous range of leaf clients [base, base + count), speaking the
 // existing wire format both ways:
 //
-//   parent side  — one outbound connection (ClientSession-style dial list
-//                  with bounded backoff and endpoint rotation): announces
-//                  itself with RELAY_HELLO, re-broadcasts the parent's
-//                  MODEL, forwards leaf HELLO/SCORE traffic up, and ships
-//                  each aggregation group's updates as one UPDATE-AGG.
+//   parent side  — one outbound UpstreamLink, the dialer ClientSession
+//                  uses (a new parent MODEL round refills its budget):
+//                  announces itself with RELAY_HELLO, re-broadcasts the
+//                  parent's MODEL, forwards leaf HELLO/SCORE traffic up, and
+//                  ships each aggregation group's updates as one UPDATE-AGG.
+//                  These handlers forward rather than train, so they are
+//                  not ClientProtocol's.
 //   child side   — accepts leaf ClientSessions (and sub-relays, for deeper
 //                  trees) via add_child_transport(); serves them the cached
 //                  WELCOME/MODEL so a leaf never needs to reach the root.
@@ -42,9 +44,11 @@
 
 #include "core/adafl_server.h"
 #include "core/partial_agg.h"
+#include "metrics/trace.h"
 #include "net/transport/session.h"
 #include "net/transport/tcp.h"
 #include "net/transport/transport.h"
+#include "net/transport/upstream_link.h"
 
 namespace adafl::net::relay {
 
@@ -114,12 +118,13 @@ class RelaySession {
     int leaf_id = -1;    ///< bound leaf
     int sub_base = 0;    ///< bound sub-relay range
     int sub_count = 0;
-    /// Round the child last got the cached MODEL for (0 = never).
-    int model_round = 0;
   };
 
-  bool parent_send(const Frame& f);
   void child_send(Child& c, const Frame& f);
+  /// Records a child-side frame event, timed on the parent link's clock.
+  void trace_child(metrics::TraceEventType type, const Frame& f);
+  /// SELECT for leaf `id` at this round's cached ratio.
+  Frame select_frame(int id) const;
   /// Serves WELCOME + in-round catch-up to a just-bound child.
   void catch_up_child(Child& c);
   /// Binds a child's first frame (HELLO -> leaf, RELAY_HELLO -> sub-relay).
@@ -130,8 +135,12 @@ class RelaySession {
   void handle_child_frame(Child& c, const Frame& f);
   /// Handles a frame from the parent.
   void handle_parent_frame(const Frame& f);
-  /// Marks child `idx` dead: reports its leaves up (CHILD_GONE) and erases
-  /// it, then re-checks group flushes (a dead leaf stops blocking).
+  /// Forwards `f` to the child serving leaf `id`: its direct connection or
+  /// the sub-relay covering it. Dropped when neither is bound.
+  void route_down(int id, const Frame& f);
+  /// Erases child `idx`, keeping leaf routes aligned; a bound child is
+  /// reported up (CHILD_GONE) and group flushes re-checked (a dead leaf
+  /// stops blocking).
   void drop_child(std::size_t idx);
   /// Sends every complete (or no-longer-blocked) group's UPDATE-AGG up.
   void flush_groups();
@@ -151,7 +160,8 @@ class RelaySession {
   std::vector<Child> children_;
   std::map<int, std::size_t> leaf_child_;  ///< leaf id -> children_ index
 
-  std::unique_ptr<transport::Transport> parent_;
+  /// The parent face's connection; built when run() starts.
+  std::optional<transport::UpstreamLink> parent_;
   bool welcomed_ = false;
   std::vector<std::uint8_t> welcome_payload_;  ///< cached verbatim
   int agg_group_ = 0;
@@ -167,7 +177,6 @@ class RelaySession {
   /// relay re-sends the cache when the parent nudges with a dup MODEL.
   std::map<int, Frame> score_frames_;
   std::map<int, double> ratio_of_;  ///< SELECTed leaf -> ratio
-  std::set<int> skipped_;           ///< leaves the parent SKIPped
   /// Direct leaves' decoded updates this round (the AGG inputs).
   std::map<int, transport::UpdatePayload> delivered_;
   std::map<int, Frame> agg_frames_;  ///< flushed groups, by base

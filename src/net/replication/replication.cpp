@@ -10,31 +10,15 @@
 #include "metrics/trace.h"
 #include "net/transport/frame.h"
 #include "net/transport/session.h"
+#include "net/transport/upstream_link.h"
 #include "tensor/check.h"
 
 namespace adafl::net::replication {
 
 using transport::Frame;
+using transport::kServerId;
 using transport::MsgType;
 using Clock = std::chrono::steady_clock;
-
-namespace {
-
-Frame make_frame(MsgType type, std::uint32_t round,
-                 std::vector<std::uint8_t> payload = {}) {
-  Frame f;
-  f.type = type;
-  f.round = round;
-  f.client_id = transport::kServerId;
-  f.payload = std::move(payload);
-  return f;
-}
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-}  // namespace
 
 // --- REPLICATE payload codec. --------------------------------------------
 
@@ -68,8 +52,8 @@ void CheckpointPublisher::adopt(
   s.id = next_slot_id_++;
   if (!last_payload_.empty()) {
     // Late attach: seed with the newest checkpoint right away.
-    if (s.conn->send(make_frame(MsgType::kReplicate, last_next_round_,
-                                last_payload_))) {
+    if (s.conn->send(Frame{MsgType::kReplicate, last_next_round_, kServerId,
+                           last_payload_})) {
       ++replicated_;
     } else {
       return;  // dead on arrival
@@ -88,8 +72,8 @@ void CheckpointPublisher::publish(std::uint32_t next_round,
   last_next_round_ = next_round;
   for (auto& s : standbys_) {
     if (s.conn == nullptr || s.conn->closed()) continue;
-    if (s.conn->send(make_frame(MsgType::kReplicate, next_round,
-                                last_payload_))) {
+    if (s.conn->send(
+            Frame{MsgType::kReplicate, next_round, kServerId, last_payload_})) {
       ++replicated_;
       if (tracer_ != nullptr)
         tracer_->record(metrics::ev_replicate(
@@ -108,7 +92,7 @@ void CheckpointPublisher::service() {
     try {
       while (auto f = s.conn->recv(std::chrono::milliseconds(0))) {
         if (f->type == MsgType::kPing)
-          s.conn->send(make_frame(MsgType::kPong, 0));
+          s.conn->send(Frame{MsgType::kPong, 0, kServerId, {}});
         // Anything else from a standby is ignored; replication is one-way.
       }
     } catch (const CheckError&) {
@@ -126,7 +110,7 @@ void CheckpointPublisher::service() {
 void CheckpointPublisher::shutdown_standbys() {
   for (auto& s : standbys_) {
     if (s.conn == nullptr || s.conn->closed()) continue;
-    s.conn->send(make_frame(MsgType::kShutdown, 0));
+    s.conn->send(Frame{MsgType::kShutdown, 0, kServerId, {}});
     s.conn->close();
   }
   standbys_.clear();
@@ -175,72 +159,51 @@ bool StandbyReplica::install(const Frame& f, double t) {
 }
 
 StandbyOutcome StandbyReplica::run() {
-  const auto t0 = Clock::now();
+  transport::UpstreamLinkConfig lcfg;
+  lcfg.heartbeat_interval = cfg_.ping_interval.count() > 0
+                                ? cfg_.ping_interval
+                                : cfg_.lease / 3;
+  lcfg.liveness_timeout = cfg_.lease;
+  lcfg.backoff = cfg_.backoff;
+  lcfg.backoff.max_attempts = 0;  // the lease, not a budget, ends the wait
+  transport::UpstreamLink link(
+      lcfg, [this](std::size_t) { return dial_(); }, 1);
   auto lease_deadline = Clock::now() + cfg_.lease;
-  const auto ping_interval = cfg_.ping_interval.count() > 0
-                                 ? cfg_.ping_interval
-                                 : cfg_.lease / 3;
-  std::unique_ptr<transport::Transport> conn;
-  int attempt = 0;
-  auto last_tx = Clock::now();
 
   for (;;) {
     if (stop_.load()) return StandbyOutcome::kStopped;
-    const auto now = Clock::now();
-    if (now >= lease_deadline) return StandbyOutcome::kPromote;
+    const auto lease_left = lease_deadline - Clock::now();
+    if (lease_left <= Clock::duration::zero()) return StandbyOutcome::kPromote;
 
-    if (conn == nullptr || conn->closed()) {
-      conn.reset();
-      if (attempt > 0) {
-        // Backoff, but never sleep past the lease — promotion latency is
-        // the product this loop sells.
-        const auto d = std::min<Clock::duration>(cfg_.backoff.delay(attempt),
-                                                 lease_deadline - now);
-        if (d > Clock::duration::zero()) std::this_thread::sleep_for(d);
+    if (link.connected()) {
+      const auto poll = std::min<Clock::duration>(cfg_.recv_poll, lease_left);
+      if (const std::optional<Frame> f = link.recv(
+              std::chrono::duration_cast<std::chrono::milliseconds>(poll))) {
+        lease_deadline = Clock::now() + cfg_.lease;  // any frame renews
+        switch (f->type) {
+          case MsgType::kReplicate:
+            install(*f, link.trace_now());
+            break;
+          case MsgType::kShutdown:
+            link.close();
+            return StandbyOutcome::kStandDown;
+          case MsgType::kPing:
+            link.send(Frame{MsgType::kPong, 0, kServerId, {}});
+            break;
+          default:
+            break;  // kPong and anything else: lease renewal is the point
+        }
+        continue;
       }
-      ++attempt;
-      conn = dial_();
-      if (conn == nullptr) continue;
-      attempt = 0;
-      conn->send(make_frame(MsgType::kStandbyHello, 0,
-                            transport::encode_hello(
-                                transport::kProtocolVersion)));
-      last_tx = Clock::now();
-      continue;
     }
-
-    const auto poll = std::min<Clock::duration>(
-        cfg_.recv_poll, lease_deadline - Clock::now());
-    std::optional<Frame> f;
-    try {
-      f = conn->recv(
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::max<Clock::duration>(poll, Clock::duration::zero())));
-    } catch (const CheckError&) {
-      conn->close();  // poisoned stream; redial inside the lease
-      continue;
-    }
-    if (f.has_value()) {
-      lease_deadline = Clock::now() + cfg_.lease;  // any frame renews
-      switch (f->type) {
-        case MsgType::kReplicate:
-          install(*f, seconds_since(t0));
-          break;
-        case MsgType::kShutdown:
-          conn->close();
-          return StandbyOutcome::kStandDown;
-        case MsgType::kPing:
-          conn->send(make_frame(MsgType::kPong, 0));
-          last_tx = Clock::now();
-          break;
-        default:
-          break;  // kPong and anything else: lease renewal is the point
-      }
-    } else if (!conn->closed() &&
-               Clock::now() - last_tx >= ping_interval) {
-      conn->send(make_frame(MsgType::kPing, 0));
-      last_tx = Clock::now();
-    }
+    if (link.poll() == transport::UpstreamLink::Event::kConnected)
+      link.send(Frame{MsgType::kStandbyHello, 0, kServerId,
+                      transport::encode_hello(transport::kProtocolVersion)});
+    else if (!link.connected())
+      // Backoff, but never sleep past the lease: promotion latency is the
+      // product this loop sells.
+      std::this_thread::sleep_until(
+          std::min(link.next_poll(), lease_deadline));
   }
 }
 

@@ -21,6 +21,12 @@
 // updates arrive by the deadline. A client that vanishes mid-round degrades
 // the round; when it redials (HELLO again) the server re-sends the in-round
 // state (MODEL or SELECT) and books the overhead as retransmitted bytes.
+//
+// Client side: ClientSession only moves frames between two I/O-free parts,
+// each the sole implementation of its job: ClientProtocol
+// (client_protocol.h), the round handlers flswarm runs too, and
+// UpstreamLink (upstream_link.h), the redial policy, heartbeat and liveness
+// that relays and hot standbys dial their upstream with too.
 #pragma once
 
 #include <atomic>
@@ -488,10 +494,11 @@ struct ClientRunStats {
   bool completed = false;
 };
 
-/// Runs one deployed FL client: dials the server, trains on MODEL, scores,
-/// uploads when selected, and transparently reconnects (bounded exponential
-/// backoff) when the connection drops. DGC residual state survives
-/// reconnects, so a flaky network does not reset error feedback.
+/// Runs one deployed FL client: a ClientProtocol over an UpstreamLink,
+/// blocking in recv(recv_poll) between link polls. It trains on MODEL,
+/// scores, uploads when selected, and transparently reconnects (bounded
+/// exponential backoff) when the connection drops. DGC residual state
+/// survives reconnects, so a flaky network does not reset error feedback.
 class ClientSession {
  public:
   /// Returns a connected transport or nullptr (attempt failed).

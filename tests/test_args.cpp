@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "tensor/check.h"
 
 namespace adafl::cli {
@@ -108,6 +111,37 @@ TEST(ArgParser, DuplicateDeclarationThrows) {
   ArgParser p("x");
   p.option("a", "1", "first");
   EXPECT_THROW(p.option("a", "2", "again"), CheckError);
+}
+
+TEST(ParseEndpoints, KeepsListOrder) {
+  const auto eps = parse_endpoints("10.0.0.2:4242,standby.local:4243,[::1]:9");
+  ASSERT_EQ(eps.size(), 3u);
+  EXPECT_EQ(eps[0].host, "10.0.0.2");
+  EXPECT_EQ(eps[0].port, 4242);
+  EXPECT_EQ(eps[1].host, "standby.local");
+  EXPECT_EQ(eps[1].port, 4243);
+  EXPECT_EQ(eps[2].host, "[::1]");
+  EXPECT_EQ(eps[2].port, 9);
+}
+
+TEST(ParseEndpoints, ErrorNamesTheMalformedItem) {
+  for (const char* bad : {"nohost", ":80", "host:", "host:80x", "host:0",
+                          "host:70000"}) {
+    const std::string list = std::string("a:1,") + bad + ",b:2";
+    try {
+      parse_endpoints(list);
+      ADD_FAILURE() << "accepted " << list;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("'") + bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ParseEndpoints, RejectsAnEmptyList) {
+  EXPECT_THROW(parse_endpoints(""), std::invalid_argument);
+  EXPECT_THROW(parse_endpoints("a:1,"), std::invalid_argument);
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 // quorum instead of hanging the server, then rejoins).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <functional>
+#include <mutex>
 #include <thread>
 
 #include "compress/bytes.h"
@@ -12,6 +14,7 @@
 #include "metrics/registry.h"
 #include "net/transport/loopback.h"
 #include "net/transport/session.h"
+#include "net/transport/udp.h"
 #include "tensor/check.h"
 
 #include "deployed_test_util.h"
@@ -541,6 +544,81 @@ TEST(Session, BackoffBudgetRefillsAfterEachCompletedRound) {
   for (const auto& st : stats) EXPECT_TRUE(st.completed);
   EXPECT_EQ(stats[1].reconnects, 3);
   // Every sever was absorbed by rejoin + catchup dedup: still bitwise.
+  EXPECT_EQ(server.global(), sim.global);
+}
+
+TEST(Session, SilentUdpEndpointIsAFailedDialAndRotates) {
+  // Client 0's endpoint 0 is a dead UDP server: connect() succeeds, HELLO
+  // goes out and nothing ever comes back. Each such connection times out
+  // before delivering a frame, which is a failed dial, so after
+  // max_attempts dials the client rotates to endpoint 1, a live server,
+  // and the run still matches flsim bitwise. The cap on dead dials makes a
+  // client that never counts them fail here instead of hanging.
+  const cli::TaskSpec spec = testutil::small_task_spec();
+  const fl::ClientTrainConfig client = testutil::small_client_config();
+  const core::AdaFlParams params = testutil::small_params();
+  const int rounds = 3;
+  const testutil::SimResult sim =
+      testutil::run_simulator(spec, client, params, rounds);
+
+  auto task = cli::build_task(spec);
+  ServerSessionConfig scfg =
+      testutil::make_server_config(spec, client, params, rounds);
+  scfg.retransmit_nudge = milliseconds(300);
+  ServerSession server(scfg, task.factory, &task.test);
+  // No parity and large shards: the loopback loses nothing, and a cheap
+  // datagram path keeps the live server well inside the 100 ms liveness
+  // even under a sanitizer.
+  UdpFecConfig fec;
+  fec.parity_shards = 0;
+  fec.max_shard_bytes = 16384;
+
+  constexpr int kDeadDialCap = 8;
+  std::atomic<int> dead_dials{0};
+  std::mutex dead_mu;
+  std::vector<std::unique_ptr<LoopbackDatagramLink>> dead_ends;  // silent
+  const int n = spec.clients;
+  std::vector<std::optional<cli::TaskBundle>> bundles(
+      static_cast<std::size_t>(n));
+  std::vector<ClientRunStats> stats(static_cast<std::size_t>(n));
+  std::vector<std::thread> threads;
+  for (int id = 0; id < n; ++id) {
+    threads.emplace_back([&, id] {
+      ClientSessionConfig ccfg = testutil::test_client_config(id);
+      if (id == 0) {
+        ccfg.liveness_timeout = milliseconds(100);
+        ccfg.heartbeat_interval = milliseconds(25);  // the live server PONGs
+        ccfg.backoff.max_attempts = 2;
+      }
+      ClientSession cs(
+          ccfg,
+          [&, id](std::size_t ep) -> std::unique_ptr<Transport> {
+            auto [a, b] = make_datagram_loopback_pair();
+            if (ep == 0 && id == 0) {
+              if (++dead_dials > kDeadDialCap) return nullptr;
+              std::lock_guard<std::mutex> lock(dead_mu);
+              dead_ends.push_back(std::move(a));
+            } else {
+              server.add_transport(
+                  std::make_unique<UdpTransport>(std::move(a), fec));
+            }
+            return std::make_unique<UdpTransport>(std::move(b), fec);
+          },
+          id == 0 ? 2 : 1,
+          testutil::make_bootstrap(&bundles[static_cast<std::size_t>(id)]));
+      stats[static_cast<std::size_t>(id)] = cs.run();
+      // A client that gave up would leave the server waiting for it.
+      if (!stats[static_cast<std::size_t>(id)].completed)
+        server.request_stop(false);
+    });
+  }
+  const fl::TrainLog log = server.run();
+  for (auto& t : threads) t.join();
+
+  EXPECT_FALSE(log.interrupted);
+  for (const auto& st : stats) EXPECT_TRUE(st.completed);
+  EXPECT_EQ(dead_dials.load(), 2);
+  EXPECT_EQ(stats[0].endpoint_rotations, 1);
   EXPECT_EQ(server.global(), sim.global);
 }
 

@@ -129,9 +129,28 @@ TEST(TierTransparency, TwoLevelLoopbackBitwiseAndTraceEqual) {
   tier_tracer.open(tier_path, test_manifest("tiered", spec));
   TieredOptions opt;
   opt.tracer = &tier_tracer;
+  Tracer relay_tracers[2];
+  std::string relay_paths[2];
+  for (int r = 0; r < 2; ++r) {
+    relay_paths[r] =
+        ::testing::TempDir() + "tier_relay" + std::to_string(r) + ".jsonl";
+    relay_tracers[r].open(relay_paths[r], test_manifest("flrelay", spec));
+    opt.relay_tracers.push_back(&relay_tracers[r]);
+  }
   const auto tiered = testutil::run_deployed_tiered(spec, client, params,
                                                     kRounds, two_level(), opt);
   tier_tracer.close();
+  // Relay transport events carry seconds since the relay's run() started,
+  // like the server's and the leaves'.
+  for (int r = 0; r < 2; ++r) {
+    relay_tracers[r].close();
+    const ParsedTrace relay = metrics::read_trace_file(relay_paths[r]);
+    ASSERT_FALSE(relay.events.empty());
+    for (std::size_t i = 1; i < relay.events.size(); ++i)
+      ASSERT_GE(relay.events[i].t, relay.events[i - 1].t) << "event " << i;
+    EXPECT_GT(relay.events.back().t, 0.0);
+    std::remove(relay_paths[r].c_str());
+  }
 
   ASSERT_EQ(sim.global, tiered.global);  // bitwise tier transparency
   // The flat deployed path with the same grouping is also the same bits:
@@ -404,6 +423,74 @@ TEST(TierFaults, SlowRelayedScoresDoNotTripQuorumExit) {
                                                     kRounds, topo, opt);
   ASSERT_EQ(delays_fired.load(), 3) << "the scripted delays never fired";
   ASSERT_EQ(sim.global, tiered.global);
+}
+
+TEST(TierFaults, RelayRejectedByParentGivesUpAfterMaxAttempts) {
+  // The root rejects this relay's RELAY_HELLO (its range is not aligned to
+  // agg_group) by closing the connection before sending any frame. Each
+  // such connection is a failed dial, so the relay gives up after
+  // max_attempts dials instead of redialing forever. The dial cap makes a
+  // relay that never counts them fail here instead of hanging.
+  const auto spec = eight_client_spec();
+  auto task = cli::build_task(spec);
+  net::transport::ServerSession server(
+      testutil::make_server_config(spec, testutil::small_client_config(),
+                                   grouped_params(), kRounds),
+      task.factory, &task.test);
+  std::thread root([&server] { server.run(); });
+
+  net::relay::RelayConfig rcfg;
+  rcfg.base = 2;  // agg_group is 4
+  rcfg.count = 4;
+  rcfg.idle_poll = std::chrono::milliseconds(2);
+  rcfg.backoff.initial = std::chrono::milliseconds(1);
+  rcfg.backoff.max = std::chrono::milliseconds(5);
+  rcfg.backoff.max_attempts = 3;
+  constexpr int kDialCap = 10;
+  int dials = 0;
+  net::relay::RelaySession relay(
+      rcfg,
+      [&](std::size_t) -> std::unique_ptr<Transport> {
+        if (++dials > kDialCap) return nullptr;
+        auto pair = net::transport::make_loopback_pair();
+        server.add_transport(std::move(pair.first));
+        return std::move(pair.second);
+      },
+      1);
+  const net::relay::RelayRunStats st = relay.run();
+  server.request_stop(false);
+  root.join();
+
+  EXPECT_FALSE(st.completed);
+  EXPECT_EQ(dials, rcfg.backoff.max_attempts);
+}
+
+TEST(TierFaults, RelayStopsWithinAnIdlePollWhileItsParentIsUnreachable) {
+  // Backoff waits are polled, never slept: a relay whose parent refuses
+  // every dial still returns promptly from request_stop(), although its
+  // next dial is seconds away.
+  net::relay::RelayConfig rcfg;
+  rcfg.base = 0;
+  rcfg.count = 4;
+  rcfg.idle_poll = std::chrono::milliseconds(20);
+  rcfg.backoff.initial = std::chrono::milliseconds(5000);
+  rcfg.backoff.max_attempts = 0;  // never gives up on its own
+  std::atomic<int> dials{0};
+  net::relay::RelaySession relay(
+      rcfg,
+      [&dials](std::size_t) -> std::unique_ptr<Transport> {
+        ++dials;
+        return nullptr;
+      },
+      1);
+  std::thread runner([&relay] { relay.run(); });
+  while (dials.load() == 0) std::this_thread::yield();
+  const auto t0 = std::chrono::steady_clock::now();
+  relay.request_stop();
+  runner.join();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(1000));
+  EXPECT_EQ(dials.load(), 1);
 }
 
 TEST(TierFaults, BindingRelayGetsTheRoundModelWithoutANudge) {

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "fl/client.h"
 #include "fl_fixtures.h"
 #include "metrics/trace.h"
+#include "net/transport/client_protocol.h"
 #include "nn/model.h"
 #include "nn/models.h"
 #include "nn/optimizer.h"
@@ -135,6 +137,48 @@ TEST(ZeroAlloc, TracedClientRoundSteadyState) {
   tracer.close();
   EXPECT_GT(metrics::read_trace_file(path).events.size(), 0u);
   std::remove(path.c_str());
+}
+
+TEST(ZeroAlloc, ClientProtocolRoundsSteadyState) {
+  // The deployed round itself, as ClientSession and flswarm run it:
+  // ClientProtocol handling MODEL (train + score), then SELECT (compress +
+  // encode) or SKIP (accumulate). Round 1 warms; rounds 2+ must not
+  // allocate.
+  using namespace net::transport;
+  auto task = fl::testing::make_mini_task(2);
+  nn::Model probe(task.factory());
+  ModelPayload model;
+  model.global = probe.get_flat();
+  model.g_hat.assign(model.global.size(), 0.01f);
+  WelcomeInfo w;
+  w.param_count = model.global.size();
+  w.params.dgc.momentum = 0.9f;
+  w.params.accumulate_unselected = true;
+  ClientProtocol proto(
+      0, [&task](const std::map<std::string, std::string>&, int id,
+                 const core::AdaFlParams&) {
+        return fl::make_client(task.factory, &task.train, task.parts,
+                               task.client, {}, 7, id);
+      });
+  proto.handle(Frame{MsgType::kWelcome, 0, kServerId, encode_welcome(w)});
+  const std::vector<std::uint8_t> model_payload = encode_model(model);
+  auto one_round = [&](std::uint32_t round, bool selected) {
+    proto.handle(Frame{MsgType::kModel, round, kServerId, model_payload});
+    proto.handle(selected ? Frame{MsgType::kSelect, round, kServerId,
+                                  encode_f64(8.0)}
+                          : Frame{MsgType::kSkip, round, kServerId, {}});
+  };
+
+  one_round(1, true);  // warmup
+  const std::uint64_t before = tensor::tensor_allocations();
+  one_round(2, true);
+  one_round(3, false);
+  one_round(4, true);
+  EXPECT_EQ(tensor::tensor_allocations() - before, 0u)
+      << "ClientProtocol allocated tensors in steady state";
+  EXPECT_EQ(proto.rounds_trained(), 4);
+  EXPECT_EQ(proto.updates_sent(), 3);
+  EXPECT_EQ(proto.skips(), 1);
 }
 
 TEST(ZeroAlloc, WarmupDoesAllocate) {

@@ -55,6 +55,9 @@ struct TieredOptions {
   /// handshake and UPDATE-AGG dispatch run through the loop integration.
   bool root_event_loop = false;
   metrics::Tracer* tracer = nullptr;
+  /// Per-relay tracers, by relay index (a Tracer is single-threaded, so
+  /// each relay needs its own); missing entries run untraced.
+  std::vector<metrics::Tracer*> relay_tracers;
   /// Decorates each leaf's transport on every (re)dial — script faults here.
   TransportWrapFn leaf_wrap = nullptr;
   /// Tweaks a leaf's session config (backoff, liveness) before it runs.
@@ -177,6 +180,7 @@ inline TieredResult run_deployed_tiered(const cli::TaskSpec& spec,
     rcfg.backoff.initial = std::chrono::milliseconds(10);
     rcfg.backoff.max = std::chrono::milliseconds(100);
     rcfg.backoff.max_attempts = 50;
+    if (i < opt.relay_tracers.size()) rcfg.tracer = opt.relay_tracers[i];
     const bool killed_here = static_cast<int>(i) == opt.kill_relay;
     const int parent_idx = rs.parent;
     rt.session = std::make_unique<net::relay::RelaySession>(
