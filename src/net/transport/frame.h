@@ -60,6 +60,12 @@ constexpr std::uint32_t kMaxFramePayload = 64u * 1024u * 1024u;
 /// client_id value used in server-originated frames.
 constexpr std::uint32_t kServerId = 0xFFFFFFFFu;
 
+/// `client` field of a transport trace event for wire id `id`: -1 for
+/// kServerId (relay-level frames).
+inline int trace_client(std::uint32_t id) {
+  return id == kServerId ? -1 : static_cast<int>(id);
+}
+
 /// One protocol message.
 struct Frame {
   MsgType type = MsgType::kPing;
