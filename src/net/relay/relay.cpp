@@ -1,6 +1,6 @@
 #include "net/relay/relay.h"
 
-#include <algorithm>
+#include <set>
 #include <thread>
 
 #include "metrics/trace.h"
@@ -10,11 +10,12 @@ namespace adafl::net::relay {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+using transport::ConnId;
 using transport::Frame;
-using transport::MsgType;
+using transport::kNoConn;
 using transport::kProtocolVersion;
 using transport::kServerId;
+using transport::MsgType;
 
 }  // namespace
 
@@ -22,9 +23,9 @@ RelaySession::RelaySession(RelayConfig cfg, IndexedDialFn dial,
                            std::size_t endpoint_count)
     : cfg_(std::move(cfg)),
       dial_(std::move(dial)),
-      endpoint_count_(endpoint_count) {
-  ADAFL_CHECK_MSG(cfg_.base >= 0 && cfg_.count > 0,
-                  "RelaySession: invalid leaf range");
+      endpoint_count_(endpoint_count),
+      face_(transport::ServerFaceConfig{cfg_.base, cfg_.count,
+                                        cfg_.retransmit_nudge}) {
   ADAFL_CHECK_MSG(dial_ != nullptr, "RelaySession: null dial callback");
   ADAFL_CHECK_MSG(endpoint_count_ >= 1, "RelaySession: empty endpoint list");
 }
@@ -44,207 +45,119 @@ void RelaySession::trace_child(metrics::TraceEventType type, const Frame& f) {
       parent_->trace_now()));
 }
 
-void RelaySession::child_send(Child& c, const Frame& f) {
-  if (!c.conn) return;
-  if (!c.conn->send(f)) {
-    c.conn->close();  // the poll pass reaps it
+void RelaySession::child_send(ConnId conn, const Frame& f) {
+  const auto it = children_.find(conn);
+  if (it == children_.end()) return;
+  if (!it->second->send(f)) {
+    it->second->close();  // the poll pass reaps it
     return;
   }
   trace_child(metrics::TraceEventType::kFrameTx, f);
 }
 
-bool RelaySession::leaf_live(int id) const {
-  const auto it = leaf_child_.find(id);
-  if (it == leaf_child_.end()) return false;
-  const Child& c = children_[it->second];
-  return c.conn != nullptr && !c.conn->closed();
-}
-
-void RelaySession::catch_up_child(Child& c) {
-  child_send(c, Frame{MsgType::kWelcome, 0, kServerId, welcome_payload_});
-  if (!have_model_) return;
-  if (c.is_relay) {
-    // The sub-relay filters duplicates against its own round state.
-    child_send(c, model_frame_);
-    for (int id = c.sub_base; id < c.sub_base + c.sub_count; ++id) {
-      if (ratio_of_.count(id) == 0 ||
-          agg_frames_.count((id / agg_group_) * agg_group_) != 0)
-        continue;
-      child_send(c, select_frame(id));
+void RelaySession::send_queued() {
+  for (const ServerFace::Send& s : face_.take_sends()) {
+    switch (s.kind) {
+      case ServerFace::Kind::kWelcome:
+        child_send(s.conn,
+                   Frame{MsgType::kWelcome, 0, kServerId, welcome_payload_});
+        break;
+      case ServerFace::Kind::kModel:
+        child_send(s.conn, model_frame_);
+        break;
+      case ServerFace::Kind::kSelect:
+        child_send(s.conn,
+                   Frame{MsgType::kSelect,
+                         static_cast<std::uint32_t>(face_.round()),
+                         static_cast<std::uint32_t>(s.leaf),
+                         transport::encode_f64(face_.ratio(s.leaf))});
+        break;
     }
-    return;
-  }
-  const int id = c.leaf_id;
-  if (scored_.count(id) == 0) {
-    child_send(c, model_frame_);
-  } else if (ratio_of_.count(id) != 0 && delivered_.count(id) == 0) {
-    // Selected but undelivered — even when its group already shipped: a
-    // rejoined straggler's update rebuilds the group as a superset AGG
-    // that supersedes the committed one at the root.
-    child_send(c, select_frame(id));
   }
 }
 
-void RelaySession::bind_child(Child& c, const Frame& f) {
-  if (f.type == MsgType::kHello) {
-    ADAFL_CHECK_MSG(transport::parse_hello(f.payload) == kProtocolVersion,
-                    "relay: child protocol version mismatch");
-    ADAFL_CHECK_MSG(
-        f.client_id >= static_cast<std::uint32_t>(cfg_.base) &&
-            f.client_id < static_cast<std::uint32_t>(cfg_.base) +
-                              static_cast<std::uint32_t>(cfg_.count),
-        "relay: leaf id " << f.client_id << " outside range");
-    const int id = static_cast<int>(f.client_id);
-    // A redialing leaf supersedes its stale connection.
-    const auto old = leaf_child_.find(id);
-    if (old != leaf_child_.end() && &children_[old->second] != &c)
-      children_[old->second].conn->close();
-    c.bound = true;
-    c.is_relay = false;
-    c.leaf_id = id;
-    live_.insert(id);
-    // Announce the leaf up so the root counts it live; the root replies
-    // with in-round catch-up through this route if needed.
-    parent_->send(f);
-    catch_up_child(c);
-    return;
-  }
-  if (f.type == MsgType::kRelayHello) {
-    const transport::RelayHelloPayload h =
-        transport::parse_relay_hello(f.payload);
-    ADAFL_CHECK_MSG(h.version == kProtocolVersion,
-                    "relay: sub-relay protocol version mismatch");
-    const auto lo = static_cast<std::int64_t>(h.base);
-    const auto hi = lo + h.count;
-    ADAFL_CHECK_MSG(lo >= cfg_.base &&
-                        hi <= static_cast<std::int64_t>(cfg_.base) +
-                                  cfg_.count,
-                    "relay: sub-relay range outside this relay's range");
-    ADAFL_CHECK_MSG(agg_group_ > 0 && lo % agg_group_ == 0 &&
-                        h.count % static_cast<std::uint32_t>(agg_group_) == 0,
-                    "relay: sub-relay range not group-aligned");
-    // A rebinding sub-relay (redial or promoted standby) supersedes any
-    // overlapping predecessor.
-    for (Child& other : children_) {
-      if (&other == &c || !other.bound || !other.is_relay) continue;
-      if (lo < other.sub_base + other.sub_count && other.sub_base < hi)
-        other.conn->close();
-    }
-    c.bound = true;
-    c.is_relay = true;
-    c.sub_base = static_cast<int>(lo);
-    c.sub_count = static_cast<int>(h.count);
-    catch_up_child(c);
-    return;
-  }
-  ADAFL_CHECK_MSG(false, "relay: expected HELLO or RELAY_HELLO, got "
-                             << to_string(f.type));
+void RelaySession::bind_child(ConnId conn, const Frame& f) {
+  const ServerFace::Claim claim = face_.check_hello(f, agg_group_);
+  // Announce a leaf up so the root counts it live; the root catches it up
+  // through this route too. A sub-relay announces its own leaves.
+  if (!claim.range) parent_->send(f);
+  for (const ConnId old : face_.bind(conn, claim))
+    children_.at(old)->close();  // superseded; the poll pass reaps it
+  send_queued();
 }
 
-void RelaySession::handle_child_frame(Child& c, const Frame& f) {
-  if (c.is_relay) {
-    const auto in_sub = [&c](std::uint32_t cid) {
-      return cid >= static_cast<std::uint32_t>(c.sub_base) &&
-             cid < static_cast<std::uint32_t>(c.sub_base) +
-                       static_cast<std::uint32_t>(c.sub_count);
-    };
-    switch (f.type) {
-      case MsgType::kScore: {
-        ADAFL_CHECK_MSG(in_sub(f.client_id),
-                        "relay: sub-relay SCORE out of range");
-        const double s = transport::parse_f64(f.payload);
-        ADAFL_CHECK_MSG(s >= 0.0 && s <= 1.0,
-                        "relay: utility score out of [0,1]");
-        if (f.round == static_cast<std::uint32_t>(round_)) {
-          scored_.insert(static_cast<int>(f.client_id));
-          score_frames_[static_cast<int>(f.client_id)] = f;
-        }
-        live_.insert(static_cast<int>(f.client_id));
-        parent_->send(f);
-        return;
-      }
-      case MsgType::kHello:
-        ADAFL_CHECK_MSG(in_sub(f.client_id),
-                        "relay: sub-relay HELLO out of range");
-        live_.insert(static_cast<int>(f.client_id));
-        parent_->send(f);
-        return;
-      case MsgType::kChildGone:
-        ADAFL_CHECK_MSG(in_sub(f.client_id),
-                        "relay: CHILD_GONE out of range");
-        live_.erase(static_cast<int>(f.client_id));
-        parent_->send(f);
-        return;
-      case MsgType::kUpdateAgg: {
-        // Validate the claim, then forward the original frame verbatim so
-        // the root sees byte-identical partials regardless of tree depth.
-        const transport::UpdateAggPayload a =
-            transport::parse_update_agg(f.payload);
-        transport::validate_update_agg(a, param_count_, agg_group_,
-                                       c.sub_base, c.sub_count);
-        if (f.round != static_cast<std::uint32_t>(round_)) return;  // stale
-        agg_frames_[static_cast<int>(a.base)] = f;  // for nudge re-sends
-        parent_->send(f);
-        ++stats_.aggs_forwarded;
-        return;
-      }
-      case MsgType::kPing:
-        child_send(c, Frame{MsgType::kPong, f.round, kServerId, {}});
-        return;
-      default:
-        return;  // PONG, unexpected types: ignore
-    }
-  }
-  const int id = c.leaf_id;
+void RelaySession::handle_child_frame(ConnId conn,
+                                      const ServerFace::Claim& child,
+                                      const Frame& f) {
+  const auto round = static_cast<std::uint32_t>(face_.round());
+  const int id = static_cast<int>(f.client_id);
   switch (f.type) {
-    case MsgType::kScore: {
-      ADAFL_CHECK_MSG(f.client_id == static_cast<std::uint32_t>(id),
-                      "relay: SCORE with a foreign client id");
-      const double s = transport::parse_f64(f.payload);
-      ADAFL_CHECK_MSG(s >= 0.0 && s <= 1.0,
-                      "relay: utility score out of [0,1]");
-      if (f.round == static_cast<std::uint32_t>(round_)) {
-        scored_.insert(id);
+    case MsgType::kScore:
+      ADAFL_CHECK_MSG(child.range ? child.covers(f.client_id)
+                                  : id == child.base,
+                      "relay: SCORE for leaf " << f.client_id
+                                               << " from a foreign child");
+      transport::parse_score(f.payload);
+      if (f.round == round) {
+        face_.score(id);
         score_frames_[id] = f;
       }
+      if (child.range) face_.set_alive(id, true);  // proof of life
       parent_->send(f);
       return;
-    }
+    case MsgType::kHello:
+    case MsgType::kChildGone:
+      // A sub-relay's leaf joined or left. The parent sees the forwarded
+      // HELLO and re-sends any SELECT the leaf owes through this relay. A
+      // leaf's own repeat HELLO is ignored, as the root ignores it.
+      if (!child.range) return;
+      ADAFL_CHECK_MSG(child.covers(f.client_id),
+                      "relay: sub-relay " << to_string(f.type) << " for leaf "
+                                          << f.client_id << " out of range");
+      face_.set_alive(id, f.type == MsgType::kHello);
+      parent_->send(f);
+      return;
     case MsgType::kUpdate: {
-      if (f.round != static_cast<std::uint32_t>(round_) ||
-          ratio_of_.count(id) == 0 || delivered_.count(id) != 0)
+      if (child.range || f.round != round || !face_.owes_update(child.base))
         return;  // stale or duplicate
       transport::UpdatePayload u = transport::parse_update(f.payload);
       ADAFL_CHECK_MSG(u.msg.kind == compress::CodecKind::kTopK,
-                      "relay: UPDATE from leaf " << id
+                      "relay: UPDATE from leaf " << child.base
                                                  << " is not top-k");
       ADAFL_CHECK_MSG(u.msg.dense_size == param_count_,
-                      "relay: UPDATE from leaf " << id
+                      "relay: UPDATE from leaf " << child.base
                                                  << " dimension mismatch");
-      delivered_.emplace(id, std::move(u));
+      updates_.emplace(child.base, std::move(u));
+      face_.deliver(child.base);
       // A straggler that rejoined after its group shipped (crashed leaf,
       // group flushed without it): rebuild and re-ship the superset AGG —
       // the root replaces the committed partial with it.
-      agg_frames_.erase((id / agg_group_) * agg_group_);
+      agg_frames_.erase((child.base / agg_group_) * agg_group_);
       flush_groups();
       return;
     }
-    case MsgType::kHello:
-      // Duplicate HELLO on a live connection: serve catch-up again.
-      catch_up_child(c);
+    case MsgType::kUpdateAgg: {
+      if (!child.range) return;
+      // Validate the claim, then forward the original frame verbatim so
+      // the root sees byte-identical partials regardless of tree depth.
+      const transport::UpdateAggPayload a =
+          transport::parse_update_agg(f.payload);
+      transport::validate_update_agg(a, param_count_, agg_group_, child.base,
+                                     child.count);
+      if (f.round != round) return;  // stale
+      for (const transport::UpdateAggChild& c : a.children)
+        face_.deliver(static_cast<int>(c.id));
+      agg_frames_[static_cast<int>(a.base)] = f;  // for nudge re-sends
+      parent_->send(f);
+      ++stats_.aggs_forwarded;
       return;
+    }
     case MsgType::kPing:
-      child_send(c, Frame{MsgType::kPong, f.round, kServerId, {}});
+      child_send(conn, Frame{MsgType::kPong, f.round, kServerId, {}});
       return;
     default:
-      return;
+      return;  // PONG, unexpected types: ignore
   }
-}
-
-Frame RelaySession::select_frame(int id) const {
-  return Frame{MsgType::kSelect, static_cast<std::uint32_t>(round_),
-               static_cast<std::uint32_t>(id),
-               transport::encode_f64(ratio_of_.at(id))};
 }
 
 Frame RelaySession::build_agg(int gbase) const {
@@ -257,8 +170,8 @@ Frame RelaySession::build_agg(int gbase) const {
   auto& agg = const_cast<core::PartialAggregator&>(partial_agg_);
   agg.reset(static_cast<std::size_t>(param_count_));
   for (int id = gbase; id < gbase + agg_group_; ++id) {
-    const auto it = delivered_.find(id);
-    if (it == delivered_.end()) continue;
+    const auto it = updates_.find(id);
+    if (it == updates_.end()) continue;
     const transport::UpdatePayload& u = it->second;
     transport::UpdateAggChild ch;
     ch.id = static_cast<std::uint32_t>(id);
@@ -270,24 +183,23 @@ Frame RelaySession::build_agg(int gbase) const {
     agg.add(u.msg, static_cast<float>(u.num_examples));
   }
   agg.finish(a.partial);
-  return Frame{MsgType::kUpdateAgg, static_cast<std::uint32_t>(round_),
+  return Frame{MsgType::kUpdateAgg, static_cast<std::uint32_t>(face_.round()),
                kServerId, transport::encode_update_agg(a)};
 }
 
 void RelaySession::flush_groups() {
-  if (!welcomed_ || agg_group_ <= 0 || delivered_.empty()) return;
+  if (agg_group_ <= 0 || updates_.empty()) return;
   std::set<int> bases;
-  for (const auto& [id, u] : delivered_)
+  for (const auto& [id, u] : updates_)
     bases.insert((id / agg_group_) * agg_group_);
   for (const int b : bases) {
     if (agg_frames_.count(b) != 0) continue;  // already shipped
     bool blocked = false;
     for (int id = b; id < b + agg_group_ && !blocked; ++id)
-      // A selected leaf that is still alive and owes its update blocks the
-      // group; a crashed one must not — the survivors' updates ship and
+      // A selected leaf that is still connected and owes its update blocks
+      // the group; a crashed one must not — the survivors' updates ship and
       // the root's round deadline accounts for the loss, as in a flat run.
-      blocked = ratio_of_.count(id) != 0 && delivered_.count(id) == 0 &&
-                leaf_live(id);
+      blocked = face_.owes_update(id) && face_.direct(id) != kNoConn;
     if (blocked) continue;
     const Frame af = build_agg(b);
     agg_frames_.emplace(b, af);  // cached for duplicate-SELECT re-sends
@@ -296,100 +208,16 @@ void RelaySession::flush_groups() {
   }
 }
 
-void RelaySession::drop_child(std::size_t idx) {
-  Child c = std::move(children_[idx]);
-  children_.erase(children_.begin() + static_cast<std::ptrdiff_t>(idx));
-  for (auto& [leaf, ci] : leaf_child_)
-    if (ci > idx) --ci;
-  if (c.conn) c.conn->close();
-  if (!c.bound) return;
-  if (c.is_relay) {
-    for (int id = c.sub_base; id < c.sub_base + c.sub_count; ++id) {
-      if (live_.count(id) == 0) continue;
-      // Superseded predecessor: a newer sub-relay has re-bound (part of)
-      // the range and re-announced its leaves — those routes stay live.
-      bool covered = false;
-      for (const Child& other : children_) {
-        if (!other.bound || !other.is_relay || !other.conn ||
-            other.conn->closed())
-          continue;
-        if (id >= other.sub_base && id < other.sub_base + other.sub_count) {
-          covered = true;
-          break;
-        }
-      }
-      if (covered) continue;
-      live_.erase(id);
-      parent_->send(Frame{MsgType::kChildGone,
-                          static_cast<std::uint32_t>(round_),
-                          static_cast<std::uint32_t>(id), {}});
-    }
-    return;
-  }
-  const auto it = leaf_child_.find(c.leaf_id);
-  if (it != leaf_child_.end()) {
-    // A redialing leaf superseded this connection before it was reaped:
-    // the route in leaf_child_ already points at the fresh connection, so
-    // the leaf is still live — do not tear the route down. A route that
-    // named the dropped slot itself may now point one past the end.
-    const Child* cur =
-        it->second < children_.size() ? &children_[it->second] : nullptr;
-    if (cur != nullptr && cur->bound && !cur->is_relay &&
-        cur->leaf_id == c.leaf_id && cur->conn != nullptr &&
-        !cur->conn->closed())
-      return;
-    leaf_child_.erase(it);
-  }
-  live_.erase(c.leaf_id);
-  parent_->send(Frame{MsgType::kChildGone, static_cast<std::uint32_t>(round_),
-                      static_cast<std::uint32_t>(c.leaf_id), {}});
-  // The dead leaf no longer blocks its group.
-  flush_groups();
-}
-
-void RelaySession::nudge_children() {
-  if (!have_model_) return;
-  for (Child& c : children_) {
-    if (!c.bound || !c.conn || c.conn->closed()) continue;
-    if (c.is_relay) {
-      bool unscored = false, undelivered = false;
-      for (int id = c.sub_base; id < c.sub_base + c.sub_count; ++id) {
-        if (live_.count(id) != 0 && scored_.count(id) == 0) unscored = true;
-        if (ratio_of_.count(id) != 0 &&
-            agg_frames_.count((id / agg_group_) * agg_group_) == 0)
-          undelivered = true;
-      }
-      if (unscored) child_send(c, model_frame_);
-      if (undelivered)
-        for (int id = c.sub_base; id < c.sub_base + c.sub_count; ++id) {
-          if (ratio_of_.count(id) == 0 ||
-              agg_frames_.count((id / agg_group_) * agg_group_) != 0)
-            continue;
-          child_send(c, select_frame(id));
-        }
-      continue;
-    }
-    const int id = c.leaf_id;
-    if (scored_.count(id) == 0) {
-      child_send(c, model_frame_);
-    } else if (ratio_of_.count(id) != 0 && delivered_.count(id) == 0) {
-      child_send(c, select_frame(id));
-    }
-  }
-}
-
-void RelaySession::route_down(int id, const Frame& f) {
-  const auto lc = leaf_child_.find(id);
-  if (lc != leaf_child_.end()) {
-    child_send(children_[lc->second], f);
-    return;
-  }
-  for (Child& c : children_)
-    if (c.bound && c.is_relay && id >= c.sub_base &&
-        id < c.sub_base + c.sub_count) {
-      child_send(c, f);
-      return;
-    }
+void RelaySession::drop_child(ConnId conn) {
+  const auto it = children_.find(conn);
+  it->second->close();
+  children_.erase(it);
+  const std::vector<int> lost = face_.unbind(conn);
+  for (const int id : lost)
+    parent_->send(Frame{MsgType::kChildGone,
+                        static_cast<std::uint32_t>(face_.round()),
+                        static_cast<std::uint32_t>(id), {}});
+  if (!lost.empty()) flush_groups();  // a dead leaf no longer blocks
 }
 
 void RelaySession::handle_parent_frame(const Frame& f) {
@@ -408,86 +236,74 @@ void RelaySession::handle_parent_frame(const Frame& f) {
       agg_group_ = w.params.agg_group;
       param_count_ = static_cast<std::int64_t>(w.param_count);
       welcome_payload_ = f.payload;  // served to children verbatim
-      welcomed_ = true;
       return;
     }
     case MsgType::kModel: {
       const int r = static_cast<int>(f.round);
-      if (r != round_) {
+      if (r != face_.round()) {
         // New round: reset, cache, broadcast. Reaching a new parent round
         // is the relay's completed round: it refills the dial budget.
-        round_ = r;
         ++stats_.rounds_seen;
         parent_->round_done(r);
-        scored_.clear();
         score_frames_.clear();
-        ratio_of_.clear();
-        delivered_.clear();
+        updates_.clear();
         agg_frames_.clear();
-        have_model_ = true;
         model_frame_ = f;
-        for (Child& c : children_) {
-          if (!c.bound) continue;
-          child_send(c, model_frame_);
-        }
+        face_.begin_round(r);
+        send_queued();
         return;
       }
       // Duplicate MODEL = parent nudge: someone up there still misses a
-      // score. Re-serve children that owe one, and re-send every cached
+      // score. Re-serve the MODELs children owe, and re-send every cached
       // SCORE — a score forwarded while the parent link was down is lost,
       // and the leaf (already scored locally) will never repeat it.
-      for (Child& c : children_) {
-        if (!c.bound) continue;
-        if (c.is_relay) {
-          child_send(c, model_frame_);
-          continue;
-        }
-        if (scored_.count(c.leaf_id) == 0) child_send(c, model_frame_);
-      }
+      face_.resend_models();
+      send_queued();
       for (const auto& [id, sf] : score_frames_) parent_->send(sf);
       return;
     }
-    case MsgType::kSelect: {
-      if (f.round != static_cast<std::uint32_t>(round_)) return;  // stale
-      const int id = static_cast<int>(f.client_id);
-      const double ratio = transport::parse_f64(f.payload);
-      const int gbase = agg_group_ > 0 ? (id / agg_group_) * agg_group_ : 0;
-      ratio_of_[id] = ratio;
-      if (delivered_.count(id) != 0) {
-        // Duplicate SELECT for a delivered leaf: the parent is nudging
-        // because the shipped AGG was lost in flight — re-send it (or
-        // flush, if the group never shipped).
-        const auto cached = agg_frames_.find(gbase);
-        if (cached != agg_frames_.end())
-          parent_->send(cached->second);
-        else
-          flush_groups();
-        return;
-      }
-      route_down(id, f);  // leaf offline: catch-up serves it on rejoin
-      return;
-    }
+    case MsgType::kSelect:
     case MsgType::kSkip: {
-      if (f.round != static_cast<std::uint32_t>(round_)) return;
-      route_down(static_cast<int>(f.client_id), f);
+      ADAFL_CHECK_MSG(face_.contains(f.client_id),
+                      "relay: parent " << to_string(f.type) << " for leaf "
+                                       << f.client_id << " outside ["
+                                       << cfg_.base << ", "
+                                       << cfg_.base + cfg_.count << ")");
+      if (f.round != static_cast<std::uint32_t>(face_.round()))
+        return;  // stale
+      const int id = static_cast<int>(f.client_id);
+      face_.close_scores();
+      if (f.type == MsgType::kSelect) {
+        face_.select(id, transport::parse_f64(f.payload));
+        if (face_.delivered(id)) {
+          // Duplicate SELECT for a delivered leaf: the parent is nudging
+          // because the shipped AGG was lost in flight — re-send it (or
+          // flush, if the group never shipped).
+          const auto cached = agg_frames_.find((id / agg_group_) * agg_group_);
+          if (cached != agg_frames_.end())
+            parent_->send(cached->second);
+          else
+            flush_groups();
+          return;
+        }
+      }
+      child_send(face_.route(id), f);  // offline: catch-up serves it later
       return;
     }
     case MsgType::kPing:
       parent_->send(Frame{MsgType::kPong, f.round, kServerId, {}});
       return;
     case MsgType::kShutdown: {
-      for (Child& c : children_) {
-        if (!c.conn) continue;
-        c.conn->send(Frame{MsgType::kShutdown, 0, kServerId, {}});
-        c.conn->close();
+      for (auto& [conn, t] : children_) {
+        t->send(Frame{MsgType::kShutdown, 0, kServerId, {}});
+        t->close();
       }
       children_.clear();
-      leaf_child_.clear();
       stats_.completed = true;
       return;
     }
     default:
-      return;  // WELCOME dupes handled above; PONG etc: ignore
+      return;  // PONG etc: ignore
   }
 }
 
@@ -499,10 +315,6 @@ RelayRunStats RelaySession::run() {
   lcfg.tracer = cfg_.tracer;
   parent_.emplace(lcfg, dial_, endpoint_count_);
   bool claimed = false;  // the parent link has been dialed
-  auto nudge_gap = cfg_.retransmit_nudge;
-  auto next_nudge = Clock::now() + nudge_gap;
-  const bool nudge_on = cfg_.retransmit_nudge.count() > 0;
-  int nudge_round = 0;
 
   for (;;) {
     if (stats_.completed || stop_.load(std::memory_order_acquire)) break;
@@ -544,10 +356,11 @@ RelayRunStats RelaySession::run() {
                             transport::encode_relay_hello(h)});
         // Re-announce every live leaf: the parent rebuilds its liveness
         // view of this range from scratch on a re-binding.
-        for (const int id : live_)
-          parent_->send(Frame{MsgType::kHello, 0,
-                              static_cast<std::uint32_t>(id),
-                              transport::encode_hello(kProtocolVersion)});
+        for (int id = cfg_.base; id < cfg_.base + cfg_.count; ++id)
+          if (face_.live(id))
+            parent_->send(Frame{MsgType::kHello, 0,
+                                static_cast<std::uint32_t>(id),
+                                transport::encode_hello(kProtocolVersion)});
         progress = true;
       }
     }
@@ -555,77 +368,51 @@ RelayRunStats RelaySession::run() {
     // --- Adopt pending child connections. Their first frame stays in the
     // socket until the parent's WELCOME is cached: a child bound earlier
     // could not be served the run configuration.
-    if (welcomed_) {
-      std::vector<std::unique_ptr<transport::Transport>> fresh;
-      {
-        std::lock_guard<std::mutex> lock(pending_mu_);
-        fresh.swap(pending_);
-      }
-      for (auto& t : fresh) {
-        Child c;
-        c.conn = std::move(t);
-        children_.push_back(std::move(c));
-      }
+    if (agg_group_ > 0) {
+      std::lock_guard<std::mutex> lock(pending_mu_);
+      for (auto& t : pending_) children_.emplace(next_child_++, std::move(t));
+      pending_.clear();
     }
 
     // --- Child frames (bind on first frame, then dispatch).
-    for (std::size_t i = 0; i < children_.size();) {
-      Child& c = children_[i];
-      bool dropped = false;
-      while (c.conn && !c.conn->closed()) {
+    for (auto it = children_.begin(); it != children_.end();) {
+      const ConnId conn = it->first;
+      transport::Transport& t = *it->second;
+      while (!t.closed()) {
         std::optional<Frame> f;
         try {
-          f = c.conn->recv(std::chrono::milliseconds(0));
+          f = t.recv(std::chrono::milliseconds(0));
         } catch (const CheckError&) {
-          c.conn->close();
+          t.close();
           break;
         }
         if (!f) break;
         progress = true;
         trace_child(metrics::TraceEventType::kFrameRx, *f);
         try {
-          if (!c.bound) {
-            bind_child(c, *f);
-            if (c.bound && !c.is_relay)
-              leaf_child_[c.leaf_id] = i;
-          } else {
-            handle_child_frame(c, *f);
-          }
+          if (const ServerFace::Claim* child = face_.binding(conn))
+            handle_child_frame(conn, *child, *f);
+          else
+            bind_child(conn, *f);
         } catch (const CheckError&) {
-          c.conn->close();
+          t.close();
           break;
         }
       }
-      if (c.conn && c.conn->closed()) {
-        drop_child(i);  // a bound one reports CHILD_GONE, re-checks flushes
-        dropped = true;
-      }
-      if (!dropped) ++i;
+      ++it;
+      if (t.closed()) drop_child(conn);
     }
 
-    // --- Relay-side retransmit nudge (exponential within a round).
-    if (nudge_on) {
-      if (round_ != nudge_round) {
-        nudge_round = round_;
-        nudge_gap = cfg_.retransmit_nudge;
-        next_nudge = Clock::now() + nudge_gap;
-      } else if (Clock::now() >= next_nudge) {
-        nudge_children();
-        nudge_gap *= 2;
-        next_nudge = Clock::now() + nudge_gap;
-      }
-    }
+    // --- Child-side retransmit nudge.
+    face_.poll();
+    send_queued();
 
     if (!progress) std::this_thread::sleep_for(cfg_.idle_poll);
   }
 
   // Stop path (request_stop or dial give-up): drop everything abruptly.
-  if (!stats_.completed) {
-    for (Child& c : children_)
-      if (c.conn) c.conn->close();
-    children_.clear();
-    leaf_child_.clear();
-  }
+  for (auto& [conn, t] : children_) t->close();
+  children_.clear();
   parent_->close();
   stats_.parent_reconnects = parent_->reconnects();
   stats_.endpoint_rotations = parent_->rotations();

@@ -12,8 +12,12 @@
 //                  These handlers forward rather than train, so they are
 //                  not ClientProtocol's.
 //   child side   — accepts leaf ClientSessions (and sub-relays, for deeper
-//                  trees) via add_child_transport(); serves them the cached
-//                  WELCOME/MODEL so a leaf never needs to reach the root.
+//                  trees) via add_child_transport(), keyed by relay-local
+//                  ConnIds, and runs the root's own ServerFace over them:
+//                  routes, catch-up and retransmit nudges are the root's
+//                  policy, served from the cached WELCOME/MODEL so a leaf
+//                  never needs to reach the root. The face's score phase
+//                  closes at the parent's first SELECT or SKIP of a round.
 //
 // Aggregation is *lossless* and association-preserving: the relay sums each
 // group's decoded top-k updates in ascending-id order with the exact
@@ -24,12 +28,14 @@
 //
 // Resilience: a relay whose parent link drops redials (rotating through its
 // endpoint list), re-announces its live leaves, and the round recovers via
-// the server's retransmit nudges. A crashed leaf is reported up as
-// CHILD_GONE and stops blocking its group's flush, so the surviving
-// members' updates still commit. A standby relay (RelayConfig::standby)
-// stays dormant until the first orphaned child dials it — the signal that
-// the primary died — then claims the range from the parent, which drops the
-// dead binding and catches the promoted relay up mid-round.
+// the server's retransmit nudges. A parent frame naming a leaf outside the
+// relay's range is malformed: the relay drops the link and redials. A
+// crashed leaf is reported up as CHILD_GONE and stops blocking its group's
+// flush, so the surviving members' updates still commit. A standby relay
+// (RelayConfig::standby) stays dormant until the first orphaned child dials
+// it — the signal that the primary died — then claims the range from the
+// parent, which drops the dead binding and catches the promoted relay up
+// mid-round.
 #pragma once
 
 #include <atomic>
@@ -39,12 +45,11 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <vector>
 
-#include "core/adafl_server.h"
 #include "core/partial_agg.h"
 #include "metrics/trace.h"
+#include "net/transport/server_face.h"
 #include "net/transport/session.h"
 #include "net/transport/tcp.h"
 #include "net/transport/transport.h"
@@ -65,9 +70,8 @@ struct RelayConfig {
   std::chrono::milliseconds liveness_timeout{8000};
   /// Child/parent poll granularity when idle.
   std::chrono::milliseconds idle_poll{20};
-  /// Re-send cadence toward stalled children (MODEL to unscored, SELECT to
-  /// selected-but-undelivered); doubles after each firing within a round,
-  /// like the server's retransmit nudge. <= 0 disables.
+  /// The child side's retransmit nudge (ServerFaceConfig::retransmit_nudge):
+  /// first gap of a phase, doubling after each firing. <= 0 disables.
   std::chrono::milliseconds retransmit_nudge{2000};
   transport::BackoffPolicy backoff;
   /// Optional tracer: relay-side frame_tx/frame_rx/reconnect transport
@@ -108,48 +112,36 @@ class RelaySession {
   void request_stop() { stop_.store(true, std::memory_order_release); }
 
  private:
+  using ConnId = transport::ConnId;
   using Frame = transport::Frame;
+  using ServerFace = transport::ServerFace;
 
-  /// One child connection: a leaf client or a sub-relay (deeper tier).
-  struct Child {
-    std::unique_ptr<transport::Transport> conn;
-    bool bound = false;
-    bool is_relay = false;
-    int leaf_id = -1;    ///< bound leaf
-    int sub_base = 0;    ///< bound sub-relay range
-    int sub_count = 0;
-  };
-
-  void child_send(Child& c, const Frame& f);
+  /// Sends `f` to child `conn`; a failed send closes it (the poll pass
+  /// reaps it). No-op for kNoConn or a reaped child.
+  void child_send(ConnId conn, const Frame& f);
   /// Records a child-side frame event, timed on the parent link's clock.
   void trace_child(metrics::TraceEventType type, const Frame& f);
-  /// SELECT for leaf `id` at this round's cached ratio.
-  Frame select_frame(int id) const;
-  /// Serves WELCOME + in-round catch-up to a just-bound child.
-  void catch_up_child(Child& c);
-  /// Binds a child's first frame (HELLO -> leaf, RELAY_HELLO -> sub-relay).
-  /// Throws CheckError on an invalid claim; the caller drops the child.
-  void bind_child(Child& c, const Frame& f);
+  /// Sends the WELCOME, MODEL and SELECT frames face_ queued.
+  void send_queued();
+  /// Binds a child's first frame (HELLO -> leaf, RELAY_HELLO -> sub-relay)
+  /// in face_ and closes what it supersedes. Throws CheckError on an
+  /// invalid claim; the caller drops the child.
+  void bind_child(ConnId conn, const Frame& f);
   /// Handles a frame from a bound child. Throws CheckError on hostile
   /// input; the caller drops the child.
-  void handle_child_frame(Child& c, const Frame& f);
-  /// Handles a frame from the parent.
+  void handle_child_frame(ConnId conn, const ServerFace::Claim& child,
+                          const Frame& f);
+  /// Handles a frame from the parent. Throws CheckError on a malformed one;
+  /// the caller drops the parent link.
   void handle_parent_frame(const Frame& f);
-  /// Forwards `f` to the child serving leaf `id`: its direct connection or
-  /// the sub-relay covering it. Dropped when neither is bound.
-  void route_down(int id, const Frame& f);
-  /// Erases child `idx`, keeping leaf routes aligned; a bound child is
+  /// Reaps closed child `conn`: the leaves that lost their route are
   /// reported up (CHILD_GONE) and group flushes re-checked (a dead leaf
   /// stops blocking).
-  void drop_child(std::size_t idx);
+  void drop_child(ConnId conn);
   /// Sends every complete (or no-longer-blocked) group's UPDATE-AGG up.
   void flush_groups();
   /// Builds one group's UPDATE-AGG frame from the delivered direct leaves.
   Frame build_agg(int gbase) const;
-  /// Re-sends stalled state to children (relay-side retransmit nudge).
-  void nudge_children();
-  /// True while a live direct child route for leaf `id` exists.
-  bool leaf_live(int id) const;
 
   RelayConfig cfg_;
   IndexedDialFn dial_;
@@ -157,30 +149,26 @@ class RelaySession {
 
   std::mutex pending_mu_;
   std::vector<std::unique_ptr<transport::Transport>> pending_;
-  std::vector<Child> children_;
-  std::map<int, std::size_t> leaf_child_;  ///< leaf id -> children_ index
+  std::map<ConnId, std::unique_ptr<transport::Transport>> children_;
+  ConnId next_child_ = 0;
+  /// Routes to children, the round's debts, catch-up and nudges.
+  ServerFace face_;
 
   /// The parent face's connection; built when run() starts.
   std::optional<transport::UpstreamLink> parent_;
-  bool welcomed_ = false;
   std::vector<std::uint8_t> welcome_payload_;  ///< cached verbatim
-  int agg_group_ = 0;
+  int agg_group_ = 0;  ///< > 0 once the parent's WELCOME arrived
   std::int64_t param_count_ = 0;
 
   // --- Per-round state (reset when a new MODEL round arrives). ------------
-  int round_ = 0;
-  bool have_model_ = false;
   Frame model_frame_;
-  std::set<int> scored_;            ///< leaves that scored this round
   /// Cached SCORE frames: a score forwarded while the parent link was down
   /// is lost, and the leaf (already scored locally) never repeats it — the
   /// relay re-sends the cache when the parent nudges with a dup MODEL.
   std::map<int, Frame> score_frames_;
-  std::map<int, double> ratio_of_;  ///< SELECTed leaf -> ratio
   /// Direct leaves' decoded updates this round (the AGG inputs).
-  std::map<int, transport::UpdatePayload> delivered_;
+  std::map<int, transport::UpdatePayload> updates_;
   std::map<int, Frame> agg_frames_;  ///< flushed groups, by base
-  std::set<int> live_;  ///< leaves announced alive (direct + sub-relay)
 
   core::PartialAggregator partial_agg_;
   RelayRunStats stats_;

@@ -42,12 +42,9 @@
 #include <vector>
 
 #include "net/transport/frame.h"
+#include "net/transport/transport.h"
 
 namespace adafl::net::transport {
-
-/// Identifies one accepted connection for the lifetime of the loop.
-/// Ids are never reused; shard(conn) == conn % shards.
-using ConnId = std::uint64_t;
 
 struct EventLoopConfig {
   /// Number of frame queues / decode shards (>= 1).

@@ -156,6 +156,13 @@ double parse_f64(std::span<const std::uint8_t> payload) {
   return v;
 }
 
+double parse_score(std::span<const std::uint8_t> payload) {
+  const double s = parse_f64(payload);
+  ADAFL_CHECK_MSG(s >= 0.0 && s <= 1.0,
+                  "score: utility score " << s << " out of [0,1]");
+  return s;
+}
+
 std::vector<std::uint8_t> encode_update(const UpdatePayload& u) {
   std::vector<std::uint8_t> out, wire_scratch;
   encode_update_into(u, out, wire_scratch);
@@ -369,19 +376,16 @@ ServerSession::ServerSession(ServerSessionConfig cfg, nn::ModelFactory factory,
       factory_(std::move(factory)),
       test_(test),
       eval_model_(factory_()),
-      core_(cfg_.params, eval_model_.get_flat()) {
-  ADAFL_CHECK_MSG(cfg_.expected_clients > 0,
-                  "ServerSession: expected_clients must be positive");
+      core_(cfg_.params, eval_model_.get_flat()),
+      face_(ServerFaceConfig{0, cfg_.expected_clients,
+                             cfg_.retransmit_nudge}) {
   ADAFL_CHECK_MSG(cfg_.rounds > 0, "ServerSession: rounds must be positive");
   ADAFL_CHECK_MSG(cfg_.quorum >= 0 && cfg_.quorum <= cfg_.expected_clients,
                   "ServerSession: quorum out of range");
   ADAFL_CHECK_MSG(cfg_.params.agg_group >= 0,
                   "ServerSession: negative agg_group");
   const auto n = static_cast<std::size_t>(cfg_.expected_clients);
-  client_conn_.assign(n, kNoConn);
   ever_joined_.assign(n, false);
-  leaf_relay_.assign(n, -1);
-  child_live_.assign(n, 0);
   pending_decode_.assign(n, 0);
   WelcomeInfo w;
   w.rounds = static_cast<std::uint32_t>(cfg_.rounds);
@@ -401,24 +405,6 @@ void ServerSession::attach_event_loop(EventLoop* loop) {
   loop_ = loop;
   welcome_bytes_ =
       std::make_shared<const std::vector<std::uint8_t>>(encode_frame(welcome_));
-}
-
-bool ServerSession::direct_connected(int id) const {
-  return client_conn_[static_cast<std::size_t>(id)] != kNoConn;
-}
-
-bool ServerSession::connected(int id) const {
-  if (direct_connected(id)) return true;
-  // A live relay route counts a leaf as reachable only while the relay has
-  // announced it alive: the relay connection covers N leaves, not 1, so the
-  // quorum/deadline math never mistakes one healthy relay for one client.
-  return leaf_relay_[static_cast<std::size_t>(id)] >= 0 &&
-         child_live_[static_cast<std::size_t>(id)] != 0;
-}
-
-bool ServerSession::owes_update(const RoundCtx& rc, int id) const {
-  return rc.phase == Phase::kUpdate && rc.awaiting.count(id) != 0 &&
-         !delivered_[static_cast<std::size_t>(id)];
 }
 
 void ServerSession::request_stop(bool write_checkpoint) {
@@ -497,12 +483,9 @@ void ServerSession::drop_all_connections() {
   for (auto& [conn, p] : peers_) {
     if (p.pumped) p.pumped->close();  // abrupt: no SHUTDOWN, peers redial
     if (p.standby) p.standby->closed = true;
+    face_.unbind(conn);
   }
   peers_.clear();
-  relays_.clear();
-  std::fill(client_conn_.begin(), client_conn_.end(), kNoConn);
-  std::fill(leaf_relay_.begin(), leaf_relay_.end(), -1);
-  std::fill(child_live_.begin(), child_live_.end(), 0);
   if (loop_ != nullptr) loop_->stop();  // closes every loop-owned socket
   std::lock_guard<std::mutex> lock(arrivals_mu_);
   for (auto& t : arrivals_) t->close();
@@ -526,10 +509,7 @@ std::size_t ServerSession::send(ConnId conn, const Frame& f,
                           : std::make_shared<const std::vector<std::uint8_t>>(
                                 encode_frame(f)));
   } else if (!p.pumped->send(f)) {
-    if (p.role == Role::kRelay)
-      p.pumped->close();  // the next pump reaps the binding
-    else
-      close(conn);
+    close(conn);
     return 0;
   }
   if (p.role != Role::kStandby && cfg_.tracer != nullptr &&
@@ -546,59 +526,27 @@ void ServerSession::close(ConnId conn) {
   const auto it = peers_.find(conn);
   if (it != peers_.end()) {
     Peer& p = it->second;
-    switch (p.role) {
-      case Role::kClient:
-        if (client_conn_[static_cast<std::size_t>(p.client)] == conn)
-          client_conn_[static_cast<std::size_t>(p.client)] = kNoConn;
-        break;
-      case Role::kRelay: {
-        // Clear the leaves' routes and liveness but keep their round state
-        // (scores, awaiting): a promoted standby re-binding the range can
-        // still recover the round; unrecovered loss falls to the round
-        // deadline exactly as a flat client crash does.
-        const std::size_t ridx = relay_index(conn);
-        const RelayBinding& rb = relays_[ridx];
-        for (int id = rb.base; id < rb.base + rb.count; ++id) {
-          leaf_relay_[static_cast<std::size_t>(id)] = -1;
-          child_live_[static_cast<std::size_t>(id)] = 0;
-        }
-        relays_.erase(relays_.begin() + static_cast<std::ptrdiff_t>(ridx));
-        for (auto& r : leaf_relay_)  // bindings above ridx shifted down
-          if (r > static_cast<int>(ridx)) --r;
-        break;
-      }
-      case Role::kStandby:
-        p.standby->closed = true;
-        break;
-      case Role::kUnbound:
-        break;
-    }
+    if (p.standby) p.standby->closed = true;
+    // A client's or relay's routes go, but its leaves' round debts stay: a
+    // promoted standby re-binding the range can still recover the round;
+    // unrecovered loss falls to the round deadline exactly as a flat
+    // client crash does.
+    face_.unbind(conn);
     if (p.pumped) p.pumped->close();
     peers_.erase(it);
   }
   if (loop_ != nullptr && conn < kPumpedBase) loop_->close_conn(conn);
 }
 
-std::size_t ServerSession::relay_index(ConnId conn) const {
-  return static_cast<std::size_t>(
-      std::find_if(relays_.begin(), relays_.end(),
-                   [conn](const RelayBinding& rb) {
-                     return rb.conn_id == conn;
-                   }) -
-      relays_.begin());
-}
-
-std::size_t ServerSession::send_to(int id, const Frame& f,
-                                   const SharedBytes* bytes) {
-  if (direct_connected(id))
-    return send(client_conn_[static_cast<std::size_t>(id)], f, bytes);
-  // Relay-covered leaf: route via its relay with the frame addressed to the
-  // leaf (client_id rewritten); the relay forwards it down.
-  const int ridx = leaf_relay_[static_cast<std::size_t>(id)];
-  if (ridx < 0) return 0;
+std::size_t ServerSession::send_to(int id, const Frame& f) {
+  const ConnId conn = face_.route(id);
+  if (conn == kNoConn) return 0;
+  if (conn == face_.direct(id)) return send(conn, f);
+  // Relay-covered leaf: the frame is addressed to the leaf (client_id
+  // rewritten); the relay forwards it down.
   Frame rf = f;
   rf.client_id = static_cast<std::uint32_t>(id);
-  return send(relays_[static_cast<std::size_t>(ridx)].conn_id, rf);
+  return send(conn, rf);
 }
 
 void ServerSession::ensure_model_frame(RoundCtx& rc) {
@@ -617,14 +565,12 @@ void ServerSession::ensure_model_frame(RoundCtx& rc) {
 }
 
 void ServerSession::send_model(RoundCtx& rc, ConnId conn, int book_id,
-                               char& sent) {
+                               bool resend) {
   ensure_model_frame(rc);
   const std::size_t bytes = send(conn, rc.model_frame, &rc.model_bytes);
   if (bytes == 0) return;
-  const bool retransmit = sent != 0;
-  sent = 1;
   rc.ledger->record_download(book_id, static_cast<std::int64_t>(bytes));
-  if (retransmit) {
+  if (resend) {
     rc.ledger->record_retransmit(book_id, static_cast<std::int64_t>(bytes));
     if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
       cfg_.tracer->record(metrics::ev_retransmit(
@@ -632,82 +578,87 @@ void ServerSession::send_model(RoundCtx& rc, ConnId conn, int book_id,
   }
 }
 
-void ServerSession::resend_select(RoundCtx& rc, int id) {
+void ServerSession::send_select(RoundCtx& rc, int id, bool resend) {
   const std::size_t sent = send_to(
       id, Frame{MsgType::kSelect, static_cast<std::uint32_t>(rc.round),
-                kServerId, encode_f64(rc.ratio_of.at(id))});
-  if (sent == 0) return;
+                kServerId, encode_f64(face_.ratio(id))});
+  if (sent == 0 || !resend) return;
   rc.ledger->record_retransmit(id, static_cast<std::int64_t>(sent));
   if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
     cfg_.tracer->record(metrics::ev_retransmit(
         rc.round, id, static_cast<std::int64_t>(sent), trace_now()));
 }
 
-void ServerSession::handle_relay_frame(RoundCtx& rc, std::size_t ridx,
+void ServerSession::send_queued(RoundCtx& rc) {
+  for (const ServerFace::Send& s : face_.take_sends()) {
+    switch (s.kind) {
+      case ServerFace::Kind::kWelcome:
+        send(s.conn, welcome_, &welcome_bytes_);
+        break;
+      case ServerFace::Kind::kModel:
+        send_model(rc, s.conn, s.leaf, s.resend);
+        break;
+      case ServerFace::Kind::kSelect:
+        send_select(rc, s.leaf, s.resend);
+        break;
+    }
+  }
+}
+
+void ServerSession::handle_relay_frame(RoundCtx& rc, ConnId conn,
                                        const Frame& f) {
-  const RelayBinding& rb = relays_[ridx];
-  const auto in_range = [&rb](std::uint32_t cid) {
-    return cid >= static_cast<std::uint32_t>(rb.base) &&
-           cid < static_cast<std::uint32_t>(rb.base) +
-                     static_cast<std::uint32_t>(rb.count);
-  };
+  const ServerFace::Claim relay = *face_.binding(conn);
+  const int id = static_cast<int>(f.client_id);
+  if (f.type == MsgType::kScore || f.type == MsgType::kHello ||
+      f.type == MsgType::kChildGone) {
+    ADAFL_CHECK_MSG(relay.covers(f.client_id),
+                    "session: relayed " << to_string(f.type) << " for leaf "
+                                        << f.client_id << " out of range");
+  }
   switch (f.type) {
     case MsgType::kUpdateAgg:
-      handle_update_agg(rc, ridx, f);
+      handle_update_agg(rc, relay, f);
       return;
-    case MsgType::kScore: {
-      ADAFL_CHECK_MSG(in_range(f.client_id),
-                      "session: relayed SCORE for leaf " << f.client_id
-                                                         << " out of range");
-      const int id = static_cast<int>(f.client_id);
-      child_live_[static_cast<std::size_t>(id)] = 1;  // proof of life
+    case MsgType::kScore:
+      face_.set_alive(id, true);  // proof of life
       handle_frame(rc, id, f);
       return;
-    }
     case MsgType::kHello: {
       // A leaf joined (or rejoined) behind the relay. The relay serves
-      // WELCOME/MODEL locally; the root only tracks liveness and re-sends
-      // in-flight SELECT state through the route.
-      ADAFL_CHECK_MSG(in_range(f.client_id),
-                      "session: relayed HELLO for leaf " << f.client_id
-                                                         << " out of range");
-      const int id = static_cast<int>(f.client_id);
+      // WELCOME/MODEL locally; the root tracks liveness and re-sends the
+      // SELECT the leaf owes through the route.
       const bool rejoin = ever_joined_[static_cast<std::size_t>(id)];
       ever_joined_[static_cast<std::size_t>(id)] = true;
-      child_live_[static_cast<std::size_t>(id)] = 1;
       if (rejoin) {
         rc.ledger->record_reconnect(id);
         if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
           cfg_.tracer->record(
               metrics::ev_reconnect(rc.round, id, trace_now()));
       }
-      if (owes_update(rc, id)) resend_select(rc, id);
+      face_.announce(id);
+      send_queued(rc);
       return;
     }
-    case MsgType::kChildGone: {
-      ADAFL_CHECK_MSG(in_range(f.client_id),
-                      "session: CHILD_GONE for leaf " << f.client_id
-                                                      << " out of range");
-      child_live_[static_cast<std::size_t>(f.client_id)] = 0;
+    case MsgType::kChildGone:
+      face_.set_alive(id, false);
       return;
-    }
     case MsgType::kPing:
-      send(rb.conn_id, Frame{MsgType::kPong, f.round, kServerId, {}});
+      send(conn, Frame{MsgType::kPong, f.round, kServerId, {}});
       return;
     default:
       return;  // PONG, duplicates, unexpected types: ignore
   }
 }
 
-void ServerSession::handle_update_agg(RoundCtx& rc, std::size_t ridx,
+void ServerSession::handle_update_agg(RoundCtx& rc,
+                                      const ServerFace::Claim& relay,
                                       const Frame& f) {
-  if (rc.phase != Phase::kUpdate ||
+  if (face_.phase() != ServerFace::Phase::kUpdate ||
       f.round != static_cast<std::uint32_t>(rc.round))
     return;  // stale
-  const RelayBinding& rb = relays_[ridx];
   UpdateAggPayload a = parse_update_agg(f.payload);
   validate_update_agg(a, static_cast<std::int64_t>(core_.global().size()),
-                      cfg_.params.agg_group, rb.base, rb.count);
+                      cfg_.params.agg_group, relay.base, relay.count);
   const int base = static_cast<int>(a.base);
   const bool upgrade = rc.wire_partials.count(base) != 0;
   if (upgrade) {
@@ -723,7 +674,7 @@ void ServerSession::handle_update_agg(RoundCtx& rc, std::size_t ridx,
     int prev_children = 0;
     bool covers_prev = true;
     for (int id = base; id < base + cfg_.params.agg_group; ++id)
-      if (delivered_[static_cast<std::size_t>(id)]) {
+      if (face_.delivered(id)) {
         ++prev_children;
         covers_prev = covers_prev && listed.count(id) != 0;
       }
@@ -733,9 +684,9 @@ void ServerSession::handle_update_agg(RoundCtx& rc, std::size_t ridx,
   }
   for (const UpdateAggChild& c : a.children) {
     const int id = static_cast<int>(c.id);
-    ADAFL_CHECK_MSG(rc.awaiting.count(id) != 0,
+    ADAFL_CHECK_MSG(face_.selected(id),
                     "session: UPDATE-AGG lists unselected leaf " << id);
-    if (upgrade && delivered_[static_cast<std::size_t>(id)]) {
+    if (upgrade && face_.delivered(id)) {
       // Re-listed child of the superseded AGG: only valid over a
       // metadata-only slot (a relay cannot claim a direct delivery).
       ADAFL_CHECK_MSG(
@@ -743,7 +694,7 @@ void ServerSession::handle_update_agg(RoundCtx& rc, std::size_t ridx,
           "session: UPDATE-AGG re-lists directly-delivered leaf " << id);
       continue;
     }
-    ADAFL_CHECK_MSG(!delivered_[static_cast<std::size_t>(id)],
+    ADAFL_CHECK_MSG(!face_.delivered(id),
                     "session: UPDATE-AGG lists already-delivered leaf "
                         << id);
   }
@@ -752,7 +703,7 @@ void ServerSession::handle_update_agg(RoundCtx& rc, std::size_t ridx,
   // identical ascending-group order a flat run with the same agg_group uses.
   for (const UpdateAggChild& c : a.children) {
     const int id = static_cast<int>(c.id);
-    const bool fresh = !delivered_[static_cast<std::size_t>(id)];
+    const bool fresh = !face_.delivered(id);
     core::AdaFlDelivery& dl = delivery_slots_[static_cast<std::size_t>(id)];
     dl.msg.kind = compress::CodecKind::kTopK;
     dl.msg.dense_size = static_cast<std::int64_t>(core_.global().size());
@@ -765,60 +716,23 @@ void ServerSession::handle_update_agg(RoundCtx& rc, std::size_t ridx,
     dl.raw_delta_norm = c.raw_delta_norm;
     dl.meta_only = true;
     if (fresh) {
-      delivered_[static_cast<std::size_t>(id)] = 1;
-      ++delivered_count_;
+      face_.deliver(id);
       rc.ledger->record_upload(id, c.wire_bytes, true);
     }
-    child_live_[static_cast<std::size_t>(id)] = 1;
+    face_.set_alive(id, true);
   }
   rc.wire_partials[base] = std::move(a.partial);
 }
 
-void ServerSession::nudge(RoundCtx& rc) {
-  if (rc.phase == Phase::kScore) {
-    // Re-broadcast MODEL to connected clients that still owe a score: a
-    // MODEL or SCORE lost in flight otherwise stalls the phase until the
-    // deadline (or forever, with quorum == n). Clients never retrain a
-    // round they already trained, so a redundant MODEL costs bytes only.
-    for (int id = 0; id < cfg_.expected_clients; ++id) {
-      if (!direct_connected(id) || rc.scored[static_cast<std::size_t>(id)])
-        continue;
-      send_model(rc, client_conn_[static_cast<std::size_t>(id)], id,
-                 rc.sent_model[static_cast<std::size_t>(id)]);
-    }
-    // One MODEL per relay with any live unscored leaf; the relay re-serves
-    // it locally to exactly the children that still owe a score.
-    for (RelayBinding& rb : relays_) {
-      bool owed = false;
-      for (int id = rb.base; id < rb.base + rb.count && !owed; ++id)
-        owed = child_live_[static_cast<std::size_t>(id)] != 0 &&
-               !rc.scored[static_cast<std::size_t>(id)];
-      if (owed) send_model(rc, rb.conn_id, rb.base, rb.sent_model);
-    }
-    return;
-  }
-  // Update phase: re-send SELECT to selected clients that have not
-  // delivered. A duplicate SELECT makes the client re-send its cached
-  // update bytes (it never compresses twice).
-  for (int id : rc.awaiting)
-    if (connected(id) && !delivered_[static_cast<std::size_t>(id)])
-      resend_select(rc, id);
-}
-
 void ServerSession::handle_frame(RoundCtx& rc, int id, const Frame& f) {
   switch (f.type) {
-    case MsgType::kScore: {
-      if (rc.phase != Phase::kScore ||
-          f.round != static_cast<std::uint32_t>(rc.round) ||
-          rc.scored[static_cast<std::size_t>(id)])
+    case MsgType::kScore:
+      if (face_.phase() != ServerFace::Phase::kScore ||
+          f.round != static_cast<std::uint32_t>(rc.round) || face_.scored(id))
         return;  // stale or duplicate
-      const double s = parse_f64(f.payload);
-      ADAFL_CHECK_MSG(s >= 0.0 && s <= 1.0,
-                      "session: utility score out of [0,1]");
-      rc.scores[static_cast<std::size_t>(id)] = s;
-      rc.scored[static_cast<std::size_t>(id)] = true;
+      rc.scores[static_cast<std::size_t>(id)] = parse_score(f.payload);
+      face_.score(id);
       return;
-    }
     case MsgType::kPing:
       send_to(id, Frame{MsgType::kPong, f.round, kServerId, {}});
       return;
@@ -902,7 +816,7 @@ void ServerSession::dispatch(RoundCtx& rc) {
       case Role::kRelay:
         if (traced) trace_rx(f, trace_client(f.client_id));
         try {
-          handle_relay_frame(rc, relay_index(inf.conn), f);
+          handle_relay_frame(rc, inf.conn, f);
         } catch (const CheckError&) {
           close(inf.conn);  // hostile relay: drop the whole binding
         }
@@ -917,7 +831,7 @@ void ServerSession::dispatch(RoundCtx& rc) {
             close(inf.conn);  // bad payload: drop, round degrades
           }
         } else if (f.round == static_cast<std::uint32_t>(rc.round) &&
-                   owes_update(rc, id) &&
+                   face_.owes_update(id) &&
                    !pending_decode_[static_cast<std::size_t>(id)]) {
           pending_decode_[static_cast<std::size_t>(id)] = 1;
           decode_jobs_.push_back(DecodeJob{i, id});
@@ -971,47 +885,22 @@ void ServerSession::dispatch(RoundCtx& rc) {
       close(inf.conn);
       continue;
     }
-    delivered_[static_cast<std::size_t>(job.client)] = 1;
-    ++delivered_count_;
+    face_.deliver(job.client);
     rc.ledger->record_upload(
         job.client, static_cast<std::int64_t>(inf.frame.wire_size()), true);
   }
 }
 
 void ServerSession::handshake(RoundCtx& rc, ConnId conn, const Frame& f) {
-  RelayHelloPayload relay;
+  ServerFace::Claim claim;
   try {
-    switch (f.type) {
-      case MsgType::kStandbyHello:
-        ADAFL_CHECK_MSG(cfg_.publisher != nullptr,
-                        "session: standby joined but replication is off");
-        ADAFL_CHECK_MSG(parse_hello(f.payload) == kProtocolVersion,
-                        "session: standby protocol version mismatch");
-        break;
-      case MsgType::kRelayHello: {
-        relay = parse_relay_hello(f.payload);
-        const int g = cfg_.params.agg_group;
-        ADAFL_CHECK_MSG(relay.version == kProtocolVersion,
-                        "session: relay protocol version mismatch");
-        ADAFL_CHECK_MSG(
-            g > 0, "session: relay joined but the run has agg_group == 0");
-        const auto base = static_cast<std::int64_t>(relay.base);
-        const auto count = static_cast<std::int64_t>(relay.count);
-        ADAFL_CHECK_MSG(base % g == 0 && count % g == 0 &&
-                            base + count <= cfg_.expected_clients,
-                        "session: relay range [" << base << ", "
-                                                 << base + count
-                                                 << ") invalid for this run");
-        break;
-      }
-      default:
-        ADAFL_CHECK_MSG(f.type == MsgType::kHello,
-                        "session: expected HELLO, got " << to_string(f.type));
-        ADAFL_CHECK_MSG(parse_hello(f.payload) == kProtocolVersion,
-                        "session: protocol version mismatch");
-        ADAFL_CHECK_MSG(
-            f.client_id < static_cast<std::uint32_t>(cfg_.expected_clients),
-            "session: client id " << f.client_id << " out of range");
+    if (f.type == MsgType::kStandbyHello) {
+      ADAFL_CHECK_MSG(cfg_.publisher != nullptr,
+                      "session: standby joined but replication is off");
+      ADAFL_CHECK_MSG(parse_hello(f.payload) == kProtocolVersion,
+                      "session: standby protocol version mismatch");
+    } else {
+      claim = face_.check_hello(f, cfg_.params.agg_group);
     }
   } catch (const CheckError&) {
     close(conn);  // bad handshake or invalid claim: drop
@@ -1028,37 +917,16 @@ void ServerSession::handshake(RoundCtx& rc, ConnId conn, const Frame& f) {
         std::make_unique<StandbyTransport>(this, conn, p.standby));
     return;
   }
-  const bool is_relay = f.type == MsgType::kRelayHello;
-  const int id = is_relay ? -1 : static_cast<int>(f.client_id);
+  const int id = claim.range ? -1 : claim.base;
   const bool traced = cfg_.tracer != nullptr && cfg_.tracer->enabled();
   if (traced)
     cfg_.tracer->record(metrics::ev_frame(
         metrics::TraceEventType::kFrameRx, static_cast<int>(f.round), id,
         to_string(f.type), static_cast<std::int64_t>(f.wire_size()),
         trace_now()));
-  if (is_relay) {
-    // A mid-tier aggregator claiming leaves [base, base + count). A
-    // rebinding (redialed relay or promoted standby) supersedes every
-    // binding its range overlaps.
-    const int base = static_cast<int>(relay.base);
-    const int count = static_cast<int>(relay.count);
-    for (std::size_t i = relays_.size(); i-- > 0;)
-      if (base < relays_[i].base + relays_[i].count &&
-          relays_[i].base < base + count)
-        close(relays_[i].conn_id);
-    p.role = Role::kRelay;
-    relays_.push_back(RelayBinding{base, count, conn});
-    for (int leaf = base; leaf < base + count; ++leaf) {
-      leaf_relay_[static_cast<std::size_t>(leaf)] =
-          static_cast<int>(relays_.size() - 1);
-      child_live_[static_cast<std::size_t>(leaf)] = 0;  // until announced
-    }
-  } else {
-    const ConnId old = client_conn_[static_cast<std::size_t>(id)];
-    if (old != kNoConn) close(old);  // a redial replaces any stale binding
-    p.role = Role::kClient;
-    p.client = id;
-    client_conn_[static_cast<std::size_t>(id)] = conn;
+  p.role = claim.range ? Role::kRelay : Role::kClient;
+  p.client = id;
+  if (!claim.range) {
     if (ever_joined_[static_cast<std::size_t>(id)]) {
       rc.ledger->record_reconnect(id);
       if (traced)
@@ -1066,24 +934,11 @@ void ServerSession::handshake(RoundCtx& rc, ConnId conn, const Frame& f) {
     }
     ever_joined_[static_cast<std::size_t>(id)] = true;
   }
-
-  // WELCOME (a relay caches it verbatim for its children), then catch-up
-  // with the in-flight round. A relay always gets the round's MODEL, built
-  // on demand, to re-broadcast to its subtree, plus the SELECTs its leaves
-  // still owe; a client gets the MODEL it has not scored or the SELECT it
-  // has not answered.
-  send(conn, welcome_, &welcome_bytes_);
-  if (is_relay) {
-    RelayBinding& rb = relays_.back();
-    send_model(rc, conn, rb.base, rb.sent_model);
-    for (int leaf = rb.base; leaf < rb.base + rb.count; ++leaf)
-      if (owes_update(rc, leaf)) resend_select(rc, leaf);
-  } else if (rc.phase == Phase::kScore &&
-             !rc.scored[static_cast<std::size_t>(id)]) {
-    send_model(rc, conn, id, rc.sent_model[static_cast<std::size_t>(id)]);
-  } else if (owes_update(rc, id)) {
-    resend_select(rc, id);
-  }
+  // A redialed client, relay or promoted standby relay replaces the
+  // bindings it supersedes. A relay caches WELCOME verbatim for its
+  // children and re-broadcasts the round's MODEL to its subtree.
+  for (const ConnId old : face_.bind(conn, claim)) close(old);
+  send_queued(rc);
 }
 
 fl::TrainLog ServerSession::run() {
@@ -1091,7 +946,6 @@ fl::TrainLog ServerSession::run() {
   const int quorum = cfg_.quorum > 0 ? cfg_.quorum : n;
   const std::size_t d = core_.global().size();
   const bool ckpt = !cfg_.checkpoint_dir.empty();
-  const bool nudge_on = cfg_.retransmit_nudge.count() > 0;
 
   fl::TrainLog log;
   log.dense_update_bytes = 8 + 4 * static_cast<std::int64_t>(d);
@@ -1152,15 +1006,9 @@ fl::TrainLog ServerSession::run() {
 
     RoundCtx rc;
     rc.round = round;
-    rc.phase = Phase::kScore;
-    rc.sent_model.assign(static_cast<std::size_t>(n), 0);
-    rc.scored.assign(static_cast<std::size_t>(n), false);
     rc.scores.assign(static_cast<std::size_t>(n), 0.0);
     rc.ledger = &log.ledger;
     delivery_slots_.resize(static_cast<std::size_t>(n));
-    delivered_.assign(static_cast<std::size_t>(n), 0);
-    delivered_count_ = 0;
-    for (auto& rb : relays_) rb.sent_model = 0;
 
     // Whole-round cap (both phases share it); disabled when 0. A client
     // that scores and then dies can otherwise pin the round to the full
@@ -1173,43 +1021,27 @@ fl::TrainLog ServerSession::run() {
     // --- Broadcast the round's model to everyone attached: each direct
     // client gets its own MODEL; each relay gets one, which it re-serves to
     // its whole subtree.
-    for (int id = 0; id < n; ++id)
-      if (direct_connected(id))
-        send_model(rc, client_conn_[static_cast<std::size_t>(id)], id,
-                   rc.sent_model[static_cast<std::size_t>(id)]);
-    for (RelayBinding& rb : relays_)
-      send_model(rc, rb.conn_id, rb.base, rb.sent_model);
+    face_.begin_round(round);
+    send_queued(rc);
 
     // --- Score phase: wait until every live client scored, or the deadline
     // passed with at least a quorum. Late joiners are serviced throughout.
+    // A relay connection counts as its live leaves, never as one client.
     auto deadline = Clock::now() + cfg_.round_deadline;
-    auto nudge_gap = cfg_.retransmit_nudge;
-    auto next_nudge = Clock::now() + nudge_gap;
     for (;;) {
       if (stop_.load(std::memory_order_acquire)) break;
       const bool progress = service(rc);
-      const int scored = static_cast<int>(
-          std::count(rc.scored.begin(), rc.scored.end(), true));
+      const int scored = static_cast<int>(std::count(
+          face_.scored_flags().begin(), face_.scored_flags().end(), true));
       int live = 0;
       for (int id = 0; id < n; ++id)
-        if (connected(id)) ++live;
+        if (face_.live(id)) ++live;
       if (scored >= quorum &&
           (scored >= live || Clock::now() >= deadline ||
            Clock::now() >= round_deadline_at))
         break;
-      // The nudge interval deliberately does NOT reset on progress: a
-      // steady trickle of PINGs would otherwise starve the retransmission
-      // forever. It DOES back off exponentially within the phase: each
-      // firing doubles the gap until the phase ends. A client that is
-      // slow because it is busy (a 10k-client fleet training on few
-      // cores) must not be spammed with retransmissions every interval —
-      // that feedback loop melts the server — while a genuinely lost
-      // frame is still recovered after at most the time already waited.
-      if (nudge_on && Clock::now() >= next_nudge) {
-        nudge(rc);
-        nudge_gap *= 2;
-        next_nudge = Clock::now() + nudge_gap;
-      }
+      face_.poll();  // the retransmit nudge, when due
+      send_queued(rc);
       if (!progress) {
         // Loop mode blocks on the loop's activity signal instead of a dumb
         // sleep: a frame landing mid-sleep wakes the service pass at once.
@@ -1226,37 +1058,28 @@ fl::TrainLog ServerSession::run() {
 
     // --- Selection + ratio assignment (shared AdaFL server core).
     const core::AdaFlRoundPlan plan =
-        core_.plan_round(rc.scores, rc.scored, round);
+        core_.plan_round(rc.scores, face_.scored_flags(), round);
 
-    rc.phase = Phase::kUpdate;
+    face_.close_scores();
     for (std::size_t j = 0; j < plan.sel.selected.size(); ++j) {
-      const int id = plan.sel.selected[j];
-      rc.ratio_of[id] = plan.ratios[j];
-      rc.awaiting.insert(id);
-      send_to(id, Frame{MsgType::kSelect, static_cast<std::uint32_t>(round),
-                        kServerId, encode_f64(plan.ratios[j])});
+      face_.select(plan.sel.selected[j], plan.ratios[j]);
+      send_select(rc, plan.sel.selected[j], /*resend=*/false);
     }
     for (int id = 0; id < n; ++id) {
-      if (!rc.scored[static_cast<std::size_t>(id)] ||
-          rc.awaiting.count(id) != 0)
-        continue;
+      if (!face_.scored(id) || face_.selected(id)) continue;
       send_to(id, Frame{MsgType::kSkip, static_cast<std::uint32_t>(round),
                         kServerId, {}});
     }
 
     // --- Update phase: aggregate what arrives by the deadline.
     deadline = Clock::now() + cfg_.round_deadline;
-    nudge_gap = cfg_.retransmit_nudge;  // backoff restarts with the phase
-    next_nudge = Clock::now() + nudge_gap;
-    while (delivered_count_ < rc.awaiting.size() &&
-           Clock::now() < deadline && Clock::now() < round_deadline_at) {
+    const int owed = static_cast<int>(plan.sel.selected.size());
+    while (face_.delivered_count() < owed && Clock::now() < deadline &&
+           Clock::now() < round_deadline_at) {
       if (stop_.load(std::memory_order_acquire)) break;
       const bool progress = service(rc);
-      if (nudge_on && Clock::now() >= next_nudge) {
-        nudge(rc);
-        nudge_gap *= 2;
-        next_nudge = Clock::now() + nudge_gap;
-      }
+      face_.poll();
+      send_queued(rc);
       if (!progress) {
         if (loop_ != nullptr)
           loop_->wait_activity(cfg_.idle_poll);
@@ -1273,7 +1096,7 @@ fl::TrainLog ServerSession::run() {
     {
       metrics::PhaseProfiler::Scope prof("aggregate");
       const auto find = [this](int id) -> const core::AdaFlDelivery* {
-        return delivered_[static_cast<std::size_t>(id)]
+        return face_.delivered(id)
                    ? &delivery_slots_[static_cast<std::size_t>(id)]
                    : nullptr;
       };
@@ -1342,10 +1165,7 @@ fl::TrainLog ServerSession::run() {
       loop_ != nullptr
           ? std::make_shared<const std::vector<std::uint8_t>>(encode_frame(sd))
           : nullptr;
-  for (int id = 0; id < n; ++id)
-    if (direct_connected(id))
-      send(client_conn_[static_cast<std::size_t>(id)], sd, &sd_bytes);
-  for (const RelayBinding& rb : relays_) send(rb.conn_id, sd);
+  for (const ConnId conn : face_.conns()) send(conn, sd, &sd_bytes);
   // Standbys stand down on a completed run — SIGKILL never reaches this,
   // which is exactly when promotion is wanted.
   if (cfg_.publisher != nullptr) cfg_.publisher->shutdown_standbys();

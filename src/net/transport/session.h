@@ -21,6 +21,8 @@
 // updates arrive by the deadline. A client that vanishes mid-round degrades
 // the round; when it redials (HELLO again) the server re-sends the in-round
 // state (MODEL or SELECT) and books the overhead as retransmitted bytes.
+// Routes, round debts, that catch-up and the retransmit nudge are
+// ServerFace's (server_face.h), which relays run toward their children too.
 //
 // Client side: ClientSession only moves frames between two I/O-free parts,
 // each the sole implementation of its job: ClientProtocol
@@ -36,7 +38,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -44,6 +45,7 @@
 #include "fl/client.h"
 #include "fl/types.h"
 #include "net/transport/event_loop.h"
+#include "net/transport/server_face.h"
 #include "net/transport/tcp.h"
 #include "net/transport/transport.h"
 
@@ -91,6 +93,9 @@ ModelPayload parse_model(std::span<const std::uint8_t> payload);
 /// SCORE and SELECT carry one f64 (utility score / compression ratio).
 std::vector<std::uint8_t> encode_f64(double v);
 double parse_f64(std::span<const std::uint8_t> payload);
+/// A SCORE payload: parse_f64, then CheckError unless 0 <= score <= 1 (NaN
+/// included).
+double parse_score(std::span<const std::uint8_t> payload);
 
 /// UPDATE: the compressed model update plus its aggregation metadata.
 struct UpdatePayload {
@@ -245,11 +250,13 @@ struct ServerSessionConfig {
 /// Both carriers feed one frame batch per pass, and from there on nothing
 /// depends on the carrier: one handshake binds a connection as a client
 /// (HELLO), a relay range (RELAY_HELLO) or a replication standby
-/// (STANDBY_HELLO) and catches it up with the in-flight round; one
-/// three-pass dispatch handles every frame (UPDATEs decode in parallel); one
-/// send and one close take a ConnId. No thread is added for the pumped
-/// carrier. add_transport() may be called from another thread (e.g. an
-/// accept loop) at any time before or during run().
+/// (STANDBY_HELLO); one three-pass dispatch handles every frame (UPDATEs
+/// decode in parallel); one send and one close take a ConnId. Clients and
+/// relays are bound in a ServerFace over [0, expected_clients), which
+/// decides their catch-up and nudges; the session builds, sends and books
+/// those frames. No thread is added for the pumped carrier. add_transport()
+/// may be called from another thread (e.g. an accept loop) at any time
+/// before or during run().
 class ServerSession {
  public:
   /// `test` may be null (no evaluation; records carry accuracy 0).
@@ -286,18 +293,13 @@ class ServerSession {
   const core::AdaFlStats& stats() const { return core_.stats(); }
 
  private:
-  enum class Phase { kScore, kUpdate };
   using SharedBytes = std::shared_ptr<const std::vector<std::uint8_t>>;
 
-  /// Per-round mutable state shared by the service loop.
+  /// Per-round mutable state shared by the service loop (the round's debts
+  /// are face_'s).
   struct RoundCtx {
     int round = 0;
-    Phase phase = Phase::kScore;
-    std::vector<char> sent_model;
-    std::vector<bool> scored;
     std::vector<double> scores;
-    std::map<int, double> ratio_of;  ///< selected id -> compression ratio
-    std::set<int> awaiting;          ///< selected ids still owing an UPDATE
     metrics::CommLedger* ledger = nullptr;
     /// The round's MODEL frame, built lazily on first send and reused for
     /// every broadcast/nudge/rejoin (the global does not change within a
@@ -316,7 +318,6 @@ class ServerSession {
   /// add_transport() peers take ids from here up; EventLoop ids count up
   /// from 0 and never reach it.
   static constexpr ConnId kPumpedBase = ConnId{1} << 63;
-  static constexpr ConnId kNoConn = ~ConnId{0};
 
   /// A standby's inbox and liveness, shared with the publisher's Transport
   /// view of it (both defined in session.cpp).
@@ -334,36 +335,26 @@ class ServerSession {
   /// Sends `f` on `conn`. `bytes`, when it points at a non-null buffer, is
   /// f's encoded image shared across a broadcast (used on the loop
   /// carrier). Returns the wire size, or 0 when the peer is gone. A failed
-  /// pumped send closes a client or standby at once (quorum and live
-  /// counts read it); a relay's binding is reaped by the next pump, since
-  /// callers iterate relays_ by index.
+  /// pumped send closes the peer at once (quorum and live counts read it).
   std::size_t send(ConnId conn, const Frame& f,
                    const SharedBytes* bytes = nullptr);
   /// Forgets `conn`'s binding (client, relay range with its leaves' routes
   /// and liveness, or standby) and closes it on its carrier. Idempotent.
   void close(ConnId conn);
-  /// Sends `f` to client `id`: on its direct connection, or through the
-  /// relay covering it with the frame addressed to the leaf.
-  std::size_t send_to(int id, const Frame& f,
-                      const SharedBytes* bytes = nullptr);
+  /// Sends `f` to client `id` over its face route: its direct connection,
+  /// or the relay covering it with the frame addressed to the leaf.
+  std::size_t send_to(int id, const Frame& f);
   /// Sends the round's MODEL on `conn` (a client or a relay) and books it
-  /// against `book_id`. `sent` records the send; a repeat within the round
-  /// books as a retransmission.
-  void send_model(RoundCtx& rc, ConnId conn, int book_id, char& sent);
+  /// against `book_id`, as a retransmission when `resend`.
+  void send_model(RoundCtx& rc, ConnId conn, int book_id, bool resend);
   /// Builds rc.model_frame (and, with a loop attached, rc.model_bytes) once
   /// per round; later calls are no-ops.
   void ensure_model_frame(RoundCtx& rc);
-  /// True when selected client `id` still owes this round's UPDATE.
-  bool owes_update(const RoundCtx& rc, int id) const;
-  /// Re-sends SELECT to client `id` and books it as a retransmission.
-  void resend_select(RoundCtx& rc, int id);
-  /// True when client `id` is reachable: a direct live connection, or a
-  /// live relay route with the leaf announced alive behind it. This is the
-  /// definition quorum/deadline math uses, so a relay connection counts as
-  /// its N live leaves, never as 1.
-  bool connected(int id) const;
-  /// True only for a direct (non-relayed) live connection to `id`.
-  bool direct_connected(int id) const;
+  /// Sends client `id` its SELECT at the face's ratio; a `resend` books as
+  /// a retransmission.
+  void send_select(RoundCtx& rc, int id, bool resend);
+  /// Sends and books the frames face_ queued (WELCOME, MODEL, SELECT).
+  void send_queued(RoundCtx& rc);
   /// One service pass: gathers frames from both carriers into frame_batch_,
   /// dispatches them, then reaps closed connections. Returns true if any
   /// frame arrived (progress).
@@ -377,23 +368,19 @@ class ServerSession {
   /// parallel, one disjoint delivery slot per client; (3) commits them in
   /// batch order.
   void dispatch(RoundCtx& rc);
-  /// Handles the first frame of an unbound connection: HELLO binds a client,
-  /// RELAY_HELLO a relay leaf range (superseding overlapping bindings) and
-  /// STANDBY_HELLO hands the peer to the replication publisher; clients and
-  /// relays then get WELCOME and in-round catch-up. Anything else, or an
+  /// Handles the first frame of an unbound connection: HELLO binds a client
+  /// and RELAY_HELLO a relay leaf range in face_ (closing what they
+  /// supersede), which queues their WELCOME and catch-up; STANDBY_HELLO
+  /// hands the peer to the replication publisher. Anything else, or an
   /// invalid claim, closes the connection.
   void handshake(RoundCtx& rc, ConnId conn, const Frame& f);
   void handle_frame(RoundCtx& rc, int id, const Frame& f);
-  /// Dispatches one frame arriving on relay `ridx`'s connection. Frames
+  /// Dispatches one frame arriving on relay connection `conn`. Frames
   /// carry the leaf id in frame.client_id; CheckError propagates to the
   /// caller, which must drop the relay.
-  void handle_relay_frame(RoundCtx& rc, std::size_t ridx, const Frame& f);
-  void handle_update_agg(RoundCtx& rc, std::size_t ridx, const Frame& f);
-  /// Index of `conn`'s relay binding, or relays_.size() when it has none.
-  std::size_t relay_index(ConnId conn) const;
-  /// Re-sends the stalled phase's pending frame (MODEL / SELECT); books the
-  /// bytes as retransmitted.
-  void nudge(RoundCtx& rc);
+  void handle_relay_frame(RoundCtx& rc, ConnId conn, const Frame& f);
+  void handle_update_agg(RoundCtx& rc, const ServerFace::Claim& relay,
+                         const Frame& f);
   /// Builds the durable checkpoint for a run whose next round is
   /// `next_round`, from an AdaFl core snapshot taken at a round boundary.
   void write_checkpoint(int next_round,
@@ -417,6 +404,8 @@ class ServerSession {
   /// WELCOME frame; its payload doubles as the checkpoint config stamp.
   Frame welcome_;
   SharedBytes welcome_bytes_;  ///< its wire image, with a loop attached
+  /// Routes to clients and relays, the round's debts, catch-up and nudges.
+  ServerFace face_;
 
   EventLoop* loop_ = nullptr;
   std::map<ConnId, Peer> peers_;  ///< every open connection, bound or not
@@ -424,20 +413,7 @@ class ServerSession {
   std::vector<std::unique_ptr<Transport>> arrivals_;  ///< add_transport()
   ConnId next_pumped_ = kPumpedBase;
   std::vector<ConnId> gone_;  ///< closed connections, reaped after dispatch
-  std::vector<ConnId> client_conn_;  ///< client id -> direct conn, kNoConn
   std::vector<bool> ever_joined_;
-
-  // --- Mid-tier relay state (hierarchical aggregation). -------------------
-  /// One relay connection covering leaves [base, base + count).
-  struct RelayBinding {
-    int base = 0;
-    int count = 0;
-    ConnId conn_id = kNoConn;
-    char sent_model = 0;  ///< MODEL pushed this round
-  };
-  std::vector<RelayBinding> relays_;
-  std::vector<int> leaf_relay_;   ///< leaf id -> relays_ index, -1 = none
-  std::vector<char> child_live_;  ///< per-leaf liveness behind a relay
 
   // --- Dispatch scratch, reused across passes. ----------------------------
   std::vector<InFrame> frame_batch_;
@@ -452,10 +428,8 @@ class ServerSession {
 
   /// Per-client delivery slots reused across rounds (frame decoding lands
   /// straight in the slot, so steady-state rounds reuse the same storage);
-  /// delivered_ marks which slots hold the current round's update.
+  /// face_.delivered() marks which slots hold the current round's update.
   std::vector<core::AdaFlDelivery> delivery_slots_;
-  std::vector<char> delivered_;
-  std::size_t delivered_count_ = 0;
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> stop_save_{false};

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -14,6 +15,13 @@
 #include "net/transport/frame.h"
 
 namespace adafl::net::transport {
+
+/// Identifies one connection a serving role holds, for the connection's
+/// lifetime. EventLoop assigns ids to its sockets (never reused; shard(conn)
+/// == conn % shards); servers number the transports they pump themselves.
+using ConnId = std::uint64_t;
+/// No connection.
+constexpr ConnId kNoConn = ~ConnId{0};
 
 class Transport {
  public:

@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -104,6 +105,15 @@ TEST(SessionCodec, ModelRejectsForgedHugeDimension) {
   bytes::put_u64(p, (1ull << 61) + 1);
   bytes::put_f64(p, 0.0);
   EXPECT_THROW(parse_model(p), CheckError);
+}
+
+TEST(SessionCodec, ScoreAcceptsExactlyTheUnitInterval) {
+  EXPECT_EQ(parse_score(encode_f64(0.0)), 0.0);
+  EXPECT_EQ(parse_score(encode_f64(1.0)), 1.0);
+  EXPECT_THROW(parse_score(encode_f64(std::nan(""))), CheckError);
+  EXPECT_THROW(parse_score(encode_f64(std::nextafter(0.0, -1.0))), CheckError);
+  EXPECT_THROW(parse_score(encode_f64(std::nextafter(1.0, 2.0))), CheckError);
+  EXPECT_THROW(parse_score({}), CheckError);
 }
 
 // --- End-to-end over real TCP. -------------------------------------------

@@ -16,6 +16,8 @@
 
 #include <atomic>
 #include <cstdio>
+#include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -529,6 +531,136 @@ TEST(TierFaults, BindingRelayGetsTheRoundModelWithoutANudge) {
   ASSERT_TRUE(model.has_value()) << "no MODEL within 2 s of binding";
   EXPECT_EQ(model->type, MsgType::kModel);
   EXPECT_EQ(model->round, 1u);
+}
+
+/// A relay for leaves [0, 4) whose parent the test plays frame by frame over
+/// loopback: every dial hands the test a fresh parent end.
+class ScriptedParentRelay {
+ public:
+  explicit ScriptedParentRelay(std::chrono::milliseconds nudge) {
+    net::relay::RelayConfig rcfg;
+    rcfg.base = 0;
+    rcfg.count = 4;
+    rcfg.idle_poll = std::chrono::milliseconds(2);
+    rcfg.backoff.initial = std::chrono::milliseconds(10);
+    rcfg.retransmit_nudge = nudge;
+    relay_ = std::make_unique<net::relay::RelaySession>(
+        rcfg,
+        [this](std::size_t) -> std::unique_ptr<Transport> {
+          auto pair = net::transport::make_loopback_pair();
+          std::lock_guard<std::mutex> lock(mu_);
+          parents_.push_back(std::move(pair.first));
+          return std::move(pair.second);
+        },
+        1);
+    thread_ = std::thread([this] { relay_->run(); });
+  }
+  ScriptedParentRelay(const ScriptedParentRelay&) = delete;
+  ScriptedParentRelay& operator=(const ScriptedParentRelay&) = delete;
+  ~ScriptedParentRelay() {
+    relay_->request_stop();
+    thread_.join();
+  }
+
+  /// The parent end of dial `n` (1-based), waiting up to `timeout` for it;
+  /// nullptr when the relay has not dialed that often.
+  Transport* parent(std::size_t n, std::chrono::milliseconds timeout) {
+    const auto until = std::chrono::steady_clock::now() + timeout;
+    for (;;) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (parents_.size() >= n) return parents_[n - 1].get();
+      }
+      if (std::chrono::steady_clock::now() >= until) return nullptr;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  net::relay::RelaySession& relay() { return *relay_; }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::unique_ptr<Transport>> parents_;
+  std::unique_ptr<net::relay::RelaySession> relay_;
+  std::thread thread_;
+};
+
+/// Plays the root's side of the relay binding on `parent`: takes the
+/// RELAY_HELLO, then sends WELCOME (agg_group 4) and round 1's MODEL.
+void open_round_one(Transport& parent) {
+  using namespace net::transport;
+  const auto hello = parent.recv(std::chrono::milliseconds(2000));
+  ASSERT_TRUE(hello.has_value());
+  ASSERT_EQ(hello->type, MsgType::kRelayHello);
+  WelcomeInfo w;
+  w.rounds = 3;
+  w.param_count = 4;
+  w.params.agg_group = 4;
+  ASSERT_TRUE(parent.send(Frame{MsgType::kWelcome, 0, kServerId,
+                                encode_welcome(w)}));
+  ModelPayload m;
+  m.global.assign(4, 0.0f);
+  m.g_hat.assign(4, 0.0f);
+  ASSERT_TRUE(
+      parent.send(Frame{MsgType::kModel, 1, kServerId, encode_model(m)}));
+}
+
+/// A parent frame of `type` naming leaf 4, one past the relay's range, is
+/// malformed: the relay drops the parent link and dials again.
+void expect_redial_after_out_of_range(MsgType type) {
+  ScriptedParentRelay sp(std::chrono::seconds(60));
+  Transport* parent = sp.parent(1, std::chrono::milliseconds(2000));
+  ASSERT_NE(parent, nullptr);
+  ASSERT_NO_FATAL_FAILURE(open_round_one(*parent));
+  ASSERT_TRUE(parent->send(
+      Frame{type, 1, 4,
+            type == MsgType::kSelect ? net::transport::encode_f64(0.5)
+                                     : std::vector<std::uint8_t>{}}));
+  EXPECT_NE(sp.parent(2, std::chrono::milliseconds(2000)), nullptr)
+      << "the relay kept a parent that named a leaf outside its range";
+}
+
+TEST(TierFaults, ParentSelectOutsideTheRangeRedialsTheParent) {
+  expect_redial_after_out_of_range(MsgType::kSelect);
+}
+
+TEST(TierFaults, ParentSkipOutsideTheRangeRedialsTheParent) {
+  expect_redial_after_out_of_range(MsgType::kSkip);
+}
+
+TEST(TierFaults, LeafJoiningAfterTheScorePhaseClosedGetsNoModel) {
+  // The root serves a late client no MODEL once its score phase closed; a
+  // relay closes its own at the parent's first SELECT or SKIP of the round,
+  // so a leaf joining it afterwards gets WELCOME only, even from nudges.
+  using namespace net::transport;
+  ScriptedParentRelay sp(std::chrono::milliseconds(50));
+  Transport* parent = sp.parent(1, std::chrono::milliseconds(2000));
+  ASSERT_NE(parent, nullptr);
+  ASSERT_NO_FATAL_FAILURE(open_round_one(*parent));
+  ASSERT_TRUE(parent->send(Frame{MsgType::kSkip, 1, 1, {}}));
+  // The PONG proves the relay handled the SKIP before the leaf joins.
+  ASSERT_TRUE(parent->send(Frame{MsgType::kPing, 1, kServerId, {}}));
+  std::optional<Frame> pong;
+  while ((pong = parent->recv(std::chrono::milliseconds(2000))) &&
+         pong->type != MsgType::kPong) {
+  }
+  ASSERT_TRUE(pong.has_value());
+
+  auto [relay_end, leaf] = make_loopback_pair();
+  sp.relay().add_child_transport(std::move(relay_end));
+  ASSERT_TRUE(leaf->send(
+      Frame{MsgType::kHello, 0, 0, encode_hello(kProtocolVersion)}));
+  const auto welcome = leaf->recv(std::chrono::milliseconds(2000));
+  ASSERT_TRUE(welcome.has_value());
+  EXPECT_EQ(welcome->type, MsgType::kWelcome);
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < until) {
+    const auto f = leaf->recv(std::chrono::milliseconds(10));
+    if (f) {
+      EXPECT_NE(f->type, MsgType::kModel) << "MODEL after the score phase";
+    }
+  }
 }
 
 }  // namespace
