@@ -61,17 +61,25 @@ int ArgParser::get_int(const std::string& key) const {
   } catch (const std::exception&) {
     pos = std::string::npos;  // non-numeric / out of range: same error below
   }
-  ADAFL_CHECK_MSG(pos == v.size(), "ArgParser: --" << key << "=" << v
-                                                   << " is not an integer");
+  if (pos != v.size())
+    throw std::invalid_argument("--" + key + "=" + v + " is not an integer");
   return out;
 }
 
 int ArgParser::get_int_at_least(const std::string& key, int min_value) const {
   const int out = get_int(key);
-  ADAFL_CHECK_MSG(out >= min_value, "ArgParser: --" << key << "=" << out
-                                                    << " must be >= "
-                                                    << min_value);
+  if (out < min_value)
+    throw std::invalid_argument("--" + key + "=" + std::to_string(out) +
+                                " must be >= " + std::to_string(min_value));
   return out;
+}
+
+std::uint16_t ArgParser::get_port(const std::string& key) const {
+  const int out = get_int_at_least(key, 0);
+  if (out > 65535)
+    throw std::invalid_argument("--" + key + "=" + std::to_string(out) +
+                                " is not a port (0..65535)");
+  return static_cast<std::uint16_t>(out);
 }
 
 double ArgParser::get_double(const std::string& key) const {
@@ -83,8 +91,8 @@ double ArgParser::get_double(const std::string& key) const {
   } catch (const std::exception&) {
     pos = std::string::npos;
   }
-  ADAFL_CHECK_MSG(pos == v.size(), "ArgParser: --" << key << "=" << v
-                                                   << " is not a number");
+  if (pos != v.size())
+    throw std::invalid_argument("--" + key + "=" + v + " is not a number");
   return out;
 }
 

@@ -25,11 +25,16 @@ class ArgParser {
   /// malformed tokens. `--help` sets help_requested().
   bool parse(int argc, const char* const* argv);
 
+  /// The raw value. An undeclared key is a programming error (CheckError).
   std::string get(const std::string& key) const;
+  /// The typed getters throw std::invalid_argument on a malformed value,
+  /// which every binary reports as a usage error (exit 2).
   int get_int(const std::string& key) const;
-  /// get_int plus a lower bound: values below `min_value` are hard errors
+  /// get_int plus a lower bound: values below `min_value` are usage errors
   /// (e.g. --threads rejects negatives; 0 means "auto").
   int get_int_at_least(const std::string& key, int min_value) const;
+  /// A TCP/UDP port to listen on: an integer in [0, 65535] (0 = ephemeral).
+  std::uint16_t get_port(const std::string& key) const;
   double get_double(const std::string& key) const;
   bool get_bool(const std::string& key) const;  ///< "1|true|yes" = true
 

@@ -295,7 +295,7 @@ int main(int argc, char** argv) {
                 << std::endl;
     metrics::print_profile(std::cout);
     return st.completed ? 0 : 3;
-  } catch (const std::invalid_argument& e) {  // malformed endpoint list
+  } catch (const std::invalid_argument& e) {  // a malformed flag value
     std::cerr << "flclient: " << e.what() << "\n";
     return 2;
   } catch (const std::exception& e) {

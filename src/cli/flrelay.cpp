@@ -1,11 +1,12 @@
 // flrelay — mid-tier aggregation relay for hierarchical FL deployments.
 //
 // Sits between an flserver (or another flrelay) and a contiguous range of
-// leaf clients: accepts flclient connections on --port, serves them the
-// cached WELCOME/MODEL, forwards their HELLO/SCORE traffic up, and ships
-// each aggregation group's updates to the parent as one lossless UPDATE-AGG
-// partial. Bitwise transparent: a tiered run equals a flat run with the
-// same --agg-group (tests/test_tier.cpp, scripts/tier_soak.sh).
+// leaf clients: serves flclient connections on --port from one epoll loop,
+// sends them the cached WELCOME/MODEL, forwards their HELLO/SCORE traffic
+// up, and ships each aggregation group's updates to the parent as one
+// lossless UPDATE-AGG partial. Bitwise transparent: a tiered run equals a
+// flat run with the same --agg-group (tests/test_tier.cpp,
+// scripts/tier_soak.sh).
 //
 //   flrelay --port=5242 --parent=127.0.0.1:4242 --base=0 --count=4
 //
@@ -16,11 +17,11 @@
 #include <iostream>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 
 #include "cli/args.h"
 #include "metrics/trace.h"
 #include "net/relay/relay.h"
+#include "net/transport/event_loop.h"
 #include "net/transport/tcp.h"
 
 using namespace adafl;
@@ -79,6 +80,7 @@ int main(int argc, char** argv) {
     const std::vector<cli::Endpoint> endpoints =
         cli::parse_endpoints(parent_list);
 
+    const std::uint16_t port = args.get_port("port");
     net::relay::RelayConfig cfg;
     cfg.base = args.get_int("base");
     cfg.count = args.get_int_at_least("count", 1);
@@ -121,21 +123,17 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, handle_signal);
     std::signal(SIGTERM, handle_signal);
 
-    net::transport::TcpListener listener(
-        static_cast<std::uint16_t>(args.get_int("port")));
+    net::transport::TcpListener listener(port);
     std::cout << "flrelay: range [" << cfg.base << ", "
               << cfg.base + cfg.count << ") on port " << listener.port()
               << (cfg.standby ? " (standby)" : "") << std::endl;
-    std::thread acceptor([&] {
-      while (!listener.closed()) {
-        auto t = listener.accept(std::chrono::milliseconds(200));
-        if (t) session.add_child_transport(std::move(t));
-      }
-    });
+    // run() starts the loop and stops it; only then may the listener close.
+    net::transport::EventLoop loop(net::transport::EventLoopConfig{});
+    loop.adopt_listener(listener.fd());
+    session.attach_event_loop(&loop);
 
     const auto st = session.run();
     listener.close();
-    acceptor.join();
     g_session = nullptr;
 
     if (tracer.enabled()) {
@@ -152,7 +150,7 @@ int main(int argc, char** argv) {
               << " parent-reconnects=" << st.parent_reconnects
               << " endpoint-rotations=" << st.endpoint_rotations << std::endl;
     return st.completed ? 0 : 3;
-  } catch (const std::invalid_argument& e) {  // malformed endpoint list
+  } catch (const std::invalid_argument& e) {  // a malformed flag value
     std::cerr << "flrelay: " << e.what() << "\n";
     return 2;
   } catch (const std::exception& e) {

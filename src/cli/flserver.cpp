@@ -182,6 +182,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     const bool use_udp = transport == "udp";
+    const std::uint16_t listen_port = args.get_port("port");
 
     // --- Hot standby: tail the primary's checkpoint stream and serve only
     // after promotion. The client listener stays unbound until then, so a
@@ -326,7 +327,6 @@ int main(int argc, char** argv) {
       };
     }
 
-    const auto listen_port = static_cast<std::uint16_t>(args.get_int("port"));
     std::unique_ptr<net::transport::TcpListener> tcp_listener;
     std::unique_ptr<net::transport::UdpListener> udp_listener;
     if (use_udp)
@@ -461,7 +461,7 @@ int main(int argc, char** argv) {
                 << " parity-bytes=" << fec_stats.parity_bytes.load()
                 << std::endl;
     metrics::print_profile(std::cout);
-  } catch (const std::invalid_argument& e) {  // malformed endpoint list
+  } catch (const std::invalid_argument& e) {  // a malformed flag value
     std::cerr << "flserver: " << e.what() << "\n";
     return 2;
   } catch (const std::exception& e) {

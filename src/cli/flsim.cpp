@@ -348,6 +348,9 @@ int main(int argc, char** argv) {
       std::cout << "wrote " << csv << "\n";
     }
     metrics::print_profile(std::cout);
+  } catch (const std::invalid_argument& e) {  // a malformed flag value
+    std::cerr << "flsim: " << e.what() << "\n";
+    return 2;
   } catch (const std::exception& e) {
     std::cerr << "flsim: " << e.what() << "\n";
     return 1;

@@ -244,7 +244,7 @@ int main(int argc, char** argv) {
               << std::chrono::duration<double>(Clock::now() - t0).count()
               << std::endl;
     return completed == n ? 0 : 3;
-  } catch (const std::invalid_argument& e) {  // malformed endpoint list
+  } catch (const std::invalid_argument& e) {  // a malformed flag value
     std::cerr << "flswarm: " << e.what() << "\n";
     return 2;
   } catch (const std::exception& e) {

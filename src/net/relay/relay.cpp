@@ -1,7 +1,6 @@
 #include "net/relay/relay.h"
 
 #include <set>
-#include <thread>
 
 #include "metrics/trace.h"
 #include "tensor/check.h"
@@ -10,6 +9,7 @@ namespace adafl::net::relay {
 
 namespace {
 
+using transport::Carriers;
 using transport::ConnId;
 using transport::Frame;
 using transport::kNoConn;
@@ -30,13 +30,6 @@ RelaySession::RelaySession(RelayConfig cfg, IndexedDialFn dial,
   ADAFL_CHECK_MSG(endpoint_count_ >= 1, "RelaySession: empty endpoint list");
 }
 
-void RelaySession::add_child_transport(
-    std::unique_ptr<transport::Transport> t) {
-  if (!t) return;
-  std::lock_guard<std::mutex> lock(pending_mu_);
-  pending_.push_back(std::move(t));
-}
-
 void RelaySession::trace_child(metrics::TraceEventType type, const Frame& f) {
   if (cfg_.tracer == nullptr || !cfg_.tracer->enabled()) return;
   cfg_.tracer->record(metrics::ev_frame(
@@ -45,11 +38,10 @@ void RelaySession::trace_child(metrics::TraceEventType type, const Frame& f) {
       parent_->trace_now()));
 }
 
-void RelaySession::child_send(ConnId conn, const Frame& f) {
-  const auto it = children_.find(conn);
-  if (it == children_.end()) return;
-  if (!it->second->send(f)) {
-    it->second->close();  // the poll pass reaps it
+void RelaySession::child_send(ConnId conn, const Frame& f,
+                              Carriers::Image* image) {
+  if (!carriers_.send(conn, f, image)) {
+    drop_child(conn);
     return;
   }
   trace_child(metrics::TraceEventType::kFrameTx, f);
@@ -59,11 +51,10 @@ void RelaySession::send_queued() {
   for (const ServerFace::Send& s : face_.take_sends()) {
     switch (s.kind) {
       case ServerFace::Kind::kWelcome:
-        child_send(s.conn,
-                   Frame{MsgType::kWelcome, 0, kServerId, welcome_payload_});
+        child_send(s.conn, welcome_, &welcome_image_);
         break;
       case ServerFace::Kind::kModel:
-        child_send(s.conn, model_frame_);
+        child_send(s.conn, model_frame_, &model_image_);
         break;
       case ServerFace::Kind::kSelect:
         child_send(s.conn,
@@ -81,8 +72,7 @@ void RelaySession::bind_child(ConnId conn, const Frame& f) {
   // Announce a leaf up so the root counts it live; the root catches it up
   // through this route too. A sub-relay announces its own leaves.
   if (!claim.range) parent_->send(f);
-  for (const ConnId old : face_.bind(conn, claim))
-    children_.at(old)->close();  // superseded; the poll pass reaps it
+  for (const ConnId old : face_.bind(conn, claim)) drop_child(old);
   send_queued();
 }
 
@@ -160,14 +150,14 @@ void RelaySession::handle_child_frame(ConnId conn,
   }
 }
 
-Frame RelaySession::build_agg(int gbase) const {
+Frame RelaySession::build_agg(int gbase) {
   transport::UpdateAggPayload a;
   a.base = static_cast<std::uint32_t>(gbase);
   a.count = static_cast<std::uint32_t>(agg_group_);
-  // Mutable only for the reused accumulator; build order is the fixed
-  // ascending-id order the root uses for locally-computed groups, so the
-  // partial is the root's bitwise recomputation.
-  auto& agg = const_cast<core::PartialAggregator&>(partial_agg_);
+  // Build order is the fixed ascending-id order the root uses for
+  // locally-computed groups, so the partial is the root's bitwise
+  // recomputation.
+  core::PartialAggregator& agg = partial_agg_;
   agg.reset(static_cast<std::size_t>(param_count_));
   for (int id = gbase; id < gbase + agg_group_; ++id) {
     const auto it = updates_.find(id);
@@ -209,9 +199,7 @@ void RelaySession::flush_groups() {
 }
 
 void RelaySession::drop_child(ConnId conn) {
-  const auto it = children_.find(conn);
-  it->second->close();
-  children_.erase(it);
+  carriers_.close(conn);
   const std::vector<int> lost = face_.unbind(conn);
   for (const int id : lost)
     parent_->send(Frame{MsgType::kChildGone,
@@ -235,7 +223,9 @@ void RelaySession::handle_parent_frame(const Frame& f) {
                                        << w.params.agg_group);
       agg_group_ = w.params.agg_group;
       param_count_ = static_cast<std::int64_t>(w.param_count);
-      welcome_payload_ = f.payload;  // served to children verbatim
+      // Served to children verbatim.
+      welcome_ = Frame{MsgType::kWelcome, 0, kServerId, f.payload};
+      welcome_image_.reset();
       return;
     }
     case MsgType::kModel: {
@@ -249,6 +239,7 @@ void RelaySession::handle_parent_frame(const Frame& f) {
         updates_.clear();
         agg_frames_.clear();
         model_frame_ = f;
+        model_image_.reset();
         face_.begin_round(r);
         send_queued();
         return;
@@ -294,11 +285,10 @@ void RelaySession::handle_parent_frame(const Frame& f) {
       parent_->send(Frame{MsgType::kPong, f.round, kServerId, {}});
       return;
     case MsgType::kShutdown: {
-      for (auto& [conn, t] : children_) {
-        t->send(Frame{MsgType::kShutdown, 0, kServerId, {}});
-        t->close();
-      }
-      children_.clear();
+      // Flushed before the children close (run()'s exit).
+      const Frame sd{MsgType::kShutdown, 0, kServerId, {}};
+      Carriers::Image image;
+      for (const ConnId conn : face_.conns()) carriers_.send(conn, sd, &image);
       stats_.completed = true;
       return;
     }
@@ -315,6 +305,7 @@ RelayRunStats RelaySession::run() {
   lcfg.tracer = cfg_.tracer;
   parent_.emplace(lcfg, dial_, endpoint_count_);
   bool claimed = false;  // the parent link has been dialed
+  carriers_.start();
 
   for (;;) {
     if (stats_.completed || stop_.load(std::memory_order_acquire)) break;
@@ -338,12 +329,7 @@ RelayRunStats RelaySession::run() {
     // liveness) without ever blocking child service. A standby stays
     // dormant until a child shows up — the signal that the primary relay
     // died.
-    bool wanted = claimed || !cfg_.standby || !children_.empty();
-    if (!wanted) {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      wanted = !pending_.empty();
-    }
-    if (wanted) {
+    if (claimed || !cfg_.standby || carriers_.size() > 0) {
       const transport::UpstreamLink::Event ev = parent_->poll();
       if (ev == transport::UpstreamLink::Event::kGaveUp) break;
       if (ev == transport::UpstreamLink::Event::kConnected) {
@@ -365,54 +351,39 @@ RelayRunStats RelaySession::run() {
       }
     }
 
-    // --- Adopt pending child connections. Their first frame stays in the
-    // socket until the parent's WELCOME is cached: a child bound earlier
-    // could not be served the run configuration.
+    // --- Child frames (bind on first frame, then dispatch). They stay on
+    // their carrier until the parent's WELCOME is cached: a child bound
+    // earlier could not be served the run configuration.
     if (agg_group_ > 0) {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      for (auto& t : pending_) children_.emplace(next_child_++, std::move(t));
-      pending_.clear();
-    }
-
-    // --- Child frames (bind on first frame, then dispatch).
-    for (auto it = children_.begin(); it != children_.end();) {
-      const ConnId conn = it->first;
-      transport::Transport& t = *it->second;
-      while (!t.closed()) {
-        std::optional<Frame> f;
+      carriers_.poll(batch_);
+      progress = progress || !batch_.empty();
+      for (const transport::InFrame& inf : batch_) {
+        if (!carriers_.open(inf.conn)) continue;  // dropped earlier in it
+        trace_child(metrics::TraceEventType::kFrameRx, inf.frame);
         try {
-          f = t.recv(std::chrono::milliseconds(0));
-        } catch (const CheckError&) {
-          t.close();
-          break;
-        }
-        if (!f) break;
-        progress = true;
-        trace_child(metrics::TraceEventType::kFrameRx, *f);
-        try {
-          if (const ServerFace::Claim* child = face_.binding(conn))
-            handle_child_frame(conn, *child, *f);
+          if (const ServerFace::Claim* child = face_.binding(inf.conn))
+            handle_child_frame(inf.conn, *child, inf.frame);
           else
-            bind_child(conn, *f);
+            bind_child(inf.conn, inf.frame);
         } catch (const CheckError&) {
-          t.close();
-          break;
+          drop_child(inf.conn);
         }
       }
-      ++it;
-      if (t.closed()) drop_child(conn);
+      batch_.clear();
+      for (const ConnId conn : carriers_.take_gone()) drop_child(conn);
     }
 
     // --- Child-side retransmit nudge.
     face_.poll();
     send_queued();
 
-    if (!progress) std::this_thread::sleep_for(cfg_.idle_poll);
+    if (!progress) carriers_.wait(cfg_.idle_poll);
   }
 
-  // Stop path (request_stop or dial give-up): drop everything abruptly.
-  for (auto& [conn, t] : children_) t->close();
-  children_.clear();
+  // A parent SHUTDOWN was queued to every child: flush it, bounded as at
+  // the root. Any other exit (request_stop, dial give-up) drops everything
+  // abruptly.
+  carriers_.close_all(std::chrono::milliseconds(stats_.completed ? 2000 : 0));
   parent_->close();
   stats_.parent_reconnects = parent_->reconnects();
   stats_.endpoint_rotations = parent_->rotations();

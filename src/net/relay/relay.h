@@ -11,13 +11,14 @@
 //                  ships each aggregation group's updates as one UPDATE-AGG.
 //                  These handlers forward rather than train, so they are
 //                  not ClientProtocol's.
-//   child side   — accepts leaf ClientSessions (and sub-relays, for deeper
-//                  trees) via add_child_transport(), keyed by relay-local
-//                  ConnIds, and runs the root's own ServerFace over them:
-//                  routes, catch-up and retransmit nudges are the root's
-//                  policy, served from the cached WELCOME/MODEL so a leaf
-//                  never needs to reach the root. The face's score phase
-//                  closes at the parent's first SELECT or SKIP of a round.
+//   child side   — the root's serving shell: leaf ClientSessions (and
+//                  sub-relays, for deeper trees) on Carriers (carriers.h),
+//                  an attached EventLoop's sockets or transports handed to
+//                  add_child_transport(), and the root's ServerFace for
+//                  routes, catch-up and retransmit nudges, served from the
+//                  cached WELCOME/MODEL so a leaf never needs to reach the
+//                  root. The face's score phase closes at the parent's
+//                  first SELECT or SKIP of a round.
 //
 // Aggregation is *lossless* and association-preserving: the relay sums each
 // group's decoded top-k updates in ascending-id order with the exact
@@ -43,12 +44,12 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
 #include "core/partial_agg.h"
 #include "metrics/trace.h"
+#include "net/transport/carriers.h"
 #include "net/transport/server_face.h"
 #include "net/transport/session.h"
 #include "net/transport/tcp.h"
@@ -90,8 +91,8 @@ struct RelayRunStats {
   bool completed = false;
 };
 
-/// One mid-tier aggregator process. Construct, hand it child connections
-/// (thread-safe, e.g. from a TCP accept loop), then run() until SHUTDOWN.
+/// One mid-tier aggregator process. Construct, give it children (a loop or
+/// transports), then run() until SHUTDOWN.
 class RelaySession {
  public:
   using IndexedDialFn = std::function<std::unique_ptr<transport::Transport>(
@@ -103,7 +104,13 @@ class RelaySession {
 
   /// Hands a freshly-accepted (not yet handshaken) child transport to the
   /// session. Thread-safe; callable before and during run().
-  void add_child_transport(std::unique_ptr<transport::Transport> t);
+  void add_child_transport(std::unique_ptr<transport::Transport> t) {
+    carriers_.add_transport(std::move(t));
+  }
+  /// ServerSession::attach_event_loop for the child side. Call before run().
+  void attach_event_loop(transport::EventLoop* loop) {
+    carriers_.attach(loop);
+  }
 
   /// Runs until the parent sends SHUTDOWN or redialing is abandoned.
   RelayRunStats run();
@@ -116,9 +123,9 @@ class RelaySession {
   using Frame = transport::Frame;
   using ServerFace = transport::ServerFace;
 
-  /// Sends `f` to child `conn`; a failed send closes it (the poll pass
-  /// reaps it). No-op for kNoConn or a reaped child.
-  void child_send(ConnId conn, const Frame& f);
+  /// Sends `f` to child `conn` (Carriers::send); a failed send drops it.
+  void child_send(ConnId conn, const Frame& f,
+                  transport::Carriers::Image* image = nullptr);
   /// Records a child-side frame event, timed on the parent link's clock.
   void trace_child(metrics::TraceEventType type, const Frame& f);
   /// Sends the WELCOME, MODEL and SELECT frames face_ queued.
@@ -134,34 +141,34 @@ class RelaySession {
   /// Handles a frame from the parent. Throws CheckError on a malformed one;
   /// the caller drops the parent link.
   void handle_parent_frame(const Frame& f);
-  /// Reaps closed child `conn`: the leaves that lost their route are
+  /// Closes child `conn` (safe twice): the leaves that lost their route are
   /// reported up (CHILD_GONE) and group flushes re-checked (a dead leaf
   /// stops blocking).
   void drop_child(ConnId conn);
   /// Sends every complete (or no-longer-blocked) group's UPDATE-AGG up.
   void flush_groups();
   /// Builds one group's UPDATE-AGG frame from the delivered direct leaves.
-  Frame build_agg(int gbase) const;
+  Frame build_agg(int gbase);
 
   RelayConfig cfg_;
   IndexedDialFn dial_;
   std::size_t endpoint_count_ = 1;
 
-  std::mutex pending_mu_;
-  std::vector<std::unique_ptr<transport::Transport>> pending_;
-  std::map<ConnId, std::unique_ptr<transport::Transport>> children_;
-  ConnId next_child_ = 0;
+  transport::Carriers carriers_;  ///< every child connection
+  std::vector<transport::InFrame> batch_;
   /// Routes to children, the round's debts, catch-up and nudges.
   ServerFace face_;
 
   /// The parent face's connection; built when run() starts.
   std::optional<transport::UpstreamLink> parent_;
-  std::vector<std::uint8_t> welcome_payload_;  ///< cached verbatim
+  Frame welcome_;  ///< the parent's, cached verbatim
+  transport::Carriers::Image welcome_image_;
   int agg_group_ = 0;  ///< > 0 once the parent's WELCOME arrived
   std::int64_t param_count_ = 0;
 
   // --- Per-round state (reset when a new MODEL round arrives). ------------
   Frame model_frame_;
+  transport::Carriers::Image model_image_;
   /// Cached SCORE frames: a score forwarded while the parent link was down
   /// is lost, and the leaf (already scored locally) never repeats it — the
   /// relay re-sends the cache when the parent nudges with a dup MODEL.

@@ -188,6 +188,9 @@ void EventLoop::run() {
       if (tag >= kTagWatched) {
         const std::size_t idx = static_cast<std::size_t>(tag - kTagWatched);
         if (idx < watched_.size()) watched_[idx].second();
+        // What the callback took off the fd (UDP datagrams) now waits in
+        // transports the session pumps: wake it.
+        cycle_activity_ = true;
         continue;
       }
       auto it = conns_.find(tag);
@@ -233,6 +236,13 @@ void EventLoop::handle_accept() {
                                        cfg_.accept_backoff_max);
         accept_pauses_.fetch_add(1);
         pause_accept(accept_delay_);
+        return;
+      }
+      if (errno == EINVAL || errno == EBADF || errno == ENOTSOCK) {
+        // The listener itself is gone (TcpListener::close() shuts it down):
+        // level-triggered epoll would report it again at once, forever.
+        ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+        listen_fd_ = -1;
         return;
       }
       return;  // other transient accept failures: retry on next event

@@ -85,11 +85,13 @@ class EventLoop {
 
   /// Adopts a listening TCP socket (already bound + listening). The loop
   /// accepts from it; the caller must not use the fd afterwards except to
-  /// close it after stop(). Call before start().
+  /// close it after stop(). A listener shut down while the loop runs
+  /// (TcpListener::close()) is dropped for good. Call before start().
   void adopt_listener(int listen_fd);
 
   /// Registers an auxiliary readable fd (e.g. the UDP mux socket); `cb`
-  /// runs on the loop thread whenever it is readable. Call before start().
+  /// runs on the loop thread whenever it is readable, and each run counts
+  /// as activity for wait_activity(). Call before start().
   void watch_fd(int fd, std::function<void()> cb);
 
   void start();

@@ -395,18 +395,6 @@ ServerSession::ServerSession(ServerSessionConfig cfg, nn::ModelFactory factory,
   welcome_ = Frame{MsgType::kWelcome, 0, kServerId, encode_welcome(w)};
 }
 
-void ServerSession::add_transport(std::unique_ptr<Transport> t) {
-  if (!t) return;
-  std::lock_guard<std::mutex> lock(arrivals_mu_);
-  arrivals_.push_back(std::move(t));
-}
-
-void ServerSession::attach_event_loop(EventLoop* loop) {
-  loop_ = loop;
-  welcome_bytes_ =
-      std::make_shared<const std::vector<std::uint8_t>>(encode_frame(welcome_));
-}
-
 void ServerSession::request_stop(bool write_checkpoint) {
   // Only atomic stores: safe to call from a POSIX signal handler.
   if (write_checkpoint) stop_save_.store(true, std::memory_order_relaxed);
@@ -479,17 +467,10 @@ int ServerSession::resume_from_checkpoint() {
   return static_cast<int>(ck.next_round);
 }
 
-void ServerSession::drop_all_connections() {
-  for (auto& [conn, p] : peers_) {
-    if (p.pumped) p.pumped->close();  // abrupt: no SHUTDOWN, peers redial
-    if (p.standby) p.standby->closed = true;
-    face_.unbind(conn);
-  }
-  peers_.clear();
-  if (loop_ != nullptr) loop_->stop();  // closes every loop-owned socket
-  std::lock_guard<std::mutex> lock(arrivals_mu_);
-  for (auto& t : arrivals_) t->close();
-  arrivals_.clear();
+void ServerSession::drop_all_connections(std::chrono::milliseconds flush) {
+  for (auto& [conn, link] : standbys_) link->closed = true;
+  standbys_.clear();
+  carriers_.close_all(flush);
 }
 
 double ServerSession::trace_now() const {
@@ -497,45 +478,34 @@ double ServerSession::trace_now() const {
 }
 
 std::size_t ServerSession::send(ConnId conn, const Frame& f,
-                                const SharedBytes* bytes) {
-  const auto it = peers_.find(conn);
-  if (it == peers_.end()) return 0;
-  Peer& p = it->second;
-  if (!p.pumped) {
-    // Queued on the loop thread; a dead peer surfaces via take_closed() on
-    // a later pass, exactly like a lost datagram would.
-    loop_->send(conn, bytes != nullptr && *bytes
-                          ? *bytes
-                          : std::make_shared<const std::vector<std::uint8_t>>(
-                                encode_frame(f)));
-  } else if (!p.pumped->send(f)) {
+                                Carriers::Image* image) {
+  if (!carriers_.send(conn, f, image)) {
     close(conn);
     return 0;
   }
-  if (p.role != Role::kStandby && cfg_.tracer != nullptr &&
-      cfg_.tracer->enabled())
+  if (cfg_.tracer != nullptr && cfg_.tracer->enabled() &&
+      standbys_.count(conn) == 0) {
+    const ServerFace::Claim* b = face_.binding(conn);
     cfg_.tracer->record(metrics::ev_frame(
         metrics::TraceEventType::kFrameTx, static_cast<int>(f.round),
-        p.role == Role::kClient ? p.client : trace_client(f.client_id),
+        b != nullptr && !b->range ? b->base : trace_client(f.client_id),
         to_string(f.type), static_cast<std::int64_t>(f.wire_size()),
         trace_now()));
+  }
   return f.wire_size();
 }
 
 void ServerSession::close(ConnId conn) {
-  const auto it = peers_.find(conn);
-  if (it != peers_.end()) {
-    Peer& p = it->second;
-    if (p.standby) p.standby->closed = true;
-    // A client's or relay's routes go, but its leaves' round debts stay: a
-    // promoted standby re-binding the range can still recover the round;
-    // unrecovered loss falls to the round deadline exactly as a flat
-    // client crash does.
-    face_.unbind(conn);
-    if (p.pumped) p.pumped->close();
-    peers_.erase(it);
+  if (const auto it = standbys_.find(conn); it != standbys_.end()) {
+    it->second->closed = true;
+    standbys_.erase(it);
   }
-  if (loop_ != nullptr && conn < kPumpedBase) loop_->close_conn(conn);
+  // A client's or relay's routes go, but its leaves' round debts stay: a
+  // promoted standby re-binding the range can still recover the round;
+  // unrecovered loss falls to the round deadline exactly as a flat client
+  // crash does.
+  face_.unbind(conn);
+  carriers_.close(conn);
 }
 
 std::size_t ServerSession::send_to(int id, const Frame& f) {
@@ -549,25 +519,17 @@ std::size_t ServerSession::send_to(int id, const Frame& f) {
   return send(conn, rf);
 }
 
-void ServerSession::ensure_model_frame(RoundCtx& rc) {
-  if (rc.model_ready) return;
-  ModelPayload m;
-  m.global = core_.global();
-  m.g_hat = core_.g_hat();
-  rc.model_frame = Frame{MsgType::kModel, static_cast<std::uint32_t>(rc.round),
-                         kServerId, encode_model(m)};
-  if (loop_ != nullptr)
-    // Encode the full wire frame once per round; every loop connection
-    // gets the same immutable buffer (10k-client broadcast = one encode).
-    rc.model_bytes = std::make_shared<const std::vector<std::uint8_t>>(
-        encode_frame(rc.model_frame));
-  rc.model_ready = true;
-}
-
 void ServerSession::send_model(RoundCtx& rc, ConnId conn, int book_id,
                                bool resend) {
-  ensure_model_frame(rc);
-  const std::size_t bytes = send(conn, rc.model_frame, &rc.model_bytes);
+  if (rc.model_frame.payload.empty()) {  // the round's first MODEL send
+    ModelPayload m;
+    m.global = core_.global();
+    m.g_hat = core_.g_hat();
+    rc.model_frame = Frame{MsgType::kModel,
+                           static_cast<std::uint32_t>(rc.round), kServerId,
+                           encode_model(m)};
+  }
+  const std::size_t bytes = send(conn, rc.model_frame, &rc.model_image);
   if (bytes == 0) return;
   rc.ledger->record_download(book_id, static_cast<std::int64_t>(bytes));
   if (resend) {
@@ -593,7 +555,7 @@ void ServerSession::send_queued(RoundCtx& rc) {
   for (const ServerFace::Send& s : face_.take_sends()) {
     switch (s.kind) {
       case ServerFace::Kind::kWelcome:
-        send(s.conn, welcome_, &welcome_bytes_);
+        send(s.conn, welcome_, &welcome_image_);
         break;
       case ServerFace::Kind::kModel:
         send_model(rc, s.conn, s.leaf, s.resend);
@@ -745,40 +707,13 @@ bool ServerSession::service(RoundCtx& rc) {
   // Keep standby leases alive (answer their PINGs) and reap dead ones.
   if (cfg_.publisher != nullptr) cfg_.publisher->service();
 
-  if (loop_ != nullptr) {
-    // Closes are taken before the drain and accepts after it, so every
-    // drained frame's connection and every closed one is already known.
-    gone_ = loop_->take_closed();
-    loop_->poll_all(frame_batch_);
-    for (const ConnId conn : loop_->take_accepted()) peers_.try_emplace(conn);
-  }
-  pump();
+  carriers_.poll(frame_batch_);
   const bool progress = !frame_batch_.empty();
   if (progress) dispatch(rc);
   frame_batch_.clear();  // frees the payloads before the idle wait
   // Closed connections are reaped after their last frames were handled.
-  for (const ConnId conn : gone_) close(conn);
-  gone_.clear();
+  for (const ConnId conn : carriers_.take_gone()) close(conn);
   return progress;
-}
-
-void ServerSession::pump() {
-  {
-    std::lock_guard<std::mutex> lock(arrivals_mu_);
-    for (auto& t : arrivals_) peers_[next_pumped_++].pumped = std::move(t);
-    arrivals_.clear();
-  }
-  const auto now = Clock::now();
-  for (auto it = peers_.lower_bound(kPumpedBase); it != peers_.end(); ++it) {
-    Transport& t = *it->second.pumped;
-    try {
-      while (std::optional<Frame> f = t.recv(std::chrono::milliseconds(0)))
-        frame_batch_.push_back(InFrame{it->first, std::move(*f), now});
-    } catch (const CheckError&) {
-      t.close();  // malformed stream: its earlier frames still count
-    }
-    if (t.closed()) gone_.push_back(it->first);
-  }
 }
 
 void ServerSession::dispatch(RoundCtx& rc) {
@@ -799,45 +734,40 @@ void ServerSession::dispatch(RoundCtx& rc) {
   for (std::size_t i = 0; i < frame_batch_.size(); ++i) {
     InFrame& inf = frame_batch_[i];
     const Frame& f = inf.frame;
-    if (dispatch_hist_ != nullptr && inf.conn < kPumpedBase)
+    if (dispatch_hist_ != nullptr && inf.conn < Carriers::kPumpedBase)
       dispatch_hist_->observe(
           std::chrono::duration<double, std::milli>(drained_at - inf.enqueued)
               .count());
-    const auto it = peers_.find(inf.conn);
-    if (it == peers_.end()) continue;  // closed earlier in this pass
-    Peer& p = it->second;
-    switch (p.role) {
-      case Role::kUnbound:
-        handshake(rc, inf.conn, f);
-        break;
-      case Role::kStandby:
-        p.standby->inbox.push_back(std::move(inf.frame));  // the publisher's
-        break;
-      case Role::kRelay:
-        if (traced) trace_rx(f, trace_client(f.client_id));
-        try {
-          handle_relay_frame(rc, inf.conn, f);
-        } catch (const CheckError&) {
-          close(inf.conn);  // hostile relay: drop the whole binding
-        }
-        break;
-      case Role::kClient: {
-        const int id = p.client;
-        if (traced) trace_rx(f, id);
-        if (f.type != MsgType::kUpdate) {
-          try {
-            handle_frame(rc, id, f);
-          } catch (const CheckError&) {
-            close(inf.conn);  // bad payload: drop, round degrades
-          }
-        } else if (f.round == static_cast<std::uint32_t>(rc.round) &&
-                   face_.owes_update(id) &&
-                   !pending_decode_[static_cast<std::size_t>(id)]) {
-          pending_decode_[static_cast<std::size_t>(id)] = 1;
-          decode_jobs_.push_back(DecodeJob{i, id});
-        }  // else a stale or duplicate UPDATE: ignored
-        break;
+    if (!carriers_.open(inf.conn)) continue;  // closed earlier in this pass
+    if (const auto sb = standbys_.find(inf.conn); sb != standbys_.end()) {
+      sb->second->inbox.push_back(std::move(inf.frame));  // the publisher's
+      continue;
+    }
+    const ServerFace::Claim* bound = face_.binding(inf.conn);
+    if (bound == nullptr) {
+      handshake(rc, inf.conn, f);
+    } else if (bound->range) {
+      if (traced) trace_rx(f, trace_client(f.client_id));
+      try {
+        handle_relay_frame(rc, inf.conn, f);
+      } catch (const CheckError&) {
+        close(inf.conn);  // hostile relay: drop the whole binding
       }
+    } else {
+      const int id = bound->base;
+      if (traced) trace_rx(f, id);
+      if (f.type != MsgType::kUpdate) {
+        try {
+          handle_frame(rc, id, f);
+        } catch (const CheckError&) {
+          close(inf.conn);  // bad payload: drop, round degrades
+        }
+      } else if (f.round == static_cast<std::uint32_t>(rc.round) &&
+                 face_.owes_update(id) &&
+                 !pending_decode_[static_cast<std::size_t>(id)]) {
+        pending_decode_[static_cast<std::size_t>(id)] = 1;
+        decode_jobs_.push_back(DecodeJob{i, id});
+      }  // else a stale or duplicate UPDATE: ignored
     }
   }
   if (decode_jobs_.empty()) return;
@@ -907,14 +837,12 @@ void ServerSession::handshake(RoundCtx& rc, ConnId conn, const Frame& f) {
     return;
   }
 
-  Peer& p = peers_.at(conn);
   if (f.type == MsgType::kStandbyHello) {
     // A replication peer, not a client: its frames now belong to the
     // publisher, which talks to it through a Transport view.
-    p.role = Role::kStandby;
-    p.standby = std::make_shared<StandbyLink>();
-    cfg_.publisher->adopt(
-        std::make_unique<StandbyTransport>(this, conn, p.standby));
+    const auto link = std::make_shared<StandbyLink>();
+    standbys_.emplace(conn, link);
+    cfg_.publisher->adopt(std::make_unique<StandbyTransport>(this, conn, link));
     return;
   }
   const int id = claim.range ? -1 : claim.base;
@@ -924,8 +852,6 @@ void ServerSession::handshake(RoundCtx& rc, ConnId conn, const Frame& f) {
         metrics::TraceEventType::kFrameRx, static_cast<int>(f.round), id,
         to_string(f.type), static_cast<std::int64_t>(f.wire_size()),
         trace_now()));
-  p.role = claim.range ? Role::kRelay : Role::kClient;
-  p.client = id;
   if (!claim.range) {
     if (ever_joined_[static_cast<std::size_t>(id)]) {
       rc.ledger->record_reconnect(id);
@@ -960,10 +886,10 @@ fl::TrainLog ServerSession::run() {
       cfg_.registry != nullptr
           ? &cfg_.registry->histogram("server.round_latency_ms")
           : nullptr;
-  dispatch_hist_ = (cfg_.registry != nullptr && loop_ != nullptr)
+  dispatch_hist_ = (cfg_.registry != nullptr && carriers_.has_loop())
                        ? &cfg_.registry->histogram("server.frame_dispatch_ms")
                        : nullptr;
-  if (loop_ != nullptr) loop_->start();
+  carriers_.start();
 
   int start_round = 1;
   if (cfg_.resume) {
@@ -986,7 +912,7 @@ fl::TrainLog ServerSession::run() {
     if (ckpt && stop_save_.load(std::memory_order_relaxed))
       write_checkpoint(next_round, snap);
     log.interrupted = true;
-    drop_all_connections();
+    drop_all_connections(std::chrono::milliseconds(0));
     log.applied_updates = core_.stats().selected_updates;
     log.total_time = std::chrono::duration<double>(Clock::now() - t0).count();
   };
@@ -1042,14 +968,7 @@ fl::TrainLog ServerSession::run() {
         break;
       face_.poll();  // the retransmit nudge, when due
       send_queued(rc);
-      if (!progress) {
-        // Loop mode blocks on the loop's activity signal instead of a dumb
-        // sleep: a frame landing mid-sleep wakes the service pass at once.
-        if (loop_ != nullptr)
-          loop_->wait_activity(cfg_.idle_poll);
-        else
-          std::this_thread::sleep_for(cfg_.idle_poll);
-      }
+      if (!progress) carriers_.wait(cfg_.idle_poll);
     }
     if (stop_.load(std::memory_order_acquire)) {
       stop_now(round, round_start);
@@ -1080,12 +999,7 @@ fl::TrainLog ServerSession::run() {
       const bool progress = service(rc);
       face_.poll();
       send_queued(rc);
-      if (!progress) {
-        if (loop_ != nullptr)
-          loop_->wait_activity(cfg_.idle_poll);
-        else
-          std::this_thread::sleep_for(cfg_.idle_poll);
-      }
+      if (!progress) carriers_.wait(cfg_.idle_poll);
     }
     if (stop_.load(std::memory_order_acquire)) {
       stop_now(round, round_start);  // the interrupted round replays
@@ -1161,18 +1075,12 @@ fl::TrainLog ServerSession::run() {
   // --- Orderly shutdown: tell everyone training is over — one SHUTDOWN per
   // direct client and per relay, which broadcasts it to its subtree.
   const Frame sd{MsgType::kShutdown, 0, kServerId, {}};
-  const SharedBytes sd_bytes =
-      loop_ != nullptr
-          ? std::make_shared<const std::vector<std::uint8_t>>(encode_frame(sd))
-          : nullptr;
-  for (const ConnId conn : face_.conns()) send(conn, sd, &sd_bytes);
+  Carriers::Image sd_image;
+  for (const ConnId conn : face_.conns()) send(conn, sd, &sd_image);
   // Standbys stand down on a completed run — SIGKILL never reaches this,
   // which is exactly when promotion is wanted.
   if (cfg_.publisher != nullptr) cfg_.publisher->shutdown_standbys();
-  // Loop sends are async commands: drain them before the loop stops so the
-  // final frames actually leave the box.
-  if (loop_ != nullptr) loop_->flush(std::chrono::milliseconds(2000));
-  drop_all_connections();
+  drop_all_connections(std::chrono::milliseconds(2000));
 
   if (traced) tracer->flush();
   core_.set_tracer(nullptr);

@@ -36,7 +36,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -44,7 +43,7 @@
 #include "core/adafl_server.h"
 #include "fl/client.h"
 #include "fl/types.h"
-#include "net/transport/event_loop.h"
+#include "net/transport/carriers.h"
 #include "net/transport/server_face.h"
 #include "net/transport/tcp.h"
 #include "net/transport/transport.h"
@@ -241,22 +240,18 @@ struct ServerSessionConfig {
 
 /// Runs the AdaFL server over any mix of carriers.
 ///
-/// Peer model: every connection is a ConnId, whichever carrier brings it.
-///  - Loop carrier: an attached EventLoop owns its TCP sockets and hands the
-///    session frames under the ids it assigns (counting up from 0).
-///  - Pumped carrier: a Transport passed to add_transport() gets a
-///    session-assigned id from a disjoint range (kPumpedBase and up); each
-///    service pass recv(0)s it on the session thread.
-/// Both carriers feed one frame batch per pass, and from there on nothing
-/// depends on the carrier: one handshake binds a connection as a client
-/// (HELLO), a relay range (RELAY_HELLO) or a replication standby
-/// (STANDBY_HELLO); one three-pass dispatch handles every frame (UPDATEs
-/// decode in parallel); one send and one close take a ConnId. Clients and
-/// relays are bound in a ServerFace over [0, expected_clients), which
-/// decides their catch-up and nudges; the session builds, sends and books
-/// those frames. No thread is added for the pumped carrier. add_transport()
-/// may be called from another thread (e.g. an accept loop) at any time
-/// before or during run().
+/// Peer model: every connection is a ConnId on Carriers (carriers.h), which
+/// holds the loop carrier (an attached EventLoop's sockets) and the pumped
+/// carrier (add_transport() transports) and feeds one frame batch per pass.
+/// From there on nothing depends on the carrier: one handshake binds a
+/// connection as a client (HELLO), a relay range (RELAY_HELLO) or a
+/// replication standby (STANDBY_HELLO); one three-pass dispatch handles
+/// every frame (UPDATEs decode in parallel); one send and one close take a
+/// ConnId. Clients and relays are bound in a ServerFace over
+/// [0, expected_clients), which decides their catch-up and nudges and is
+/// where a connection's role is read; the session builds, sends and books
+/// those frames. add_transport() may be called from another thread at any
+/// time before or during run().
 class ServerSession {
  public:
   /// `test` may be null (no evaluation; records carry accuracy 0).
@@ -265,16 +260,15 @@ class ServerSession {
 
   /// Hands a freshly-connected (not yet handshaken) transport to the
   /// session, which pumps it from the next service pass on. Thread-safe.
-  void add_transport(std::unique_ptr<Transport> t);
+  void add_transport(std::unique_ptr<Transport> t) {
+    carriers_.add_transport(std::move(t));
+  }
 
-  /// Adds the loop carrier: the loop (configured with its listener adopted
-  /// or an fd watched, not yet started) owns its sockets, run() starts and
-  /// stops it, and its frames join each pass's batch alongside the pumped
-  /// add_transport() peers (the UDP path keeps using those). With a loop
-  /// attached, an idle pass waits on the loop's activity signal instead of
-  /// sleeping, and "server.frame_dispatch_ms" times loop frames from
-  /// enqueue to drain. Call before run().
-  void attach_event_loop(EventLoop* loop);
+  /// Adds the loop carrier (Carriers::attach): run() starts and stops the
+  /// loop, an idle pass waits on its activity, and
+  /// "server.frame_dispatch_ms" times its frames from enqueue to drain.
+  /// Call before run().
+  void attach_event_loop(EventLoop* loop) { carriers_.attach(loop); }
 
   /// Runs all configured rounds; returns the training log. Call once.
   fl::TrainLog run();
@@ -293,8 +287,6 @@ class ServerSession {
   const core::AdaFlStats& stats() const { return core_.stats(); }
 
  private:
-  using SharedBytes = std::shared_ptr<const std::vector<std::uint8_t>>;
-
   /// Per-round mutable state shared by the service loop (the round's debts
   /// are face_'s).
   struct RoundCtx {
@@ -303,41 +295,26 @@ class ServerSession {
     metrics::CommLedger* ledger = nullptr;
     /// The round's MODEL frame, built lazily on first send and reused for
     /// every broadcast/nudge/rejoin (the global does not change within a
-    /// round). With a loop attached `model_bytes` additionally caches the
-    /// encoded frame ONCE — the same immutable buffer is queued to every
-    /// loop connection, so a 10k-client broadcast encodes the model once.
+    /// round). Its encoded image is shared by every loop connection, so a
+    /// 10k-client broadcast encodes the model once.
     Frame model_frame;
-    SharedBytes model_bytes;
-    bool model_ready = false;
+    Carriers::Image model_image;
     /// Relay-delivered group partials of this round, keyed by group base
     /// (first accepted UPDATE-AGG per group wins; duplicates are ignored).
     std::map<int, compress::EncodedGradient> wire_partials;
   };
-
-  // --- Peers: one ConnId space over two carriers. -------------------------
-  /// add_transport() peers take ids from here up; EventLoop ids count up
-  /// from 0 and never reach it.
-  static constexpr ConnId kPumpedBase = ConnId{1} << 63;
 
   /// A standby's inbox and liveness, shared with the publisher's Transport
   /// view of it (both defined in session.cpp).
   struct StandbyLink;
   class StandbyTransport;
 
-  enum class Role : std::uint8_t { kUnbound, kClient, kRelay, kStandby };
-  struct Peer {
-    Role role = Role::kUnbound;
-    int client = -1;                        ///< kClient: the bound client id
-    std::unique_ptr<Transport> pumped;      ///< null on the loop carrier
-    std::shared_ptr<StandbyLink> standby;   ///< kStandby only
-  };
-
-  /// Sends `f` on `conn`. `bytes`, when it points at a non-null buffer, is
-  /// f's encoded image shared across a broadcast (used on the loop
-  /// carrier). Returns the wire size, or 0 when the peer is gone. A failed
-  /// pumped send closes the peer at once (quorum and live counts read it).
+  /// Sends `f` on `conn`; `image` is f's encoded image shared across a
+  /// broadcast (Carriers::send). Returns the wire size, or 0 when the peer
+  /// is gone. A failed send closes the peer at once (quorum and live counts
+  /// read it).
   std::size_t send(ConnId conn, const Frame& f,
-                   const SharedBytes* bytes = nullptr);
+                   Carriers::Image* image = nullptr);
   /// Forgets `conn`'s binding (client, relay range with its leaves' routes
   /// and liveness, or standby) and closes it on its carrier. Idempotent.
   void close(ConnId conn);
@@ -347,21 +324,15 @@ class ServerSession {
   /// Sends the round's MODEL on `conn` (a client or a relay) and books it
   /// against `book_id`, as a retransmission when `resend`.
   void send_model(RoundCtx& rc, ConnId conn, int book_id, bool resend);
-  /// Builds rc.model_frame (and, with a loop attached, rc.model_bytes) once
-  /// per round; later calls are no-ops.
-  void ensure_model_frame(RoundCtx& rc);
   /// Sends client `id` its SELECT at the face's ratio; a `resend` books as
   /// a retransmission.
   void send_select(RoundCtx& rc, int id, bool resend);
   /// Sends and books the frames face_ queued (WELCOME, MODEL, SELECT).
   void send_queued(RoundCtx& rc);
-  /// One service pass: gathers frames from both carriers into frame_batch_,
-  /// dispatches them, then reaps closed connections. Returns true if any
-  /// frame arrived (progress).
+  /// One service pass: polls the carriers into frame_batch_, dispatches
+  /// it, then reaps closed connections. Returns true if any frame arrived
+  /// (progress).
   bool service(RoundCtx& rc);
-  /// Moves add_transport() arrivals into peers_ and recv(0)s every pumped
-  /// peer into frame_batch_; dead ones are noted in gone_.
-  void pump();
   /// Handles frame_batch_ in three passes: (1) in arrival order, routes
   /// standby frames, runs handshakes and handles every non-UPDATE frame,
   /// collecting aggregatable UPDATEs as decode jobs; (2) decodes them in
@@ -388,9 +359,9 @@ class ServerSession {
   /// Loads + validates the checkpoint and restores the core. Returns the
   /// round to resume at.
   int resume_from_checkpoint();
-  /// Abruptly closes every connection on both carriers (no SHUTDOWN) and
-  /// stops the loop.
-  void drop_all_connections();
+  /// Closes every connection on both carriers and stops the loop, after
+  /// flushing loop sends for up to `flush` (0 = abruptly, as a crash would).
+  void drop_all_connections(std::chrono::milliseconds flush);
   /// Wall-clock seconds since run() started (trace event timestamps).
   double trace_now() const;
 
@@ -403,16 +374,13 @@ class ServerSession {
   core::AdaFlServerCore core_;
   /// WELCOME frame; its payload doubles as the checkpoint config stamp.
   Frame welcome_;
-  SharedBytes welcome_bytes_;  ///< its wire image, with a loop attached
+  Carriers::Image welcome_image_;
   /// Routes to clients and relays, the round's debts, catch-up and nudges.
   ServerFace face_;
 
-  EventLoop* loop_ = nullptr;
-  std::map<ConnId, Peer> peers_;  ///< every open connection, bound or not
-  std::mutex arrivals_mu_;
-  std::vector<std::unique_ptr<Transport>> arrivals_;  ///< add_transport()
-  ConnId next_pumped_ = kPumpedBase;
-  std::vector<ConnId> gone_;  ///< closed connections, reaped after dispatch
+  Carriers carriers_;
+  /// Standby peers, whose frames belong to the replication publisher.
+  std::map<ConnId, std::shared_ptr<StandbyLink>> standbys_;
   std::vector<bool> ever_joined_;
 
   // --- Dispatch scratch, reused across passes. ----------------------------

@@ -250,8 +250,10 @@ inline DeployedResult run_deployed_udp_loopback(
 }
 
 /// Full deployed run over real TCP on 127.0.0.1 (ephemeral port), with an
-/// accept loop like flserver's. Optionally injects a crash fault into one
-/// client (it abruptly drops its connection on `crash_round`'s MODEL).
+/// accept thread handing each socket to add_transport() (flserver serves on
+/// an EventLoop instead: run_deployed_event_loop). Optionally injects a
+/// crash fault into one client (it abruptly drops its connection on
+/// `crash_round`'s MODEL).
 inline DeployedResult run_deployed_tcp(
     const cli::TaskSpec& spec, const fl::ClientTrainConfig& client,
     const core::AdaFlParams& params, int rounds, int quorum = 0,

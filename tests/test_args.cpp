@@ -83,13 +83,15 @@ TEST(ArgParser, UsageListsOptionsAndDefaults) {
 }
 
 TEST(ArgParser, TypedGetterValidation) {
+  // A malformed value is a usage error (std::invalid_argument, exit 2 in
+  // every binary); an undeclared key is a programming error.
   ArgParser p = make();
   ASSERT_TRUE(parse(p, {"--rounds=abc"}));
-  EXPECT_THROW(p.get_int("rounds"), CheckError);
+  EXPECT_THROW(p.get_int("rounds"), std::invalid_argument);
   EXPECT_THROW(p.get("undeclared"), CheckError);
   ArgParser q = make();
   ASSERT_TRUE(parse(q, {"--lr=fast"}));
-  EXPECT_THROW(q.get_double("lr"), CheckError);
+  EXPECT_THROW(q.get_double("lr"), std::invalid_argument);
 }
 
 TEST(ArgParser, GetIntAtLeastAcceptsValuesOnTheBound) {
@@ -104,7 +106,24 @@ TEST(ArgParser, GetIntAtLeastAcceptsValuesOnTheBound) {
 TEST(ArgParser, GetIntAtLeastRejectsValuesBelowBound) {
   ArgParser p = make();
   ASSERT_TRUE(parse(p, {"--rounds=-3"}));
-  EXPECT_THROW(p.get_int_at_least("rounds", 0), CheckError);
+  EXPECT_THROW(p.get_int_at_least("rounds", 0), std::invalid_argument);
+}
+
+TEST(ArgParser, GetPortAcceptsTheWholeRange) {
+  for (const char* v : {"--rounds=0", "--rounds=65535"}) {
+    ArgParser p = make();
+    ASSERT_TRUE(parse(p, {v}));
+    EXPECT_EQ(p.get_port("rounds"), p.get_int("rounds")) << v;
+  }
+}
+
+TEST(ArgParser, GetPortRejectsValuesOutsideTheRange) {
+  // A cast would turn these into real ports: 65536 -> 0, -1 -> 65535.
+  for (const char* v : {"--rounds=-1", "--rounds=65536", "--rounds=70000"}) {
+    ArgParser p = make();
+    ASSERT_TRUE(parse(p, {v}));
+    EXPECT_THROW(p.get_port("rounds"), std::invalid_argument) << v;
+  }
 }
 
 TEST(ArgParser, DuplicateDeclarationThrows) {

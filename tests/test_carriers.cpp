@@ -1,0 +1,290 @@
+// Carriers: the serving shell's I/O under the root and the relay's child
+// side. These tests pin what both owners rely on — one ConnId space over an
+// EventLoop's sockets and pumped transports, one poll into a frame batch,
+// closes reported once for reaping after dispatch, one send that shares a
+// broadcast's encoded image across loop peers, and an idle wait that ends
+// on loop activity.
+#include "net/transport/carriers.h"
+
+#include <gtest/gtest.h>
+
+#include <chrono>
+#include <deque>
+#include <map>
+#include <memory>
+#include <thread>
+#include <vector>
+
+#include "net/transport/loopback.h"
+#include "net/transport/tcp.h"
+#include "tensor/check.h"
+
+namespace adafl::net::transport {
+namespace {
+
+using namespace std::chrono_literals;
+using Clock = std::chrono::steady_clock;
+
+Frame tagged(std::uint32_t peer, std::uint32_t seq) {
+  Frame f;
+  f.type = MsgType::kScore;
+  f.round = seq;
+  f.client_id = peer;
+  f.payload.assign(8, static_cast<std::uint8_t>(seq));
+  return f;
+}
+
+/// Polls until `batch` holds `n` frames or `deadline` passes, waiting on
+/// the carriers between empty passes.
+void poll_until(Carriers& c, std::vector<InFrame>& batch, std::size_t n,
+                std::chrono::milliseconds deadline = 5000ms) {
+  const auto until = Clock::now() + deadline;
+  while (batch.size() < n && Clock::now() < until) {
+    const std::size_t before = batch.size();
+    c.poll(batch);
+    if (batch.size() == before) c.wait(2ms);
+  }
+}
+
+/// A pumped peer on a script: hands out `frames`, then throws CheckError
+/// on the next recv when `throw_after` is set. `state` outlives it, so a
+/// test can watch the transport the carriers own.
+struct ScriptState {
+  std::deque<Frame> frames;
+  bool throw_after = false;
+  bool send_ok = true;
+  bool closed = false;
+};
+
+class ScriptedTransport final : public Transport {
+ public:
+  explicit ScriptedTransport(std::shared_ptr<ScriptState> s)
+      : s_(std::move(s)) {}
+  bool send(const Frame&) override {
+    if (!s_->send_ok) s_->closed = true;
+    return !s_->closed;
+  }
+  std::optional<Frame> recv(std::chrono::milliseconds) override {
+    if (s_->closed) return std::nullopt;
+    if (!s_->frames.empty()) {
+      Frame f = std::move(s_->frames.front());
+      s_->frames.pop_front();
+      return f;
+    }
+    if (s_->throw_after) throw CheckError("scripted: malformed stream");
+    return std::nullopt;
+  }
+  bool closed() const override { return s_->closed; }
+  void close() override { s_->closed = true; }
+  std::string peer() const override { return "scripted"; }
+
+ private:
+  std::shared_ptr<ScriptState> s_;
+};
+
+TEST(Carriers, TransportsAddedMidPollDeliverEveryFrameOnceInOrder) {
+  constexpr int kPeers = 16;
+  constexpr int kFrames = 20;
+  Carriers carriers;
+  std::vector<std::unique_ptr<LoopbackTransport>> clients;
+  std::thread adder([&] {
+    for (int p = 0; p < kPeers; ++p) {
+      auto [server, client] = make_loopback_pair();
+      carriers.add_transport(std::move(server));
+      for (int s = 0; s < kFrames; ++s)
+        ASSERT_TRUE(client->send(tagged(static_cast<std::uint32_t>(p),
+                                        static_cast<std::uint32_t>(s))));
+      clients.push_back(std::move(client));
+    }
+  });
+  std::vector<InFrame> batch;
+  poll_until(carriers, batch, kPeers * kFrames);
+  adder.join();
+  carriers.poll(batch);  // nothing may arrive twice
+  ASSERT_EQ(batch.size(), static_cast<std::size_t>(kPeers * kFrames));
+
+  std::map<ConnId, std::vector<Frame>> by_conn;
+  for (InFrame& inf : batch) {
+    EXPECT_GE(inf.conn, Carriers::kPumpedBase);
+    by_conn[inf.conn].push_back(std::move(inf.frame));
+  }
+  ASSERT_EQ(by_conn.size(), static_cast<std::size_t>(kPeers));
+  std::vector<bool> seen(kPeers, false);
+  for (const auto& [conn, frames] : by_conn) {
+    EXPECT_TRUE(carriers.open(conn));
+    const std::uint32_t peer = frames.front().client_id;
+    ASSERT_LT(peer, static_cast<std::uint32_t>(kPeers));
+    EXPECT_FALSE(seen[peer]) << "two connections carry peer " << peer;
+    seen[peer] = true;
+    ASSERT_EQ(frames.size(), static_cast<std::size_t>(kFrames));
+    for (std::size_t s = 0; s < frames.size(); ++s) {
+      EXPECT_EQ(frames[s].client_id, peer);
+      EXPECT_EQ(frames[s].round, s) << "out of order on peer " << peer;
+    }
+  }
+  EXPECT_TRUE(carriers.take_gone().empty());
+  EXPECT_EQ(carriers.size(), static_cast<std::size_t>(kPeers));
+}
+
+TEST(Carriers, MalformedStreamKeepsEarlierFramesAndIsReportedGone) {
+  auto st = std::make_shared<ScriptState>();
+  st->frames = {tagged(7, 0), tagged(7, 1)};
+  st->throw_after = true;
+  Carriers carriers;
+  carriers.add_transport(std::make_unique<ScriptedTransport>(st));
+
+  std::vector<InFrame> batch;
+  carriers.poll(batch);
+  ASSERT_EQ(batch.size(), 2u);
+  const ConnId conn = batch[0].conn;
+  EXPECT_EQ(batch[1].conn, conn);
+  EXPECT_EQ(batch[0].frame.round, 0u);
+  EXPECT_EQ(batch[1].frame.round, 1u);
+  EXPECT_TRUE(st->closed);
+  // Open until reaped, so dispatch still handles the two frames.
+  EXPECT_TRUE(carriers.open(conn));
+  EXPECT_EQ(carriers.take_gone(), std::vector<ConnId>{conn});
+  EXPECT_TRUE(carriers.take_gone().empty());
+  carriers.close(conn);
+  EXPECT_FALSE(carriers.open(conn));
+  EXPECT_EQ(carriers.size(), 0u);
+}
+
+TEST(Carriers, FailedPumpedSendClosesTheConnection) {
+  auto st = std::make_shared<ScriptState>();
+  st->frames = {tagged(3, 0)};
+  st->send_ok = false;
+  Carriers carriers;
+  carriers.add_transport(std::make_unique<ScriptedTransport>(st));
+  std::vector<InFrame> batch;
+  carriers.poll(batch);
+  ASSERT_EQ(batch.size(), 1u);
+  const ConnId conn = batch[0].conn;
+
+  EXPECT_FALSE(carriers.send(conn, tagged(3, 1)));
+  EXPECT_TRUE(st->closed);
+  EXPECT_FALSE(carriers.open(conn));
+  EXPECT_FALSE(carriers.send(conn, tagged(3, 2)));  // gone, not re-sent
+  carriers.close(conn);
+  carriers.close(conn);
+  EXPECT_FALSE(carriers.open(conn));
+  EXPECT_EQ(carriers.size(), 0u);
+}
+
+/// A started loop carrier with `n` TCP peers, each known to the carriers
+/// (it sent one frame). Returns the peers' connection ids, in peer order.
+std::vector<ConnId> connect_loop_peers(
+    Carriers& carriers, TcpListener& listener, std::size_t n,
+    std::vector<std::unique_ptr<TcpTransport>>& peers) {
+  std::vector<ConnId> conns;
+  for (std::size_t i = 0; i < n; ++i) {
+    peers.push_back(
+        TcpTransport::connect("127.0.0.1", listener.port(), 1000ms));
+    EXPECT_TRUE(peers.back() &&
+                peers.back()->send(tagged(static_cast<std::uint32_t>(i), 0)));
+    std::vector<InFrame> batch;
+    poll_until(carriers, batch, 1);
+    EXPECT_EQ(batch.size(), 1u);
+    if (batch.empty()) return conns;
+    EXPECT_LT(batch[0].conn, Carriers::kPumpedBase);
+    EXPECT_TRUE(carriers.open(batch[0].conn));
+    conns.push_back(batch[0].conn);
+  }
+  return conns;
+}
+
+TEST(Carriers, LoopPeersShareOneImageAndPumpedSendsNeverFillIt) {
+  TcpListener listener(0);
+  EventLoop loop(EventLoopConfig{});
+  loop.adopt_listener(listener.fd());
+  Carriers carriers;
+  carriers.attach(&loop);
+  carriers.start();
+  std::vector<std::unique_ptr<TcpTransport>> peers;
+  const std::vector<ConnId> conns =
+      connect_loop_peers(carriers, listener, 2, peers);
+  ASSERT_EQ(conns.size(), 2u);
+  auto [server, client] = make_loopback_pair();
+  carriers.add_transport(std::move(server));
+  std::vector<InFrame> batch;
+  carriers.poll(batch);
+  ASSERT_EQ(carriers.size(), 3u);
+
+  const Frame broadcast = tagged(99, 5);
+  Carriers::Image image;
+  ASSERT_TRUE(carriers.send(conns[0], broadcast, &image));
+  ASSERT_TRUE(image);
+  const Carriers::Image first = image;
+  ASSERT_TRUE(carriers.send(conns[1], broadcast, &image));
+  EXPECT_EQ(image, first) << "the second loop peer re-encoded the frame";
+  EXPECT_EQ(*image, encode_frame(broadcast));
+
+  Carriers::Image pumped_only;
+  ASSERT_TRUE(carriers.send(Carriers::kPumpedBase, broadcast, &pumped_only));
+  EXPECT_FALSE(pumped_only);
+
+  for (auto& peer : peers) {
+    const std::optional<Frame> got = peer->recv(2000ms);
+    ASSERT_TRUE(got);
+    EXPECT_EQ(got->payload, broadcast.payload);
+  }
+  const std::optional<Frame> got = client->recv(2000ms);
+  ASSERT_TRUE(got);
+  EXPECT_EQ(got->client_id, 99u);
+  carriers.close_all(0ms);
+}
+
+TEST(Carriers, WaitEndsOnLoopActivityAndSleepsWithoutALoop) {
+  Carriers plain;
+  auto t0 = Clock::now();
+  plain.wait(30ms);
+  EXPECT_GE(Clock::now() - t0, 25ms);
+
+  TcpListener listener(0);
+  EventLoop loop(EventLoopConfig{});
+  loop.adopt_listener(listener.fd());
+  Carriers carriers;
+  carriers.attach(&loop);
+  carriers.start();
+  auto peer = TcpTransport::connect("127.0.0.1", listener.port(), 1000ms);
+  ASSERT_TRUE(peer);
+  t0 = Clock::now();
+  carriers.wait(5000ms);  // the accept is activity
+  EXPECT_LT(Clock::now() - t0, 2500ms);
+  // Accepted but not yet polled: the count sees it already.
+  EXPECT_EQ(carriers.size(), 1u);
+  carriers.close_all(0ms);
+}
+
+TEST(Carriers, CloseAllFlushesQueuedLoopFramesAndClosesArrivals) {
+  TcpListener listener(0);
+  EventLoop loop(EventLoopConfig{});
+  loop.adopt_listener(listener.fd());
+  Carriers carriers;
+  carriers.attach(&loop);
+  carriers.start();
+  std::vector<std::unique_ptr<TcpTransport>> peers;
+  const std::vector<ConnId> conns =
+      connect_loop_peers(carriers, listener, 1, peers);
+  ASSERT_EQ(conns.size(), 1u);
+  auto [server, client] = make_loopback_pair();
+  carriers.add_transport(std::move(server));  // pending: never polled
+  EXPECT_EQ(carriers.size(), 2u);
+
+  const Frame last{MsgType::kShutdown, 0, kServerId, {}};
+  ASSERT_TRUE(carriers.send(conns[0], last));
+  carriers.close_all(2000ms);
+
+  const std::optional<Frame> got = peers[0]->recv(2000ms);
+  ASSERT_TRUE(got) << "the queued frame was dropped at close";
+  EXPECT_EQ(got->type, MsgType::kShutdown);
+  EXPECT_FALSE(peers[0]->recv(2000ms));
+  EXPECT_TRUE(peers[0]->closed());
+  EXPECT_FALSE(client->recv(0ms));
+  EXPECT_TRUE(client->closed());
+  EXPECT_FALSE(carriers.open(conns[0]));
+  EXPECT_EQ(carriers.size(), 0u);
+}
+
+}  // namespace
+}  // namespace adafl::net::transport

@@ -5,6 +5,9 @@
 // max_clients, malformed streams and dead consumers are dropped (never the
 // process), and the hot path does zero tensor heap allocations.
 #include <gtest/gtest.h>
+#include <sys/eventfd.h>
+#include <time.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
@@ -43,6 +46,13 @@ std::vector<InFrame> poll_until(EventLoop& loop, std::size_t n,
     if (loop.poll_all(got) == 0) loop.wait_activity(20ms);
   }
   return got;
+}
+
+/// CPU time used by the whole process (every thread) so far.
+double process_cpu_seconds() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
 /// Waits until `pred()` holds or `deadline` passed; returns pred().
@@ -282,6 +292,52 @@ TEST(EventLoop, WaitActivityTimesOutQuietAndWakesOnTraffic) {
   auto c = TcpTransport::connect("127.0.0.1", listener.port(), 1000ms);
   ASSERT_TRUE(c);
   EXPECT_TRUE(loop.wait_activity(2000ms));  // the accept is activity
+  loop.stop();
+}
+
+TEST(EventLoop, WatchedFdReadinessWakesWaitActivity) {
+  // A watched fd's callback moves data into transports the session pumps
+  // (the UDP mux), so its readiness is activity like a frame: a session
+  // waiting for work must wake instead of sleeping out its timeout.
+  const int efd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  ASSERT_GE(efd, 0);
+  EventLoop loop(EventLoopConfig{});
+  loop.watch_fd(efd, [efd] {
+    std::uint64_t drained = 0;
+    while (::read(efd, &drained, sizeof(drained)) > 0) {
+    }
+  });
+  loop.start();
+  const std::uint64_t one = 1;
+  ASSERT_EQ(::write(efd, &one, sizeof(one)),
+            static_cast<ssize_t>(sizeof(one)));
+
+  const auto t0 = Clock::now();
+  EXPECT_TRUE(loop.wait_activity(5000ms));
+  EXPECT_LT(Clock::now() - t0, 2500ms);
+  loop.stop();
+  ::close(efd);
+}
+
+TEST(EventLoop, ShutDownListenerIsDroppedNotSpunOn) {
+  // TcpListener::close() shuts an adopted listener down under the running
+  // loop (a relay being killed does this). accept4 then fails with EINVAL
+  // and level-triggered epoll reports the fd again at once: the loop must
+  // drop the listener instead of spinning a core on it.
+  TcpListener listener(0);
+  EventLoop loop(EventLoopConfig{});
+  loop.adopt_listener(listener.fd());
+  loop.start();
+  auto c = TcpTransport::connect("127.0.0.1", listener.port(), 1000ms);
+  ASSERT_TRUE(c);
+  ASSERT_TRUE(eventually([&] { return loop.open_connections() == 1; }));
+
+  listener.close();
+  const double cpu0 = process_cpu_seconds();
+  std::this_thread::sleep_for(300ms);
+  const double cpu = process_cpu_seconds() - cpu0;
+  EXPECT_LT(cpu, 0.05) << "the loop spins on the shut-down listener";
+  EXPECT_EQ(loop.open_connections(), 1u);  // accepted peers keep being served
   loop.stop();
 }
 

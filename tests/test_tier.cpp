@@ -309,13 +309,14 @@ TEST(TierFaults, ChildCrashMidRoundRecoveredBySupersetAgg) {
   ASSERT_EQ(sim_reference().global, tiered.global);
 }
 
-TEST(TierFaults, RelayKilledStandbyPromotionReparentsLeaves) {
-  // Relay 0 is killed (kill -9 style: parent link severed on round 3's
-  // MODEL, children dropped with no goodbye) with a standby covering the
-  // same range. The leaves drain their redial budget against the dead
-  // endpoint, rotate to the standby, and the standby claims the range from
-  // the root mid-round — which re-serves round state so nothing is lost.
+/// Relay 0 is killed (kill -9 style: parent link severed on round 3's
+/// MODEL, children dropped with no goodbye) with a standby covering the
+/// same range. The leaves drain their redial budget against the dead
+/// endpoint, rotate to the standby, and the standby claims the range from
+/// the root mid-round — which re-serves round state so nothing is lost.
+void expect_standby_promotion_reparents_leaves(TierLink link) {
   TieredOptions opt;
+  opt.link = link;
   opt.kill_relay = 0;
   opt.kill_round = 3;
   opt.leaf_cfg_tweak = [](int id, net::transport::ClientSessionConfig& c) {
@@ -347,6 +348,17 @@ TEST(TierFaults, RelayKilledStandbyPromotionReparentsLeaves) {
           << "leaf " << id;
     }
   }
+}
+
+TEST(TierFaults, RelayKilledStandbyPromotionReparentsLeaves) {
+  expect_standby_promotion_reparents_leaves(TierLink::kLoopback);
+}
+
+TEST(TierFaults, RelayKilledStandbyPromotionReparentsLeavesOverTcp) {
+  // The flrelay path: the killed relay's listener shuts down under its
+  // running event loop, and the standby wakes on its first loop-accepted
+  // child.
+  expect_standby_promotion_reparents_leaves(TierLink::kTcp);
 }
 
 TEST(TierFaults, RelayKilledNoStandbySurvivorsMatchFlatCrashRun) {

@@ -36,7 +36,9 @@ struct RelaySpec {
 
 enum class TierLink {
   kLoopback,  ///< in-process stream pairs (the TCP framing, minus the kernel)
-  kTcp,       ///< real sockets on 127.0.0.1, accept threads like flserver
+  /// Real sockets on 127.0.0.1; every relay serves its children on an
+  /// EventLoop, as flrelay does.
+  kTcp,
   kUdpFec,    ///< FEC-coded datagram transport over in-process links
 };
 
@@ -50,7 +52,7 @@ struct TieredResult {
 
 struct TieredOptions {
   TierLink link = TierLink::kLoopback;
-  /// kTcp only: drive the root with the epoll event loop (the flserver
+  /// kTcp only: drive the root with the epoll event loop too (the flserver
   /// production path) instead of a classic accept thread, so the relay
   /// handshake and UPDATE-AGG dispatch run through the loop integration.
   bool root_event_loop = false;
@@ -76,11 +78,13 @@ struct TieredOptions {
 
 /// One relay plus the scaffolding that makes it dial-able and killable.
 struct RelayRuntime {
+  // kTcp only: the listener outlives the loop, which outlives the session
+  // that stops it.
+  std::unique_ptr<net::transport::TcpListener> listener;
+  std::unique_ptr<net::transport::EventLoop> loop;
   std::unique_ptr<net::relay::RelaySession> session;
   std::thread thread;
   std::atomic<bool> alive{true};
-  std::unique_ptr<net::transport::TcpListener> listener;  // kTcp only
-  std::thread acceptor;                                   // kTcp only
   net::relay::RelayRunStats stats;
 };
 
@@ -208,13 +212,9 @@ inline TieredResult run_deployed_tiered(const cli::TaskSpec& spec,
         1);
     if (tcp) {
       rt.listener = std::make_unique<TcpListener>(0);
-      rt.acceptor = std::thread([&rt] {
-        while (!rt.listener->closed()) {
-          auto t = rt.listener->accept(std::chrono::milliseconds(20));
-          if (t && rt.alive.load())
-            rt.session->add_child_transport(std::move(t));
-        }
-      });
+      rt.loop = std::make_unique<EventLoop>(EventLoopConfig{});
+      rt.loop->adopt_listener(rt.listener->fd());
+      rt.session->attach_event_loop(rt.loop.get());
     }
     rt.thread = std::thread([&rt] { rt.stats = rt.session->run(); });
   }
@@ -267,9 +267,8 @@ inline TieredResult run_deployed_tiered(const cli::TaskSpec& spec,
   for (auto& rtp : rts) {
     RelayRuntime& rt = *rtp;
     rt.session->request_stop();
-    if (rt.listener) rt.listener->close();
     if (rt.thread.joinable()) rt.thread.join();
-    if (rt.acceptor.joinable()) rt.acceptor.join();
+    if (rt.listener) rt.listener->close();
     res.relay_stats.push_back(rt.stats);
   }
   if (tcp) {
