@@ -1,10 +1,11 @@
 // Kernel/threading micro-benchmarks for the deterministic execution layer.
 //
 // Times the blocked matmul kernels, Conv2d forward/backward, DGC compression,
-// and one full synchronous FL round at 1/2/4/8 worker threads — once per
-// available kernel backend (scalar always, avx2 when the CPU supports it) —
-// and writes the results to bench_results/BENCH_kernels.json along with the
-// detected CPU features. Because the execution layer is bitwise deterministic
+// and one full synchronous FL round at 1/2/4/8 worker threads, plus the
+// single-threaded CRC-32 kernel over one MODEL frame — once per available
+// kernel backend (scalar always, avx2 when the CPU supports it) — and writes
+// the results to bench_results/BENCH_kernels.json along with the detected
+// CPU features. Because the execution layer is bitwise deterministic
 // within a backend, every timing below computes the exact same numbers at
 // every thread count — only the wall clock changes.
 //
@@ -24,6 +25,7 @@
 #include "compress/dgc.h"
 #include "core/parallel.h"
 #include "fl/client.h"
+#include "net/transport/crc32.h"
 #include "nn/conv2d.h"
 #include "tensor/dispatch.h"
 #include "tensor/ops.h"
@@ -52,6 +54,7 @@ struct Row {
   int threads = 0;
   double seconds = 0.0;
   double gflops = 0.0;  ///< 0 when a FLOP count is not meaningful
+  double gb_per_s = 0.0;  ///< byte-stream kernels: size bytes / seconds
 };
 
 void write_json(const std::vector<Row>& rows) {
@@ -69,6 +72,7 @@ void write_json(const std::vector<Row>& rows) {
        << r.backend << "\", \"size\": " << r.size
        << ", \"threads\": " << r.threads << ", \"seconds\": " << r.seconds;
     if (r.gflops > 0.0) os << ", \"gflops\": " << r.gflops;
+    if (r.gb_per_s > 0.0) os << ", \"gb_per_s\": " << r.gb_per_s;
     os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
@@ -82,6 +86,8 @@ void report(const Row& r) {
             << std::setprecision(4) << r.seconds << " s";
   if (r.gflops > 0.0)
     std::cout << "  (" << std::setprecision(2) << r.gflops << " GFLOP/s)";
+  if (r.gb_per_s > 0.0)
+    std::cout << "  (" << std::setprecision(2) << r.gb_per_s << " GB/s)";
   std::cout << "\n";
 }
 
@@ -114,6 +120,11 @@ int main() {
   std::vector<float> dgc_grad(static_cast<std::size_t>(dgc_dim));
   for (auto& v : dgc_grad) v = static_cast<float>(rng.normal());
 
+  // One fleet_1k MODEL frame's payload (137 KB), checksummed as every frame
+  // send and parse does.
+  std::vector<std::uint8_t> crc_buf(140296);
+  for (auto& b : crc_buf) b = static_cast<std::uint8_t>(rng.next_u64() >> 56);
+
   // Per-backend sweep: scalar always, avx2 when the CPU/build supports it.
   // Inputs are shared across backends and thread counts, so every row times
   // the same computation.
@@ -127,6 +138,21 @@ int main() {
   for (tensor::KernelBackend backend : backends) {
   tensor::set_kernel_backend(backend);
   const std::string bk = tensor::kernel_backend_name(backend);
+  {
+    // Single-threaded: seconds per pass, each sample the mean of 200.
+    constexpr int kPasses = 200;
+    Row r{"crc32", bk, static_cast<std::int64_t>(crc_buf.size()), 1,
+          best_seconds(reps_small,
+                       [&] {
+                         for (int p = 0; p < kPasses; ++p)
+                           (void)net::transport::crc32(crc_buf);
+                       }) /
+              kPasses,
+          0.0};
+    r.gb_per_s = static_cast<double>(crc_buf.size()) / r.seconds * 1e-9;
+    report(r);
+    rows.push_back(r);
+  }
   for (int threads : thread_counts) {
     core::set_num_threads(threads);
     std::cout << "--- backend=" << bk << " threads=" << threads << " ---\n";

@@ -9,9 +9,9 @@ namespace adafl::net::relay {
 
 namespace {
 
-using transport::Carriers;
 using transport::ConnId;
 using transport::Frame;
+using transport::FrameImage;
 using transport::kNoConn;
 using transport::kProtocolVersion;
 using transport::kServerId;
@@ -39,7 +39,7 @@ void RelaySession::trace_child(metrics::TraceEventType type, const Frame& f) {
 }
 
 void RelaySession::child_send(ConnId conn, const Frame& f,
-                              Carriers::Image* image) {
+                              FrameImage* image) {
   if (!carriers_.send(conn, f, image)) {
     drop_child(conn);
     return;
@@ -287,7 +287,7 @@ void RelaySession::handle_parent_frame(const Frame& f) {
     case MsgType::kShutdown: {
       // Flushed before the children close (run()'s exit).
       const Frame sd{MsgType::kShutdown, 0, kServerId, {}};
-      Carriers::Image image;
+      FrameImage image;
       for (const ConnId conn : face_.conns()) carriers_.send(conn, sd, &image);
       stats_.completed = true;
       return;

@@ -125,7 +125,7 @@ class RelaySession {
 
   /// Sends `f` to child `conn` (Carriers::send); a failed send drops it.
   void child_send(ConnId conn, const Frame& f,
-                  transport::Carriers::Image* image = nullptr);
+                  transport::FrameImage* image = nullptr);
   /// Records a child-side frame event, timed on the parent link's clock.
   void trace_child(metrics::TraceEventType type, const Frame& f);
   /// Sends the WELCOME, MODEL and SELECT frames face_ queued.
@@ -162,13 +162,13 @@ class RelaySession {
   /// The parent face's connection; built when run() starts.
   std::optional<transport::UpstreamLink> parent_;
   Frame welcome_;  ///< the parent's, cached verbatim
-  transport::Carriers::Image welcome_image_;
+  transport::FrameImage welcome_image_;
   int agg_group_ = 0;  ///< > 0 once the parent's WELCOME arrived
   std::int64_t param_count_ = 0;
 
   // --- Per-round state (reset when a new MODEL round arrives). ------------
   Frame model_frame_;
-  transport::Carriers::Image model_image_;
+  transport::FrameImage model_image_;
   /// Cached SCORE frames: a score forwarded while the parent link was down
   /// is lost, and the leaf (already scored locally) never repeats it — the
   /// relay re-sends the cache when the parent nudges with a dup MODEL.

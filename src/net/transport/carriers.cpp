@@ -40,22 +40,19 @@ bool Carriers::open(ConnId conn) const {
                              : loop_conns_.count(conn) != 0;
 }
 
-bool Carriers::send(ConnId conn, const Frame& f, Image* image) {
+bool Carriers::send(ConnId conn, const Frame& f, FrameImage* image) {
+  FrameImage once;
+  FrameImage& slot = image != nullptr ? *image : once;
   if (conn < kPumpedBase) {
     if (loop_conns_.count(conn) == 0) return false;
     // Queued on the loop thread; a dead peer surfaces in take_gone() on a
     // later pass, as a lost datagram would.
-    Image once;
-    Image& bytes = image != nullptr ? *image : once;
-    if (!bytes)
-      bytes = std::make_shared<const std::vector<std::uint8_t>>(
-          encode_frame(f));
-    loop_->send(conn, bytes);
+    loop_->send(conn, encode_once(f, slot));
     return true;
   }
   const auto it = pumped_.find(conn);
   if (it == pumped_.end()) return false;
-  if (it->second->send(f)) return true;
+  if (it->second->send_shared(f, slot)) return true;
   close(conn);
   return false;
 }

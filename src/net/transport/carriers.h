@@ -30,8 +30,6 @@ namespace adafl::net::transport {
 
 class Carriers {
  public:
-  /// An encoded frame, shared by every loop peer it is queued to.
-  using Image = std::shared_ptr<const std::vector<std::uint8_t>>;
   static constexpr ConnId kPumpedBase = ConnId{1} << 63;
 
   /// Adds the loop carrier (listener adopted or fd watched, not started).
@@ -54,11 +52,12 @@ class Carriers {
   /// From a connection's first poll() until close() or close_all().
   bool open(ConnId conn) const;
 
-  /// A loop peer is queued `*image`, encoded on first use and shared after
-  /// (null `image`: encoded for this send only). A pumped peer gets
-  /// Transport::send; if that fails, the connection is closed. Returns
-  /// false when `conn` is not open or the send failed.
-  bool send(ConnId conn, const Frame& f, Image* image = nullptr);
+  /// Sends `f` from `*image`, the broadcast's slot on both carriers: a loop
+  /// peer is queued encode_once(f, *image), and a pumped peer gets
+  /// Transport::send_shared(f, *image) (null `image`: a slot for this send
+  /// only). A failed pumped send closes the connection. Returns false when
+  /// `conn` is not open or the send failed.
+  bool send(ConnId conn, const Frame& f, FrameImage* image = nullptr);
   /// Safe to call twice.
   void close(ConnId conn);
   /// Until loop activity or `idle`; a plain sleep without a loop.

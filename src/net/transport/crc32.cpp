@@ -1,35 +1,12 @@
 #include "net/transport/crc32.h"
 
-#include <array>
+#include "tensor/dispatch.h"
 
 namespace adafl::net::transport {
 
-namespace {
-
-std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k)
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-    t[i] = c;
-  }
-  return t;
-}
-
-const std::array<std::uint32_t, 256>& table() {
-  static const std::array<std::uint32_t, 256> t = make_table();
-  return t;
-}
-
-}  // namespace
-
 std::uint32_t crc32_update(std::uint32_t crc,
                            std::span<const std::uint8_t> data) {
-  const auto& t = table();
-  std::uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (std::uint8_t b : data) c = t[(c ^ b) & 0xFFu] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFu;
+  return tensor::active_kernels().crc32(crc, data.data(), data.size());
 }
 
 std::uint32_t crc32(std::span<const std::uint8_t> data) {

@@ -51,6 +51,12 @@ std::vector<std::uint8_t> encode_frame(const Frame& f) {
   return out;
 }
 
+const FrameImage& encode_once(const Frame& f, FrameImage& image) {
+  if (!image)
+    image = std::make_shared<const std::vector<std::uint8_t>>(encode_frame(f));
+  return image;
+}
+
 namespace {
 
 /// Parses and validates the fixed header; returns the declared payload

@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -79,6 +80,14 @@ struct Frame {
 
 /// Encodes a frame (header incl. payload CRC + payload bytes).
 std::vector<std::uint8_t> encode_frame(const Frame& f);
+
+/// encode_frame's bytes for one frame, shared by every peer a broadcast is
+/// queued to instead of copied per peer.
+using FrameImage = std::shared_ptr<const std::vector<std::uint8_t>>;
+
+/// `image`, encoded from `f` if it is still empty; the slot keeps it for the
+/// broadcast's next peer.
+const FrameImage& encode_once(const Frame& f, FrameImage& image);
 
 /// Decodes exactly one frame from a complete buffer; throws CheckError if
 /// the buffer is not exactly one well-formed frame.

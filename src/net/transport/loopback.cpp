@@ -14,34 +14,34 @@ make_loopback_pair() {
   return {std::move(a), std::move(b)};
 }
 
-bool LoopbackTransport::send(const Frame& f) {
-  auto encoded = encode_frame(f);
+bool LoopbackTransport::send_shared(const Frame& f, FrameImage& image) {
+  const FrameImage& bytes = encode_once(f, image);
   std::lock_guard<std::mutex> lock(tx_->mu);
   if (tx_->closed) return false;
-  tx_->queue.push_back(std::move(encoded));
+  tx_->queue.push_back(bytes);
   tx_->cv.notify_all();
   return true;
 }
 
 std::optional<Frame> LoopbackTransport::recv(
     std::chrono::milliseconds timeout) {
-  // Drain anything already parsed first.
-  if (auto f = parser_.next()) return f;
-  const auto deadline = std::chrono::steady_clock::now() + timeout;
-  for (;;) {
-    std::vector<std::uint8_t> encoded;
-    {
-      std::unique_lock<std::mutex> lock(rx_->mu);
-      rx_->cv.wait_until(lock, deadline, [&] {
+  FrameImage image;
+  {
+    std::unique_lock<std::mutex> lock(rx_->mu);
+    // A wait on a deadline already past still sleeps the timer slack
+    // (~50 us), so a zero-timeout poll must not wait at all.
+    if (timeout.count() > 0)
+      rx_->cv.wait_for(lock, timeout, [&] {
         return !rx_->queue.empty() || rx_->closed;
       });
-      if (rx_->queue.empty()) return std::nullopt;  // timeout or closed
-      encoded = std::move(rx_->queue.front());
-      rx_->queue.pop_front();
-    }
-    parser_.feed(encoded);
-    if (auto f = parser_.next()) return f;
+    if (rx_->queue.empty()) return std::nullopt;  // timeout or closed
+    image = std::move(rx_->queue.front());
+    rx_->queue.pop_front();
   }
+  // Every image is one whole encoded frame (send_shared queues
+  // encode_once's bytes), so it completes exactly one frame.
+  parser_.consume(*image);
+  return parser_.next();
 }
 
 bool LoopbackTransport::closed() const {

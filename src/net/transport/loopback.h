@@ -1,9 +1,12 @@
-// In-process Transport: a pair of endpoints joined by two byte queues.
+// In-process Transport: a pair of endpoints joined by two queues of encoded
+// frames.
 //
 // Frames are run through encode_frame()/FrameParser on every hop — the
 // loopback path exercises the exact bytes a socket would carry, so a
 // deployed run over loopback is the simulator-grade reference for the TCP
-// path (and is what the equivalence tests drive).
+// path (and is what the equivalence tests drive). A broadcast's FrameImage
+// is queued to every peer as is, and each receiver parses (and CRC-checks)
+// it in place.
 #pragma once
 
 #include <condition_variable>
@@ -31,7 +34,12 @@ class LoopbackTransport final : public Transport {
   /// recv() forever.
   ~LoopbackTransport() override { close(); }
 
-  bool send(const Frame& f) override;
+  bool send(const Frame& f) override {
+    FrameImage once;
+    return send_shared(f, once);
+  }
+  bool send_shared(const Frame& f, FrameImage& image) override;
+  /// A zero timeout only polls: it never waits on the condition variable.
   std::optional<Frame> recv(std::chrono::milliseconds timeout) override;
   bool closed() const override;
   void close() override;
@@ -42,11 +50,11 @@ class LoopbackTransport final : public Transport {
                    std::unique_ptr<LoopbackTransport>>
   make_loopback_pair();
 
-  /// One direction of the pipe: encoded frame buffers in flight.
+  /// One direction of the pipe: encoded frames in flight.
   struct Channel {
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<std::vector<std::uint8_t>> queue;
+    std::deque<FrameImage> queue;
     bool closed = false;
   };
 

@@ -478,7 +478,7 @@ double ServerSession::trace_now() const {
 }
 
 std::size_t ServerSession::send(ConnId conn, const Frame& f,
-                                Carriers::Image* image) {
+                                FrameImage* image) {
   if (!carriers_.send(conn, f, image)) {
     close(conn);
     return 0;
@@ -1075,7 +1075,7 @@ fl::TrainLog ServerSession::run() {
   // --- Orderly shutdown: tell everyone training is over — one SHUTDOWN per
   // direct client and per relay, which broadcasts it to its subtree.
   const Frame sd{MsgType::kShutdown, 0, kServerId, {}};
-  Carriers::Image sd_image;
+  FrameImage sd_image;
   for (const ConnId conn : face_.conns()) send(conn, sd, &sd_image);
   // Standbys stand down on a completed run — SIGKILL never reaches this,
   // which is exactly when promotion is wanted.

@@ -295,10 +295,10 @@ class ServerSession {
     metrics::CommLedger* ledger = nullptr;
     /// The round's MODEL frame, built lazily on first send and reused for
     /// every broadcast/nudge/rejoin (the global does not change within a
-    /// round). Its encoded image is shared by every loop connection, so a
-    /// 10k-client broadcast encodes the model once.
+    /// round). Its encoded image is shared by every connection on both
+    /// carriers, so a 10k-client broadcast encodes the model once.
     Frame model_frame;
-    Carriers::Image model_image;
+    FrameImage model_image;
     /// Relay-delivered group partials of this round, keyed by group base
     /// (first accepted UPDATE-AGG per group wins; duplicates are ignored).
     std::map<int, compress::EncodedGradient> wire_partials;
@@ -314,7 +314,7 @@ class ServerSession {
   /// is gone. A failed send closes the peer at once (quorum and live counts
   /// read it).
   std::size_t send(ConnId conn, const Frame& f,
-                   Carriers::Image* image = nullptr);
+                   FrameImage* image = nullptr);
   /// Forgets `conn`'s binding (client, relay range with its leaves' routes
   /// and liveness, or standby) and closes it on its carrier. Idempotent.
   void close(ConnId conn);
@@ -374,7 +374,7 @@ class ServerSession {
   core::AdaFlServerCore core_;
   /// WELCOME frame; its payload doubles as the checkpoint config stamp.
   Frame welcome_;
-  Carriers::Image welcome_image_;
+  FrameImage welcome_image_;
   /// Routes to clients and relays, the round's debts, catch-up and nudges.
   ServerFace face_;
 

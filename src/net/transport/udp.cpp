@@ -406,8 +406,10 @@ bool LoopbackDatagramLink::send(std::span<const std::uint8_t> datagram) {
 std::optional<std::vector<std::uint8_t>> LoopbackDatagramLink::recv(
     std::chrono::milliseconds timeout) {
   std::unique_lock<std::mutex> lk(rx_->mu);
-  rx_->cv.wait_for(lk, timeout,
-                   [&] { return !rx_->q.empty() || rx_->closed; });
+  // As in LoopbackTransport::recv: a zero timeout polls without waiting.
+  if (timeout.count() > 0)
+    rx_->cv.wait_for(lk, timeout,
+                     [&] { return !rx_->q.empty() || rx_->closed; });
   if (rx_->q.empty()) return std::nullopt;
   std::vector<std::uint8_t> d = std::move(rx_->q.front());
   rx_->q.pop_front();

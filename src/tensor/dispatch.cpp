@@ -14,7 +14,7 @@
 namespace adafl::tensor {
 
 // Defined in kernels_avx2.cpp; returns nullptr when the backend was compiled
-// out (non-x86 target or a toolchain without -mavx2 -mfma support).
+// out (non-x86 target or a toolchain without -mavx2 -mfma -mpclmul support).
 const KernelTable* avx2_kernel_table_or_null();
 
 namespace {
@@ -52,7 +52,8 @@ void ensure_initialized() {
 bool cpu_supports_avx2() {
 #if ADAFL_X86 && defined(__GNUC__)
   return avx2_kernel_table_or_null() != nullptr &&
-         __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+         __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+         __builtin_cpu_supports("pclmul");
 #else
   return false;
 #endif
@@ -70,6 +71,7 @@ std::string cpu_feature_string() {
   if (__builtin_cpu_supports("avx")) append("avx");
   if (__builtin_cpu_supports("avx2")) append("avx2");
   if (__builtin_cpu_supports("fma")) append("fma");
+  if (__builtin_cpu_supports("pclmul")) append("pclmul");
   if (__builtin_cpu_supports("avx512f")) append("avx512f");
 #endif
   if (s.empty()) s = "none";
@@ -98,7 +100,7 @@ void set_kernel_backend(KernelBackend b) {
     case KernelBackend::kAvx2: {
       ADAFL_CHECK_MSG(cpu_supports_avx2(),
                       "kernel backend 'avx2' requested but this CPU/build "
-                      "does not support AVX2+FMA (features: "
+                      "does not support AVX2+FMA+PCLMUL (features: "
                           << cpu_feature_string() << ")");
       store_backend(b, avx2_kernel_table_or_null());
       return;
@@ -115,7 +117,7 @@ KernelBackend resolve_kernel_backend(const std::string& name) {
   if (name == "avx2") {
     ADAFL_CHECK_MSG(cpu_supports_avx2(),
                     "kernel backend 'avx2' requested but this CPU/build does "
-                    "not support AVX2+FMA (features: "
+                    "not support AVX2+FMA+PCLMUL (features: "
                         << cpu_feature_string()
                         << "); use --kernel-backend=auto for best-available");
     return KernelBackend::kAvx2;

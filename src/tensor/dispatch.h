@@ -7,14 +7,15 @@
 //     reference implementation: all golden/determinism/trace-equivalence
 //     guarantees are stated against it, and it is the default when nothing
 //     selects a backend explicitly.
-//   * avx2   — AVX2/FMA implementations (src/tensor/kernels_avx2.cpp,
-//     compiled with -mavx2 -mfma) selected only when the CPU reports the
-//     features at startup. Matmul-family results differ from scalar by
-//     rounding (FMA + vector accumulation order) — epsilon equivalent,
-//     pinned by tests/test_simd_kernels.cpp. The elementwise, log-softmax,
-//     top-k scan, and QSGD pack/unpack kernels are bitwise identical to
-//     scalar by construction (same per-element operations; log-softmax
-//     vectorizes only the max scan and the broadcast-subtract, both exact).
+//   * avx2   — AVX2/FMA/PCLMUL implementations (src/tensor/kernels_avx2.cpp,
+//     compiled with -mavx2 -mfma -mpclmul) selected only when the CPU
+//     reports the features at startup. Matmul-family results differ from
+//     scalar by rounding (FMA + vector accumulation order) — epsilon
+//     equivalent, pinned by tests/test_simd_kernels.cpp. The elementwise,
+//     log-softmax, top-k scan, QSGD pack/unpack and CRC-32 kernels are
+//     bitwise identical to scalar by construction (same per-element
+//     operations; log-softmax vectorizes only the max scan and the
+//     broadcast-subtract, both exact; CRC-32 is exact GF(2) arithmetic).
 //
 // Determinism contract: WITHIN a backend, every kernel is bitwise
 // deterministic at any thread count (per-element accumulation chains are
@@ -24,9 +25,11 @@
 // Selection precedence: set_kernel_backend() (CLI --kernel-backend flag,
 // tests) > ADAFL_KERNEL_BACKEND environment variable > scalar. "auto"
 // resolves to avx2 when supported, scalar otherwise; requesting "avx2" on
-// hardware without AVX2+FMA is a hard error, never a silent fallback.
+// hardware without AVX2+FMA+PCLMUL is a hard error, never a silent
+// fallback.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -79,17 +82,25 @@ struct KernelTable {
   /// QSGD/ternary unpack half: out[i] = scale * float(levels[i]) / denom.
   void (*qsgd_unpack)(const std::int8_t* levels, float scale, float denom,
                       float* out, std::int64_t n);
+
+  // ---- byte-stream kernels ----
+  /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of n bytes,
+  /// continuing `crc` in the zlib convention: 0 starts a stream, and a
+  /// returned value passed back in continues it. Frames, datagrams,
+  /// checkpoints and weight fingerprints all run through this entry.
+  std::uint32_t (*crc32)(std::uint32_t crc, const std::uint8_t* data,
+                         std::size_t n);
 };
 
 /// The scalar reference table (defined in kernels_scalar.cpp).
 const KernelTable& scalar_kernel_table();
 
 /// True when this build carries the AVX2 backend AND the CPU reports
-/// AVX2 + FMA at runtime.
+/// AVX2 + FMA + PCLMUL at runtime.
 bool cpu_supports_avx2();
 
 /// Comma-separated CPU SIMD features detected at runtime (e.g.
-/// "avx2,fma,avx512f"); "none" when nothing relevant is present.
+/// "avx2,fma,pclmul,avx512f"); "none" when nothing relevant is present.
 std::string cpu_feature_string();
 
 /// Currently active backend. Before any explicit selection, the first call

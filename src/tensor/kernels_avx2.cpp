@@ -1,9 +1,9 @@
-// AVX2/FMA kernel backend.
+// AVX2/FMA/PCLMUL kernel backend.
 //
-// Compiled with -mavx2 -mfma (per-file flags in src/tensor/CMakeLists.txt);
-// the implementation is guarded so a toolchain or target without those
-// features still links (avx2_kernel_table_or_null() returns nullptr and the
-// dispatcher never selects this backend).
+// Compiled with -mavx2 -mfma -mpclmul (per-file flags in
+// src/tensor/CMakeLists.txt); the implementation is guarded so a toolchain
+// or target without those features still links (avx2_kernel_table_or_null()
+// returns nullptr and the dispatcher never selects this backend).
 //
 // Numerics contract (pinned by tests/test_simd_kernels.cpp):
 //   * matmul / matmul_tn / matmul_nt: epsilon-equivalent to scalar (FMA and
@@ -14,6 +14,8 @@
 //   * add / mul / scale / relu, abs_bits, scan_abs_gt / scan_abs_eq,
 //     qsgd_ratios / qsgd_unpack, log_softmax_rows: bitwise identical to the
 //     scalar reference (same per-element operations in the same order).
+//   * crc32: identical to the scalar table CRC for every input (carry-less
+//     folding is exact arithmetic over GF(2)).
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -23,7 +25,7 @@
 #include "core/parallel.h"
 #include "tensor/dispatch.h"
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__) && defined(__FMA__) && defined(__PCLMUL__)
 
 #include <immintrin.h>
 
@@ -447,6 +449,69 @@ void qsgd_unpack_avx2(const std::int8_t* levels, float scale, float denom,
     out[i] = scale * static_cast<float>(levels[i]) / denom;
 }
 
+// CRC-32 by carry-less multiplication folding (Gopal et al., "Fast CRC
+// Computation for Generic Polynomials Using PCLMULQDQ Instruction", Intel,
+// 2009), in the bit-reflected domain. Four 128-bit lanes fold 64 bytes per
+// step; they fold into one lane, which then takes one 16-byte block per
+// step. The lane is reduced 128 -> 64 -> 32 bits, the last step a Barrett
+// reduction. Inputs under 64 bytes and the final tail under 16 bytes go to
+// the scalar kernel.
+std::uint32_t crc32_avx2(std::uint32_t crc, const std::uint8_t* p,
+                         std::size_t n) {
+  const auto scalar = scalar_kernel_table().crc32;
+  if (n < 64) return scalar(crc, p, n);
+  // Folding constants x^e mod P(x) (bit-reflected, shifted left by one) for
+  // a 4x128-bit fold (e = 4*128 +- 32), a 128-bit fold (e = 128 +- 32) and
+  // the 64-bit step (e = 64); then P'(x) and the Barrett quotient
+  // mu = floor(x^64 / P(x)).
+  const __m128i fold4 = _mm_set_epi64x(0x01C6E41596, 0x0154442BD4);
+  const __m128i fold1 = _mm_set_epi64x(0x00CCAA009E, 0x01751997D0);
+  const __m128i fold64 = _mm_set_epi64x(0, 0x0163CD6124);
+  const __m128i barrett = _mm_set_epi64x(0x01F7011641, 0x01DB710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  // a * x^128 + b, folded: a's halves times the constant's halves.
+  const auto fold = [](__m128i a, __m128i k, __m128i b) {
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(a, k, 0x00),
+                                       _mm_clmulepi64_si128(a, k, 0x11)),
+                         b);
+  };
+  const auto load = [](const std::uint8_t* q) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
+  };
+
+  __m128i x0 = _mm_xor_si128(load(p),
+                             _mm_cvtsi32_si128(static_cast<int>(~crc)));
+  __m128i x1 = load(p + 16);
+  __m128i x2 = load(p + 32);
+  __m128i x3 = load(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    x0 = fold(x0, fold4, load(p));
+    x1 = fold(x1, fold4, load(p + 16));
+    x2 = fold(x2, fold4, load(p + 32));
+    x3 = fold(x3, fold4, load(p + 48));
+  }
+  x0 = fold(x0, fold1, x1);
+  x0 = fold(x0, fold1, x2);
+  x0 = fold(x0, fold1, x3);
+  for (; n >= 16; p += 16, n -= 16) x0 = fold(x0, fold1, load(p));
+
+  // 128 -> 64 bits: the low half times x^(128-32) joins the high half.
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                     _mm_clmulepi64_si128(x0, fold1, 0x10));
+  // 64 -> 32 bits, leaving the remainder's 64-bit form in the low half.
+  x0 = _mm_xor_si128(
+      _mm_srli_si128(x0, 4),
+      _mm_clmulepi64_si128(_mm_and_si128(x0, low32), fold64, 0x00));
+  // Barrett: q = floor(r * mu / x^32), r ^= q * P; the CRC is bits 32..63.
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), barrett, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), barrett, 0x00);
+  x0 = _mm_xor_si128(x0, q);
+  const auto folded = static_cast<std::uint32_t>(_mm_extract_epi32(x0, 1));
+  return scalar(~folded, p, n);
+}
+
 }  // namespace
 
 const KernelTable* avx2_kernel_table_or_null() {
@@ -464,13 +529,14 @@ const KernelTable* avx2_kernel_table_or_null() {
       /*scan_abs_eq=*/scan_abs_eq_avx2,
       /*qsgd_ratios=*/qsgd_ratios_avx2,
       /*qsgd_unpack=*/qsgd_unpack_avx2,
+      /*crc32=*/crc32_avx2,
   };
   return &table;
 }
 
 }  // namespace adafl::tensor
 
-#else  // !(__AVX2__ && __FMA__)
+#else  // !(__AVX2__ && __FMA__ && __PCLMUL__)
 
 namespace adafl::tensor {
 

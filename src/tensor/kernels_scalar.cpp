@@ -1,10 +1,12 @@
 // Scalar reference backend.
 //
 // These are the historical loop bodies, moved verbatim out of ops.cpp and
-// codec.cpp so they can sit behind the kernel table. They define the bitwise
-// reference semantics every other backend is tested against; do not "clean
-// up" operation order here — it is the contract.
+// codec.cpp so they can sit behind the kernel table, plus the slicing-by-8
+// CRC-32. They define the bitwise reference semantics every other backend
+// is tested against; do not "clean up" operation order here — it is the
+// contract.
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -213,6 +215,42 @@ void qsgd_unpack_scalar(const std::int8_t* levels, float scale, float denom,
     out[i] = scale * static_cast<float>(levels[i]) / denom;
 }
 
+// CRC-32 slicing-by-8 tables: row 0 is the classic byte table of the
+// reflected polynomial 0xEDB88320, and row k maps a byte to its effect on
+// the CRC k bytes further down the stream.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrcTables = [] {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit)
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k)
+    for (std::size_t i = 0; i < 256; ++i)
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+  return t;
+}();
+
+// Eight bytes per step through eight independent lookups, the CRC's own
+// bytes folded into the first four. Bytes are assembled explicitly, so the
+// result does not depend on host byte order.
+std::uint32_t crc32_scalar(std::uint32_t crc, const std::uint8_t* p,
+                           std::size_t n) {
+  const auto& t = kCrcTables;
+  std::uint32_t c = ~crc;
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo =
+        c ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+             std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+        t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
+  return ~c;
+}
+
 }  // namespace
 
 const KernelTable& scalar_kernel_table() {
@@ -230,6 +268,7 @@ const KernelTable& scalar_kernel_table() {
       /*scan_abs_eq=*/scan_abs_eq_scalar,
       /*qsgd_ratios=*/qsgd_ratios_scalar,
       /*qsgd_unpack=*/qsgd_unpack_scalar,
+      /*crc32=*/crc32_scalar,
   };
   return table;
 }

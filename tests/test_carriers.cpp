@@ -2,8 +2,8 @@
 // side. These tests pin what both owners rely on — one ConnId space over an
 // EventLoop's sockets and pumped transports, one poll into a frame batch,
 // closes reported once for reaping after dispatch, one send that shares a
-// broadcast's encoded image across loop peers, and an idle wait that ends
-// on loop activity.
+// broadcast's encoded image across every peer on both carriers, pumped
+// polls that never sleep, and an idle wait that ends on loop activity.
 #include "net/transport/carriers.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 
 #include "net/transport/loopback.h"
 #include "net/transport/tcp.h"
+#include "net/transport/udp.h"
 #include "tensor/check.h"
 
 namespace adafl::net::transport {
@@ -193,7 +194,7 @@ std::vector<ConnId> connect_loop_peers(
   return conns;
 }
 
-TEST(Carriers, LoopPeersShareOneImageAndPumpedSendsNeverFillIt) {
+TEST(Carriers, LoopAndPumpedPeersShareOneImage) {
   TcpListener listener(0);
   EventLoop loop(EventLoopConfig{});
   loop.adopt_listener(listener.fd());
@@ -210,18 +211,17 @@ TEST(Carriers, LoopPeersShareOneImageAndPumpedSendsNeverFillIt) {
   carriers.poll(batch);
   ASSERT_EQ(carriers.size(), 3u);
 
+  // The pumped loopback peer goes first and fills the slot; both loop
+  // peers are then queued the same bytes.
   const Frame broadcast = tagged(99, 5);
-  Carriers::Image image;
+  FrameImage image;
+  ASSERT_TRUE(carriers.send(Carriers::kPumpedBase, broadcast, &image));
+  ASSERT_TRUE(image) << "the pumped send did not fill the slot";
+  const FrameImage first = image;
   ASSERT_TRUE(carriers.send(conns[0], broadcast, &image));
-  ASSERT_TRUE(image);
-  const Carriers::Image first = image;
   ASSERT_TRUE(carriers.send(conns[1], broadcast, &image));
-  EXPECT_EQ(image, first) << "the second loop peer re-encoded the frame";
+  EXPECT_EQ(image, first) << "a loop peer re-encoded the frame";
   EXPECT_EQ(*image, encode_frame(broadcast));
-
-  Carriers::Image pumped_only;
-  ASSERT_TRUE(carriers.send(Carriers::kPumpedBase, broadcast, &pumped_only));
-  EXPECT_FALSE(pumped_only);
 
   for (auto& peer : peers) {
     const std::optional<Frame> got = peer->recv(2000ms);
@@ -232,6 +232,74 @@ TEST(Carriers, LoopPeersShareOneImageAndPumpedSendsNeverFillIt) {
   ASSERT_TRUE(got);
   EXPECT_EQ(got->client_id, 99u);
   carriers.close_all(0ms);
+}
+
+TEST(Carriers, PumpedBroadcastQueuesOneImageToEveryPeer) {
+  constexpr int kPeers = 8;
+  Carriers carriers;
+  std::vector<std::unique_ptr<LoopbackTransport>> clients;
+  for (int p = 0; p < kPeers; ++p) {
+    auto [server, client] = make_loopback_pair();
+    carriers.add_transport(std::move(server));
+    clients.push_back(std::move(client));
+  }
+  std::vector<InFrame> batch;
+  carriers.poll(batch);
+  ASSERT_EQ(carriers.size(), static_cast<std::size_t>(kPeers));
+
+  Frame broadcast = tagged(kServerId, 4);
+  broadcast.type = MsgType::kModel;
+  broadcast.payload.resize(4096);
+  for (std::size_t i = 0; i < broadcast.payload.size(); ++i)
+    broadcast.payload[i] = static_cast<std::uint8_t>(i * 131u + 7u);
+  FrameImage image;
+  const std::vector<std::uint8_t>* first = nullptr;
+  for (int p = 0; p < kPeers; ++p) {
+    ASSERT_TRUE(carriers.send(Carriers::kPumpedBase + p, broadcast, &image));
+    ASSERT_TRUE(image);
+    if (first == nullptr) first = image.get();
+    EXPECT_EQ(image.get(), first) << "peer " << p << " re-encoded the frame";
+  }
+  // The slot plus one queued reference per peer: nothing was copied.
+  EXPECT_EQ(image.use_count(), kPeers + 1);
+  EXPECT_EQ(*image, encode_frame(broadcast));
+
+  for (auto& client : clients) {
+    const std::optional<Frame> got = client->recv(0ms);
+    ASSERT_TRUE(got);
+    EXPECT_EQ(got->type, broadcast.type);
+    EXPECT_EQ(got->round, broadcast.round);
+    EXPECT_EQ(got->client_id, broadcast.client_id);
+    EXPECT_EQ(got->payload, broadcast.payload);
+  }
+  EXPECT_EQ(image.use_count(), 1);
+
+  // A unicast (no slot) still encodes and delivers.
+  const Frame unicast = tagged(3, 9);
+  ASSERT_TRUE(carriers.send(Carriers::kPumpedBase + 3, unicast));
+  const std::optional<Frame> got = clients[3]->recv(0ms);
+  ASSERT_TRUE(got);
+  EXPECT_EQ(got->round, 9u);
+  EXPECT_EQ(got->payload, unicast.payload);
+  EXPECT_FALSE(clients[2]->recv(0ms));
+  carriers.close_all(0ms);
+}
+
+// Carriers::poll visits every pumped transport with recv(0), so an empty
+// poll must cost no more than a lock: a timed wait on a deadline already
+// past still sleeps the timer slack (~50 us, 5000 polls ~ 275 ms).
+TEST(PumpedPoll, ZeroTimeoutRecvOnEmptyLoopbacksNeverWaits) {
+  constexpr int kPolls = 5000;
+  auto [stream, stream_peer] = make_loopback_pair();
+  auto [link, link_peer] = make_datagram_loopback_pair();
+  auto t0 = Clock::now();
+  for (int i = 0; i < kPolls; ++i) ASSERT_FALSE(stream->recv(0ms));
+  EXPECT_LT(Clock::now() - t0, 50ms) << "LoopbackTransport";
+  t0 = Clock::now();
+  for (int i = 0; i < kPolls; ++i) ASSERT_FALSE(link->recv(0ms));
+  EXPECT_LT(Clock::now() - t0, 50ms) << "LoopbackDatagramLink";
+  EXPECT_FALSE(stream->closed());
+  EXPECT_FALSE(link->closed());
 }
 
 TEST(Carriers, WaitEndsOnLoopActivityAndSleepsWithoutALoop) {

@@ -3,17 +3,19 @@
 // The contract under test (see docs/performance.md "Kernel dispatch"):
 //   - scalar is the bitwise reference; avx2 matmul-family results agree with
 //     it to float epsilon (different accumulation order, same math);
-//   - avx2 elementwise / log-softmax / top-k / QSGD kernels are bitwise
-//     identical to scalar by construction;
+//   - avx2 elementwise / log-softmax / top-k / QSGD / CRC-32 kernels are
+//     bitwise identical to scalar by construction;
 //   - within any one backend, results are bitwise deterministic across
 //     thread counts;
 //   - the dispatched hot path keeps the steady-state zero-tensor-allocation
 //     guarantee.
-// Every avx2 case skips (not fails) on machines without AVX2+FMA.
+// Every avx2 case skips (not fails) on machines without AVX2+FMA+PCLMUL.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "compress/codec.h"
@@ -23,6 +25,7 @@
 #include "fl_fixtures.h"
 #include "gradcheck.h"
 #include "nn/conv2d.h"
+#include "net/transport/crc32.h"
 #include "nn/linear.h"
 #include "tensor/dispatch.h"
 #include "tensor/ops.h"
@@ -44,7 +47,7 @@ class BackendScope {
 
 #define SKIP_WITHOUT_AVX2()                                          \
   if (!tensor::cpu_supports_avx2()) {                                \
-    GTEST_SKIP() << "no AVX2+FMA on this machine ("                  \
+    GTEST_SKIP() << "no AVX2+FMA+PCLMUL on this machine ("           \
                  << tensor::cpu_feature_string() << ")";             \
   }
 
@@ -322,6 +325,81 @@ TEST(SimdKernels, ClientRoundSteadyStateZeroAllocUnderAvx2) {
   one_round();
   EXPECT_EQ(tensor::tensor_allocations() - before, 0u)
       << "avx2 client round allocated tensors in steady state";
+}
+
+// ---- CRC-32 -------------------------------------------------------------
+
+/// Bit-at-a-time CRC-32: the textbook definition, independent of any table.
+std::uint32_t crc32_bitwise(const std::uint8_t* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit)
+      c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  tensor::Rng rng(seed);
+  std::vector<std::uint8_t> v(n);
+  for (auto& b : v) b = static_cast<std::uint8_t>(rng.next_u64() >> 56);
+  return v;
+}
+
+TEST(SimdKernels, Crc32BitwiseIdenticalToScalar) {
+  std::vector<KernelBackend> backends = {KernelBackend::kScalar};
+  if (tensor::cpu_supports_avx2()) backends.push_back(KernelBackend::kAvx2);
+  const std::vector<std::uint8_t> small = random_bytes(16 + 300, 31);
+  const std::vector<std::vector<std::uint8_t>> large = {
+      random_bytes(137 * 1024, 32), random_bytes(1 << 20, 33)};
+  const std::string check = "123456789";
+  for (const KernelBackend b : backends) {
+    BackendScope scope(b);
+    const char* name = tensor::kernel_backend_name(b);
+    const auto crc = tensor::active_kernels().crc32;
+    EXPECT_EQ(net::transport::crc32(std::span<const std::uint8_t>(
+                  reinterpret_cast<const std::uint8_t*>(check.data()),
+                  check.size())),
+              0xCBF43926u)
+        << name;
+    // Every alignment of every short length, across the 64-byte fold
+    // threshold and the 16-byte tails.
+    for (std::size_t off = 0; off < 16; ++off)
+      for (std::size_t len = 0; len <= 300; ++len)
+        ASSERT_EQ(crc(0, small.data() + off, len),
+                  crc32_bitwise(small.data() + off, len))
+            << name << " offset " << off << " length " << len;
+    for (const auto& buf : large)
+      EXPECT_EQ(crc(0, buf.data(), buf.size()),
+                crc32_bitwise(buf.data(), buf.size()))
+          << name << " length " << buf.size();
+
+    // One shot == any three chunks through crc32_update.
+    const std::span<const std::uint8_t> s300(small.data(), 300);
+    const std::uint32_t whole = net::transport::crc32(s300);
+    for (std::size_t a = 0; a <= 300; ++a)
+      for (std::size_t c = a; c <= 300; ++c) {
+        std::uint32_t v = net::transport::crc32_update(0, s300.first(a));
+        v = net::transport::crc32_update(v, s300.subspan(a, c - a));
+        v = net::transport::crc32_update(v, s300.subspan(c));
+        ASSERT_EQ(v, whole) << name << " split " << a << "/" << c;
+      }
+    tensor::Rng rng(34);
+    for (const auto& buf : large) {
+      const std::span<const std::uint8_t> all(buf);
+      for (int trial = 0; trial < 20; ++trial) {
+        std::size_t a = rng.uniform_index(buf.size() + 1);
+        std::size_t c = rng.uniform_index(buf.size() + 1);
+        if (a > c) std::swap(a, c);
+        std::uint32_t v = net::transport::crc32_update(0, all.first(a));
+        v = net::transport::crc32_update(v, all.subspan(a, c - a));
+        v = net::transport::crc32_update(v, all.subspan(c));
+        EXPECT_EQ(v, net::transport::crc32(all))
+            << name << " split " << a << "/" << c << " of " << buf.size();
+      }
+    }
+  }
 }
 
 // ---- Alignment guarantee -----------------------------------------------

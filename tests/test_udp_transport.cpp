@@ -20,9 +20,12 @@
 
 #include "deployed_test_util.h"
 #include "metrics/trace.h"
+#include "net/transport/crc32.h"
 #include "net/transport/faulty.h"
 #include "net/transport/frame.h"
+#include "net/transport/session.h"
 #include "net/transport/udp.h"
+#include "tensor/rng.h"
 
 namespace adafl {
 namespace {
@@ -190,6 +193,49 @@ TEST(UdpFragmentation, ParityBytesAccounted) {
   EXPECT_EQ(stats.parity_bytes.load(), parity);
   EXPECT_EQ(stats.datagrams_sent.load(),
             static_cast<std::int64_t>(dgrams.size()));
+}
+
+// --- Golden wire bytes -----------------------------------------------------
+
+/// A fixed-seed MODEL frame of fleet_1k's broadcast size (137 KB: 17536
+/// weights and as many g_hat entries). Exact arithmetic only, so the bytes
+/// are the same on every platform.
+Frame golden_model_frame() {
+  tensor::Rng rng(kSeed);
+  ModelPayload m;
+  m.global.resize(17536);
+  m.g_hat.resize(17536);
+  for (float& v : m.global) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  for (float& v : m.g_hat) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+  return Frame{MsgType::kModel, 5, kServerId, encode_model(m)};
+}
+
+// Pins the bytes both carriers put on the wire for one MODEL broadcast:
+// the stream frame, and the datagrams lossy_udp's RS(8+8)/1200-byte shape
+// emits for it. The values were recorded with the byte-at-a-time table CRC;
+// any change to framing, fragmentation, parity or the CRC kernels that
+// moves a single wire byte fails here.
+TEST(WireGolden, ModelFrameAndLossyUdpDatagramsArePinned) {
+  const Frame f = golden_model_frame();
+  ASSERT_EQ(f.payload.size(), 140296u);
+  const std::vector<std::uint8_t> stream = encode_frame(f);
+  EXPECT_EQ(stream.size(), 140320u);
+  EXPECT_EQ(crc32(stream), 0xEB274BC1u);
+
+  UdpFecConfig cfg;
+  cfg.data_shards = 8;
+  cfg.parity_shards = 8;
+  cfg.max_shard_bytes = 1200;
+  FrameFragmenter frag(cfg);
+  std::vector<std::uint8_t> datagrams;
+  std::size_t count = 0;
+  for (const auto& d : frag.fragment(f)) {
+    datagrams.insert(datagrams.end(), d.begin(), d.end());
+    ++count;
+  }
+  EXPECT_EQ(count, 240u);
+  EXPECT_EQ(datagrams.size(), 290240u);
+  EXPECT_EQ(crc32(datagrams), 0xFCE5BA45u);
 }
 
 TEST(UdpFragmentation, AnyLossWithinParityBudgetRepairs) {
