@@ -2,7 +2,8 @@
 //
 // Times the blocked matmul kernels, Conv2d forward/backward, DGC compression,
 // and one full synchronous FL round at 1/2/4/8 worker threads, plus the
-// single-threaded CRC-32 kernel over one MODEL frame — once per available
+// single-threaded CRC-32 kernel over one MODEL frame and the Reed-Solomon
+// encode and repair of one lossy_udp MODEL frame — once per available
 // kernel backend (scalar always, avx2 when the CPU supports it) — and writes
 // the results to bench_results/BENCH_kernels.json along with the detected
 // CPU features. Because the execution layer is bitwise deterministic
@@ -12,6 +13,7 @@
 // Usage:
 //   bench_kernels                  # full sweep
 //   ADAFL_BENCH_SCALE=0.3 bench_kernels   # quicker smoke pass
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +27,7 @@
 #include "compress/dgc.h"
 #include "core/parallel.h"
 #include "fl/client.h"
+#include "net/fec/rs.h"
 #include "net/transport/crc32.h"
 #include "nn/conv2d.h"
 #include "tensor/dispatch.h"
@@ -125,6 +128,31 @@ int main() {
   std::vector<std::uint8_t> crc_buf(140296);
   for (auto& b : crc_buf) b = static_cast<std::uint8_t>(rng.next_u64() >> 56);
 
+  // One lossy_udp MODEL frame (449 KB) as RS(8+8) generations of 1200-byte
+  // shards, laid out generation by generation: 8 data shards, then 8
+  // parity shards.
+  constexpr std::size_t kFecK = 8;
+  constexpr std::size_t kFecN = 16;
+  constexpr std::size_t kFecShard = 1200;
+  constexpr std::size_t kFecFrame = 449000;
+  constexpr std::size_t kFecGens =
+      (kFecFrame + kFecK * kFecShard - 1) / (kFecK * kFecShard);
+  std::vector<std::uint8_t> fec_buf(kFecGens * kFecN * kFecShard);
+  for (auto& b : fec_buf) b = static_cast<std::uint8_t>(rng.next_u64() >> 56);
+  const net::fec::RsCode rs(static_cast<int>(kFecN), static_cast<int>(kFecK));
+  // Every generation's shard pointers, for encode and repair alike.
+  const auto for_each_gen = [&](auto&& fn) {
+    std::vector<std::uint8_t*> ptr(kFecN);
+    for (std::size_t g = 0; g < kFecGens; ++g) {
+      for (std::size_t i = 0; i < kFecN; ++i)
+        ptr[i] = fec_buf.data() + (g * kFecN + i) * kFecShard;
+      fn(ptr.data());
+    }
+  };
+  // Three lost data shards per generation.
+  std::vector<bool> fec_present(kFecN, true);
+  fec_present[1] = fec_present[4] = fec_present[6] = false;
+
   // Per-backend sweep: scalar always, avx2 when the CPU/build supports it.
   // Inputs are shared across backends and thread counts, so every row times
   // the same computation.
@@ -152,6 +180,40 @@ int main() {
     r.gb_per_s = static_cast<double>(crc_buf.size()) / r.seconds * 1e-9;
     report(r);
     rows.push_back(r);
+  }
+  {
+    // Single-threaded, report-only: parity for every generation, then the
+    // repair of each generation's three lost data shards (rebuilt in place,
+    // so every rep repeats the same work). GB/s are frame bytes per second.
+    const auto encode = [&] {
+      for_each_gen([&](std::uint8_t** p) {
+        rs.encode_shards(p, p + kFecK, kFecShard);
+      });
+    };
+    Row enc{"fec_encode", bk, static_cast<std::int64_t>(kFecFrame), 1,
+            best_seconds(reps_small, encode), 0.0};
+    const std::vector<std::uint8_t> sent = fec_buf;
+    for_each_gen([&](std::uint8_t** p) {
+      for (std::size_t i = 0; i < kFecK; ++i)
+        if (!fec_present[i]) std::fill_n(p[i], kFecShard, std::uint8_t{0});
+    });
+    bool repaired = true;
+    const auto repair = [&] {
+      for_each_gen([&](std::uint8_t** p) {
+        repaired = rs.reconstruct_shards(p, fec_present, kFecShard) && repaired;
+      });
+    };
+    Row rep{"fec_repair", bk, static_cast<std::int64_t>(kFecFrame), 1,
+            best_seconds(reps_small, repair), 0.0};
+    if (!repaired || fec_buf != sent) {
+      std::cerr << "fec_repair did not restore the lost shards\n";
+      return 1;
+    }
+    for (Row* r : {&enc, &rep}) {
+      r->gb_per_s = static_cast<double>(kFecFrame) / r->seconds * 1e-9;
+      report(*r);
+      rows.push_back(*r);
+    }
   }
   for (int threads : thread_counts) {
     core::set_num_threads(threads);

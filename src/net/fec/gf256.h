@@ -8,8 +8,13 @@
 //
 // gf_mul_slow is the table-free shift-and-add reference: tests cross-check
 // every (a, b) pair against it, so a corrupted table can never hide.
+//
+// Bulk arithmetic over shard bytes goes through gf_mul_add, which runs the
+// active backend's KernelTable::gf256_mul_add with the coefficient's
+// split-nibble table from kGfNibbles.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "tensor/check.h"
@@ -65,5 +70,18 @@ inline std::uint8_t gf_pow(std::uint8_t a, int e) {
 /// Table-free reference multiply (Russian-peasant with 0x11D reduction).
 /// Slow by design; exists so tests can validate the tables exhaustively.
 std::uint8_t gf_mul_slow(std::uint8_t a, std::uint8_t b);
+
+/// Split-nibble product tables, the coefficient form of the gf256_mul_add
+/// kernel: row[c] holds c * x, then c * (x << 4), for x < 16.
+struct GfNibbleTables {
+  std::uint8_t row[256][32];
+};
+
+/// Compile-time-built nibble tables for every coefficient.
+extern const GfNibbleTables kGfNibbles;
+
+/// dst[i] ^= c * src[i] for n bytes (src and dst do not overlap).
+void gf_mul_add(std::uint8_t c, const std::uint8_t* src, std::uint8_t* dst,
+                std::size_t n);
 
 }  // namespace adafl::net::fec

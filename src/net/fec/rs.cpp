@@ -1,6 +1,8 @@
 #include "net/fec/rs.h"
 
 #include <algorithm>
+#include <cstring>
+#include <utility>
 
 #include "net/fec/gf256.h"
 #include "tensor/check.h"
@@ -9,37 +11,31 @@ namespace adafl::net::fec {
 
 namespace {
 
-// Decoder polynomials are ascending: p[d] is the coefficient of x^d.
-using Poly = std::vector<std::uint8_t>;
-
-Poly poly_mul(const Poly& a, const Poly& b) {
-  Poly out(a.size() + b.size() - 1, 0);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] == 0) continue;
-    for (std::size_t j = 0; j < b.size(); ++j)
-      out[i + j] ^= gf_mul(a[i], b[j]);
+/// Inverts the k x k row-major matrix `a` in place by Gauss-Jordan
+/// elimination over GF(256). Returns false (a is then garbage) when it is
+/// singular.
+bool invert(std::vector<std::uint8_t>& a, int k) {
+  const auto uk = static_cast<std::size_t>(k);
+  // Rows of [a | I], reduced until the left half is I.
+  std::vector<std::uint8_t> m(uk * 2 * uk, 0);
+  for (std::size_t i = 0; i < uk; ++i) {
+    std::copy_n(a.data() + i * uk, uk, m.data() + i * 2 * uk);
+    m[i * 2 * uk + uk + i] = 1;
   }
-  return out;
-}
-
-std::uint8_t poly_eval(const Poly& p, std::uint8_t x) {
-  // Horner from the top coefficient down.
-  std::uint8_t acc = 0;
-  for (std::size_t i = p.size(); i-- > 0;) acc = gf_mul(acc, x) ^ p[i];
-  return acc;
-}
-
-/// Formal derivative in characteristic 2: even-degree terms vanish.
-Poly poly_derivative(const Poly& p) {
-  Poly out(p.size() > 1 ? p.size() - 1 : 1, 0);
-  for (std::size_t d = 1; d < p.size(); d += 2) out[d - 1] = p[d];
-  return out;
-}
-
-int poly_degree(const Poly& p) {
-  for (std::size_t i = p.size(); i-- > 0;)
-    if (p[i] != 0) return static_cast<int>(i);
-  return 0;
+  const auto row = [&](std::size_t i) { return m.data() + i * 2 * uk; };
+  for (std::size_t c = 0; c < uk; ++c) {
+    std::size_t p = c;
+    while (p < uk && row(p)[c] == 0) ++p;
+    if (p == uk) return false;
+    if (p != c) std::swap_ranges(row(p), row(p) + 2 * uk, row(c));
+    const std::uint8_t s = gf_inv(row(c)[c]);
+    for (std::size_t j = 0; j < 2 * uk; ++j) row(c)[j] = gf_mul(row(c)[j], s);
+    for (std::size_t i = 0; i < uk; ++i)
+      if (i != c) gf_mul_add(row(i)[c], row(c), row(i), 2 * uk);
+  }
+  for (std::size_t i = 0; i < uk; ++i)
+    std::copy_n(row(i) + uk, uk, a.data() + i * uk);
+  return true;
 }
 
 }  // namespace
@@ -57,6 +53,18 @@ RsCode::RsCode(int n, int k) : n_(n), k_(k) {
       next[i + 1] ^= gf_mul(gen_[i], root);   // alpha^j * gen
     }
     gen_ = std::move(next);
+  }
+  // Column i of P is the parity of the unit vector e_i.
+  const auto r = static_cast<std::size_t>(parity());
+  const auto uk = static_cast<std::size_t>(k_);
+  matrix_.assign(r * uk, 0);
+  std::vector<std::uint8_t> unit(uk, 0);
+  std::vector<std::uint8_t> column(r);
+  for (std::size_t i = 0; i < uk; ++i) {
+    unit[i] = 1;
+    encode(unit, column);
+    unit[i] = 0;
+    for (std::size_t j = 0; j < r; ++j) matrix_[j * uk + i] = column[j];
   }
 }
 
@@ -81,138 +89,14 @@ void RsCode::encode(std::span<const std::uint8_t> data,
   }
 }
 
-bool RsCode::decode(std::span<std::uint8_t> codeword,
-                    std::span<const int> erasures) const {
-  const int r = parity();
-  ADAFL_CHECK_MSG(static_cast<int>(codeword.size()) == n_,
-                  "RsCode::decode: codeword size != n");
-  const int e = static_cast<int>(erasures.size());
-  if (e > r) return false;
-  for (int pos : erasures)
-    ADAFL_CHECK_MSG(pos >= 0 && pos < n_,
-                    "RsCode::decode: erasure position out of range");
-  if (r == 0) return true;
-
-  // Syndromes S_j = C(alpha^j). All zero (and nothing erased) => intact.
-  Poly synd(static_cast<std::size_t>(r), 0);
-  bool any = false;
-  for (int j = 0; j < r; ++j) {
-    const std::uint8_t a = gf_exp(j);
-    std::uint8_t acc = 0;
-    for (int i = 0; i < n_; ++i)
-      acc = gf_mul(acc, a) ^ codeword[static_cast<std::size_t>(i)];
-    synd[static_cast<std::size_t>(j)] = acc;
-    any = any || acc != 0;
-  }
-  if (!any && e == 0) return true;
-
-  // Erasure locator Gamma(x) = prod (1 - X_i x), X_i = alpha^{n-1-pos}.
-  Poly gamma = {1};
-  for (int pos : erasures) {
-    const std::uint8_t x = gf_exp(n_ - 1 - pos);
-    gamma = poly_mul(gamma, Poly{1, x});
-  }
-
-  // Forney syndromes T = S * Gamma mod x^r: for j >= e the erased symbols'
-  // contribution cancels, leaving a pure error sequence for Berlekamp-
-  // Massey to model.
-  Poly t = poly_mul(synd, gamma);
-  t.resize(static_cast<std::size_t>(r), 0);
-
-  // Berlekamp-Massey over t[e..r-1] finds the error locator Lambda.
-  Poly lambda = {1};
-  Poly prev = {1};
-  int L = 0;
-  int m = 1;
-  std::uint8_t b = 1;
-  for (int idx = 0; idx < r - e; ++idx) {
-    const int j = e + idx;
-    std::uint8_t delta = t[static_cast<std::size_t>(j)];
-    for (int i = 1; i <= L && i < static_cast<int>(lambda.size()); ++i)
-      delta ^= gf_mul(lambda[static_cast<std::size_t>(i)],
-                      t[static_cast<std::size_t>(j - i)]);
-    if (delta == 0) {
-      ++m;
-      continue;
-    }
-    if (2 * L <= idx) {
-      Poly tmp = lambda;
-      const std::uint8_t scale = gf_div(delta, b);
-      lambda.resize(std::max(lambda.size(), prev.size() + m), 0);
-      for (std::size_t i = 0; i < prev.size(); ++i)
-        lambda[i + static_cast<std::size_t>(m)] ^= gf_mul(scale, prev[i]);
-      L = idx + 1 - L;
-      prev = std::move(tmp);
-      b = delta;
-      m = 1;
-    } else {
-      const std::uint8_t scale = gf_div(delta, b);
-      lambda.resize(std::max(lambda.size(), prev.size() + m), 0);
-      for (std::size_t i = 0; i < prev.size(); ++i)
-        lambda[i + static_cast<std::size_t>(m)] ^= gf_mul(scale, prev[i]);
-      ++m;
-    }
-  }
-  if (2 * L > r - e) return false;  // more errors than the budget covers
-
-  // Errata locator Psi = Lambda * Gamma; Chien search for its roots over
-  // the shortened positions. Every root X_i^{-1} marks errata position i.
-  Poly psi = poly_mul(lambda, gamma);
-  const int psi_deg = poly_degree(psi);
-  std::vector<int> errata;
-  errata.reserve(static_cast<std::size_t>(psi_deg));
-  for (int i = 0; i < n_; ++i) {
-    const std::uint8_t x_inv = gf_inv(gf_exp(n_ - 1 - i));
-    if (poly_eval(psi, x_inv) == 0) errata.push_back(i);
-  }
-  if (static_cast<int>(errata.size()) != psi_deg) return false;
-
-  // Forney: e_i = X_i * Omega(X_i^{-1}) / Psi'(X_i^{-1}),
-  // Omega = S * Psi mod x^r.
-  Poly omega = poly_mul(synd, psi);
-  omega.resize(static_cast<std::size_t>(r), 0);
-  const Poly psi_prime = poly_derivative(psi);
-  std::vector<std::pair<int, std::uint8_t>> fixes;
-  fixes.reserve(errata.size());
-  for (int i : errata) {
-    const std::uint8_t x = gf_exp(n_ - 1 - i);
-    const std::uint8_t x_inv = gf_inv(x);
-    const std::uint8_t denom = poly_eval(psi_prime, x_inv);
-    if (denom == 0) return false;  // inconsistent locator; refuse to guess
-    const std::uint8_t mag = gf_mul(x, gf_div(poly_eval(omega, x_inv), denom));
-    fixes.emplace_back(i, mag);
-  }
-
-  for (const auto& [pos, mag] : fixes)
-    codeword[static_cast<std::size_t>(pos)] ^= mag;
-
-  // Verify: a successful repair must leave every syndrome zero. If not,
-  // undo — the caller gets its original bytes back, not a plausible fake.
-  for (int j = 0; j < r; ++j) {
-    const std::uint8_t a = gf_exp(j);
-    std::uint8_t acc = 0;
-    for (int i = 0; i < n_; ++i)
-      acc = gf_mul(acc, a) ^ codeword[static_cast<std::size_t>(i)];
-    if (acc != 0) {
-      for (const auto& [pos, mag] : fixes)
-        codeword[static_cast<std::size_t>(pos)] ^= mag;
-      return false;
-    }
-  }
-  return true;
-}
-
 void RsCode::encode_shards(const std::uint8_t* const* data,
                            std::uint8_t* const* parity,
                            std::size_t shard_len) const {
-  const int r = n_ - k_;
-  std::uint8_t cw_data[kRsMaxSymbols];
-  std::uint8_t cw_par[kRsMaxSymbols];
-  for (std::size_t t = 0; t < shard_len; ++t) {
-    for (int i = 0; i < k_; ++i) cw_data[i] = data[i][t];
-    encode({cw_data, static_cast<std::size_t>(k_)},
-           {cw_par, static_cast<std::size_t>(r)});
-    for (int j = 0; j < r; ++j) parity[j][t] = cw_par[j];
+  const auto uk = static_cast<std::size_t>(k_);
+  for (std::size_t j = 0; j < static_cast<std::size_t>(n_ - k_); ++j) {
+    std::memset(parity[j], 0, shard_len);
+    for (std::size_t i = 0; i < uk; ++i)
+      gf_mul_add(matrix_[j * uk + i], data[i], parity[j], shard_len);
   }
 }
 
@@ -221,26 +105,35 @@ bool RsCode::reconstruct_shards(std::uint8_t* const* shards,
                                 std::size_t shard_len) const {
   ADAFL_CHECK_MSG(static_cast<int>(present.size()) == n_,
                   "reconstruct_shards: present bitmap size != n");
-  std::vector<int> erasures;
-  for (int i = 0; i < n_; ++i)
-    if (!present[static_cast<std::size_t>(i)]) erasures.push_back(i);
-  if (static_cast<int>(erasures.size()) > parity()) return false;
-  if (erasures.empty()) return true;
-
-  // Decode column-by-column into scratch; only commit if every column
-  // repairs, so a failed generation never leaks half-written shards.
-  std::vector<std::uint8_t> repaired(erasures.size() * shard_len);
-  std::uint8_t cw[kRsMaxSymbols];
-  for (std::size_t t = 0; t < shard_len; ++t) {
-    for (int i = 0; i < n_; ++i)
-      cw[i] = present[static_cast<std::size_t>(i)] ? shards[i][t] : 0;
-    if (!decode({cw, static_cast<std::size_t>(n_)}, erasures)) return false;
-    for (std::size_t j = 0; j < erasures.size(); ++j)
-      repaired[j * shard_len + t] = cw[erasures[j]];
+  const auto uk = static_cast<std::size_t>(k_);
+  std::vector<std::size_t> rows;  // the first k shards that arrived
+  std::vector<std::size_t> missing;  // the data shards that did not
+  for (std::size_t i = 0; i < present.size(); ++i) {
+    if (!present[i]) {
+      if (i < uk) missing.push_back(i);
+    } else if (rows.size() < uk) {
+      rows.push_back(i);
+    }
   }
-  for (std::size_t j = 0; j < erasures.size(); ++j)
-    std::copy_n(repaired.data() + j * shard_len, shard_len,
-                shards[erasures[j]]);
+  if (rows.size() < uk) return false;
+  if (missing.empty()) return true;
+
+  // Row t of the system is row rows[t] of [I; P]; its inverse maps the
+  // surviving shards back to the data.
+  std::vector<std::uint8_t> sys(uk * uk, 0);
+  for (std::size_t t = 0; t < uk; ++t) {
+    if (rows[t] < uk)
+      sys[t * uk + rows[t]] = 1;
+    else
+      std::copy_n(matrix_.data() + (rows[t] - uk) * uk, uk,
+                  sys.data() + t * uk);
+  }
+  if (!invert(sys, k_)) return false;  // unreachable for an MDS code
+  for (const std::size_t m : missing) {
+    std::memset(shards[m], 0, shard_len);
+    for (std::size_t t = 0; t < uk; ++t)
+      gf_mul_add(sys[m * uk + t], shards[rows[t]], shards[m], shard_len);
+  }
   return true;
 }
 

@@ -1,25 +1,30 @@
-// Systematic Reed-Solomon RS(n, k) over GF(256), n = k + r <= 255.
+// Systematic Reed-Solomon RS(n, k) over GF(256), n = k + r <= 255, as an
+// erasure code on equal-length shards.
 //
 // A codeword is [d_0 .. d_{k-1}, p_0 .. p_{r-1}]: the data symbols pass
 // through untouched (systematic) and r parity symbols follow. Position i
 // holds the coefficient of x^{n-1-i}, so the generator polynomial
-// g(x) = prod_{j=0}^{r-1} (x - alpha^j) divides every valid codeword and the
-// syndromes S_j = C(alpha^j) of an intact codeword are all zero.
+// g(x) = prod_{j=0}^{r-1} (x - alpha^j) divides every valid codeword.
+// encode() computes one codeword's parity by LFSR division; it defines the
+// code and is the reference the shard kernels are tested against.
 //
-// The decoder is the full errata pipeline: syndrome computation, erasure
-// locator, Berlekamp-Massey over the Forney syndromes for unknown error
-// positions, Chien search for the errata locator's roots, and the Forney
-// algorithm for magnitudes. It corrects e erasures plus v errors whenever
-// e + 2v <= r; the datagram transport uses the pure-erasure case (lost
-// datagrams have known positions), where the full budget of r losses per
-// generation is repairable.
+// The code is linear, so parity = P * data for the r x k matrix P whose
+// column i is the parity of the unit vector e_i. The constructor builds P
+// once from encode(), and shard-level work is matrix work:
+//  - encode_shards computes P * data over whole shards;
+//  - reconstruct_shards takes the first k shards that arrived, inverts the
+//    matching k x k rows of [I; P] by Gauss-Jordan elimination (Rizzo,
+//    "Effective erasure codes for reliable computer communication
+//    protocols", 1997), and rebuilds only the missing DATA shards from them.
+// Both are sums of one kernel, dst ^= c * src (gf_mul_add, gf256.h).
 //
-// Failure is loud and safe: decode() returns false (and leaves the codeword
-// bytes untouched) when the errata exceed the budget or the corrected word
-// still has nonzero syndromes — a failed repair can never hand corrupted
-// bytes onward.
+// Only erasures are repaired. The datagram transport needs nothing more:
+// every datagram carries a CRC, so a corrupted one is a lost one at a known
+// position. A generation short of k shards is reported (false) with its
+// shards untouched, never guessed.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -39,30 +44,20 @@ class RsCode {
   int k() const { return k_; }
   int parity() const { return n_ - k_; }
 
-  /// Systematic encode: data.size() == k, parity.size() == n - k.
+  /// Reference encode of one codeword: data.size() == k,
+  /// parity.size() == n - k.
   void encode(std::span<const std::uint8_t> data,
               std::span<std::uint8_t> parity) const;
 
-  /// Corrects `codeword` (size n) in place given the known-bad positions
-  /// `erasures` (codeword indices, each in [0, n)); unknown errors beyond
-  /// the erasure list are located via Berlekamp-Massey. Returns true on
-  /// success. On failure the codeword is left exactly as passed in.
-  bool decode(std::span<std::uint8_t> codeword,
-              std::span<const int> erasures) const;
-
-  // --- Shard-level convenience (the FEC-generation shape). ---------------
-  // A generation is k equal-length data shards plus r parity shards; byte
-  // column t across the shards forms one RS codeword, so losing a shard is
-  // one erasure in every column's codeword.
-
-  /// data[i] / parity[j] each point at shard_len bytes.
+  /// parity[j] = sum_i P[j][i] * data[i], each pointer at shard_len bytes.
   void encode_shards(const std::uint8_t* const* data,
                      std::uint8_t* const* parity, std::size_t shard_len) const;
 
   /// shards[0..n): data then parity; present[i] says shard i arrived.
-  /// Reconstructs every missing shard in place (missing entries must point
-  /// at writable shard_len-byte buffers). Returns false — touching nothing —
-  /// when more than r shards are missing or any column fails to decode.
+  /// Rebuilds every missing data shard in place (those entries must point
+  /// at writable shard_len-byte buffers; missing parity shards are neither
+  /// read nor written). Returns false, touching nothing, when fewer than k
+  /// shards arrived.
   bool reconstruct_shards(std::uint8_t* const* shards,
                           const std::vector<bool>& present,
                           std::size_t shard_len) const;
@@ -70,7 +65,8 @@ class RsCode {
  private:
   int n_;
   int k_;
-  std::vector<std::uint8_t> gen_;  ///< generator poly, descending, gen_[0]=1
+  std::vector<std::uint8_t> gen_;     ///< generator poly, descending
+  std::vector<std::uint8_t> matrix_;  ///< P, r x k row-major
 };
 
 }  // namespace adafl::net::fec

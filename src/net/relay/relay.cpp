@@ -225,7 +225,7 @@ void RelaySession::handle_parent_frame(const Frame& f) {
       param_count_ = static_cast<std::int64_t>(w.param_count);
       // Served to children verbatim.
       welcome_ = Frame{MsgType::kWelcome, 0, kServerId, f.payload};
-      welcome_image_.reset();
+      welcome_image_ = {};
       return;
     }
     case MsgType::kModel: {
@@ -239,7 +239,7 @@ void RelaySession::handle_parent_frame(const Frame& f) {
         updates_.clear();
         agg_frames_.clear();
         model_frame_ = f;
-        model_image_.reset();
+        model_image_ = {};
         face_.begin_round(r);
         send_queued();
         return;

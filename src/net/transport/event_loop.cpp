@@ -32,7 +32,7 @@ struct EventLoop::Conn {
   int fd = -1;
   int shard = 0;
   FrameParser parser;
-  std::deque<std::pair<FrameImage, std::size_t>> outbuf;
+  std::deque<std::pair<FrameBytes, std::size_t>> outbuf;
   std::size_t outbuf_bytes = 0;
   std::uint32_t events = 0;  // currently registered epoll event mask
 };
@@ -509,7 +509,7 @@ bool EventLoop::wait_activity(std::chrono::milliseconds timeout) {
   return woke;
 }
 
-void EventLoop::send(ConnId conn, FrameImage bytes) {
+void EventLoop::send(ConnId conn, FrameBytes bytes) {
   {
     std::lock_guard<std::mutex> lk(cmd_mu_);
     commands_.push_back(

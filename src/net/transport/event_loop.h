@@ -112,7 +112,7 @@ class EventLoop {
   /// Queues `bytes` for transmission on `conn`. The buffer is shared, not
   /// copied — encode a broadcast once and send the same pointer to every
   /// connection. No-op on unknown/closed ids.
-  void send(ConnId conn, FrameImage bytes);
+  void send(ConnId conn, FrameBytes bytes);
   /// Closes a connection (flushes nothing; immediate). No-op on unknown ids.
   void close_conn(ConnId conn);
 
@@ -180,7 +180,7 @@ class EventLoop {
   struct Command {
     enum class Kind { kSend, kClose } kind;
     ConnId conn;
-    FrameImage bytes;
+    FrameBytes bytes;
   };
   std::vector<Command> commands_;
   std::mutex event_mu_;

@@ -51,10 +51,11 @@ std::vector<std::uint8_t> encode_frame(const Frame& f) {
   return out;
 }
 
-const FrameImage& encode_once(const Frame& f, FrameImage& image) {
-  if (!image)
-    image = std::make_shared<const std::vector<std::uint8_t>>(encode_frame(f));
-  return image;
+const FrameBytes& encode_once(const Frame& f, FrameImage& image) {
+  if (!image.bytes)
+    image.bytes =
+        std::make_shared<const std::vector<std::uint8_t>>(encode_frame(f));
+  return image.bytes;
 }
 
 namespace {

@@ -83,11 +83,20 @@ std::vector<std::uint8_t> encode_frame(const Frame& f);
 
 /// encode_frame's bytes for one frame, shared by every peer a broadcast is
 /// queued to instead of copied per peer.
-using FrameImage = std::shared_ptr<const std::vector<std::uint8_t>>;
+using FrameBytes = std::shared_ptr<const std::vector<std::uint8_t>>;
 
-/// `image`, encoded from `f` if it is still empty; the slot keeps it for the
-/// broadcast's next peer.
-const FrameImage& encode_once(const Frame& f, FrameImage& image);
+struct FecImage;  // udp.h
+
+/// One broadcast's slot: each encoding of its frame that a peer needed,
+/// made by the first such peer and shared, immutable, by the rest.
+struct FrameImage {
+  FrameBytes bytes;                     ///< encode_frame(f)
+  std::shared_ptr<const FecImage> fec;  ///< f's FEC datagram payloads
+};
+
+/// `image.bytes`, encoded from `f` if still empty; the slot keeps them for
+/// the broadcast's next peer.
+const FrameBytes& encode_once(const Frame& f, FrameImage& image);
 
 /// Decodes exactly one frame from a complete buffer; throws CheckError if
 /// the buffer is not exactly one well-formed frame.

@@ -15,7 +15,7 @@ make_loopback_pair() {
 }
 
 bool LoopbackTransport::send_shared(const Frame& f, FrameImage& image) {
-  const FrameImage& bytes = encode_once(f, image);
+  const FrameBytes& bytes = encode_once(f, image);
   std::lock_guard<std::mutex> lock(tx_->mu);
   if (tx_->closed) return false;
   tx_->queue.push_back(bytes);
@@ -25,7 +25,7 @@ bool LoopbackTransport::send_shared(const Frame& f, FrameImage& image) {
 
 std::optional<Frame> LoopbackTransport::recv(
     std::chrono::milliseconds timeout) {
-  FrameImage image;
+  FrameBytes bytes;
   {
     std::unique_lock<std::mutex> lock(rx_->mu);
     // A wait on a deadline already past still sleeps the timer slack
@@ -35,12 +35,12 @@ std::optional<Frame> LoopbackTransport::recv(
         return !rx_->queue.empty() || rx_->closed;
       });
     if (rx_->queue.empty()) return std::nullopt;  // timeout or closed
-    image = std::move(rx_->queue.front());
+    bytes = std::move(rx_->queue.front());
     rx_->queue.pop_front();
   }
-  // Every image is one whole encoded frame (send_shared queues
+  // Every entry is one whole encoded frame (send_shared queues
   // encode_once's bytes), so it completes exactly one frame.
-  parser_.consume(*image);
+  parser_.consume(*bytes);
   return parser_.next();
 }
 

@@ -4,9 +4,9 @@
 // Frames are run through encode_frame()/FrameParser on every hop — the
 // loopback path exercises the exact bytes a socket would carry, so a
 // deployed run over loopback is the simulator-grade reference for the TCP
-// path (and is what the equivalence tests drive). A broadcast's FrameImage
-// is queued to every peer as is, and each receiver parses (and CRC-checks)
-// it in place.
+// path (and is what the equivalence tests drive). A broadcast's FrameBytes
+// are queued to every peer as they are, and each receiver parses (and
+// CRC-checks) them in place.
 #pragma once
 
 #include <condition_variable>
@@ -54,7 +54,7 @@ class LoopbackTransport final : public Transport {
   struct Channel {
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<FrameImage> queue;
+    std::deque<FrameBytes> queue;
     bool closed = false;
   };
 

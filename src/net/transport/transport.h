@@ -32,10 +32,10 @@ class Transport {
   virtual bool send(const Frame& f) = 0;
 
   /// send(f) for one peer of a broadcast: `image` is the broadcast's slot,
-  /// encoded from `f` on first use (encode_once) and shared after, so N
-  /// peers cost one encode. Same bytes, same result as send(f). This
-  /// default ignores the slot; a transport that queues encoded bytes
-  /// overrides it. (A distinct name, so a subclass overriding only send()
+  /// filled from `f` on first use (encode_once, or UDP's FEC image) and
+  /// shared after, so N peers cost one encode. Same bytes, same result as
+  /// send(f). This default ignores the slot; a transport that can send
+  /// from a shared encoding overrides it. (A distinct name, so a subclass overriding only send()
   /// neither hides it nor needs a using-declaration.)
   virtual bool send_shared(const Frame& f, FrameImage& /*image*/) {
     return send(f);

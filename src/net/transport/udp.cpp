@@ -8,13 +8,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
 
 #include "compress/bytes.h"
 #include "net/fec/interleave.h"
-#include "net/fec/rs.h"
 #include "net/transport/crc32.h"
 #include "tensor/check.h"
 
@@ -49,6 +49,55 @@ std::uint64_t rd_u64(const std::uint8_t* p) {
   return std::uint64_t{rd_u32(p)} | (std::uint64_t{rd_u32(p + 4)} << 32);
 }
 
+void wr_u32(std::uint8_t* p, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+void wr_u64(std::uint8_t* p, std::uint64_t v) {
+  wr_u32(p, static_cast<std::uint32_t>(v));
+  wr_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
+}
+
+/// CRC of a datagram: its header up to the CRC field, then its payload.
+std::uint32_t datagram_crc(const std::uint8_t* header,
+                           std::span<const std::uint8_t> payload) {
+  return crc32_update(crc32_update(0, {header, kDatagramHeaderBytes - 4}),
+                      payload);
+}
+
+/// Appends h's header bytes, frame_seq and crc left 0 for stamp().
+void put_header(std::vector<std::uint8_t>& out, const DatagramHeader& h) {
+  bytes::put_u32(out, kDatagramMagic);
+  bytes::put_u8(out, kDatagramVersion);
+  bytes::put_u8(out, h.shard);
+  bytes::put_u8(out, h.k);
+  bytes::put_u8(out, h.r);
+  bytes::put_u64(out, 0);  // frame_seq
+  bytes::put_u32(out, h.gen_index);
+  bytes::put_u32(out, h.gen_count);
+  bytes::put_u32(out, h.frame_len);
+  bytes::put_u32(out, h.gen_off);
+  bytes::put_u16(out, h.shard_len);
+  bytes::put_u16(out, 0);  // reserved
+  bytes::put_u32(out, 0);  // crc
+}
+
+/// Writes a link's frame_seq and the resulting CRC into a put_header()
+/// header for `payload`.
+void stamp(std::uint8_t* header, std::uint64_t frame_seq,
+           std::span<const std::uint8_t> payload) {
+  wr_u64(header + 8, frame_seq);
+  wr_u32(header + kDatagramHeaderBytes - 4, datagram_crc(header, payload));
+}
+
+/// The RS code for (n, k) from `cache`, rebuilt when the geometry differs
+/// from the last one: a hostile peer can name any (k, r), so one geometry
+/// is all a fragmenter or reassembler keeps.
+const fec::RsCode& code_for(std::optional<fec::RsCode>& cache, int n, int k) {
+  if (!cache || cache->n() != n || cache->k() != k) cache.emplace(n, k);
+  return *cache;
+}
+
 void validate_fec_config(const UdpFecConfig& cfg) {
   ADAFL_CHECK_MSG(cfg.data_shards >= 1 && cfg.parity_shards >= 0 &&
                       cfg.data_shards + cfg.parity_shards <= fec::kRsMaxSymbols,
@@ -74,21 +123,8 @@ std::vector<std::uint8_t> encode_datagram(
                                             << " != shard_len " << h.shard_len);
   std::vector<std::uint8_t> out;
   out.reserve(kDatagramHeaderBytes + payload.size());
-  bytes::put_u32(out, kDatagramMagic);
-  bytes::put_u8(out, kDatagramVersion);
-  bytes::put_u8(out, h.shard);
-  bytes::put_u8(out, h.k);
-  bytes::put_u8(out, h.r);
-  bytes::put_u64(out, h.frame_seq);
-  bytes::put_u32(out, h.gen_index);
-  bytes::put_u32(out, h.gen_count);
-  bytes::put_u32(out, h.frame_len);
-  bytes::put_u32(out, h.gen_off);
-  bytes::put_u16(out, h.shard_len);
-  bytes::put_u16(out, 0);  // reserved
-  std::uint32_t crc = crc32_update(0, {out.data(), out.size()});
-  crc = crc32_update(crc, payload);
-  bytes::put_u32(out, crc);
+  put_header(out, h);
+  stamp(out.data(), h.frame_seq, payload);
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
@@ -114,9 +150,8 @@ std::optional<DatagramHeader> parse_datagram(
 
   if (reserved != 0) return std::nullopt;
   if (d.size() != kDatagramHeaderBytes + h.shard_len) return std::nullopt;
-  std::uint32_t crc = crc32_update(0, d.first(kDatagramHeaderBytes - 4));
-  crc = crc32_update(crc, d.subspan(kDatagramHeaderBytes));
-  if (crc != want_crc) return std::nullopt;
+  if (datagram_crc(p, d.subspan(kDatagramHeaderBytes)) != want_crc)
+    return std::nullopt;
 
   // Structural bounds: every later consumer may assume these hold.
   const int n = static_cast<int>(h.k) + static_cast<int>(h.r);
@@ -144,10 +179,8 @@ FrameFragmenter::FrameFragmenter(const UdpFecConfig& cfg) : cfg_(cfg) {
   validate_fec_config(cfg_);
 }
 
-std::vector<std::vector<std::uint8_t>> FrameFragmenter::fragment(
-    const Frame& f) {
-  const std::vector<std::uint8_t> enc = encode_frame(f);
-  const std::uint64_t seq = next_seq_++;
+std::shared_ptr<const FecImage> FrameFragmenter::build(
+    std::span<const std::uint8_t> enc) {
   const int K = cfg_.data_shards;
   const int R = cfg_.parity_shards;
   const std::size_t frame_len = enc.size();
@@ -160,7 +193,18 @@ std::vector<std::vector<std::uint8_t>> FrameFragmenter::fragment(
                                    << " bytes exceeds the generation cap; "
                                       "raise max_shard_bytes or data_shards");
 
-  std::vector<std::vector<std::uint8_t>> out;
+  auto img = std::make_shared<FecImage>();
+  img->data_shards = K;
+  img->parity_shards = R;
+  img->max_shard_bytes = cfg_.max_shard_bytes;
+  img->headers.reserve(static_cast<std::size_t>(gen_count) *
+                       static_cast<std::size_t>(K + R) * kDatagramHeaderBytes);
+  // Every generation but the last is K full shards; the last is resized
+  // below and holds no more, so this bounds the payload bytes.
+  img->payloads.resize(static_cast<std::size_t>(gen_count) *
+                       static_cast<std::size_t>(K + R) * max_s);
+  std::size_t used = 0;
+  std::vector<std::uint8_t*> ptr(static_cast<std::size_t>(K + R));
   for (std::uint32_t g = 0; g < gen_count; ++g) {
     const std::size_t off = static_cast<std::size_t>(g) * per_gen;
     const std::size_t gen_len = std::min(per_gen, frame_len - off);
@@ -172,21 +216,17 @@ std::vector<std::vector<std::uint8_t>> FrameFragmenter::fragment(
     const int kg = static_cast<int>((gen_len + s - 1) / s);
     const int n = kg + R;
 
-    std::vector<std::vector<std::uint8_t>> shards(
-        static_cast<std::size_t>(n), std::vector<std::uint8_t>(s));
-    std::vector<std::uint8_t*> ptr(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) ptr[static_cast<std::size_t>(i)] =
-        shards[static_cast<std::size_t>(i)].data();
-    fec::interleave({enc.data() + off, gen_len}, kg, s, ptr.data());
-    if (R > 0) {
-      const fec::RsCode rs(n, kg);
-      rs.encode_shards(ptr.data(), ptr.data() + kg, s);
-    }
+    for (int i = 0; i < n; ++i)
+      ptr[static_cast<std::size_t>(i)] =
+          img->payloads.data() + used + static_cast<std::size_t>(i) * s;
+    used += static_cast<std::size_t>(n) * s;
+    fec::interleave(enc.subspan(off, gen_len), kg, s, ptr.data());
+    if (R > 0)
+      code_for(code_, n, kg).encode_shards(ptr.data(), ptr.data() + kg, s);
 
     DatagramHeader h;
     h.k = static_cast<std::uint8_t>(kg);
     h.r = static_cast<std::uint8_t>(R);
-    h.frame_seq = seq;
     h.gen_index = g;
     h.gen_count = gen_count;
     h.frame_len = static_cast<std::uint32_t>(frame_len);
@@ -194,15 +234,60 @@ std::vector<std::vector<std::uint8_t>> FrameFragmenter::fragment(
     h.shard_len = static_cast<std::uint16_t>(s);
     for (int i = 0; i < n; ++i) {
       h.shard = static_cast<std::uint8_t>(i);
-      out.push_back(encode_datagram(h, shards[static_cast<std::size_t>(i)]));
-      if (i >= kg)
-        bump(cfg_.stats, &FecStats::parity_bytes,
-             static_cast<std::int64_t>(out.back().size()));
+      put_header(img->headers, h);
     }
+    img->parity_bytes +=
+        static_cast<std::int64_t>(R) *
+        static_cast<std::int64_t>(kDatagramHeaderBytes + s);
   }
+  img->payloads.resize(used);
+  return img;
+}
+
+bool FrameFragmenter::fragment(const Frame& f, FrameImage& slot,
+                               const Sink& sink) {
+  std::shared_ptr<const FecImage> img = slot.fec;
+  if (!img || img->data_shards != cfg_.data_shards ||
+      img->parity_shards != cfg_.parity_shards ||
+      img->max_shard_bytes != cfg_.max_shard_bytes) {
+    // The slot's stream bytes if a peer made them; else a transient
+    // encoding, not kept in the slot beside the image.
+    img = slot.bytes ? build(*slot.bytes) : build(encode_frame(f));
+    if (!slot.fec) slot.fec = img;
+  }
+  const std::uint64_t seq = next_seq_++;
   bump(cfg_.stats, &FecStats::frames_sent);
   bump(cfg_.stats, &FecStats::datagrams_sent,
-       static_cast<std::int64_t>(out.size()));
+       static_cast<std::int64_t>(img->datagrams()));
+  bump(cfg_.stats, &FecStats::parity_bytes, img->parity_bytes);
+
+  std::uint8_t header[kDatagramHeaderBytes];
+  const std::uint8_t* payload = img->payloads.data();
+  for (std::size_t i = 0; i < img->datagrams(); ++i) {
+    std::memcpy(header, img->headers.data() + i * kDatagramHeaderBytes,
+                kDatagramHeaderBytes);
+    const std::span<const std::uint8_t> slice(payload, rd_u16(header + 32));
+    payload += slice.size();
+    stamp(header, seq, slice);
+    if (!sink(header, img, slice)) return false;
+  }
+  return true;
+}
+
+std::vector<std::vector<std::uint8_t>> FrameFragmenter::fragment(
+    const Frame& f) {
+  std::vector<std::vector<std::uint8_t>> out;
+  FrameImage once;
+  fragment(f, once,
+           [&out](std::span<const std::uint8_t> header,
+                  const std::shared_ptr<const FecImage>&,
+                  std::span<const std::uint8_t> payload) {
+             std::vector<std::uint8_t>& d = out.emplace_back();
+             d.reserve(header.size() + payload.size());
+             d.insert(d.end(), header.begin(), header.end());
+             d.insert(d.end(), payload.begin(), payload.end());
+             return true;
+           });
   return out;
 }
 
@@ -237,39 +322,37 @@ void FrameReassembler::offer(std::span<const std::uint8_t> datagram) {
     Assembly a;
     a.frame_len = h.frame_len;
     a.gen_count = h.gen_count;
-    a.gens.resize(h.gen_count);  // frame bytes allocate lazily on first gen
     it = assemblies_.emplace(h.frame_seq, std::move(a)).first;
   }
   Assembly& a = it->second;
-  if (h.frame_len != a.frame_len || h.gen_count != a.gen_count ||
-      h.gen_index >= a.gen_count)
+  if (h.frame_len != a.frame_len || h.gen_count != a.gen_count)
     return drop_malformed();
 
-  Gen& g = a.gens[h.gen_index];
-  if (g.complete) return;  // late shard for an already-repaired generation
-  if (!g.seen) {
-    g.seen = true;
+  const auto [git, fresh] = a.gens.try_emplace(h.gen_index);
+  Gen& g = git->second;
+  if (fresh) {
     g.k = h.k;
     g.r = h.r;
     g.shard_len = h.shard_len;
     g.gen_off = h.gen_off;
-    g.shards.resize(static_cast<std::size_t>(h.k) + h.r);
   } else if (h.k != g.k || h.r != g.r || h.shard_len != g.shard_len ||
              h.gen_off != g.gen_off) {
     return drop_malformed();
   }
-  if (h.shard >= g.shards.size()) return drop_malformed();
-  auto& slot = g.shards[h.shard];
-  if (!slot.empty()) return;  // duplicate
-  slot.assign(payload.begin(), payload.end());
-  ++g.received;
-  if (g.received >= g.k) try_complete_gen(it->first, a, g);
+  if (!g.data.empty()) return;  // late shard for an already-repaired generation
+  for (const auto& shard : g.arrived)
+    if (shard.first == h.shard) return;  // duplicate
+  g.arrived.emplace_back(h.shard,
+                         std::vector<std::uint8_t>(payload.begin(),
+                                                   payload.end()));
+  if (g.arrived.size() >= g.k) try_complete_gen(a, g);
 
   if (a.gens_complete == a.gen_count) {
-    // decode_frame throws on any inconsistency (the frame-level CRC is the
-    // final integrity gate); a bad frame is dropped, never propagated.
+    // decode_frame throws on any inconsistency, an empty (untiled) buffer
+    // included; the frame-level CRC is the final integrity gate. A bad
+    // frame is dropped, never propagated.
     try {
-      ready_.push_back(decode_frame(a.bytes));
+      ready_.push_back(decode_frame(assemble(a)));
       bump(cfg_.stats, &FecStats::frames_delivered);
     } catch (const CheckError&) {
       bump(cfg_.stats, &FecStats::frames_dropped);
@@ -284,80 +367,83 @@ void FrameReassembler::offer(std::span<const std::uint8_t> datagram) {
   }
 }
 
-void FrameReassembler::try_complete_gen(std::uint64_t /*seq*/, Assembly& a,
-                                        Gen& g) {
-  const int n = static_cast<int>(g.k) + static_cast<int>(g.r);
-  std::vector<bool> present(static_cast<std::size_t>(n), false);
-  int present_count = 0;
-  for (int i = 0; i < n; ++i) {
-    present[static_cast<std::size_t>(i)] =
-        !g.shards[static_cast<std::size_t>(i)].empty();
-    present_count += present[static_cast<std::size_t>(i)] ? 1 : 0;
+std::vector<std::uint8_t> FrameReassembler::assemble(Assembly& a) {
+  std::uint64_t end = 0;
+  for (const auto& [index, g] : a.gens) {
+    if (g.gen_off != end) return {};
+    end += std::min<std::uint64_t>(std::uint64_t{g.k} * g.shard_len,
+                                   a.frame_len - g.gen_off);
   }
-  if (present_count < g.k) return;
+  if (end != a.frame_len) return {};
+  std::vector<std::uint8_t> bytes(a.frame_len);
+  std::vector<const std::uint8_t*> ptr;
+  for (auto& [index, g] : a.gens) {
+    ptr.clear();
+    for (const auto& shard : g.data) ptr.push_back(shard.data());
+    const std::size_t gen_len = std::min<std::size_t>(
+        std::size_t{g.k} * g.shard_len, a.frame_len - g.gen_off);
+    fec::deinterleave(ptr.data(), g.k, g.shard_len,
+                      {bytes.data() + g.gen_off, gen_len});
+    g.data = {};  // the frame holds these bytes now
+  }
+  return bytes;
+}
 
+void FrameReassembler::try_complete_gen(Assembly& a, Gen& g) {
+  const int n = static_cast<int>(g.k) + static_cast<int>(g.r);
   const std::size_t s = g.shard_len;
+  std::vector<std::uint8_t*> ptr(static_cast<std::size_t>(n), nullptr);
+  for (auto& [index, bytes] : g.arrived) ptr[index] = bytes.data();
+  std::vector<bool> present(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < present.size(); ++i)
+    present[i] = ptr[i] != nullptr;
+
   // Only missing DATA shards count as observed losses: the generation
   // completes as soon as k shards arrive, so parity that is merely still in
   // flight must not register as lost (it is silently ignored when it lands).
   // Parity genuinely dropped on a clean generation is thus never counted —
   // the price of zero-round-trip completion.
+  std::vector<std::vector<std::uint8_t>> data(g.k);
   int missing_data = 0;
-  for (int i = 0; i < g.k; ++i)
-    if (!present[static_cast<std::size_t>(i)]) ++missing_data;
-  if (missing_data > 0) {
-    for (int i = 0; i < n; ++i)
-      if (!present[static_cast<std::size_t>(i)])
-        g.shards[static_cast<std::size_t>(i)].assign(s, 0);
-    std::vector<std::uint8_t*> ptr(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) ptr[static_cast<std::size_t>(i)] =
-        g.shards[static_cast<std::size_t>(i)].data();
-    const fec::RsCode rs(n, g.k);
-    if (!rs.reconstruct_shards(ptr.data(), present, s)) {
-      // Cannot happen for pure erasures with >= k shards present, but if a
-      // column ever refuses, leave the generation incomplete rather than
-      // guess.
-      for (int i = 0; i < n; ++i)
-        if (!present[static_cast<std::size_t>(i)])
-          g.shards[static_cast<std::size_t>(i)].clear();
-      return;
-    }
-    bump(cfg_.stats, &FecStats::datagrams_repaired, missing_data);
-    if (cfg_.hooks.on_fec_repair)
-      cfg_.hooks.on_fec_repair(missing_data,
-                               static_cast<std::int64_t>(missing_data) *
-                                   static_cast<std::int64_t>(s));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    if (ptr[i] != nullptr) continue;
+    data[i].resize(s);
+    ptr[i] = data[i].data();
+    ++missing_data;
   }
-  if (missing_data > 0) {
-    bump(cfg_.stats, &FecStats::datagrams_lost, missing_data);
-    if (cfg_.hooks.on_datagram_lost)
-      for (int i = 0; i < missing_data; ++i)
-        cfg_.hooks.on_datagram_lost(
-            static_cast<std::int64_t>(kDatagramHeaderBytes + s));
-  }
-
-  if (a.bytes.empty()) a.bytes.resize(a.frame_len);
-  const std::size_t gen_len =
-      std::min(static_cast<std::size_t>(g.k) * s,
-               static_cast<std::size_t>(a.frame_len) - g.gen_off);
-  std::vector<const std::uint8_t*> dptr(static_cast<std::size_t>(g.k));
-  for (int i = 0; i < g.k; ++i) dptr[static_cast<std::size_t>(i)] =
-      g.shards[static_cast<std::size_t>(i)].data();
-  fec::deinterleave(dptr.data(), g.k, s, {a.bytes.data() + g.gen_off, gen_len});
-  g.complete = true;
-  g.shards.clear();
-  g.shards.shrink_to_fit();
+  // With k shards present only a singular system could refuse, which an MDS
+  // code never is; if it did, the generation stays incomplete, unguessed.
+  if (missing_data > 0 &&
+      !code_for(code_, n, g.k).reconstruct_shards(ptr.data(), present, s))
+    return;
+  for (auto& [index, bytes] : g.arrived)
+    if (index < g.k) data[index] = std::move(bytes);
+  g.data = std::move(data);
+  g.arrived.clear();
+  g.arrived.shrink_to_fit();
   ++a.gens_complete;
+  if (missing_data == 0) return;
+
+  bump(cfg_.stats, &FecStats::datagrams_repaired, missing_data);
+  if (cfg_.hooks.on_fec_repair)
+    cfg_.hooks.on_fec_repair(missing_data,
+                             static_cast<std::int64_t>(missing_data) *
+                                 static_cast<std::int64_t>(s));
+  bump(cfg_.stats, &FecStats::datagrams_lost, missing_data);
+  if (cfg_.hooks.on_datagram_lost)
+    for (int i = 0; i < missing_data; ++i)
+      cfg_.hooks.on_datagram_lost(
+          static_cast<std::int64_t>(kDatagramHeaderBytes + s));
 }
 
 void FrameReassembler::evict_oldest() {
   const auto it = assemblies_.begin();
-  Assembly& a = it->second;
-  for (Gen& g : a.gens) {
-    if (!g.seen || g.complete) continue;
+  for (const auto& [index, g] : it->second.gens) {
+    if (!g.data.empty()) continue;
     bump(cfg_.stats, &FecStats::unrecoverable_generations);
     const int n = static_cast<int>(g.k) + static_cast<int>(g.r);
-    bump(cfg_.stats, &FecStats::datagrams_lost, n - g.received);
+    bump(cfg_.stats, &FecStats::datagrams_lost,
+         n - static_cast<int>(g.arrived.size()));
   }
   bump(cfg_.stats, &FecStats::frames_dropped);
   assemblies_.erase(it);
@@ -371,13 +457,31 @@ std::optional<Frame> FrameReassembler::next() {
 }
 
 // --------------------------------------------------------------------------
-// Loopback datagram pair
+// Datagram links
 // --------------------------------------------------------------------------
 
+bool DatagramLink::send_shared(std::span<const std::uint8_t> header,
+                               const std::shared_ptr<const FecImage>& /*image*/,
+                               std::span<const std::uint8_t> payload) {
+  std::vector<std::uint8_t> d;
+  d.reserve(header.size() + payload.size());
+  d.insert(d.end(), header.begin(), header.end());
+  d.insert(d.end(), payload.begin(), payload.end());
+  return send(d);
+}
+
 struct LoopbackDatagramLink::Channel {
+  /// A datagram in flight: a whole one from send(), or a header and a
+  /// slice of the image that owns it from send_shared().
+  struct Queued {
+    std::vector<std::uint8_t> datagram;
+    std::array<std::uint8_t, kDatagramHeaderBytes> header;
+    std::shared_ptr<const FecImage> image;
+    std::span<const std::uint8_t> payload;
+  };
   std::mutex mu;
   std::condition_variable cv;
-  std::deque<std::vector<std::uint8_t>> q;
+  std::deque<Queued> q;
   bool closed = false;
 };
 
@@ -398,22 +502,48 @@ bool LoopbackDatagramLink::send(std::span<const std::uint8_t> datagram) {
   std::lock_guard<std::mutex> lk(tx_->mu);
   if (tx_->closed) return false;
   if (tx_->q.size() < kMaxQueuedDatagrams)
-    tx_->q.emplace_back(datagram.begin(), datagram.end());
+    tx_->q.push_back({{datagram.begin(), datagram.end()}, {}, nullptr, {}});
+  tx_->cv.notify_all();
+  return true;
+}
+
+bool LoopbackDatagramLink::send_shared(
+    std::span<const std::uint8_t> header,
+    const std::shared_ptr<const FecImage>& image,
+    std::span<const std::uint8_t> payload) {
+  if (header.size() != kDatagramHeaderBytes || !image)
+    return DatagramLink::send_shared(header, image, payload);
+  std::lock_guard<std::mutex> lk(tx_->mu);
+  if (tx_->closed) return false;
+  if (tx_->q.size() < kMaxQueuedDatagrams) {
+    Channel::Queued& d = tx_->q.emplace_back();
+    std::copy(header.begin(), header.end(), d.header.begin());
+    d.image = image;
+    d.payload = payload;
+  }
   tx_->cv.notify_all();
   return true;
 }
 
 std::optional<std::vector<std::uint8_t>> LoopbackDatagramLink::recv(
     std::chrono::milliseconds timeout) {
-  std::unique_lock<std::mutex> lk(rx_->mu);
-  // As in LoopbackTransport::recv: a zero timeout polls without waiting.
-  if (timeout.count() > 0)
-    rx_->cv.wait_for(lk, timeout,
-                     [&] { return !rx_->q.empty() || rx_->closed; });
-  if (rx_->q.empty()) return std::nullopt;
-  std::vector<std::uint8_t> d = std::move(rx_->q.front());
-  rx_->q.pop_front();
-  return d;
+  Channel::Queued d;
+  {
+    std::unique_lock<std::mutex> lk(rx_->mu);
+    // As in LoopbackTransport::recv: a zero timeout polls without waiting.
+    if (timeout.count() > 0)
+      rx_->cv.wait_for(lk, timeout,
+                       [&] { return !rx_->q.empty() || rx_->closed; });
+    if (rx_->q.empty()) return std::nullopt;
+    d = std::move(rx_->q.front());
+    rx_->q.pop_front();
+  }
+  if (!d.image) return std::move(d.datagram);
+  std::vector<std::uint8_t> out;
+  out.reserve(d.header.size() + d.payload.size());
+  out.insert(out.end(), d.header.begin(), d.header.end());
+  out.insert(out.end(), d.payload.begin(), d.payload.end());
+  return out;
 }
 
 bool LoopbackDatagramLink::closed() const {
@@ -457,11 +587,20 @@ UdpTransport::UdpTransport(std::unique_ptr<DatagramLink> link,
 }
 
 bool UdpTransport::send(const Frame& f) {
+  FrameImage once;
+  return send_shared(f, once);
+}
+
+bool UdpTransport::send_shared(const Frame& f, FrameImage& image) {
   std::lock_guard<std::mutex> lk(send_mu_);
   if (link_->closed()) return false;
-  for (const auto& d : frag_.fragment(f))
-    if (!link_->send(d)) return false;
-  return true;
+  return frag_.fragment(
+      f, image,
+      [this](std::span<const std::uint8_t> header,
+             const std::shared_ptr<const FecImage>& fec,
+             std::span<const std::uint8_t> payload) {
+        return link_->send_shared(header, fec, payload);
+      });
 }
 
 std::optional<Frame> UdpTransport::recv(std::chrono::milliseconds timeout) {

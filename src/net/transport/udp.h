@@ -5,11 +5,20 @@
 // datagrams are grouped into FEC GENERATIONS of k data shards, and every
 // generation ships r extra parity shards (RS(k+r, k) over GF(256), one
 // codeword per byte column, frame bytes block-interleaved across the data
-// shards). The receiver repairs up to r lost datagrams per generation with
-// zero round trips; only a generation that loses more than r datagrams
-// leaves the frame incomplete, and then the session layer's existing
-// retransmit nudge re-sends the whole frame — exactly the fallback it
-// already uses against TCP frame loss.
+// shards; fec/rs.h computes parity and repair as matrix products). The
+// receiver repairs up to r lost datagrams per generation with zero round
+// trips; only a generation that loses more than r datagrams leaves the
+// frame incomplete, and then the session layer's existing retransmit nudge
+// re-sends the whole frame — exactly the fallback it already uses against
+// TCP frame loss.
+//
+// A frame's datagrams differ between links only in frame_seq and the CRC.
+// Everything else (interleaved data and parity payloads, the other header
+// fields) is one immutable FecImage, built once per broadcast: the first
+// UdpTransport of a broadcast fills the broadcast's FrameImage slot with
+// it, and every peer stamps its own frame_seq and CRC on the shared
+// payloads (send_shared). LoopbackDatagramLink queues each datagram as its
+// 40-byte header plus a slice of the image, not a copy.
 //
 // Datagram wire format (little-endian, version 1):
 //
@@ -31,8 +40,10 @@
 //
 // The reassembler NEVER throws: a malformed, duplicate, stale, or
 // inconsistent datagram is counted and dropped (loss tolerance is the whole
-// point — one bad datagram must not cost the peer). The inner frame's own
-// CRC (validated by decode_frame on reassembly) remains the last line of
+// point — one bad datagram must not cost the peer). It holds what arrived,
+// not what headers claim: a frame's buffer is allocated only once its
+// repaired generations tile [0, frame_len). The inner frame's own CRC
+// (validated by decode_frame on reassembly) remains the last line of
 // defense against any reconstruction the datagram CRCs failed to catch.
 //
 // Layering: everything here sits on DatagramLink — a UDP socket, a mux'd
@@ -54,6 +65,7 @@
 #include <string>
 #include <vector>
 
+#include "net/fec/rs.h"
 #include "net/transport/transport.h"
 
 namespace adafl::net::transport {
@@ -89,6 +101,24 @@ std::vector<std::uint8_t> encode_datagram(const DatagramHeader& h,
 /// never throws.
 std::optional<DatagramHeader> parse_datagram(
     std::span<const std::uint8_t> datagram);
+
+/// One frame's datagrams minus what differs per link (frame_seq and the
+/// CRC), for one FEC geometry. Immutable once built; every peer of a
+/// broadcast shares one through its FrameImage slot.
+struct FecImage {
+  int data_shards = 0;  ///< the UdpFecConfig geometry it was built for
+  int parity_shards = 0;
+  std::size_t max_shard_bytes = 0;
+  /// kDatagramHeaderBytes per datagram, in send order; frame_seq and crc 0.
+  std::vector<std::uint8_t> headers;
+  /// Every datagram's payload (shard_len bytes each), in send order.
+  std::vector<std::uint8_t> payloads;
+  std::int64_t parity_bytes = 0;  ///< wire bytes of the parity datagrams
+
+  std::size_t datagrams() const {
+    return headers.size() / kDatagramHeaderBytes;
+  }
+};
 
 /// Shared FEC/datagram counters. One instance may back many transports
 /// (e.g. every server-side connection), so everything is atomic.
@@ -129,6 +159,12 @@ class DatagramLink {
  public:
   virtual ~DatagramLink() = default;
   virtual bool send(std::span<const std::uint8_t> datagram) = 0;
+  /// send() of `header` followed by `payload`, a slice of `image` that the
+  /// link may hold by reference until the datagram is read. This default
+  /// joins the two and calls send().
+  virtual bool send_shared(std::span<const std::uint8_t> header,
+                           const std::shared_ptr<const FecImage>& image,
+                           std::span<const std::uint8_t> payload);
   virtual std::optional<std::vector<std::uint8_t>> recv(
       std::chrono::milliseconds timeout) = 0;
   virtual bool closed() const = 0;
@@ -150,6 +186,10 @@ class LoopbackDatagramLink final : public DatagramLink {
   ~LoopbackDatagramLink() override { close(); }
 
   bool send(std::span<const std::uint8_t> datagram) override;
+  /// Queues a copy of `header` and a reference to the payload slice.
+  bool send_shared(std::span<const std::uint8_t> header,
+                   const std::shared_ptr<const FecImage>& image,
+                   std::span<const std::uint8_t> payload) override;
   std::optional<std::vector<std::uint8_t>> recv(
       std::chrono::milliseconds timeout) override;
   bool closed() const override;
@@ -172,15 +212,31 @@ class LoopbackDatagramLink final : public DatagramLink {
 /// Splits encoded frames into FEC generations of sequenced datagrams.
 class FrameFragmenter {
  public:
+  /// Takes one datagram: its stamped header and its payload, a slice of
+  /// `image`. Returning false stops the frame.
+  using Sink = std::function<bool(std::span<const std::uint8_t> header,
+                                  const std::shared_ptr<const FecImage>& image,
+                                  std::span<const std::uint8_t> payload)>;
+
   explicit FrameFragmenter(const UdpFecConfig& cfg);
 
-  /// All datagrams for `f`, in send order (per generation: data then
-  /// parity). Each call consumes one frame_seq.
+  /// Hands `f`'s datagrams to `sink` in send order (per generation: data
+  /// then parity) under this fragmenter's next frame_seq. The FEC image is
+  /// `slot`'s if it was built for this geometry; otherwise it is built here,
+  /// and kept in the slot if the slot had none. Each call consumes one
+  /// frame_seq. Returns false when the sink stopped the frame.
+  bool fragment(const Frame& f, FrameImage& slot, const Sink& sink);
+
+  /// All datagrams for `f`, as fragment() with a slot for this frame only.
   std::vector<std::vector<std::uint8_t>> fragment(const Frame& f);
 
  private:
+  /// The image of the frame whose stream bytes are `enc`.
+  std::shared_ptr<const FecImage> build(std::span<const std::uint8_t> enc);
+
   UdpFecConfig cfg_;
   std::uint64_t next_seq_ = 0;
+  std::optional<fec::RsCode> code_;  ///< the geometry last encoded
 };
 
 /// Rebuilds frames from datagrams, repairing up to r erasures per
@@ -201,24 +257,30 @@ class FrameReassembler {
     std::uint8_t r = 0;
     std::uint16_t shard_len = 0;
     std::uint32_t gen_off = 0;
-    std::uint16_t received = 0;
-    bool seen = false;
-    bool complete = false;
-    std::vector<std::vector<std::uint8_t>> shards;  ///< empty = missing
+    /// Shards as they arrived (index, payload), until the generation
+    /// completes.
+    std::vector<std::pair<std::uint8_t, std::vector<std::uint8_t>>> arrived;
+    /// The k data shards, repaired, once it has: nonempty means complete.
+    std::vector<std::vector<std::uint8_t>> data;
   };
   struct Assembly {
     std::uint32_t frame_len = 0;
     std::uint32_t gen_count = 0;
     std::uint32_t gens_complete = 0;
-    std::vector<std::uint8_t> bytes;
-    std::vector<Gen> gens;
+    std::map<std::uint32_t, Gen> gens;  ///< only generations seen
   };
 
+  /// The frame bytes of `a` once every generation is repaired (its shards
+  /// are released as they are copied), or nothing when the generations do
+  /// not tile [0, frame_len) exactly. Allocated only after that check, so a
+  /// forged frame_len costs no more than the bytes that arrived.
+  static std::vector<std::uint8_t> assemble(Assembly& a);
   void drop_malformed();
-  void try_complete_gen(std::uint64_t seq, Assembly& a, Gen& g);
+  void try_complete_gen(Assembly& a, Gen& g);
   void evict_oldest();
 
   UdpFecConfig cfg_;
+  std::optional<fec::RsCode> code_;  ///< the geometry last repaired
   std::map<std::uint64_t, Assembly> assemblies_;
   std::deque<Frame> ready_;
   std::deque<std::uint64_t> done_order_;  ///< recently delivered frame_seqs
@@ -233,6 +295,9 @@ class UdpTransport final : public Transport {
   UdpTransport(std::unique_ptr<DatagramLink> link, UdpFecConfig cfg);
 
   bool send(const Frame& f) override;
+  /// Sends from the broadcast's FEC image (FrameFragmenter::fragment), so a
+  /// broadcast to N peers of one geometry builds one image.
+  bool send_shared(const Frame& f, FrameImage& image) override;
   std::optional<Frame> recv(std::chrono::milliseconds timeout) override;
   bool closed() const override;
   void close() override;

@@ -12,10 +12,11 @@
 //     reports the features at startup. Matmul-family results differ from
 //     scalar by rounding (FMA + vector accumulation order) — epsilon
 //     equivalent, pinned by tests/test_simd_kernels.cpp. The elementwise,
-//     log-softmax, top-k scan, QSGD pack/unpack and CRC-32 kernels are
-//     bitwise identical to scalar by construction (same per-element
-//     operations; log-softmax vectorizes only the max scan and the
-//     broadcast-subtract, both exact; CRC-32 is exact GF(2) arithmetic).
+//     log-softmax, top-k scan, QSGD pack/unpack, CRC-32 and GF(256)
+//     multiply-add kernels are bitwise identical to scalar by construction
+//     (same per-element operations; log-softmax vectorizes only the max
+//     scan and the broadcast-subtract, both exact; CRC-32 and GF(256) are
+//     exact arithmetic).
 //
 // Determinism contract: WITHIN a backend, every kernel is bitwise
 // deterministic at any thread count (per-element accumulation chains are
@@ -90,6 +91,13 @@ struct KernelTable {
   /// checkpoints and weight fingerprints all run through this entry.
   std::uint32_t (*crc32)(std::uint32_t crc, const std::uint8_t* data,
                          std::size_t n);
+  /// GF(256) multiply-accumulate of n bytes: dst[i] ^= c * src[i], where
+  /// `tbl` is c's 32-byte split-nibble product table (tbl[x] = c * x and
+  /// tbl[16 + x] = c * (x << 4) for x < 16), so the kernel holds no field
+  /// arithmetic of its own. src and dst do not overlap. Reed-Solomon encode
+  /// and repair (net/fec/rs.h) are sums of this one kernel.
+  void (*gf256_mul_add)(const std::uint8_t* tbl, const std::uint8_t* src,
+                        std::uint8_t* dst, std::size_t n);
 };
 
 /// The scalar reference table (defined in kernels_scalar.cpp).

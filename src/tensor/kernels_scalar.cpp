@@ -251,6 +251,15 @@ std::uint32_t crc32_scalar(std::uint32_t crc, const std::uint8_t* p,
   return ~c;
 }
 
+// GF(256) is linear over GF(2), so c * x splits into the products of x's
+// two nibbles: one lookup in each half of the table.
+void gf256_mul_add_scalar(const std::uint8_t* tbl, const std::uint8_t* src,
+                          std::uint8_t* dst, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i)
+    dst[i] ^= static_cast<std::uint8_t>(tbl[src[i] & 0x0Fu] ^
+                                        tbl[16 + (src[i] >> 4)]);
+}
+
 }  // namespace
 
 const KernelTable& scalar_kernel_table() {
@@ -269,6 +278,7 @@ const KernelTable& scalar_kernel_table() {
       /*qsgd_ratios=*/qsgd_ratios_scalar,
       /*qsgd_unpack=*/qsgd_unpack_scalar,
       /*crc32=*/crc32_scalar,
+      /*gf256_mul_add=*/gf256_mul_add_scalar,
   };
   return table;
 }

@@ -216,12 +216,12 @@ TEST(Carriers, LoopAndPumpedPeersShareOneImage) {
   const Frame broadcast = tagged(99, 5);
   FrameImage image;
   ASSERT_TRUE(carriers.send(Carriers::kPumpedBase, broadcast, &image));
-  ASSERT_TRUE(image) << "the pumped send did not fill the slot";
-  const FrameImage first = image;
+  ASSERT_TRUE(image.bytes) << "the pumped send did not fill the slot";
+  const FrameBytes first = image.bytes;
   ASSERT_TRUE(carriers.send(conns[0], broadcast, &image));
   ASSERT_TRUE(carriers.send(conns[1], broadcast, &image));
-  EXPECT_EQ(image, first) << "a loop peer re-encoded the frame";
-  EXPECT_EQ(*image, encode_frame(broadcast));
+  EXPECT_EQ(image.bytes, first) << "a loop peer re-encoded the frame";
+  EXPECT_EQ(*image.bytes, encode_frame(broadcast));
 
   for (auto& peer : peers) {
     const std::optional<Frame> got = peer->recv(2000ms);
@@ -256,13 +256,14 @@ TEST(Carriers, PumpedBroadcastQueuesOneImageToEveryPeer) {
   const std::vector<std::uint8_t>* first = nullptr;
   for (int p = 0; p < kPeers; ++p) {
     ASSERT_TRUE(carriers.send(Carriers::kPumpedBase + p, broadcast, &image));
-    ASSERT_TRUE(image);
-    if (first == nullptr) first = image.get();
-    EXPECT_EQ(image.get(), first) << "peer " << p << " re-encoded the frame";
+    ASSERT_TRUE(image.bytes);
+    if (first == nullptr) first = image.bytes.get();
+    EXPECT_EQ(image.bytes.get(), first)
+        << "peer " << p << " re-encoded the frame";
   }
   // The slot plus one queued reference per peer: nothing was copied.
-  EXPECT_EQ(image.use_count(), kPeers + 1);
-  EXPECT_EQ(*image, encode_frame(broadcast));
+  EXPECT_EQ(image.bytes.use_count(), kPeers + 1);
+  EXPECT_EQ(*image.bytes, encode_frame(broadcast));
 
   for (auto& client : clients) {
     const std::optional<Frame> got = client->recv(0ms);
@@ -272,7 +273,7 @@ TEST(Carriers, PumpedBroadcastQueuesOneImageToEveryPeer) {
     EXPECT_EQ(got->client_id, broadcast.client_id);
     EXPECT_EQ(got->payload, broadcast.payload);
   }
-  EXPECT_EQ(image.use_count(), 1);
+  EXPECT_EQ(image.bytes.use_count(), 1);
 
   // A unicast (no slot) still encodes and delivers.
   const Frame unicast = tagged(3, 9);

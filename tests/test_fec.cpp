@@ -1,8 +1,8 @@
 // Property tests for the GF(256) / Reed-Solomon erasure-coding layer that
 // backs the UDP datagram transport. The contract the transport relies on:
-// encode -> erase up to r symbols -> decode restores the codeword
-// byte-identically, and an unrecoverable pattern is REPORTED (false), never
-// silently corrected into garbage.
+// encode a generation of shards -> erase up to r of them -> repair restores
+// every data shard byte-identically, and an unrecoverable pattern is
+// REPORTED (false), never silently corrected into garbage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -72,160 +72,133 @@ TEST(Gf256, AlphaIsPrimitive) {
   EXPECT_EQ(gf_exp(255), 1);  // doubled table wraps: alpha^255 = alpha^0
 }
 
-// --- RS(n, k) codeword round-trips -----------------------------------------
+// --- RS(n, k) over shards, as the transport uses it -------------------------
 
-struct Codeword {
-  std::vector<std::uint8_t> data;
-  std::vector<std::uint8_t> parity;
-  std::vector<std::uint8_t> word;  // data || parity
+// A generation of n shards: random data, then parity from encode_shards.
+struct Generation {
+  std::vector<std::vector<std::uint8_t>> shards;
+
+  std::vector<std::uint8_t*> ptrs() {
+    std::vector<std::uint8_t*> p;
+    for (auto& s : shards) p.push_back(s.data());
+    return p;
+  }
 };
 
-Codeword make_codeword(const RsCode& rs, std::mt19937_64& rng) {
-  Codeword c;
-  c.data.resize(static_cast<std::size_t>(rs.k()));
-  for (auto& b : c.data) b = static_cast<std::uint8_t>(rng());
-  c.parity.resize(static_cast<std::size_t>(rs.parity()));
-  rs.encode(c.data, c.parity);
-  c.word = c.data;
-  c.word.insert(c.word.end(), c.parity.begin(), c.parity.end());
-  return c;
+Generation make_generation(const RsCode& rs, std::size_t shard_len,
+                           std::mt19937_64& rng) {
+  Generation g;
+  g.shards.assign(static_cast<std::size_t>(rs.n()),
+                  std::vector<std::uint8_t>(shard_len));
+  for (int i = 0; i < rs.k(); ++i)
+    for (auto& b : g.shards[static_cast<std::size_t>(i)])
+      b = static_cast<std::uint8_t>(rng());
+  std::vector<std::uint8_t*> p = g.ptrs();
+  rs.encode_shards(p.data(), p.data() + rs.k(), shard_len);
+  return g;
 }
 
-// Erase exactly `e` random positions (zero-filled, positions reported).
-std::vector<int> erase_random(std::vector<std::uint8_t>& word, int e,
-                              std::mt19937_64& rng) {
-  std::vector<int> pos(word.size());
-  for (std::size_t i = 0; i < pos.size(); ++i) pos[i] = static_cast<int>(i);
-  std::shuffle(pos.begin(), pos.end(), rng);
-  pos.resize(static_cast<std::size_t>(e));
-  for (int p : pos) word[static_cast<std::size_t>(p)] = 0;
-  return pos;
+// Marks `e` random shards missing and overwrites them with a sentinel.
+std::vector<bool> erase_random(Generation& g, int e, std::mt19937_64& rng) {
+  std::vector<std::size_t> idx(g.shards.size());
+  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
+  std::shuffle(idx.begin(), idx.end(), rng);
+  std::vector<bool> present(g.shards.size(), true);
+  for (int i = 0; i < e; ++i) {
+    const std::size_t p = idx[static_cast<std::size_t>(i)];
+    present[p] = false;
+    std::fill(g.shards[p].begin(), g.shards[p].end(), std::uint8_t{0xA5});
+  }
+  return present;
 }
 
-// Every erasure count up to r decodes byte-identically, across a spread of
-// (n, k) shapes including the transport defaults.
+const int kShapes[][2] = {{20, 16}, {16, 8}, {6, 4}, {255, 223}, {10, 1}};
+constexpr std::size_t kShardLen = 37;  // odd, so every kernel runs a tail
+
+// Parity = P * data reproduces the LFSR reference codeword by codeword.
+TEST(ReedSolomon, MatrixEncodeMatchesLfsrReference) {
+  std::mt19937_64 rng(kSeed ^ 8);
+  for (const auto& s : kShapes) {
+    const RsCode rs(s[0], s[1]);
+    const Generation g = make_generation(rs, kShardLen, rng);
+    std::vector<std::uint8_t> data(static_cast<std::size_t>(rs.k()));
+    std::vector<std::uint8_t> parity(static_cast<std::size_t>(rs.parity()));
+    for (std::size_t t = 0; t < kShardLen; ++t) {
+      for (std::size_t i = 0; i < data.size(); ++i) data[i] = g.shards[i][t];
+      rs.encode(data, parity);
+      for (std::size_t j = 0; j < parity.size(); ++j)
+        ASSERT_EQ(g.shards[data.size() + j][t], parity[j])
+            << "n=" << s[0] << " k=" << s[1] << " column " << t;
+    }
+  }
+}
+
+// Any erasure set of size <= r rebuilds every missing data shard exactly
+// and leaves missing parity shards unwritten.
 TEST(ReedSolomon, ErasuresUpToParityBudgetDecodeExactly) {
   std::mt19937_64 rng(kSeed ^ 1);
-  const int shapes[][2] = {{20, 16}, {16, 8}, {6, 4}, {255, 223}, {10, 1}};
-  for (const auto& s : shapes) {
+  for (const auto& s : kShapes) {
     const RsCode rs(s[0], s[1]);
+    const int trials = rs.n() > 64 ? 2 : 20;
     for (int e = 0; e <= rs.parity(); ++e) {
-      for (int trial = 0; trial < 20; ++trial) {
-        const Codeword c = make_codeword(rs, rng);
-        std::vector<std::uint8_t> rx = c.word;
-        const std::vector<int> erased = erase_random(rx, e, rng);
-        ASSERT_TRUE(rs.decode(rx, erased))
+      for (int trial = 0; trial < trials; ++trial) {
+        const Generation sent = make_generation(rs, kShardLen, rng);
+        Generation rx = sent;
+        const std::vector<bool> present = erase_random(rx, e, rng);
+        std::vector<std::uint8_t*> p = rx.ptrs();
+        ASSERT_TRUE(rs.reconstruct_shards(p.data(), present, kShardLen))
             << "n=" << s[0] << " k=" << s[1] << " e=" << e;
-        ASSERT_EQ(rx, c.word);
+        for (std::size_t i = 0; i < rx.shards.size(); ++i) {
+          if (i < static_cast<std::size_t>(rs.k()) || present[i])
+            ASSERT_EQ(rx.shards[i], sent.shards[i])
+                << "n=" << s[0] << " k=" << s[1] << " e=" << e << " shard "
+                << i;
+          else
+            ASSERT_EQ(rx.shards[i], std::vector<std::uint8_t>(kShardLen, 0xA5))
+                << "a missing parity shard was written";
+        }
       }
     }
   }
 }
 
-// One more erasure than parity: decode must return false and must leave the
-// codeword exactly as it received it (no silent corruption).
+// One more erasure than parity: repair must return false and leave every
+// shard, the missing ones included, exactly as it received them.
 TEST(ReedSolomon, BeyondBudgetReportsUnrecoverableWithoutCorrupting) {
   std::mt19937_64 rng(kSeed ^ 2);
-  const int shapes[][2] = {{20, 16}, {16, 8}, {6, 4}};
-  for (const auto& s : shapes) {
+  for (const auto& s : kShapes) {
     const RsCode rs(s[0], s[1]);
-    for (int trial = 0; trial < 50; ++trial) {
-      const Codeword c = make_codeword(rs, rng);
-      std::vector<std::uint8_t> rx = c.word;
-      const std::vector<int> erased = erase_random(rx, rs.parity() + 1, rng);
-      const std::vector<std::uint8_t> as_received = rx;
-      ASSERT_FALSE(rs.decode(rx, erased));
-      ASSERT_EQ(rx, as_received) << "decode corrupted an unrecoverable word";
+    for (int trial = 0; trial < 10; ++trial) {
+      Generation rx = make_generation(rs, kShardLen, rng);
+      const std::vector<bool> present =
+          erase_random(rx, rs.parity() + 1, rng);
+      const Generation as_received = rx;
+      std::vector<std::uint8_t*> p = rx.ptrs();
+      ASSERT_FALSE(rs.reconstruct_shards(p.data(), present, kShardLen));
+      ASSERT_EQ(rx.shards, as_received.shards)
+          << "repair touched an unrecoverable generation";
     }
   }
 }
 
-// Unknown-position errors: v corruptions (no erasure hints) decode while
-// 2v <= r.
-TEST(ReedSolomon, ErrorsWithinHalfBudgetDecode) {
-  std::mt19937_64 rng(kSeed ^ 3);
-  const RsCode rs(20, 14);  // r = 6 -> corrects up to 3 unknown errors
-  for (int v = 0; v <= 3; ++v) {
-    for (int trial = 0; trial < 40; ++trial) {
-      const Codeword c = make_codeword(rs, rng);
-      std::vector<std::uint8_t> rx = c.word;
-      std::vector<int> pos(rx.size());
-      for (std::size_t i = 0; i < pos.size(); ++i)
-        pos[i] = static_cast<int>(i);
-      std::shuffle(pos.begin(), pos.end(), rng);
-      for (int i = 0; i < v; ++i)
-        rx[static_cast<std::size_t>(pos[static_cast<std::size_t>(i)])] ^=
-            static_cast<std::uint8_t>(1 + rng() % 255);
-      ASSERT_TRUE(rs.decode(rx, {})) << "v=" << v;
-      ASSERT_EQ(rx, c.word);
-    }
-  }
-}
-
-// Mixed errata: e erasures + v errors decode while e + 2v <= r.
-TEST(ReedSolomon, MixedErrataWithinBudgetDecode) {
-  std::mt19937_64 rng(kSeed ^ 4);
-  const RsCode rs(24, 16);  // r = 8
-  for (int e = 0; e <= 4; ++e) {
-    const int v = (8 - e) / 2;
-    for (int trial = 0; trial < 25; ++trial) {
-      const Codeword c = make_codeword(rs, rng);
-      std::vector<std::uint8_t> rx = c.word;
-      std::vector<int> pos(rx.size());
-      for (std::size_t i = 0; i < pos.size(); ++i)
-        pos[i] = static_cast<int>(i);
-      std::shuffle(pos.begin(), pos.end(), rng);
-      std::vector<int> erased(pos.begin(), pos.begin() + e);
-      for (int p : erased) rx[static_cast<std::size_t>(p)] = 0;
-      for (int i = e; i < e + v; ++i)
-        rx[static_cast<std::size_t>(pos[static_cast<std::size_t>(i)])] ^=
-            static_cast<std::uint8_t>(1 + rng() % 255);
-      ASSERT_TRUE(rs.decode(rx, erased)) << "e=" << e << " v=" << v;
-      ASSERT_EQ(rx, c.word);
-    }
-  }
-}
-
-// --- Shard-wise (column) coding, as the transport uses it ------------------
-
+// The data shards come back whatever mix of data and parity was lost;
+// missing parity shards are not rebuilt (the transport never reads them).
 TEST(ReedSolomon, ShardReconstructionRoundTrip) {
   std::mt19937_64 rng(kSeed ^ 5);
   const int n = 12, k = 8;
   const std::size_t s = 97;
   const RsCode rs(n, k);
   for (int trial = 0; trial < 30; ++trial) {
-    std::vector<std::vector<std::uint8_t>> shards(
-        static_cast<std::size_t>(n), std::vector<std::uint8_t>(s));
-    for (int i = 0; i < k; ++i)
-      for (auto& b : shards[static_cast<std::size_t>(i)])
-        b = static_cast<std::uint8_t>(rng());
-    std::vector<const std::uint8_t*> dp(static_cast<std::size_t>(k));
-    std::vector<std::uint8_t*> pp(static_cast<std::size_t>(n - k));
-    for (int i = 0; i < k; ++i)
-      dp[static_cast<std::size_t>(i)] = shards[static_cast<std::size_t>(i)].data();
-    for (int i = k; i < n; ++i)
-      pp[static_cast<std::size_t>(i - k)] =
-          shards[static_cast<std::size_t>(i)].data();
-    rs.encode_shards(dp.data(), pp.data(), s);
-    const auto original = shards;
-
-    // Erase up to r random shards and reconstruct.
-    std::vector<bool> present(static_cast<std::size_t>(n), true);
-    std::vector<int> idx(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) idx[static_cast<std::size_t>(i)] = i;
-    std::shuffle(idx.begin(), idx.end(), rng);
+    const Generation sent = make_generation(rs, s, rng);
+    Generation rx = sent;
     const int e = 1 + static_cast<int>(rng() % static_cast<unsigned>(n - k));
-    for (int i = 0; i < e; ++i) {
-      const int p = idx[static_cast<std::size_t>(i)];
-      present[static_cast<std::size_t>(p)] = false;
-      std::fill(shards[static_cast<std::size_t>(p)].begin(),
-                shards[static_cast<std::size_t>(p)].end(), 0);
-    }
-    std::vector<std::uint8_t*> all(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-      all[static_cast<std::size_t>(i)] = shards[static_cast<std::size_t>(i)].data();
-    ASSERT_TRUE(rs.reconstruct_shards(all.data(), present, s));
-    ASSERT_EQ(shards, original) << "trial " << trial << " e=" << e;
+    const std::vector<bool> present = erase_random(rx, e, rng);
+    std::vector<std::uint8_t*> p = rx.ptrs();
+    ASSERT_TRUE(rs.reconstruct_shards(p.data(), present, s));
+    for (int i = 0; i < k; ++i)
+      ASSERT_EQ(rx.shards[static_cast<std::size_t>(i)],
+                sent.shards[static_cast<std::size_t>(i)])
+          << "trial " << trial << " e=" << e << " shard " << i;
   }
 }
 
@@ -234,24 +207,11 @@ TEST(ReedSolomon, ShardReconstructionBeyondBudgetFails) {
   const std::size_t s = 16;
   const RsCode rs(n, k);
   std::mt19937_64 rng(kSeed ^ 6);
-  std::vector<std::vector<std::uint8_t>> shards(
-      static_cast<std::size_t>(n), std::vector<std::uint8_t>(s));
-  for (int i = 0; i < k; ++i)
-    for (auto& b : shards[static_cast<std::size_t>(i)])
-      b = static_cast<std::uint8_t>(rng());
-  std::vector<const std::uint8_t*> dp;
-  std::vector<std::uint8_t*> pp;
-  for (int i = 0; i < k; ++i)
-    dp.push_back(shards[static_cast<std::size_t>(i)].data());
-  for (int i = k; i < n; ++i)
-    pp.push_back(shards[static_cast<std::size_t>(i)].data());
-  rs.encode_shards(dp.data(), pp.data(), s);
-
+  Generation g = make_generation(rs, s, rng);
   std::vector<bool> present(static_cast<std::size_t>(n), true);
   present[0] = present[1] = present[2] = false;  // 3 lost, only r=2 parity
-  std::vector<std::uint8_t*> all;
-  for (auto& sh : shards) all.push_back(sh.data());
-  EXPECT_FALSE(rs.reconstruct_shards(all.data(), present, s));
+  std::vector<std::uint8_t*> p = g.ptrs();
+  EXPECT_FALSE(rs.reconstruct_shards(p.data(), present, s));
 }
 
 TEST(ReedSolomon, RejectsInvalidShapes) {
@@ -281,6 +241,34 @@ TEST(Interleave, RoundTripAllRemainders) {
       std::vector<std::uint8_t> dst(len);
       deinterleave(cp.data(), k, s, dst);
       ASSERT_EQ(dst, src) << "k=" << k << " len=" << len;
+    }
+  }
+}
+
+// The shard walk writes exactly the definitional layout, shard b % k at
+// offset b / k, zero-fills each shard's tail, and deinterleave inverts it.
+TEST(Interleave, MatchesModuloLayoutAndZeroPads) {
+  std::mt19937_64 rng(kSeed ^ 9);
+  for (int k = 1; k <= 25; ++k) {
+    for (std::size_t len = 1; len <= 420; len += 7) {
+      const auto uk = static_cast<std::size_t>(k);
+      const std::size_t s = (len + uk - 1) / uk + 2;  // two spare bytes
+      std::vector<std::uint8_t> src(len);
+      for (auto& b : src) b = static_cast<std::uint8_t>(rng());
+      std::vector<std::vector<std::uint8_t>> want(
+          uk, std::vector<std::uint8_t>(s, 0));
+      for (std::size_t b = 0; b < len; ++b) want[b % uk][b / uk] = src[b];
+      std::vector<std::vector<std::uint8_t>> shards(
+          uk, std::vector<std::uint8_t>(s, 0xEE));
+      std::vector<std::uint8_t*> sp;
+      for (auto& sh : shards) sp.push_back(sh.data());
+      interleave(src, k, s, sp.data());
+      ASSERT_EQ(shards, want) << "k=" << k << " len=" << len;
+
+      std::vector<const std::uint8_t*> cp(sp.begin(), sp.end());
+      std::vector<std::uint8_t> back(len);
+      deinterleave(cp.data(), k, s, back);
+      ASSERT_EQ(back, src) << "k=" << k << " len=" << len;
     }
   }
 }

@@ -3,8 +3,8 @@
 // The contract under test (see docs/performance.md "Kernel dispatch"):
 //   - scalar is the bitwise reference; avx2 matmul-family results agree with
 //     it to float epsilon (different accumulation order, same math);
-//   - avx2 elementwise / log-softmax / top-k / QSGD / CRC-32 kernels are
-//     bitwise identical to scalar by construction;
+//   - avx2 elementwise / log-softmax / top-k / QSGD / CRC-32 / GF(256)
+//     multiply-add kernels are bitwise identical to scalar by construction;
 //   - within any one backend, results are bitwise deterministic across
 //     thread counts;
 //   - the dispatched hot path keeps the steady-state zero-tensor-allocation
@@ -25,6 +25,7 @@
 #include "fl_fixtures.h"
 #include "gradcheck.h"
 #include "nn/conv2d.h"
+#include "net/fec/gf256.h"
 #include "net/transport/crc32.h"
 #include "nn/linear.h"
 #include "tensor/dispatch.h"
@@ -397,6 +398,36 @@ TEST(SimdKernels, Crc32BitwiseIdenticalToScalar) {
         v = net::transport::crc32_update(v, all.subspan(c));
         EXPECT_EQ(v, net::transport::crc32(all))
             << name << " split " << a << "/" << c << " of " << buf.size();
+      }
+    }
+  }
+}
+
+// dst[i] ^= c * src[i] on both backends equals the table-free field
+// multiply, for every coefficient, every length up to two vectors plus a
+// tail and one datagram shard, at offsets that misalign src and dst.
+TEST(SimdKernels, Gf256MulAddBitwiseIdenticalToScalarAndSlowReference) {
+  std::vector<KernelBackend> backends = {KernelBackend::kScalar};
+  if (tensor::cpu_supports_avx2()) backends.push_back(KernelBackend::kAvx2);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 65; ++n) lengths.push_back(n);
+  lengths.push_back(1200);
+  const std::vector<std::uint8_t> src = random_bytes(1200 + 3, 41);
+  const std::vector<std::uint8_t> init = random_bytes(1200 + 5, 42);
+  for (const KernelBackend b : backends) {
+    BackendScope scope(b);
+    const char* name = tensor::kernel_backend_name(b);
+    const auto mul_add = tensor::active_kernels().gf256_mul_add;
+    for (int c = 0; c < 256; ++c) {
+      const std::uint8_t* tbl = net::fec::kGfNibbles.row[c];
+      for (const std::size_t n : lengths) {
+        std::vector<std::uint8_t> want = init;
+        for (std::size_t i = 0; i < n; ++i)
+          want[5 + i] ^=
+              net::fec::gf_mul_slow(static_cast<std::uint8_t>(c), src[3 + i]);
+        std::vector<std::uint8_t> dst = init;
+        mul_add(tbl, src.data() + 3, dst.data() + 5, n);
+        ASSERT_EQ(dst, want) << name << " c=" << c << " n=" << n;
       }
     }
   }

@@ -5,6 +5,7 @@
 // trace-identical to the simulator with ZERO retransmits and ZERO
 // reconnects, because parity absorbs the loss with no round trips.
 #include <gtest/gtest.h>
+#include <malloc.h>
 #include <poll.h>
 
 #include <algorithm>
@@ -326,6 +327,44 @@ TEST(UdpFragmentation, DuplicatesAndReorderAreHarmless) {
   }
 }
 
+/// Heap bytes in use (glibc's count: arena plus mmapped chunks).
+std::size_t heap_bytes() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+// A forged frame_len must cost no more memory than the datagrams that
+// arrived: each of these 41-byte datagrams completes the first generation of
+// a 64 MiB frame, and a reassembler that sized the frame from its header
+// would zero-fill 64 MiB per frame_seq. A second generation that overlaps
+// the first instead of following it never tiles the frame, so that frame is
+// dropped without its buffer being allocated.
+TEST(UdpFragmentation, ForgedFrameLengthHoldsOnlyTheBytesReceived) {
+  FecStats stats;
+  FrameReassembler reasm(small_cfg(&stats));
+  DatagramHeader h;
+  h.k = 1;
+  h.r = 0;
+  h.gen_count = 2;
+  h.frame_len = static_cast<std::uint32_t>(kFrameHeaderBytes) +
+                kMaxFramePayload;
+  h.shard_len = 1;
+  const std::vector<std::uint8_t> payload = {0x41};
+  const std::size_t before = heap_bytes();
+  const std::size_t limit = before + (std::size_t{1} << 20);
+  for (h.frame_seq = 0; h.frame_seq < 2; ++h.frame_seq)
+    reasm.offer(encode_datagram(h, payload));
+  EXPECT_LT(heap_bytes(), limit);
+  EXPECT_EQ(stats.datagrams_malformed.load(), 0);
+
+  h.frame_seq = 0;
+  h.gen_index = 1;  // gen_off 0 again: overlaps generation 0
+  reasm.offer(encode_datagram(h, payload));
+  EXPECT_FALSE(reasm.next().has_value());
+  EXPECT_EQ(stats.frames_dropped.load(), 1);
+  EXPECT_LT(heap_bytes(), limit);
+}
+
 // --- UdpTransport over loopback links --------------------------------------
 
 TEST(UdpTransportLoopback, BidirectionalFrames) {
@@ -352,6 +391,69 @@ TEST(UdpTransportLoopback, BidirectionalFrames) {
   tb.close();
   EXPECT_TRUE(tb.closed());
   EXPECT_FALSE(ta.recv(std::chrono::milliseconds(10)).has_value());
+}
+
+/// Every datagram queued on `link`, in order.
+std::vector<std::vector<std::uint8_t>> drain(DatagramLink& link) {
+  std::vector<std::vector<std::uint8_t>> out;
+  while (auto d = link.recv(std::chrono::milliseconds(0)))
+    out.push_back(std::move(*d));
+  return out;
+}
+
+// One broadcast to eight UDP peers builds one FEC image: every peer sends
+// from the slot's image, the loopback links queue references to it rather
+// than copies, and each peer's datagrams are bitwise what
+// FrameFragmenter::fragment emits at that peer's own frame_seq. A peer of
+// another geometry encodes for itself and leaves the slot's image alone.
+TEST(UdpTransportLoopback, BroadcastPeersShareOneFecImage) {
+  constexpr int kPeers = 8;
+  UdpFecConfig cfg;
+  cfg.data_shards = 8;
+  cfg.parity_shards = 8;
+  cfg.max_shard_bytes = 1200;
+  const Frame f = golden_model_frame();
+  std::vector<std::unique_ptr<UdpTransport>> peers;
+  std::vector<std::unique_ptr<LoopbackDatagramLink>> ends;
+  for (int p = 0; p < kPeers; ++p) {
+    auto [a, b] = make_datagram_loopback_pair();
+    peers.push_back(std::make_unique<UdpTransport>(std::move(a), cfg));
+    ends.push_back(std::move(b));
+    // Peer p has sent p frames already, so each stamps its own frame_seq.
+    for (int i = 0; i < p; ++i) ASSERT_TRUE(peers.back()->send(test_frame(9)));
+    drain(*ends.back());
+  }
+
+  FrameImage slot;
+  const FecImage* image = nullptr;
+  for (int p = 0; p < kPeers; ++p) {
+    ASSERT_TRUE(peers[static_cast<std::size_t>(p)]->send_shared(f, slot));
+    ASSERT_TRUE(slot.fec);
+    if (image == nullptr) image = slot.fec.get();
+    EXPECT_EQ(slot.fec.get(), image) << "peer " << p << " built its own image";
+  }
+  const std::size_t count = image->datagrams();
+  EXPECT_EQ(count, 240u);
+  // The slot plus one reference per queued datagram: no payload was copied.
+  EXPECT_EQ(slot.fec.use_count(),
+            static_cast<long>(1 + kPeers * count));
+
+  for (int p = 0; p < kPeers; ++p) {
+    FrameFragmenter reference(cfg);
+    for (int i = 0; i < p; ++i) reference.fragment(test_frame(9));
+    EXPECT_EQ(drain(*ends[static_cast<std::size_t>(p)]), reference.fragment(f))
+        << "peer " << p;
+  }
+  EXPECT_EQ(slot.fec.use_count(), 1);
+
+  UdpFecConfig other = cfg;
+  other.parity_shards = 4;
+  auto [a, b] = make_datagram_loopback_pair();
+  UdpTransport odd(std::move(a), other);
+  ASSERT_TRUE(odd.send_shared(f, slot));
+  EXPECT_EQ(slot.fec.get(), image);
+  FrameFragmenter reference(other);
+  EXPECT_EQ(drain(*b), reference.fragment(f));
 }
 
 // --- Deterministic datagram chaos ------------------------------------------
