@@ -27,6 +27,7 @@
 #include <thread>
 
 #include "cli/args.h"
+#include "cli/report.h"
 #include "cli/task.h"
 #include "core/parallel.h"
 #include "metrics/profile.h"
@@ -428,26 +429,16 @@ int main(int argc, char** argv) {
       std::cout << "replication: checkpoints-replicated="
                 << publisher.checkpoints_replicated()
                 << " standbys=" << publisher.standby_count() << std::endl;
-    if (log.interrupted)
-      std::cout << "interrupted: 1 (checkpoint "
-                << (cfg.checkpoint_dir.empty() ? "not configured" : "written")
-                << "; rerun with --resume=1 to continue)" << std::endl;
-
-    metrics::Table table({"metric", "value"});
-    table.add_row({"final accuracy", metrics::fmt_pct(log.final_accuracy())});
-    table.add_row({"best accuracy", metrics::fmt_pct(log.best_accuracy())});
-    table.add_row({"wall-clock time",
-                   metrics::fmt_f(log.total_time, 1) + "s"});
-    table.print(std::cout);
+    cli::print_run_report(
+        std::cout, log, !cfg.checkpoint_dir.empty(),
+        {{"wall-clock time", metrics::fmt_f(log.total_time, 1) + "s"}});
     metrics::ledger_table(log.ledger).print(std::cout);
 
     const auto& w = session.global();
     const std::uint32_t crc =
         net::transport::crc32(std::span<const std::uint8_t>(
             reinterpret_cast<const std::uint8_t*>(w.data()), w.size() * 4));
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6f", log.final_accuracy());
-    std::cout << "final-accuracy: " << buf << "\n";
+    char buf[16];
     std::snprintf(buf, sizeof(buf), "%08x", crc);
     std::cout << "weights-crc32: " << buf << std::endl;
     if (use_udp)

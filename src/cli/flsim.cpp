@@ -15,6 +15,7 @@
 #include <span>
 
 #include "cli/args.h"
+#include "cli/report.h"
 #include "cli/task.h"
 #include "core/adafl_async.h"
 #include "core/adafl_sync.h"
@@ -303,36 +304,21 @@ int main(int argc, char** argv) {
     }
 
     // --- Report.
-    if (log.interrupted)
-      std::cout << "interrupted: 1 (checkpoint written; rerun with "
-                   "--resume=1 to continue)\n";
     const auto series =
         by_time ? log.accuracy_vs_time() : log.accuracy_vs_round();
-    metrics::Table table({"metric", "value"});
-    table.add_row({"final accuracy", metrics::fmt_pct(log.final_accuracy())});
-    table.add_row({"best accuracy", metrics::fmt_pct(log.best_accuracy())});
-    table.add_row(
-        {"delivered updates",
-         std::to_string(log.ledger.delivered_updates())});
-    table.add_row({"upload", metrics::fmt_bytes(
-                                 log.ledger.total_upload_bytes())});
-    table.add_row({"download", metrics::fmt_bytes(
-                                   log.ledger.total_download_bytes())});
-    table.add_row({"simulated time",
-                   metrics::fmt_f(log.total_time, 1) + "s"});
-    table.print(std::cout);
-    // Machine-readable result lines (consumed by scripts/deploy_smoke.sh).
-    {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.6f", log.final_accuracy());
-      std::cout << "final-accuracy: " << buf << "\n";
-    }
+    cli::print_run_report(
+        std::cout, log, !ckpt_dir.empty(),
+        {{"delivered updates", std::to_string(log.ledger.delivered_updates())},
+         {"upload", metrics::fmt_bytes(log.ledger.total_upload_bytes())},
+         {"download", metrics::fmt_bytes(log.ledger.total_download_bytes())},
+         {"simulated time", metrics::fmt_f(log.total_time, 1) + "s"}});
+    // Machine-readable result line (consumed by scripts/deploy_smoke.sh).
     if (weights_crc) {
       char buf[16];
       std::snprintf(buf, sizeof(buf), "%08x", *weights_crc);
       std::cout << "weights-crc32: " << buf << "\n";
     }
-    if (args.get_bool("chart")) {
+    if (args.get_bool("chart") && !series.empty()) {
       std::cout << "\naccuracy vs " << (by_time ? "time" : "round") << ":\n";
       metrics::AsciiChart chart(64, 14);
       chart.add(algo, series);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/parallel.h"
 #include "core/selection.h"
 #include "core/server_checkpoint.h"
 #include "metrics/profile.h"
@@ -172,44 +173,45 @@ fl::TrainLog AdaFlSyncTrainer::run() {
       break;
     }
     if (traced) tracer->record(metrics::ev_round_start(round, clock));
-    // --- Every client downloads the fresh global model and trains; it also
-    // derives g_hat locally from consecutive global models, so scoring costs
-    // no extra traffic. Results land in reused per-client slots.
+    // The round runs in four phases so clients train, score and compress on
+    // the pool while every RNG draw and ledger entry keeps the serial order
+    // (each link has its own RNG and is drawn download-then-upload):
+    //   1 (serial, client order): download draws.
+    //   2 (parallel): local training plus the Eq. 6 utility score. Every
+    //     client downloads the fresh global model and derives g_hat locally
+    //     from consecutive global models, so scoring costs no traffic.
+    //   3 (parallel, after plan_round): compress_into for the selected,
+    //     accumulate for the rest.
+    //   4 (serial, plan order): upload draws and delivery flags.
+    // Each parallel task touches only its own client, compressor, result,
+    // score and delivery slot, plus the read-only global model and g_hat.
     results_.resize(static_cast<std::size_t>(n));
     down_plus_compute_.assign(static_cast<std::size_t>(n), 0.0);
+    scores_.resize(static_cast<std::size_t>(n));
+    for (int id = 0; id < n; ++id) {
+      if (!links_.empty())
+        down_plus_compute_[static_cast<std::size_t>(id)] =
+            links_[static_cast<std::size_t>(id)]
+                .download(dense_bytes, clock)
+                .duration;
+      log.ledger.record_download(id, dense_bytes);
+    }
     {
       metrics::PhaseProfiler::Scope prof("client-train");
-      for (int id = 0; id < n; ++id) {
-        double down_t = 0.0;
-        if (!links_.empty()) {
-          auto tr =
-              links_[static_cast<std::size_t>(id)].download(dense_bytes, clock);
-          down_t = tr.duration;
-        }
-        log.ledger.record_download(id, dense_bytes);
-        auto& res = results_[static_cast<std::size_t>(id)];
-        clients_[static_cast<std::size_t>(id)].train_from_into(core_.global(),
-                                                               res);
-        down_plus_compute_[static_cast<std::size_t>(id)] =
-            down_t + res.compute_seconds;
-      }
-    }
-
-    // --- Utility Score Computation (Eq. 6).
-    scores_.assign(static_cast<std::size_t>(n), 1.0);
-    {
-      metrics::PhaseProfiler::Scope prof("score");
-      for (int id = 0; id < n; ++id) {
+      parallel_for(0, n, [&](std::int64_t i) {
+        const auto id = static_cast<std::size_t>(i);
+        auto& res = results_[id];
+        clients_[id].train_from_into(core_.global(), res);
+        down_plus_compute_[id] += res.compute_seconds;
         double up_bw = cfg_.params.utility.bw_ref;
         double down_bw = cfg_.params.utility.bw_ref;
         if (!links_.empty()) {
-          up_bw = links_[static_cast<std::size_t>(id)].up_bandwidth(clock);
-          down_bw = links_[static_cast<std::size_t>(id)].down_bandwidth(clock);
+          up_bw = links_[id].up_bandwidth(clock);
+          down_bw = links_[id].down_bandwidth(clock);
         }
-        scores_[static_cast<std::size_t>(id)] = utility_score(
-            cfg_.params.utility, results_[static_cast<std::size_t>(id)].delta,
-            core_.g_hat(), up_bw, down_bw);
-      }
+        scores_[id] = utility_score(cfg_.params.utility, res.delta,
+                                    core_.g_hat(), up_bw, down_bw);
+      });
     }
 
     // --- Client Filtering / Ranking / Selection (Algorithm 1) + adaptive
@@ -218,53 +220,57 @@ fl::TrainLog AdaFlSyncTrainer::run() {
     const std::vector<bool> present(static_cast<std::size_t>(n), true);
     const AdaFlRoundPlan plan = core_.plan_round(scores_, present, round);
 
-    // --- Adaptive compression + upload for selected clients. Each client
-    // has a persistent delivery slot; delivered_ marks which slots hold this
-    // round's update.
+    // --- Adaptive compression for selected clients; skipped clients
+    // transmit nothing, and their gradient mass accumulates locally in DGC
+    // state (error feedback) if configured. Each client has a persistent
+    // delivery slot; delivered_ marks which slots hold this round's update.
+    plan_index_.assign(static_cast<std::size_t>(n), -1);
+    for (std::size_t j = 0; j < plan.sel.selected.size(); ++j)
+      plan_index_[static_cast<std::size_t>(plan.sel.selected[j])] =
+          static_cast<int>(j);
     delivery_slots_.resize(static_cast<std::size_t>(n));
+    {
+      metrics::PhaseProfiler::Scope prof("compress");
+      parallel_for(0, n, [&](std::int64_t i) {
+        const auto id = static_cast<std::size_t>(i);
+        const auto& res = results_[id];
+        const int j = plan_index_[id];
+        if (j < 0) {
+          if (cfg_.params.accumulate_unselected)
+            compressors_[id].accumulate(res.delta);
+          return;
+        }
+        AdaFlDelivery& dl = delivery_slots_[id];
+        compressors_[id].compress_into(
+            res.delta, plan.ratios[static_cast<std::size_t>(j)], dl.msg);
+        dl.num_examples = res.num_examples;
+        dl.mean_loss = res.mean_loss;
+        dl.raw_delta_norm = tensor::l2_norm(res.delta);
+      });
+    }
+
+    // --- Uploads, in plan order.
     delivered_.assign(static_cast<std::size_t>(n), 0);
     double round_time = 0.0;
-    is_selected_.assign(static_cast<std::size_t>(n), 0);
-    {
-      metrics::PhaseProfiler::Scope prof("compress-upload");
-      for (std::size_t j = 0; j < plan.sel.selected.size(); ++j) {
-        const int id = plan.sel.selected[j];
-        is_selected_[static_cast<std::size_t>(id)] = 1;
-
-        auto& res = results_[static_cast<std::size_t>(id)];
-        AdaFlDelivery& dl = delivery_slots_[static_cast<std::size_t>(id)];
-        compressors_[static_cast<std::size_t>(id)].compress_into(
-            res.delta, plan.ratios[j], dl.msg);
-        double up_t = 0.0;
-        bool ok = true;
-        if (!links_.empty()) {
-          auto tr = links_[static_cast<std::size_t>(id)].upload(
-              dl.msg.wire_bytes, clock);
-          up_t = tr.duration;
-          ok = tr.delivered;
-        }
-        log.ledger.record_upload(id, dl.msg.wire_bytes, ok);
-        if (ok) {
-          dl.num_examples = res.num_examples;
-          dl.mean_loss = res.mean_loss;
-          dl.raw_delta_norm = tensor::l2_norm(res.delta);
-          delivered_[static_cast<std::size_t>(id)] = 1;
-        }
-        round_time = std::max(
-            round_time, down_plus_compute_[static_cast<std::size_t>(id)] + up_t);
+    for (const int id : plan.sel.selected) {
+      const AdaFlDelivery& dl = delivery_slots_[static_cast<std::size_t>(id)];
+      double up_t = 0.0;
+      bool ok = true;
+      if (!links_.empty()) {
+        auto tr = links_[static_cast<std::size_t>(id)].upload(
+            dl.msg.wire_bytes, clock);
+        up_t = tr.duration;
+        ok = tr.delivered;
       }
-
-      // --- Skipped clients transmit nothing; their gradient mass accumulates
-      // locally in DGC state (error feedback) if configured.
-      for (int id = 0; id < n; ++id) {
-        if (is_selected_[static_cast<std::size_t>(id)]) continue;
-        if (cfg_.params.accumulate_unselected)
-          compressors_[static_cast<std::size_t>(id)].accumulate(
-              results_[static_cast<std::size_t>(id)].delta);
+      log.ledger.record_upload(id, dl.msg.wire_bytes, ok);
+      delivered_[static_cast<std::size_t>(id)] = ok ? 1 : 0;
+      round_time = std::max(
+          round_time, down_plus_compute_[static_cast<std::size_t>(id)] + up_t);
+    }
+    for (int id = 0; id < n; ++id)
+      if (plan_index_[static_cast<std::size_t>(id)] < 0)
         round_time = std::max(round_time,
                               down_plus_compute_[static_cast<std::size_t>(id)]);
-      }
-    }
 
     // --- Server aggregation (FedAvg weighting + trust region).
     AdaFlRoundOutcome out;

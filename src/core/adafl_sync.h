@@ -72,15 +72,16 @@ class AdaFlSyncTrainer {
   tensor::Rng rng_;
   AdaFlServerCore core_;
 
-  // Per-round buffers reused across rounds: local results, per-client
-  // delivery slots (+ delivered flags, reset each round), and the small
-  // per-round score/time vectors. Steady-state rounds reuse all of them.
+  // Per-client round buffers, reused across rounds: local results, delivery
+  // slots (+ delivered flags, reset each round), scores, download+compute
+  // times, and each client's position in the round's plan (-1 = skipped).
+  // The parallel phases of run() write only their own client's entries.
   std::vector<fl::FlClient::LocalResult> results_;
   std::vector<AdaFlDelivery> delivery_slots_;
   std::vector<char> delivered_;
   std::vector<double> scores_;
   std::vector<double> down_plus_compute_;
-  std::vector<char> is_selected_;
+  std::vector<int> plan_index_;
   /// Full test set, materialised once (Dataset::all() copies the images
   /// tensor; evaluating every round from this cache keeps eval allocation
   /// free after the first use).

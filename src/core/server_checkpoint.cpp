@@ -88,8 +88,7 @@ std::string checkpoint_path(const std::string& dir) {
 
 std::vector<std::uint8_t> encode_checkpoint_file_bytes(
     const std::vector<CheckpointSection>& sections) {
-  std::vector<std::uint8_t> buf;
-  buf.insert(buf.end(), kMagic, kMagic + 4);
+  std::vector<std::uint8_t> buf(kMagic, kMagic + 4);
   bytes::put_u32(buf, kServerCheckpointVersion);
   bytes::put_u32(buf, static_cast<std::uint32_t>(sections.size()));
   for (const auto& s : sections) {

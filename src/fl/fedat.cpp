@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/parallel.h"
 #include "metrics/trace.h"
 
 namespace adafl::fl {
@@ -120,35 +121,49 @@ TrainLog FedAtTrainer::run() {
 }
 
 void FedAtTrainer::start_tier_round(int tier) {
-  auto& members = tiers_[static_cast<std::size_t>(tier)];
+  const auto& members = tiers_[static_cast<std::size_t>(tier)];
+  const std::size_t m = members.size();
   // Intra-tier synchronous round against the tier's view of the global
-  // model: all members train, the tier waits for its slowest member.
+  // model: all members train, the tier waits for its slowest member. As in
+  // SyncTrainer, the members train on the pool between a serial download
+  // phase and a serial upload + fold phase in member order, so each link
+  // still draws its download before its upload and the weighted sum keeps
+  // its order at any thread count.
+  std::vector<double> down_t(m, 0.0);
+  results_.resize(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    const int id = members[k];
+    if (!links_.empty())
+      down_t[k] = links_[static_cast<std::size_t>(id)]
+                      .download(dense_bytes_, queue_.now())
+                      .duration;
+    log_->ledger.record_download(id, dense_bytes_);
+  }
+  core::parallel_for(0, static_cast<std::int64_t>(m), [&](std::int64_t i) {
+    const auto k = static_cast<std::size_t>(i);
+    clients_[static_cast<std::size_t>(members[k])].train_from_into(
+        global_, results_[k]);
+  });
+
   std::vector<float> sum_delta(global_.size(), 0.0f);
   double weight_sum = 0.0;
   double loss_sum = 0.0;
   double round_time = 0.0;
-  for (int id : members) {
-    FlClient& cl = clients_[static_cast<std::size_t>(id)];
-    double down_t = 0.0, up_t = 0.0;
-    if (!links_.empty()) {
-      auto tr = links_[static_cast<std::size_t>(id)].download(dense_bytes_,
-                                                              queue_.now());
-      down_t = tr.duration;
-    }
-    log_->ledger.record_download(id, dense_bytes_);
-    auto res = cl.train_from(global_);
-    if (!links_.empty()) {
-      auto tr = links_[static_cast<std::size_t>(id)].upload(dense_bytes_,
-                                                            queue_.now());
-      up_t = tr.duration;
-    }
+  for (std::size_t k = 0; k < m; ++k) {
+    const int id = members[k];
+    const FlClient::LocalResult& res = results_[k];
+    double up_t = 0.0;
+    if (!links_.empty())
+      up_t = links_[static_cast<std::size_t>(id)]
+                 .upload(dense_bytes_, queue_.now())
+                 .duration;
     log_->ledger.record_upload(id, dense_bytes_, true);
     const float w = static_cast<float>(res.num_examples);
     for (std::size_t i = 0; i < sum_delta.size(); ++i)
       sum_delta[i] += w * res.delta[i];
     weight_sum += w;
     loss_sum += res.mean_loss;
-    round_time = std::max(round_time, down_t + res.compute_seconds + up_t);
+    round_time = std::max(round_time, down_t[k] + res.compute_seconds + up_t);
   }
   ADAFL_CHECK(weight_sum > 0.0);
   const float inv = static_cast<float>(1.0 / weight_sum);

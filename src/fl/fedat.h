@@ -45,6 +45,8 @@ class FedAtTrainer {
   const std::vector<int>& tier_of() const { return tier_of_; }
   /// Per-tier completed rounds (valid after run()).
   const std::vector<std::int64_t>& tier_rounds() const { return tier_rounds_; }
+  /// The global model (final after run()).
+  const std::vector<float>& global() const { return global_; }
 
  private:
   void start_tier_round(int tier);
@@ -64,6 +66,10 @@ class FedAtTrainer {
   nn::Model eval_model_;
   tensor::Rng rng_;
   net::EventQueue queue_;
+
+  /// Local results of the tier round being started, by member position;
+  /// reused across tier rounds.
+  std::vector<FlClient::LocalResult> results_;
 
   TrainLog* log_ = nullptr;
   std::int64_t dense_bytes_ = 0;

@@ -62,11 +62,6 @@ void AsciiChart::print(std::ostream& os) const {
   std::vector<std::string> grid(static_cast<std::size_t>(height_),
                                 std::string(static_cast<std::size_t>(width_),
                                             ' '));
-  auto col_of = [&](double x) {
-    return std::clamp(static_cast<int>((x - x_lo) / (x_hi - x_lo) *
-                                       (width_ - 1) + 0.5),
-                      0, width_ - 1);
-  };
   auto row_of = [&](double y) {
     const double t = (y - y_lo) / (y_hi - y_lo);
     return std::clamp(height_ - 1 -

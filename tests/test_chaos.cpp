@@ -11,6 +11,7 @@
 #include <mutex>
 #include <thread>
 
+#include "core/parallel.h"
 #include "core/server_checkpoint.h"
 #include "deployed_test_util.h"
 #include "net/transport/faulty.h"
@@ -364,7 +365,16 @@ TEST(ChaosRecovery, KillResumeLoopbackBitwise) {
 
 // --- Kill + resume: simulator trainers, bitwise. --------------------------
 
-TEST(ChaosRecovery, AdaFlSimStopResumeBitwise) {
+// Stops an AdaFL simulator run after round 3 and resumes it from the
+// stop-time checkpoint, with `stop_threads` pool lanes up to the stop and
+// `resume_threads` after it (0 = automatic). The resumed run must land bit
+// for bit where an uninterrupted run at the automatic size does.
+void expect_adafl_sim_stop_resume_bitwise(const char* dir_tag,
+                                          int stop_threads,
+                                          int resume_threads) {
+  struct ThreadGuard {
+    ~ThreadGuard() { core::set_num_threads(0); }
+  } guard;
   const cli::TaskSpec spec = small_task_spec();
   const int rounds = 5;
   auto task = cli::build_task(spec);
@@ -375,11 +385,12 @@ TEST(ChaosRecovery, AdaFlSimStopResumeBitwise) {
   cfg.eval_every = 1;
   cfg.seed = spec.seed;
 
+  core::set_num_threads(0);
   core::AdaFlSyncTrainer clean(cfg, task.factory, &task.train, task.parts,
                                &task.test);
   const fl::TrainLog clean_log = clean.run();
 
-  const std::string path = fresh_dir("adafl_sim_resume") + "/server.ckpt";
+  const std::string path = fresh_dir(dir_tag) + "/server.ckpt";
   std::atomic<bool> stop{false};
   core::AdaFlSyncConfig icfg = cfg;
   icfg.checkpoint_path = path;
@@ -388,6 +399,7 @@ TEST(ChaosRecovery, AdaFlSimStopResumeBitwise) {
   icfg.on_round_end = [&](int round) {
     if (round == 3) stop.store(true);
   };
+  core::set_num_threads(stop_threads);
   core::AdaFlSyncTrainer t1(icfg, task.factory, &task.train, task.parts,
                             &task.test);
   const fl::TrainLog log1 = t1.run();
@@ -396,6 +408,7 @@ TEST(ChaosRecovery, AdaFlSimStopResumeBitwise) {
   core::AdaFlSyncConfig rcfg = cfg;
   rcfg.checkpoint_path = path;
   rcfg.resume = true;
+  core::set_num_threads(resume_threads);
   core::AdaFlSyncTrainer t2(rcfg, task.factory, &task.train, task.parts,
                             &task.test);
   const fl::TrainLog log2 = t2.run();
@@ -405,6 +418,16 @@ TEST(ChaosRecovery, AdaFlSimStopResumeBitwise) {
   EXPECT_EQ(t2.stats().selected_updates, clean.stats().selected_updates);
   EXPECT_EQ(log2.total_time, clean_log.total_time);
   std::remove(path.c_str());
+}
+
+TEST(ChaosRecovery, AdaFlSimStopResumeBitwise) {
+  expect_adafl_sim_stop_resume_bitwise("adafl_sim_resume", 0, 0);
+}
+
+// The clients of a round train, score and compress on the pool, so the
+// checkpoint a 4-lane run writes must resume on 1 lane with no drift.
+TEST(ChaosRecovery, AdaFlSimStopAtFourThreadsResumeAtOneBitwise) {
+  expect_adafl_sim_stop_resume_bitwise("adafl_sim_resume_threads", 4, 1);
 }
 
 TEST(ChaosRecovery, FedAdamSimResumeFromCadenceCheckpointBitwise) {

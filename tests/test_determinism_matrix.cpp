@@ -19,6 +19,7 @@ using fl::testing::make_mini_task;
 struct RunSignature {
   std::vector<double> accuracies;
   std::int64_t upload_bytes = 0;
+  double total_time = 0.0;  ///< the simulated clock, fed by every transfer
 
   bool operator==(const RunSignature&) const = default;
 };
@@ -27,6 +28,7 @@ RunSignature signature(const fl::TrainLog& log) {
   RunSignature s;
   for (const auto& r : log.records) s.accuracies.push_back(r.test_accuracy);
   s.upload_bytes = log.ledger.total_upload_bytes();
+  s.total_time = log.total_time;
   return s;
 }
 
@@ -206,18 +208,27 @@ class ThreadSweepMatrix : public ::testing::TestWithParam<int> {
         const auto log = t.run();
         return {signature(log), t.global()};
       }
-      case 4: {  // AdaFL sync (selection + compression on top of the pool).
+      case 4: {  // AdaFL sync: clients train, score and compress on the
+                 // pool; lossy links fail some uploads, and K = 2 of 4
+                 // leaves clients on the unselected accumulate path.
         core::AdaFlSyncConfig cfg;
         cfg.rounds = 4;
         cfg.client = task.client;
+        cfg.links = net::make_fleet(4, 0.5, net::LinkQuality::kGood,
+                                    net::LinkQuality::kLossy);
         cfg.seed = seed;
+        cfg.params.max_selected = 2;
         cfg.params.compression.warmup_rounds = 2;
         core::AdaFlSyncTrainer t(cfg, task.factory, &task.train, task.parts,
                                  &task.test);
         const auto log = t.run();
+        // Both paths the sweep is meant to cover actually ran.
+        EXPECT_LT(log.ledger.delivered_updates(),
+                  log.ledger.attempted_updates());
+        EXPECT_GT(t.stats().skipped_clients, 0);
         return {signature(log), t.global()};
       }
-      default: {  // AdaFL async
+      case 5: {  // AdaFL async
         core::AdaFlAsyncConfig cfg;
         cfg.duration = 1.5;
         cfg.eval_interval = 0.5;
@@ -226,6 +237,24 @@ class ThreadSweepMatrix : public ::testing::TestWithParam<int> {
         cfg.params.compression.warmup_rounds = 2;
         core::AdaFlAsyncTrainer t(cfg, task.factory, &task.train, task.parts,
                                   &task.test);
+        const auto log = t.run();
+        return {signature(log), t.global()};
+      }
+      default: {  // FedAT: each tier's members train on the pool between
+                  // serial download and upload draws on lossy links. Three
+                  // members per tier, so the order of the weighted delta
+                  // fold shows in the bits (two float terms commute).
+        auto fedat_task = make_mini_task(6);
+        fl::FedAtConfig cfg;
+        cfg.num_tiers = 2;
+        cfg.duration = 1.5;
+        cfg.eval_interval = 0.5;
+        cfg.client = fedat_task.client;
+        cfg.links = net::make_fleet(6, 0.5, net::LinkQuality::kGood,
+                                    net::LinkQuality::kLossy);
+        cfg.seed = seed;
+        fl::FedAtTrainer t(cfg, fedat_task.factory, &fedat_task.train,
+                           fedat_task.parts, &fedat_task.test);
         const auto log = t.run();
         return {signature(log), t.global()};
       }
@@ -249,11 +278,12 @@ TEST_P(ThreadSweepMatrix, BitwiseIdenticalAcrossThreadCounts) {
 std::string sweep_name(const ::testing::TestParamInfo<int>& info) {
   static const char* const kNames[] = {"FedAvgFaultsLinks", "ScaffoldRobust",
                                        "FedBuff",           "FedAsyncLossy",
-                                       "AdaFlSync",         "AdaFlAsync"};
+                                       "AdaFlSync",         "AdaFlAsync",
+                                       "FedAt"};
   return kNames[info.param];
 }
 
-INSTANTIATE_TEST_SUITE_P(AllTrainers, ThreadSweepMatrix, ::testing::Range(0, 6),
+INSTANTIATE_TEST_SUITE_P(AllTrainers, ThreadSweepMatrix, ::testing::Range(0, 7),
                          sweep_name);
 
 }  // namespace

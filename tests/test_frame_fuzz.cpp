@@ -413,9 +413,12 @@ TEST(UpdateAggFuzz, MutatedPayloads) {
         bytes.push_back(static_cast<std::uint8_t>(rng()));
     }  // mode 4: intact
     const bool ok = root_accepts(bytes);
-    if (mode == 4) ASSERT_TRUE(ok) << "intact UPDATE-AGG rejected, case " << i;
-    if (mode == 2 || mode == 3)
+    if (mode == 4) {
+      ASSERT_TRUE(ok) << "intact UPDATE-AGG rejected, case " << i;
+    }
+    if (mode == 2 || mode == 3) {
       ASSERT_FALSE(ok) << "resized UPDATE-AGG accepted, case " << i;
+    }
     if (ok) ++accepted; else ++rejected;
   }
   EXPECT_GT(accepted, 1000);  // the intact fifth, at minimum

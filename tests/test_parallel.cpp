@@ -72,12 +72,14 @@ TEST(Parallel, BlockedChunksAreContiguousAndDisjoint) {
   });
   // Every index covered, and each chunk's indices form one contiguous run.
   for (int o : owner) EXPECT_NE(o, -1);
-  for (std::size_t i = 1; i < owner.size(); ++i)
-    if (owner[i] != owner[i - 1])
+  for (std::size_t i = 1; i < owner.size(); ++i) {
+    if (owner[i] != owner[i - 1]) {
       EXPECT_EQ(std::count(owner.begin() + static_cast<std::ptrdiff_t>(i),
                            owner.end(), owner[i - 1]),
                 0)
           << "chunk " << owner[i - 1] << " is not contiguous";
+    }
+  }
 }
 
 TEST(Parallel, ExceptionPropagatesToCaller) {

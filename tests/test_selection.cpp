@@ -103,8 +103,9 @@ TEST_P(Algorithm1Property, ConstraintsHold) {
   for (int i : r.selected) in_selected[static_cast<std::size_t>(i)] = true;
   for (int i = 0; i < p.n; ++i) {
     if (in_selected[static_cast<std::size_t>(i)]) continue;
-    if (scores[static_cast<std::size_t>(i)] >= p.tau && !r.selected.empty())
+    if (scores[static_cast<std::size_t>(i)] >= p.tau && !r.selected.empty()) {
       EXPECT_LE(scores[static_cast<std::size_t>(i)], min_selected + 1e-12);
+    }
   }
   // Selected + below_threshold partition is consistent.
   for (int i : r.below_threshold)

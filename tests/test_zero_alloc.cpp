@@ -14,9 +14,12 @@
 #include <vector>
 
 #include "compress/dgc.h"
+#include "core/adafl_sync.h"
+#include "core/parallel.h"
 #include "fl/client.h"
 #include "fl_fixtures.h"
 #include "metrics/trace.h"
+#include "net/link.h"
 #include "net/transport/client_protocol.h"
 #include "nn/model.h"
 #include "nn/models.h"
@@ -179,6 +182,46 @@ TEST(ZeroAlloc, ClientProtocolRoundsSteadyState) {
   EXPECT_EQ(proto.rounds_trained(), 4);
   EXPECT_EQ(proto.updates_sent(), 3);
   EXPECT_EQ(proto.skips(), 1);
+}
+
+TEST(ZeroAlloc, AdaFlSyncTrainerRoundsSteadyState) {
+  // The whole simulated AdaFL round as AdaFlSyncTrainer runs it on the
+  // pool: download draws, parallel train + score, selection, parallel
+  // compress or accumulate, uploads, aggregation and evaluation. Lossy links
+  // fail some uploads and K = 2 of 4 leaves clients unselected. Rounds 1-2
+  // warm; no later round may allocate, at 1 lane or at 4. The MLP task keeps
+  // this exact: a CNN client's per-chunk conv scratch depends on which lane
+  // trained it.
+  struct ThreadGuard {
+    ~ThreadGuard() { core::set_num_threads(0); }
+  } guard;
+  const int rounds = 6;
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    core::set_num_threads(threads);
+    auto task = fl::testing::make_mini_task(4);
+    core::AdaFlSyncConfig cfg;
+    cfg.rounds = rounds;
+    cfg.client = task.client;
+    cfg.links = net::make_fleet(4, 0.5, net::LinkQuality::kGood,
+                                net::LinkQuality::kLossy);
+    cfg.seed = 7;
+    cfg.params.max_selected = 2;
+    cfg.params.compression.warmup_rounds = 1;
+    std::uint64_t after_round2 = 0;
+    std::uint64_t after_last = 0;
+    cfg.on_round_end = [&](int round) {
+      if (round == 2) after_round2 = tensor::tensor_allocations();
+      if (round == rounds) after_last = tensor::tensor_allocations();
+    };
+    core::AdaFlSyncTrainer trainer(cfg, task.factory, &task.train, task.parts,
+                                   &task.test);
+    const fl::TrainLog log = trainer.run();
+    ASSERT_EQ(static_cast<int>(log.records.size()), rounds);
+    EXPECT_EQ(after_last - after_round2, 0u)
+        << "AdaFlSyncTrainer rounds 3-" << rounds
+        << " allocated tensors in steady state";
+  }
 }
 
 TEST(ZeroAlloc, WarmupDoesAllocate) {
