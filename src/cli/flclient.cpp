@@ -15,11 +15,9 @@
 #include <stdexcept>
 
 #include "cli/args.h"
+#include "cli/report.h"
 #include "cli/task.h"
 #include "core/parallel.h"
-#include "metrics/profile.h"
-#include "metrics/registry.h"
-#include "metrics/trace.h"
 #include "net/transport/faulty.h"
 #include "net/transport/session.h"
 #include "net/transport/udp.h"
@@ -91,7 +89,6 @@ int main(int argc, char** argv) {
     core::set_num_threads(args.get_int_at_least("threads", 0));
     if (const std::string kb = args.get("kernel-backend"); !kb.empty())
       tensor::set_kernel_backend(tensor::resolve_kernel_backend(kb));
-    metrics::PhaseProfiler::instance().set_enabled(args.get_bool("profile"));
     const auto connect_timeout =
         std::chrono::milliseconds(args.get_int("connect-timeout-ms"));
 
@@ -115,24 +112,16 @@ int main(int argc, char** argv) {
         std::chrono::milliseconds(args.get_int("backoff-max-ms"));
     cfg.backoff.max_attempts = args.get_int("max-attempts");
 
-    // Structured observability. The client does not know the task until the
-    // server's WELCOME, so the manifest only records connection-level facts;
-    // semantic (round-level) events live in the server's trace.
-    const std::string trace_path = args.get("trace");
-    const std::string metrics_path = args.get("metrics");
-    metrics::Tracer tracer;
-    metrics::Registry registry;
-    if (!trace_path.empty()) {
-      metrics::RunManifest manifest;
-      manifest.producer = "flclient";
-      manifest.algo = "adafl-sync";
-      manifest.config["server"] = server_list;
-      manifest.config["client_id"] = std::to_string(cfg.client_id);
-      manifest.config["kernel_backend"] = tensor::kernel_backend_name();
-      tracer.open(trace_path, manifest);
-      if (!metrics_path.empty()) tracer.attach_registry(&registry);
-      cfg.tracer = &tracer;
-    }
+    // The client does not know the task until the server's WELCOME, so the
+    // manifest only records connection-level facts; semantic (round-level)
+    // events live in the server's trace.
+    metrics::RunManifest manifest;
+    manifest.producer = "flclient";
+    manifest.algo = "adafl-sync";
+    manifest.config["server"] = server_list;
+    manifest.config["client_id"] = std::to_string(cfg.client_id);
+    cli::RunOutputs outputs(args, std::move(manifest));
+    cfg.tracer = outputs.tracer();
 
     const std::string transport = args.get("transport");
     if (transport != "tcp" && transport != "udp") {
@@ -144,28 +133,11 @@ int main(int argc, char** argv) {
     // UDP+FEC transport config. The header carries (k, r) per generation,
     // so the client's shape governs only what *it* sends; it need not match
     // the server's, though symmetric settings are the sane default.
-    net::transport::FecStats fec_stats;
     net::transport::UdpFecConfig fec_cfg;
     fec_cfg.data_shards = args.get_int_at_least("fec-generation", 1);
     fec_cfg.parity_shards = args.get_int_at_least("fec-parity", 0);
     fec_cfg.max_shard_bytes = args.get_int_at_least("fec-mtu", 1);
-    fec_cfg.stats = &fec_stats;
-    const auto fec_t0 = std::chrono::steady_clock::now();
-    if (use_udp && cfg.tracer != nullptr) {
-      metrics::Tracer* tr = &tracer;
-      auto since_t0 = [fec_t0] {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - fec_t0)
-            .count();
-      };
-      fec_cfg.hooks.on_datagram_lost = [tr, since_t0](std::int64_t bytes) {
-        tr->record(metrics::ev_datagram_lost(0, -1, bytes, since_t0()));
-      };
-      fec_cfg.hooks.on_fec_repair = [tr, since_t0](int /*shards*/,
-                                                   std::int64_t bytes) {
-        tr->record(metrics::ev_fec_repair(0, -1, bytes, since_t0()));
-      };
-    }
+    if (use_udp) outputs.observe_fec(fec_cfg);
 
     // Datagram-level fault injection (UDP): applied between the socket and
     // the FEC layer so drops exercise the Reed-Solomon repair path.
@@ -260,40 +232,14 @@ int main(int argc, char** argv) {
         });
 
     const auto st = session.run();
-    if (tracer.enabled()) {
-      const std::int64_t n = tracer.events_recorded();
-      tracer.close();
-      std::cout << "wrote " << trace_path << " (" << n << " events)"
-                << std::endl;
-    }
-    if (!metrics_path.empty()) {
-      registry.export_profiler(metrics::PhaseProfiler::instance());
-      registry
-          .gauge(std::string("kernel.backend.") +
-                 tensor::kernel_backend_name())
-          .set(1.0);
-      registry.gauge("kernel.cpu.avx2")
-          .set(tensor::cpu_supports_avx2() ? 1.0 : 0.0);
-      registry.write_json(metrics_path);
-      std::cout << "wrote " << metrics_path << std::endl;
-    }
+    outputs.write(std::cout, /*ledger=*/nullptr);
     std::cout << "client-done: id=" << cfg.client_id
               << " completed=" << (st.completed ? 1 : 0)
               << " rounds-trained=" << st.rounds_trained
               << " updates-sent=" << st.updates_sent
               << " skips=" << st.skips << " reconnects=" << st.reconnects
               << " endpoint-rotations=" << st.endpoint_rotations << std::endl;
-    if (use_udp)
-      std::cout << "udp-fec: datagrams-sent="
-                << fec_stats.datagrams_sent.load()
-                << " datagrams-lost=" << fec_stats.datagrams_lost.load()
-                << " datagrams-repaired="
-                << fec_stats.datagrams_repaired.load()
-                << " unrecoverable-generations="
-                << fec_stats.unrecoverable_generations.load()
-                << " parity-bytes=" << fec_stats.parity_bytes.load()
-                << std::endl;
-    metrics::print_profile(std::cout);
+    outputs.print_footer(std::cout);
     return st.completed ? 0 : 3;
   } catch (const std::invalid_argument& e) {  // a malformed flag value
     std::cerr << "flclient: " << e.what() << "\n";

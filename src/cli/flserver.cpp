@@ -30,10 +30,7 @@
 #include "cli/report.h"
 #include "cli/task.h"
 #include "core/parallel.h"
-#include "metrics/profile.h"
-#include "metrics/registry.h"
 #include "metrics/table.h"
-#include "metrics/trace.h"
 #include "net/replication/replication.h"
 #include "net/transport/crc32.h"
 #include "net/transport/session.h"
@@ -93,8 +90,7 @@ int main(int argc, char** argv) {
       .option("seed", "1", "experiment seed")
       .option("threads", "0", "worker threads (0 = auto)")
       .option("shards", "0",
-              "event-loop frame-queue shards / parallel decode lanes "
-              "(0 = worker thread count)")
+              "event-loop frame-queue shards (0 = worker thread count)")
       .option("queue-depth", "1024",
               "frames buffered per shard before the loop pauses reads on "
               "that shard's connections (backpressure instead of memory "
@@ -149,7 +145,6 @@ int main(int argc, char** argv) {
     core::set_num_threads(args.get_int_at_least("threads", 0));
     if (const std::string kb = args.get("kernel-backend"); !kb.empty())
       tensor::set_kernel_backend(tensor::resolve_kernel_backend(kb));
-    metrics::PhaseProfiler::instance().set_enabled(args.get_bool("profile"));
     const cli::TaskSpec spec = cli::spec_from_args(args);
     const auto task = cli::build_task(spec);
 
@@ -267,34 +262,21 @@ int main(int argc, char** argv) {
                 << std::endl;
     }
 
-    // --- Structured observability: tracer + metrics registry.
-    metrics::Tracer tracer;
-    metrics::Registry registry;
-    const std::string trace_path = args.get("trace");
-    const std::string metrics_path = args.get("metrics");
-    if (!trace_path.empty()) {
-      metrics::RunManifest manifest;
-      manifest.producer = "flserver";
-      manifest.algo = "adafl-sync";
-      manifest.seed = spec.seed;
-      manifest.rounds = cfg.rounds;
-      manifest.clients = spec.clients;
-      manifest.config = cfg.client_config;
-      // Recorded per binary (not in client_config, which is the WELCOME
-      // payload): each peer names the backend its own numerics ran on.
-      manifest.config["kernel_backend"] = tensor::kernel_backend_name();
-      tracer.open(trace_path, std::move(manifest));
-      if (!metrics_path.empty()) tracer.attach_registry(&registry);
-      cfg.tracer = &tracer;
-      if (promoted)
-        tracer.record(metrics::ev_promote(static_cast<int>(promote_round),
-                                          /*t=*/0.0));
-    }
-    if (!metrics_path.empty()) {
-      // Round latency + frame-dispatch histograms land here; the p99 of
-      // server.frame_dispatch_ms is the scaling health metric.
-      cfg.registry = &registry;
-    }
+    metrics::RunManifest manifest;
+    manifest.producer = "flserver";
+    manifest.algo = "adafl-sync";
+    manifest.seed = spec.seed;
+    manifest.rounds = cfg.rounds;
+    manifest.clients = spec.clients;
+    manifest.config = cfg.client_config;
+    cli::RunOutputs outputs(args, std::move(manifest));
+    cfg.tracer = outputs.tracer();
+    if (cfg.tracer != nullptr && promoted)
+      cfg.tracer->record(
+          metrics::ev_promote(static_cast<int>(promote_round), /*t=*/0.0));
+    // Round latency + frame-dispatch histograms land here; the p99 of
+    // server.frame_dispatch_ms is the scaling health metric.
+    cfg.registry = outputs.registry();
 
     // Every server accepts STANDBY_HELLO peers and streams them each
     // checkpoint it writes (no-op until a standby actually attaches).
@@ -302,31 +284,11 @@ int main(int argc, char** argv) {
     cfg.publisher = &publisher;
 
     // --- Listener: TCP byte-stream frames or FEC-coded UDP datagrams.
-    net::transport::FecStats fec_stats;
     net::transport::UdpFecConfig fec_cfg;
     fec_cfg.data_shards = args.get_int_at_least("fec-generation", 1);
     fec_cfg.parity_shards = args.get_int_at_least("fec-parity", 0);
     fec_cfg.max_shard_bytes = args.get_int_at_least("fec-mtu", 1);
-    fec_cfg.stats = &fec_stats;
-    const auto fec_t0 = std::chrono::steady_clock::now();
-    if (use_udp && cfg.tracer != nullptr) {
-      // FEC events fire inside the datagram reassembler, which has no
-      // session context, so they carry round 0 / client -1; trace_diff
-      // ignores them with the other deployed-only transport events.
-      metrics::Tracer* tr = &tracer;
-      auto since_t0 = [fec_t0] {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - fec_t0)
-            .count();
-      };
-      fec_cfg.hooks.on_datagram_lost = [tr, since_t0](std::int64_t bytes) {
-        tr->record(metrics::ev_datagram_lost(0, -1, bytes, since_t0()));
-      };
-      fec_cfg.hooks.on_fec_repair = [tr, since_t0](int /*shards*/,
-                                                   std::int64_t bytes) {
-        tr->record(metrics::ev_fec_repair(0, -1, bytes, since_t0()));
-      };
-    }
+    if (use_udp) outputs.observe_fec(fec_cfg);
 
     std::unique_ptr<net::transport::TcpListener> tcp_listener;
     std::unique_ptr<net::transport::UdpListener> udp_listener;
@@ -394,34 +356,7 @@ int main(int argc, char** argv) {
               << " accept-pauses=" << loop.accept_pauses()
               << " read-pauses=" << loop.read_pauses() << std::endl;
 
-    if (use_udp) {
-      // Fold the transport's datagram counters into the run ledger so the
-      // parity overhead shows up in the end-of-run table and metrics JSON.
-      log.ledger.record_parity_overhead(fec_stats.parity_bytes.load());
-      log.ledger.record_datagrams(fec_stats.datagrams_sent.load(),
-                                  fec_stats.datagrams_lost.load(),
-                                  fec_stats.datagrams_repaired.load());
-      log.ledger.record_unrecoverable_generations(
-          fec_stats.unrecoverable_generations.load());
-    }
-
-    if (tracer.enabled()) {
-      tracer.close();
-      std::cout << "wrote " << trace_path << " (" << tracer.events_recorded()
-                << " events)" << std::endl;
-    }
-    if (!metrics_path.empty()) {
-      registry.export_ledger(log.ledger);
-      registry.export_profiler(metrics::PhaseProfiler::instance());
-      registry
-          .gauge(std::string("kernel.backend.") +
-                 tensor::kernel_backend_name())
-          .set(1.0);
-      registry.gauge("kernel.cpu.avx2")
-          .set(tensor::cpu_supports_avx2() ? 1.0 : 0.0);
-      registry.write_json(metrics_path);
-      std::cout << "wrote " << metrics_path << std::endl;
-    }
+    outputs.write(std::cout, &log.ledger);
 
     if (session.resumed_from() > 0)
       std::cout << "resumed-from: " << session.resumed_from() << std::endl;
@@ -441,17 +376,7 @@ int main(int argc, char** argv) {
     char buf[16];
     std::snprintf(buf, sizeof(buf), "%08x", crc);
     std::cout << "weights-crc32: " << buf << std::endl;
-    if (use_udp)
-      std::cout << "udp-fec: datagrams-sent="
-                << fec_stats.datagrams_sent.load()
-                << " datagrams-lost=" << fec_stats.datagrams_lost.load()
-                << " datagrams-repaired="
-                << fec_stats.datagrams_repaired.load()
-                << " unrecoverable-generations="
-                << fec_stats.unrecoverable_generations.load()
-                << " parity-bytes=" << fec_stats.parity_bytes.load()
-                << std::endl;
-    metrics::print_profile(std::cout);
+    outputs.print_footer(std::cout);
   } catch (const std::invalid_argument& e) {  // a malformed flag value
     std::cerr << "flserver: " << e.what() << "\n";
     return 2;

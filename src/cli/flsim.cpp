@@ -26,10 +26,7 @@
 #include "fl/fedat.h"
 #include "fl/sync_trainer.h"
 #include "metrics/plot.h"
-#include "metrics/profile.h"
-#include "metrics/registry.h"
 #include "metrics/table.h"
-#include "metrics/trace.h"
 #include "net/transport/crc32.h"
 #include "tensor/dispatch.h"
 
@@ -133,7 +130,6 @@ int main(int argc, char** argv) {
     core::set_num_threads(args.get_int_at_least("threads", 0));
     if (const std::string kb = args.get("kernel-backend"); !kb.empty())
       tensor::set_kernel_backend(tensor::resolve_kernel_backend(kb));
-    metrics::PhaseProfiler::instance().set_enabled(args.get_bool("profile"));
     const cli::TaskSpec spec = cli::spec_from_args(args);
     const auto task = cli::build_task(spec);
     const int clients = args.get_int("clients");
@@ -162,26 +158,15 @@ int main(int argc, char** argv) {
       std::signal(SIGTERM, handle_stop_signal);
     }
 
-    // --- Structured observability: tracer + metrics registry.
-    metrics::Tracer tracer;
-    metrics::Registry registry;
-    const std::string trace_path = args.get("trace");
-    const std::string metrics_path = args.get("metrics");
-    if (!trace_path.empty()) {
-      metrics::RunManifest manifest;
-      manifest.producer = "flsim";
-      manifest.algo = algo;
-      manifest.seed = seed;
-      manifest.rounds = round_sync ? args.get_int("rounds") : 0;
-      manifest.clients = clients;
-      manifest.config = cli::task_to_kv(spec, client);
-      // The backend names which numerics produced this trace: same-backend
-      // reruns are byte-identical, cross-backend comparisons are
-      // semantic-only (see docs/protocols.md).
-      manifest.config["kernel_backend"] = tensor::kernel_backend_name();
-      tracer.open(trace_path, std::move(manifest));
-      if (!metrics_path.empty()) tracer.attach_registry(&registry);
-    }
+    metrics::RunManifest manifest;
+    manifest.producer = "flsim";
+    manifest.algo = algo;
+    manifest.seed = seed;
+    manifest.rounds = round_sync ? args.get_int("rounds") : 0;
+    manifest.clients = clients;
+    manifest.config = cli::task_to_kv(spec, client);
+    cli::RunOutputs outputs(args, std::move(manifest));
+    metrics::Tracer* const tracer = outputs.tracer();
 
     // One-line run config (threads resolved, not the raw flag) so logs and
     // benchmark CSV provenance record exactly what executed.
@@ -228,7 +213,7 @@ int main(int argc, char** argv) {
       cfg.client = client;
       cfg.links = links;
       cfg.seed = seed;
-      cfg.tracer = &tracer;
+      cfg.tracer = tracer;
       fl::AsyncTrainer t(cfg, task.factory, &task.train, task.parts,
                          &task.test);
       log = t.run();
@@ -241,7 +226,7 @@ int main(int argc, char** argv) {
       cfg.client = client;
       cfg.links = links;
       cfg.seed = seed;
-      cfg.tracer = &tracer;
+      cfg.tracer = tracer;
       fl::FedAtTrainer t(cfg, task.factory, &task.train, task.parts,
                          &task.test);
       log = t.run();
@@ -259,7 +244,7 @@ int main(int argc, char** argv) {
       cfg.checkpoint_every = ckpt_every;
       cfg.resume = resume;
       cfg.stop = &g_stop;
-      cfg.tracer = &tracer;
+      cfg.tracer = tracer;
       core::AdaFlSyncTrainer t(cfg, task.factory, &task.train, task.parts,
                                &task.test);
       log = t.run();
@@ -276,7 +261,7 @@ int main(int argc, char** argv) {
       cfg.seed = seed;
       cfg.params.max_selected = args.get_int("k");
       cfg.params.tau = args.get_double("tau");
-      cfg.tracer = &tracer;
+      cfg.tracer = tracer;
       core::AdaFlAsyncTrainer t(cfg, task.factory, &task.train, task.parts,
                                 &task.test);
       log = t.run();
@@ -285,23 +270,7 @@ int main(int argc, char** argv) {
       return 2;
     }
 
-    if (tracer.enabled()) {
-      tracer.close();
-      std::cout << "wrote " << trace_path << " (" << tracer.events_recorded()
-                << " events)\n";
-    }
-    if (!metrics_path.empty()) {
-      registry.export_ledger(log.ledger);
-      registry.export_profiler(metrics::PhaseProfiler::instance());
-      registry
-          .gauge(std::string("kernel.backend.") +
-                 tensor::kernel_backend_name())
-          .set(1.0);
-      registry.gauge("kernel.cpu.avx2")
-          .set(tensor::cpu_supports_avx2() ? 1.0 : 0.0);
-      registry.write_json(metrics_path);
-      std::cout << "wrote " << metrics_path << "\n";
-    }
+    outputs.write(std::cout, &log.ledger);
 
     // --- Report.
     const auto series =
@@ -333,7 +302,7 @@ int main(int argc, char** argv) {
                          rows);
       std::cout << "wrote " << csv << "\n";
     }
-    metrics::print_profile(std::cout);
+    outputs.print_footer(std::cout);
   } catch (const std::invalid_argument& e) {  // a malformed flag value
     std::cerr << "flsim: " << e.what() << "\n";
     return 2;

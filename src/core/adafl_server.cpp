@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/parallel.h"
+#include "core/server_checkpoint.h"
 #include "metrics/trace.h"
 #include "tensor/check.h"
 #include "tensor/tensor.h"
@@ -33,6 +34,34 @@ void AdaFlServerCore::restore(State s) {
   stats_ = s.stats;
   selected_sum_ = s.selected_sum;
   rounds_planned_ = s.rounds_planned;
+}
+
+void save_core_state(AdaFlServerCore::State st, ServerCheckpoint& ck) {
+  ck.global = std::move(st.global);
+  ck.adafl = ServerCheckpoint::AdaFlCoreState{
+      .g_hat = std::move(st.g_hat),
+      .selected_updates = st.stats.selected_updates,
+      .skipped_clients = st.stats.skipped_clients,
+      .min_ratio_used = st.stats.min_ratio_used,
+      .max_ratio_used = st.stats.max_ratio_used,
+      .mean_selected_per_round = st.stats.mean_selected_per_round,
+      .selected_sum = st.selected_sum,
+      .rounds_planned = st.rounds_planned};
+}
+
+AdaFlServerCore::State take_core_state(ServerCheckpoint& ck) {
+  ADAFL_CHECK_MSG(ck.adafl.has_value(),
+                  "server checkpoint: missing AdaFL server state");
+  ServerCheckpoint::AdaFlCoreState& a = *ck.adafl;
+  return {.global = std::move(ck.global),
+          .g_hat = std::move(a.g_hat),
+          .stats = {.selected_updates = a.selected_updates,
+                    .skipped_clients = a.skipped_clients,
+                    .min_ratio_used = a.min_ratio_used,
+                    .max_ratio_used = a.max_ratio_used,
+                    .mean_selected_per_round = a.mean_selected_per_round},
+          .selected_sum = a.selected_sum,
+          .rounds_planned = a.rounds_planned};
 }
 
 AdaFlRoundPlan AdaFlServerCore::plan_round(const std::vector<double>& scores,

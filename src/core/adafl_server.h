@@ -29,6 +29,8 @@ class Tracer;
 
 namespace adafl::core {
 
+struct ServerCheckpoint;
+
 /// Seed salt for AdaFL client construction: every path that instantiates
 /// clients for an AdaFL run (simulator, flclient, tests) must derive client
 /// seeds from `run_seed ^ kAdaFlClientSeedSalt` so deployed clients train
@@ -163,5 +165,15 @@ class AdaFlServerCore {
   std::vector<const compress::EncodedGradient*> group_ptrs_;
   metrics::Tracer* tracer_ = nullptr;
 };
+
+/// Stores a state() snapshot in a server checkpoint: the weights in
+/// `ck.global`, the rest in `ck.adafl`. This pair is the one mapping
+/// between the core's state and the checkpoint's, for the simulator and the
+/// deployed server alike.
+void save_core_state(AdaFlServerCore::State st, ServerCheckpoint& ck);
+
+/// The inverse of save_core_state: moves the state out of `ck.global` and
+/// `ck.adafl` (CheckError if the checkpoint has no AdaFL section).
+AdaFlServerCore::State take_core_state(ServerCheckpoint& ck);
 
 }  // namespace adafl::core

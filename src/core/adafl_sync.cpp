@@ -7,7 +7,7 @@
 #include "core/parallel.h"
 #include "core/selection.h"
 #include "core/server_checkpoint.h"
-#include "metrics/profile.h"
+#include "metrics/registry.h"
 #include "metrics/trace.h"
 
 namespace adafl::core {
@@ -67,24 +67,13 @@ fl::TrainLog AdaFlSyncTrainer::run() {
   }
 
   auto save = [&](int next_round) {
-    const AdaFlServerCore::State st = core_.state();
     ServerCheckpoint ck;
     ck.producer = "adafl-sync";
     ck.next_round = static_cast<std::uint32_t>(next_round);
     ck.total_rounds = static_cast<std::uint32_t>(cfg_.rounds);
     ck.seed = cfg_.seed;
     ck.clock = clock;
-    ck.global = st.global;
-    ServerCheckpoint::AdaFlCoreState a;
-    a.g_hat = st.g_hat;
-    a.selected_updates = st.stats.selected_updates;
-    a.skipped_clients = st.stats.skipped_clients;
-    a.min_ratio_used = st.stats.min_ratio_used;
-    a.max_ratio_used = st.stats.max_ratio_used;
-    a.mean_selected_per_round = st.stats.mean_selected_per_round;
-    a.selected_sum = st.selected_sum;
-    a.rounds_planned = st.rounds_planned;
-    ck.adafl = std::move(a);
+    save_core_state(core_.state(), ck);
     ck.server_rng = rng_.state();
     for (const auto& l : links_) ck.link_rngs.push_back(l.rng_state());
     for (std::size_t i = 0; i < clients_.size(); ++i) {
@@ -127,17 +116,7 @@ fl::TrainLog AdaFlSyncTrainer::run() {
     if (ck.link_rngs.size() != links_.size()) reject("link count mismatch");
     if (!ck.server_rng) reject("missing server RNG state");
     try {
-      AdaFlServerCore::State st;
-      st.global = std::move(ck.global);
-      st.g_hat = std::move(ck.adafl->g_hat);
-      st.stats.selected_updates = ck.adafl->selected_updates;
-      st.stats.skipped_clients = ck.adafl->skipped_clients;
-      st.stats.min_ratio_used = ck.adafl->min_ratio_used;
-      st.stats.max_ratio_used = ck.adafl->max_ratio_used;
-      st.stats.mean_selected_per_round = ck.adafl->mean_selected_per_round;
-      st.selected_sum = ck.adafl->selected_sum;
-      st.rounds_planned = ck.adafl->rounds_planned;
-      core_.restore(std::move(st));
+      core_.restore(take_core_state(ck));
       rng_.set_state(*ck.server_rng);
       for (std::size_t i = 0; i < links_.size(); ++i)
         links_[i].set_rng_state(ck.link_rngs[i]);
@@ -197,7 +176,7 @@ fl::TrainLog AdaFlSyncTrainer::run() {
       log.ledger.record_download(id, dense_bytes);
     }
     {
-      metrics::PhaseProfiler::Scope prof("client-train");
+      metrics::PhaseScope prof("client-train");
       parallel_for(0, n, [&](std::int64_t i) {
         const auto id = static_cast<std::size_t>(i);
         auto& res = results_[id];
@@ -230,7 +209,7 @@ fl::TrainLog AdaFlSyncTrainer::run() {
           static_cast<int>(j);
     delivery_slots_.resize(static_cast<std::size_t>(n));
     {
-      metrics::PhaseProfiler::Scope prof("compress");
+      metrics::PhaseScope prof("compress");
       parallel_for(0, n, [&](std::int64_t i) {
         const auto id = static_cast<std::size_t>(i);
         const auto& res = results_[id];
@@ -275,7 +254,7 @@ fl::TrainLog AdaFlSyncTrainer::run() {
     // --- Server aggregation (FedAvg weighting + trust region).
     AdaFlRoundOutcome out;
     {
-      metrics::PhaseProfiler::Scope prof("aggregate");
+      metrics::PhaseScope prof("aggregate");
       out = core_.apply_round(plan, [this](int id) -> const AdaFlDelivery* {
         return delivered_[static_cast<std::size_t>(id)]
                    ? &delivery_slots_[static_cast<std::size_t>(id)]
@@ -290,7 +269,7 @@ fl::TrainLog AdaFlSyncTrainer::run() {
                           : 0.0;
     const bool evaled = round % cfg_.eval_every == 0 || round == cfg_.rounds;
     if (evaled) {
-      metrics::PhaseProfiler::Scope prof("eval");
+      metrics::PhaseScope prof("eval");
       eval_model_.set_flat(core_.global());
       fl::RoundRecord rec;
       rec.round = round;

@@ -145,31 +145,44 @@ void FedAtTrainer::start_tier_round(int tier) {
         global_, results_[k]);
   });
 
+  // Only delivered uploads are folded: a lost one spent its bytes and its
+  // time but carries no delta.
   std::vector<float> sum_delta(global_.size(), 0.0f);
   double weight_sum = 0.0;
   double loss_sum = 0.0;
+  int delivered = 0;
   double round_time = 0.0;
   for (std::size_t k = 0; k < m; ++k) {
     const int id = members[k];
     const FlClient::LocalResult& res = results_[k];
     double up_t = 0.0;
-    if (!links_.empty())
-      up_t = links_[static_cast<std::size_t>(id)]
-                 .upload(dense_bytes_, queue_.now())
-                 .duration;
-    log_->ledger.record_upload(id, dense_bytes_, true);
+    bool ok = true;
+    if (!links_.empty()) {
+      const auto tr = links_[static_cast<std::size_t>(id)].upload(
+          dense_bytes_, queue_.now());
+      up_t = tr.duration;
+      ok = tr.delivered;
+    }
+    log_->ledger.record_upload(id, dense_bytes_, ok);
+    round_time = std::max(round_time, down_t[k] + res.compute_seconds + up_t);
+    if (!ok) continue;
     const float w = static_cast<float>(res.num_examples);
     for (std::size_t i = 0; i < sum_delta.size(); ++i)
       sum_delta[i] += w * res.delta[i];
     weight_sum += w;
     loss_sum += res.mean_loss;
-    round_time = std::max(round_time, down_t[k] + res.compute_seconds + up_t);
+    ++delivered;
   }
-  ADAFL_CHECK(weight_sum > 0.0);
+  if (delivered == 0) {
+    // Every upload was lost: the tier applies nothing and starts its next
+    // round once this one's time has passed.
+    queue_.schedule_in(round_time, [this, tier] { start_tier_round(tier); });
+    return;
+  }
   const float inv = static_cast<float>(1.0 / weight_sum);
   for (auto& v : sum_delta) v *= inv;
   const float mean_loss =
-      static_cast<float>(loss_sum / static_cast<double>(members.size()));
+      static_cast<float>(loss_sum / static_cast<double>(delivered));
   queue_.schedule_in(round_time,
                      [this, tier, delta = std::move(sum_delta), mean_loss]() mutable {
                        on_tier_arrival(tier, std::move(delta), mean_loss);

@@ -42,25 +42,6 @@ void CommLedger::record_recovery() { ++recoveries_; }
 
 void CommLedger::record_fault() { ++faults_; }
 
-void CommLedger::record_parity_overhead(std::int64_t bytes) {
-  ADAFL_CHECK_MSG(bytes >= 0, "CommLedger: negative parity overhead");
-  parity_bytes_ += bytes;
-}
-
-void CommLedger::record_datagrams(std::int64_t sent, std::int64_t lost,
-                                  std::int64_t repaired) {
-  ADAFL_CHECK_MSG(sent >= 0 && lost >= 0 && repaired >= 0,
-                  "CommLedger: negative datagram count");
-  datagrams_sent_ += sent;
-  datagrams_lost_ += lost;
-  datagrams_repaired_ += repaired;
-}
-
-void CommLedger::record_unrecoverable_generations(std::int64_t n) {
-  ADAFL_CHECK_MSG(n >= 0, "CommLedger: negative generation count");
-  unrecoverable_gens_ += n;
-}
-
 std::int64_t CommLedger::reconnects_of(int client_id) const {
   auto it = per_client_reconnects_.find(client_id);
   return it == per_client_reconnects_.end() ? 0 : it->second;

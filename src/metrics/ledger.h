@@ -35,23 +35,6 @@ class CommLedger {
   /// Records one injected transport fault (chaos runs; FaultyTransport).
   void record_fault();
 
-  // --- Datagram/FEC accounting (UDP transport only). ----------------------
-
-  /// Records parity bytes shipped alongside data datagrams: the explicit
-  /// price of zero-round-trip loss tolerance. Parity bytes are NOT part of
-  /// the directional upload/download totals (those stay comparable with the
-  /// simulators and TCP); this isolates the FEC overhead.
-  void record_parity_overhead(std::int64_t bytes);
-
-  /// Bulk datagram counters, typically folded in once at end of run from
-  /// the transport's FecStats.
-  void record_datagrams(std::int64_t sent, std::int64_t lost,
-                        std::int64_t repaired);
-
-  /// Generations that lost more datagrams than parity could repair (each
-  /// one forced a frame retransmit via the session nudge).
-  void record_unrecoverable_generations(std::int64_t n);
-
   std::int64_t total_upload_bytes() const { return up_bytes_; }
   std::int64_t total_download_bytes() const { return down_bytes_; }
   std::int64_t total_bytes() const { return up_bytes_ + down_bytes_; }
@@ -59,13 +42,6 @@ class CommLedger {
   std::int64_t total_reconnects() const { return reconnects_; }
   std::int64_t total_recoveries() const { return recoveries_; }
   std::int64_t total_faults() const { return faults_; }
-  std::int64_t total_parity_overhead_bytes() const { return parity_bytes_; }
-  std::int64_t total_datagrams_sent() const { return datagrams_sent_; }
-  std::int64_t total_datagrams_lost() const { return datagrams_lost_; }
-  std::int64_t total_datagrams_repaired() const { return datagrams_repaired_; }
-  std::int64_t total_unrecoverable_generations() const {
-    return unrecoverable_gens_;
-  }
   std::int64_t reconnects_of(int client_id) const;
 
   /// Number of *delivered* client->server updates (the paper's
@@ -95,11 +71,6 @@ class CommLedger {
   std::int64_t reconnects_ = 0;
   std::int64_t recoveries_ = 0;
   std::int64_t faults_ = 0;
-  std::int64_t parity_bytes_ = 0;
-  std::int64_t datagrams_sent_ = 0;
-  std::int64_t datagrams_lost_ = 0;
-  std::int64_t datagrams_repaired_ = 0;
-  std::int64_t unrecoverable_gens_ = 0;
   std::int64_t delivered_updates_ = 0;
   std::int64_t attempted_updates_ = 0;
   std::int64_t min_update_bytes_ = 0;

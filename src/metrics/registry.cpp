@@ -1,13 +1,14 @@
 #include "metrics/registry.h"
 
+#include <atomic>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
 #include "metrics/ledger.h"
-#include "metrics/profile.h"
 #include "tensor/check.h"
+#include "tensor/tensor.h"
 
 namespace adafl::metrics {
 
@@ -39,17 +40,12 @@ void append_key(std::string& out, const std::string& name, bool& first) {
   out += "\":";
 }
 
-/// Phase names come from code too, but sanitize to keep the JSON keys flat.
-std::string metric_safe(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s)
-    out += (std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_' ||
-            c == '-')
-               ? c
-               : '_';
-  return out;
-}
+// The registry PhaseScopes record into (PhaseSink), or none.
+std::atomic<Registry*> g_phase_sink{nullptr};
+
+constexpr const char* kPhasePrefix = "profile.";
+constexpr const char* kPhaseMsSuffix = "_ms";
+constexpr const char* kPhaseAllocsSuffix = ".tensor_allocs";
 
 }  // namespace
 
@@ -106,6 +102,10 @@ double Histogram::percentile(double p) const {
 
 Counter& Registry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
+  return counter_locked(name);
+}
+
+Counter& Registry::counter_locked(const std::string& name) {
   auto& slot = counters_[name];
   if (!slot) slot = std::make_unique<Counter>();
   return *slot;
@@ -120,6 +120,10 @@ Gauge& Registry::gauge(const std::string& name) {
 
 Histogram& Registry::histogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
+  return histogram_locked(name);
+}
+
+Histogram& Registry::histogram_locked(const std::string& name) {
   auto& slot = histograms_[name];
   if (!slot) slot = std::make_unique<Histogram>();
   return *slot;
@@ -139,12 +143,6 @@ void Registry::export_ledger(const CommLedger& ledger) {
       {"comm.injected_faults", ledger.total_faults()},
       {"comm.delivered_updates", ledger.delivered_updates()},
       {"comm.attempted_updates", ledger.attempted_updates()},
-      {"comm.parity_overhead_bytes", ledger.total_parity_overhead_bytes()},
-      {"comm.datagrams_sent", ledger.total_datagrams_sent()},
-      {"comm.datagrams_lost", ledger.total_datagrams_lost()},
-      {"comm.datagrams_repaired", ledger.total_datagrams_repaired()},
-      {"comm.unrecoverable_generations",
-       ledger.total_unrecoverable_generations()},
   };
   for (const Item& it : items) {
     Counter& c = counter(it.name);
@@ -156,15 +154,34 @@ void Registry::export_ledger(const CommLedger& ledger) {
       .set(static_cast<double>(ledger.max_update_bytes()));
 }
 
-void Registry::export_profiler(const PhaseProfiler& profiler) {
-  for (const PhaseProfiler::Entry& e : profiler.entries()) {
-    const std::string base = "profile." + metric_safe(e.name);
-    gauge(base + ".seconds").set(e.seconds);
-    Counter& calls = counter(base + ".calls");
-    calls.add(static_cast<std::int64_t>(e.calls) - calls.value());
-    Counter& allocs = counter(base + ".tensor_allocs");
-    allocs.add(static_cast<std::int64_t>(e.tensor_allocs) - allocs.value());
+void Registry::record_phase(const std::string& phase, double ms,
+                            std::uint64_t tensor_allocs) {
+  const std::string base = kPhasePrefix + phase;
+  std::lock_guard<std::mutex> lock(mu_);
+  histogram_locked(base + kPhaseMsSuffix).observe(ms);
+  counter_locked(base + kPhaseAllocsSuffix)
+      .add(static_cast<std::int64_t>(tensor_allocs));
+}
+
+std::vector<Registry::Phase> Registry::phases() const {
+  const std::string prefix = kPhasePrefix;
+  const std::string suffix = kPhaseMsSuffix;
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<Phase> out;
+  for (auto it = histograms_.lower_bound(prefix);
+       it != histograms_.end() && it->first.starts_with(prefix); ++it) {
+    const std::string& key = it->first;
+    if (!key.ends_with(suffix)) continue;
+    Phase p;
+    p.name = key.substr(prefix.size(),
+                        key.size() - prefix.size() - suffix.size());
+    p.calls = it->second->count();
+    p.ms = it->second->sum();
+    const auto allocs = counters_.find(prefix + p.name + kPhaseAllocsSuffix);
+    if (allocs != counters_.end()) p.tensor_allocs = allocs->second->value();
+    out.push_back(std::move(p));
   }
+  return out;
 }
 
 std::string Registry::to_json() const {
@@ -211,6 +228,26 @@ void Registry::write_json(const std::string& path) const {
   std::fwrite(doc.data(), 1, doc.size(), f);
   std::fputc('\n', f);
   std::fclose(f);
+}
+
+PhaseSink::PhaseSink(Registry* registry)
+    : previous_(g_phase_sink.exchange(registry)) {}
+
+PhaseSink::~PhaseSink() { g_phase_sink.store(previous_); }
+
+PhaseScope::PhaseScope(const char* phase)
+    : phase_(phase), registry_(g_phase_sink.load()) {
+  if (registry_ == nullptr) return;
+  start_allocs_ = tensor::tensor_allocations();
+  start_ = std::chrono::steady_clock::now();
+}
+
+PhaseScope::~PhaseScope() {
+  if (registry_ == nullptr) return;
+  const std::chrono::duration<double, std::milli> ms =
+      std::chrono::steady_clock::now() - start_;
+  registry_->record_phase(phase_, ms.count(),
+                          tensor::tensor_allocations() - start_allocs_);
 }
 
 }  // namespace adafl::metrics

@@ -1,9 +1,9 @@
-// Metrics registry: one named export surface for every counter the system
-// keeps. The existing accounting objects (CommLedger byte/retransmit
-// totals, PhaseProfiler phase timings) stay the source of truth for their
-// domains; export_ledger()/export_profiler() project them into the registry
-// so a run can dump *all* of its numbers — transport, compute, tracing —
-// as one flat, sorted, machine-readable JSON document (`--metrics=<path>`).
+// Metrics registry: the one store for a run's runtime measurements, and
+// its one named export surface. Phase timings land here directly
+// (PhaseScope); the CommLedger's per-run cost record is projected in by
+// export_ledger(), so a run can dump *all* of its numbers — transport,
+// compute, tracing — as one flat, sorted, machine-readable JSON document
+// (`--metrics=<path>`).
 //
 // Three instrument kinds:
 //   Counter   — monotonically increasing int64 (events, bytes)
@@ -15,8 +15,11 @@
 // valid and are cheap to update (no lookup after creation). Registration
 // is mutex-guarded; updates through a handle are plain stores/adds — the
 // callers are coarse-grained (per round / per frame), not per-kernel.
+// record_phase() updates under the mutex, so phase scopes may record from
+// any thread.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -27,7 +30,6 @@
 namespace adafl::metrics {
 
 class CommLedger;
-class PhaseProfiler;
 
 /// Monotonic int64 counter.
 class Counter {
@@ -100,8 +102,21 @@ class Registry {
   /// any previous export). Call once at end of run.
   void export_ledger(const CommLedger& ledger);
 
-  /// Projects PhaseProfiler entries into "profile.<phase>.*" counters.
-  void export_profiler(const PhaseProfiler& profiler);
+  /// Adds one execution of `phase` under the registry's lock: `ms` of wall
+  /// time to histogram "profile.<phase>_ms" (its count is the call count)
+  /// and `tensor_allocs` to counter "profile.<phase>.tensor_allocs".
+  void record_phase(const std::string& phase, double ms,
+                    std::uint64_t tensor_allocs);
+
+  /// Totals of one phase recorded by record_phase().
+  struct Phase {
+    std::string name;
+    std::uint64_t calls = 0;
+    double ms = 0.0;
+    std::int64_t tensor_allocs = 0;
+  };
+  /// Every recorded phase, in name order.
+  std::vector<Phase> phases() const;
 
   /// All instruments as one flat JSON object, keys sorted (deterministic).
   /// Histograms render as {"count":..,"sum":..,"min":..,"max":..,
@@ -113,11 +128,50 @@ class Registry {
   void write_json(const std::string& path) const;
 
  private:
+  Counter& counter_locked(const std::string& name);
+  Histogram& histogram_locked(const std::string& name);
+
   mutable std::mutex mu_;
   // node-stable maps: handles returned above must survive future inserts.
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+};
+
+/// Attaches a registry as the process-wide sink of PhaseScope measurements
+/// for the guard's lifetime, and restores the previous sink (normally none)
+/// on destruction, so every exit path detaches. A null registry leaves no
+/// sink attached.
+class PhaseSink {
+ public:
+  explicit PhaseSink(Registry* registry);
+  ~PhaseSink();
+  PhaseSink(const PhaseSink&) = delete;
+  PhaseSink& operator=(const PhaseSink&) = delete;
+
+ private:
+  Registry* previous_;
+};
+
+/// RAII measurement of one phase execution (client training, compression,
+/// aggregation, evaluation, ...): wall time plus the number of tensor heap
+/// allocations (tensor::tensor_allocations()) made inside the scope, so a
+/// profile shows both where time goes and whether the steady state stays
+/// allocation-free. Recorded into the attached PhaseSink's registry on
+/// destruction; with no sink attached a scope is one atomic load and reads
+/// no clock. `phase` must outlive the scope (string literals only).
+class PhaseScope {
+ public:
+  explicit PhaseScope(const char* phase);
+  ~PhaseScope();
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
+
+ private:
+  const char* phase_;
+  Registry* registry_;
+  std::chrono::steady_clock::time_point start_;
+  std::uint64_t start_allocs_ = 0;
 };
 
 }  // namespace adafl::metrics

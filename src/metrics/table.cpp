@@ -78,21 +78,6 @@ Table ledger_table(const CommLedger& ledger) {
   t.add_row({"reconnects", std::to_string(ledger.total_reconnects())});
   t.add_row({"recoveries", std::to_string(ledger.total_recoveries())});
   t.add_row({"injected faults", std::to_string(ledger.total_faults())});
-  // Datagram rows appear only when the run actually used the UDP transport,
-  // keeping TCP/sim output byte-stable.
-  if (ledger.total_datagrams_sent() > 0 ||
-      ledger.total_parity_overhead_bytes() > 0) {
-    t.add_row({"parity overhead",
-               fmt_bytes(ledger.total_parity_overhead_bytes())});
-    t.add_row({"datagrams sent",
-               std::to_string(ledger.total_datagrams_sent())});
-    t.add_row({"datagrams lost",
-               std::to_string(ledger.total_datagrams_lost())});
-    t.add_row({"datagrams repaired",
-               std::to_string(ledger.total_datagrams_repaired())});
-    t.add_row({"unrecoverable generations",
-               std::to_string(ledger.total_unrecoverable_generations())});
-  }
   return t;
 }
 

@@ -1,7 +1,7 @@
 #include "net/transport/client_protocol.h"
 
 #include "core/utility.h"
-#include "metrics/profile.h"
+#include "metrics/registry.h"
 #include "tensor/check.h"
 #include "tensor/tensor.h"
 
@@ -43,7 +43,7 @@ ClientProtocol::Step ClientProtocol::handle(const Frame& f) {
           m.global.size() == static_cast<std::size_t>(client_->param_count()),
           "session: MODEL dimension mismatch");
       if (trained_round_ != round) {  // a re-sent MODEL never retrains
-        metrics::PhaseProfiler::Scope prof("client-train");
+        metrics::PhaseScope prof("client-train");
         client_->train_from_into(m.global, res_);
         trained_round_ = round;
         ++rounds_trained_;
@@ -57,7 +57,7 @@ ClientProtocol::Step ClientProtocol::handle(const Frame& f) {
     case MsgType::kSelect: {
       if (round != trained_round_ || !comp_) return {};  // stale
       if (uploaded_round_ != round) {
-        metrics::PhaseProfiler::Scope prof("compress");
+        metrics::PhaseScope prof("compress");
         const double ratio = parse_f64(f.payload);
         comp_->compress_into(res_.delta, ratio, update_.msg);
         update_.num_examples = res_.num_examples;

@@ -12,7 +12,6 @@
 #include "core/parallel.h"
 #include "core/server_checkpoint.h"
 #include "core/utility.h"
-#include "metrics/profile.h"
 #include "metrics/registry.h"
 #include "metrics/trace.h"
 #include "net/replication/replication.h"
@@ -408,17 +407,7 @@ void ServerSession::write_checkpoint(
   ck.next_round = static_cast<std::uint32_t>(next_round);
   ck.total_rounds = static_cast<std::uint32_t>(cfg_.rounds);
   ck.config_crc = crc32(welcome_.payload);
-  ck.global = snap.global;
-  core::ServerCheckpoint::AdaFlCoreState a;
-  a.g_hat = snap.g_hat;
-  a.selected_updates = snap.stats.selected_updates;
-  a.skipped_clients = snap.stats.skipped_clients;
-  a.min_ratio_used = snap.stats.min_ratio_used;
-  a.max_ratio_used = snap.stats.max_ratio_used;
-  a.mean_selected_per_round = snap.stats.mean_selected_per_round;
-  a.selected_sum = snap.selected_sum;
-  a.rounds_planned = snap.rounds_planned;
-  ck.adafl = std::move(a);
+  core::save_core_state(snap, ck);
   // Encode once: the byte image written to disk is the byte image every
   // standby receives, so wire and disk validation are the same code path.
   const std::vector<std::uint8_t> image =
@@ -453,17 +442,7 @@ int ServerSession::resume_from_checkpoint() {
            std::to_string(ck.global.size()) + " params, model has " +
            std::to_string(core_.global().size()) + ")");
   if (!ck.adafl) reject("missing AdaFL server state");
-  core::AdaFlServerCore::State st;
-  st.global = std::move(ck.global);
-  st.g_hat = std::move(ck.adafl->g_hat);
-  st.stats.selected_updates = ck.adafl->selected_updates;
-  st.stats.skipped_clients = ck.adafl->skipped_clients;
-  st.stats.min_ratio_used = ck.adafl->min_ratio_used;
-  st.stats.max_ratio_used = ck.adafl->max_ratio_used;
-  st.stats.mean_selected_per_round = ck.adafl->mean_selected_per_round;
-  st.selected_sum = ck.adafl->selected_sum;
-  st.rounds_planned = ck.adafl->rounds_planned;
-  core_.restore(std::move(st));
+  core_.restore(core::take_core_state(ck));
   return static_cast<int>(ck.next_round);
 }
 
@@ -1008,7 +987,7 @@ fl::TrainLog ServerSession::run() {
 
     core::AdaFlRoundOutcome out;
     {
-      metrics::PhaseProfiler::Scope prof("aggregate");
+      metrics::PhaseScope prof("aggregate");
       const auto find = [this](int id) -> const core::AdaFlDelivery* {
         return face_.delivered(id)
                    ? &delivery_slots_[static_cast<std::size_t>(id)]
@@ -1032,7 +1011,7 @@ fl::TrainLog ServerSession::run() {
     const bool evaled = round % cfg_.eval_every == 0 || round == cfg_.rounds;
     double round_accuracy = 0.0;
     if (evaled) {
-      metrics::PhaseProfiler::Scope prof("eval");
+      metrics::PhaseScope prof("eval");
       fl::RoundRecord rec;
       rec.round = round;
       rec.time = std::chrono::duration<double>(Clock::now() - t0).count();

@@ -104,9 +104,13 @@ TEST(EventLoopSession, DeployedMatchesSimulatorBitwise) {
   EventLoopConfig lcfg;
   lcfg.shards = 2;
   metrics::Registry registry;
-  const auto dep = testutil::run_deployed_event_loop(
-      spec, client, params, rounds, lcfg, /*tracer=*/nullptr, /*quorum=*/0,
-      milliseconds(30000), /*crash_client=*/-1, /*crash_round=*/0, &registry);
+  const auto dep = [&] {
+    metrics::PhaseSink phases(&registry);  // as flserver --profile does
+    return testutil::run_deployed_event_loop(
+        spec, client, params, rounds, lcfg, /*tracer=*/nullptr, /*quorum=*/0,
+        milliseconds(30000), /*crash_client=*/-1, /*crash_round=*/0,
+        &registry);
+  }();
 
   ASSERT_EQ(dep.global.size(), sim.global.size());
   EXPECT_EQ(dep.global, sim.global);  // bitwise: float == float
@@ -134,6 +138,18 @@ TEST(EventLoopSession, DeployedMatchesSimulatorBitwise) {
   EXPECT_LE(fd.percentile(0.5), fd.percentile(0.99));
   EXPECT_GE(fd.percentile(0.99), fd.min());
   EXPECT_LE(fd.percentile(0.99), fd.max());
+
+  // Phase timings land in the same registry. The server aggregates and
+  // evaluates (eval_every = 1) once per round; the clients run in this
+  // process, so their training scopes are counted too.
+  const auto calls = [&registry](const char* phase) {
+    return registry.histogram(std::string("profile.") + phase + "_ms")
+        .count();
+  };
+  EXPECT_EQ(calls("aggregate"), static_cast<std::uint64_t>(rounds));
+  EXPECT_EQ(calls("eval"), static_cast<std::uint64_t>(rounds));
+  EXPECT_EQ(calls("client-train"),
+            static_cast<std::uint64_t>(rounds * spec.clients));
 }
 
 // Shard count is a performance knob, never a semantics knob: 1 shard and 3

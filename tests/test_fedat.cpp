@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "fl_fixtures.h"
 
 namespace adafl::fl {
@@ -62,6 +64,26 @@ TEST(FedAt, FastTierCompletesMoreRounds) {
   EXPECT_GT(t.tier_rounds()[static_cast<std::size_t>(fast_tier)],
             t.tier_rounds()[static_cast<std::size_t>(slow_tier)]);
   EXPECT_GT(t.tier_rounds()[static_cast<std::size_t>(slow_tier)], 0);
+}
+
+TEST(FedAt, LostUploadsAreCountedAndNotFolded) {
+  // Every transfer is lost: each upload spends its bytes and time, but no
+  // tier round may fold a delta it never received. Links cap drop_prob
+  // below 1; the largest double below it loses all but 2^-53 of transfers.
+  auto task = make_mini_task();
+  FedAtConfig cfg = base_config();
+  cfg.client = task.client;
+  net::LinkConfig dead;
+  dead.drop_prob = std::nextafter(1.0, 0.0);
+  cfg.links.assign(4, dead);
+  FedAtTrainer t(cfg, task.factory, &task.train, task.parts, &task.test,
+                 two_speed_devices(4));
+  const std::vector<float> initial = t.global();
+  const TrainLog log = t.run();
+  EXPECT_GT(log.ledger.attempted_updates(), 0);
+  EXPECT_EQ(log.ledger.delivered_updates(), 0);
+  EXPECT_EQ(log.applied_updates, 0);
+  EXPECT_EQ(t.global(), initial);
 }
 
 TEST(FedAt, DeterministicUnderSeed) {

@@ -209,6 +209,10 @@ TEST(Session, QuorumAfterDeadlineWithSilentPeer) {
   server.add_transport(std::move(pair0.first));
   server.add_transport(std::move(pair1.first));
 
+  // Both HELLOs are queued before the server runs, so its first poll binds
+  // both peers. Sent from the peer threads, peer 1's HELLO could land after
+  // peer 0's round-1 SCORE, and round 1 would close without waiting for the
+  // deadline.
   auto hello = [](std::uint32_t id) {
     Frame f;
     f.type = MsgType::kHello;
@@ -216,12 +220,13 @@ TEST(Session, QuorumAfterDeadlineWithSilentPeer) {
     f.payload = encode_hello(kProtocolVersion);
     return f;
   };
+  ASSERT_TRUE(pair0.second->send(hello(0)));
+  ASSERT_TRUE(pair1.second->send(hello(1)));
 
   // Peer 0: protocol-level cooperative client. No local training — it
   // reports a fixed score and uploads a zero delta, which is enough to
   // drive the server's round machine.
-  std::thread peer0([t = std::move(pair0.second), &hello]() mutable {
-    ASSERT_TRUE(t->send(hello(0)));
+  std::thread peer0([t = std::move(pair0.second)]() mutable {
     std::optional<compress::DgcCompressor> comp;
     std::uint64_t dims = 0;
     for (;;) {
@@ -261,8 +266,7 @@ TEST(Session, QuorumAfterDeadlineWithSilentPeer) {
   });
 
   // Peer 1: joins, then goes mute (receives and ignores everything).
-  std::thread peer1([t = std::move(pair1.second), &hello]() mutable {
-    ASSERT_TRUE(t->send(hello(1)));
+  std::thread peer1([t = std::move(pair1.second)]() mutable {
     for (;;) {
       auto f = t->recv(milliseconds(2000));
       if (!f) {
@@ -657,6 +661,7 @@ TEST(Session, RoundTotalDeadlineCapsAStalledUpdatePhase) {
   tracer.open(::testing::TempDir() + "round_deadline.trace.jsonl", manifest);
   tracer.attach_registry(&registry);
   scfg.tracer = &tracer;
+  metrics::PhaseSink phases(&registry);  // as flserver --profile does
   ServerSession server(scfg, task.factory, &task.test);
 
   const int n = spec.clients;
@@ -705,6 +710,11 @@ TEST(Session, RoundTotalDeadlineCapsAStalledUpdatePhase) {
   EXPECT_GE(registry.counter("trace.events.update_lost").value(), 1);
   EXPECT_TRUE(stats[0].completed);
   EXPECT_FALSE(stats[1].completed);
+  // Capped or not, every round aggregates and evaluates once.
+  EXPECT_EQ(registry.histogram("profile.aggregate_ms").count(),
+            static_cast<std::uint64_t>(rounds));
+  EXPECT_EQ(registry.histogram("profile.eval_ms").count(),
+            static_cast<std::uint64_t>(rounds));
 }
 
 }  // namespace

@@ -6,18 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <random>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "deployed_test_util.h"
 #include "metrics/ledger.h"
 #include "metrics/registry.h"
 #include "tensor/check.h"
+#include "tensor/tensor.h"
 
 namespace adafl::metrics {
 namespace {
@@ -302,6 +305,53 @@ TEST(Registry, LedgerExportIsIdempotent) {
   EXPECT_EQ(reg.counter("comm.upload_bytes").value(), 500);
   EXPECT_EQ(reg.counter("comm.attempted_updates").value(), 2);
   EXPECT_EQ(reg.counter("comm.delivered_updates").value(), 1);
+}
+
+TEST(Registry, PhaseScopeRecordsOnlyWhileAttached) {
+  Registry reg;
+  { PhaseScope scope("work"); }  // no sink attached yet
+  EXPECT_TRUE(reg.phases().empty());
+  {
+    PhaseSink sink(&reg);
+    for (int i = 0; i < 3; ++i) {
+      PhaseScope scope("work");
+      tensor::FloatBuffer buf(8);  // one counted tensor allocation
+      // Busy-wait (no sleep): the scope's wall time is at least 1 ms.
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+    }
+  }
+  { PhaseScope scope("work"); }  // the sink detached on destruction
+  const Histogram& ms = reg.histogram("profile.work_ms");
+  EXPECT_EQ(ms.count(), 3u);
+  EXPECT_GE(ms.sum(), 3.0);
+  EXPECT_EQ(reg.counter("profile.work.tensor_allocs").value(), 3);
+  const std::vector<Registry::Phase> phases = reg.phases();
+  ASSERT_EQ(phases.size(), 1u);
+  EXPECT_EQ(phases[0].name, "work");
+  EXPECT_EQ(phases[0].calls, 3u);
+  EXPECT_EQ(phases[0].ms, ms.sum());
+  EXPECT_EQ(phases[0].tensor_allocs, 3);
+  const std::string json = reg.to_json();
+  EXPECT_NE(json.find("\"profile.work_ms\":{\"count\":3,"), std::string::npos);
+  EXPECT_NE(json.find("\"profile.work.tensor_allocs\":3"), std::string::npos);
+}
+
+TEST(Registry, ConcurrentPhaseScopesAreAllCounted) {
+  Registry reg;
+  PhaseSink sink(&reg);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t)
+    threads.emplace_back([] {
+      for (int i = 0; i < 1000; ++i) {
+        PhaseScope scope("work");
+      }
+    });
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(reg.histogram("profile.work_ms").count(), 4000u);
+  EXPECT_EQ(reg.counter("profile.work.tensor_allocs").value(), 0);
 }
 
 TEST(Registry, TracerAttachCountsEvents) {

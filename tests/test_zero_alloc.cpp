@@ -18,6 +18,7 @@
 #include "core/parallel.h"
 #include "fl/client.h"
 #include "fl_fixtures.h"
+#include "metrics/registry.h"
 #include "metrics/trace.h"
 #include "net/link.h"
 #include "net/transport/client_protocol.h"
@@ -191,36 +192,51 @@ TEST(ZeroAlloc, AdaFlSyncTrainerRoundsSteadyState) {
   // fail some uploads and K = 2 of 4 leaves clients unselected. Rounds 1-2
   // warm; no later round may allocate, at 1 lane or at 4. The MLP task keeps
   // this exact: a CNN client's per-chunk conv scratch depends on which lane
-  // trained it.
+  // trained it. With a phase registry attached (--profile), recording the
+  // round's phases allocates no tensor either, and each phase runs once per
+  // round.
   struct ThreadGuard {
     ~ThreadGuard() { core::set_num_threads(0); }
   } guard;
   const int rounds = 6;
-  for (int threads : {1, 4}) {
-    SCOPED_TRACE(threads);
-    core::set_num_threads(threads);
-    auto task = fl::testing::make_mini_task(4);
-    core::AdaFlSyncConfig cfg;
-    cfg.rounds = rounds;
-    cfg.client = task.client;
-    cfg.links = net::make_fleet(4, 0.5, net::LinkQuality::kGood,
-                                net::LinkQuality::kLossy);
-    cfg.seed = 7;
-    cfg.params.max_selected = 2;
-    cfg.params.compression.warmup_rounds = 1;
-    std::uint64_t after_round2 = 0;
-    std::uint64_t after_last = 0;
-    cfg.on_round_end = [&](int round) {
-      if (round == 2) after_round2 = tensor::tensor_allocations();
-      if (round == rounds) after_last = tensor::tensor_allocations();
-    };
-    core::AdaFlSyncTrainer trainer(cfg, task.factory, &task.train, task.parts,
-                                   &task.test);
-    const fl::TrainLog log = trainer.run();
-    ASSERT_EQ(static_cast<int>(log.records.size()), rounds);
-    EXPECT_EQ(after_last - after_round2, 0u)
-        << "AdaFlSyncTrainer rounds 3-" << rounds
-        << " allocated tensors in steady state";
+  for (const bool profiled : {false, true}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(threads);
+      SCOPED_TRACE(profiled ? "phase registry attached" : "no phase registry");
+      core::set_num_threads(threads);
+      metrics::Registry phases;
+      metrics::PhaseSink sink(profiled ? &phases : nullptr);
+      auto task = fl::testing::make_mini_task(4);
+      core::AdaFlSyncConfig cfg;
+      cfg.rounds = rounds;
+      cfg.eval_every = 1;
+      cfg.client = task.client;
+      cfg.links = net::make_fleet(4, 0.5, net::LinkQuality::kGood,
+                                  net::LinkQuality::kLossy);
+      cfg.seed = 7;
+      cfg.params.max_selected = 2;
+      cfg.params.compression.warmup_rounds = 1;
+      std::uint64_t after_round2 = 0;
+      std::uint64_t after_last = 0;
+      cfg.on_round_end = [&](int round) {
+        if (round == 2) after_round2 = tensor::tensor_allocations();
+        if (round == rounds) after_last = tensor::tensor_allocations();
+      };
+      core::AdaFlSyncTrainer trainer(cfg, task.factory, &task.train,
+                                     task.parts, &task.test);
+      const fl::TrainLog log = trainer.run();
+      ASSERT_EQ(static_cast<int>(log.records.size()), rounds);
+      EXPECT_EQ(after_last - after_round2, 0u)
+          << "AdaFlSyncTrainer rounds 3-" << rounds
+          << " allocated tensors in steady state";
+      const std::uint64_t runs = profiled ? rounds : 0;
+      for (const char* phase :
+           {"client-train", "compress", "aggregate", "eval"})
+        EXPECT_EQ(
+            phases.histogram(std::string("profile.") + phase + "_ms").count(),
+            runs)
+            << phase;
+    }
   }
 }
 
