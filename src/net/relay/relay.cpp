@@ -28,6 +28,12 @@ RelaySession::RelaySession(RelayConfig cfg, IndexedDialFn dial,
                                         cfg_.retransmit_nudge}) {
   ADAFL_CHECK_MSG(dial_ != nullptr, "RelaySession: null dial callback");
   ADAFL_CHECK_MSG(endpoint_count_ >= 1, "RelaySession: empty endpoint list");
+  // A parent frame ends the idle wait, as a child's does.
+  dial_ = [this, dial = std::move(dial_)](std::size_t endpoint) {
+    std::unique_ptr<transport::Transport> t = dial(endpoint);
+    if (t) t->set_wake([this] { carriers_.wake(); });
+    return t;
+  };
 }
 
 void RelaySession::trace_child(metrics::TraceEventType type, const Frame& f) {

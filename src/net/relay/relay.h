@@ -69,7 +69,10 @@ struct RelayConfig {
   /// Parent-link heartbeat / liveness (ClientSession semantics).
   std::chrono::milliseconds heartbeat_interval{1000};
   std::chrono::milliseconds liveness_timeout{8000};
-  /// Child/parent poll granularity when idle.
+  /// Longest idle wait. A child's frame, an arrival, loop activity or a
+  /// frame from a parent transport that can signal ends it at once; it
+  /// bounds only the heartbeat, redial and nudge timers, peers that cannot
+  /// signal (a TCP parent, FaultyTransport) and a request_stop().
   std::chrono::milliseconds idle_poll{20};
   /// The child side's retransmit nudge (ServerFaceConfig::retransmit_nudge):
   /// first gap of a phase, doubling after each firing. <= 0 disables.

@@ -124,11 +124,7 @@ void EventLoop::wake() {
 }
 
 void EventLoop::notify_activity() {
-  {
-    std::lock_guard<std::mutex> lk(event_mu_);
-    ++activity_epoch_;
-  }
-  event_cv_.notify_all();
+  if (on_activity_) on_activity_();
 }
 
 // ---------------------------------------------------------------------------
@@ -495,18 +491,6 @@ std::size_t EventLoop::poll_all(std::vector<InFrame>& out) {
   for (int s = 0; s < cfg_.shards; ++s)
     total += poll_shard(s, out, static_cast<std::size_t>(-1));
   return total;
-}
-
-bool EventLoop::wait_activity(std::chrono::milliseconds timeout) {
-  std::unique_lock<std::mutex> lk(event_mu_);
-  if (observed_epoch_ != activity_epoch_) {
-    observed_epoch_ = activity_epoch_;
-    return true;
-  }
-  const bool woke = event_cv_.wait_for(
-      lk, timeout, [&] { return observed_epoch_ != activity_epoch_; });
-  if (woke) observed_epoch_ = activity_epoch_;
-  return woke;
 }
 
 void EventLoop::send(ConnId conn, FrameBytes bytes) {

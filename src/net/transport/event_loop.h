@@ -31,7 +31,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -91,8 +90,13 @@ class EventLoop {
 
   /// Registers an auxiliary readable fd (e.g. the UDP mux socket); `cb`
   /// runs on the loop thread whenever it is readable, and each run counts
-  /// as activity for wait_activity(). Call before start().
+  /// as activity. Call before start().
   void watch_fd(int fd, std::function<void()> cb);
+
+  /// Runs `wake` on the loop thread after each cycle with activity: a
+  /// frame queued, an accept, a close or a watched fd served. Carriers
+  /// ends its idle wait with it. Call before start().
+  void on_activity(Wake wake) { on_activity_ = std::move(wake); }
 
   void start();
   /// Stops the loop thread and closes every accepted connection.
@@ -105,9 +109,6 @@ class EventLoop {
                          std::size_t max);
   /// Drains every shard (in shard order) into `out`.
   std::size_t poll_all(std::vector<InFrame>& out);
-  /// Blocks until any activity (frame, accept, close) since the last poll,
-  /// or timeout. Returns true if there was activity.
-  bool wait_activity(std::chrono::milliseconds timeout);
 
   /// Queues `bytes` for transmission on `conn`. The buffer is shared, not
   /// copied — encode a broadcast once and send the same pointer to every
@@ -167,6 +168,7 @@ class EventLoop {
   std::chrono::milliseconds accept_delay_{0};
 
   std::vector<std::pair<int, std::function<void()>>> watched_;
+  Wake on_activity_;
 
   // Owned by the loop thread exclusively.
   std::unordered_map<ConnId, std::unique_ptr<Conn>> conns_;
@@ -184,9 +186,6 @@ class EventLoop {
   };
   std::vector<Command> commands_;
   std::mutex event_mu_;
-  std::condition_variable event_cv_;
-  std::uint64_t activity_epoch_ = 0;
-  std::uint64_t observed_epoch_ = 0;
   std::vector<ConnId> accepted_;
   std::vector<ConnId> closed_;
 

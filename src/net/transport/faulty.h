@@ -187,6 +187,10 @@ class FaultyDatagramLink final : public DatagramLink {
   bool send(std::span<const std::uint8_t> datagram) override;
   std::optional<std::vector<std::uint8_t>> recv(
       std::chrono::milliseconds timeout) override;
+  /// Faults act on send; recv passes through, so the inner link signals.
+  bool set_wake(Wake wake) override {
+    return inner_->set_wake(std::move(wake));
+  }
   bool closed() const override;
   void close() override;
   std::string peer() const override;

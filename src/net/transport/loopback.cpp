@@ -20,6 +20,7 @@ bool LoopbackTransport::send_shared(const Frame& f, FrameImage& image) {
   if (tx_->closed) return false;
   tx_->queue.push_back(bytes);
   tx_->cv.notify_all();
+  if (tx_->wake) tx_->wake();
   return true;
 }
 
@@ -44,17 +45,27 @@ std::optional<Frame> LoopbackTransport::recv(
   return parser_.next();
 }
 
+bool LoopbackTransport::set_wake(Wake wake) {
+  std::lock_guard<std::mutex> lock(rx_->mu);
+  rx_->wake = std::move(wake);
+  return true;
+}
+
 bool LoopbackTransport::closed() const {
   std::lock_guard<std::mutex> lock(rx_->mu);
   return rx_->closed && rx_->queue.empty();
 }
 
 void LoopbackTransport::close() {
-  for (auto* ch : {tx_.get(), rx_.get()}) {
-    std::lock_guard<std::mutex> lock(ch->mu);
-    ch->closed = true;
-    ch->cv.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(tx_->mu);
+    if (!std::exchange(tx_->closed, true) && tx_->wake) tx_->wake();
+    tx_->cv.notify_all();
   }
+  std::lock_guard<std::mutex> lock(rx_->mu);
+  rx_->closed = true;
+  rx_->cv.notify_all();
+  rx_->wake = nullptr;  // no signal outlives close()
 }
 
 }  // namespace adafl::net::transport

@@ -41,6 +41,8 @@ class LoopbackTransport final : public Transport {
   bool send_shared(const Frame& f, FrameImage& image) override;
   /// A zero timeout only polls: it never waits on the condition variable.
   std::optional<Frame> recv(std::chrono::milliseconds timeout) override;
+  /// The peer's send and its close call `wake`.
+  bool set_wake(Wake wake) override;
   bool closed() const override;
   void close() override;
   std::string peer() const override { return "loopback"; }
@@ -56,6 +58,7 @@ class LoopbackTransport final : public Transport {
     std::condition_variable cv;
     std::deque<FrameBytes> queue;
     bool closed = false;
+    Wake wake;  ///< the receiving end's, until it closes
   };
 
   LoopbackTransport(std::shared_ptr<Channel> tx, std::shared_ptr<Channel> rx)

@@ -185,7 +185,10 @@ struct ServerSessionConfig {
   /// expiry the server aggregates what arrived, emits update_lost for the
   /// rest, and moves on.
   std::chrono::milliseconds round_total_deadline{0};
-  /// Poll sleep while waiting for network activity.
+  /// Longest idle wait (Carriers::wait). Frames on signalling transports,
+  /// arrivals and loop activity end it at once; it bounds only the round
+  /// timers (deadlines, nudges), peers that cannot signal (TCP transports
+  /// handed to add_transport(), FaultyTransport) and a request_stop().
   std::chrono::milliseconds idle_poll{20};
   /// Anti-wedge retransmission: while a phase is stalled (no frame
   /// processed), periodically re-send the pending frame — MODEL to
@@ -265,7 +268,7 @@ class ServerSession {
   }
 
   /// Adds the loop carrier (Carriers::attach): run() starts and stops the
-  /// loop, an idle pass waits on its activity, and
+  /// loop, its activity ends an idle wait, and
   /// "server.frame_dispatch_ms" times its frames from enqueue to drain.
   /// Call before run().
   void attach_event_loop(EventLoop* loop) { carriers_.attach(loop); }

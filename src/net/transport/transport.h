@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,6 +23,12 @@ namespace adafl::net::transport {
 using ConnId = std::uint64_t;
 /// No connection.
 constexpr ConnId kNoConn = ~ConnId{0};
+
+/// Readiness signal from a transport to whoever polls it. It runs on the
+/// sending thread under the transport's own lock, the one close() takes to
+/// unregister it, so no wake runs after close() returns. It may only mark
+/// and notify, never call back into the transport.
+using Wake = std::function<void()>;
 
 class Transport {
  public:
@@ -46,6 +53,13 @@ class Transport {
   /// CheckError if the peer sent a malformed byte stream; callers should
   /// drop the connection on that.
   virtual std::optional<Frame> recv(std::chrono::milliseconds timeout) = 0;
+
+  /// Registers `wake`, called each time a frame or a close becomes
+  /// receivable here, until close() returns; register once. Returns false
+  /// (this default) when the transport cannot signal: its owner must poll
+  /// it. A decorator forwards only if its recv() hands out what the inner
+  /// transport signalled, as it arrives.
+  virtual bool set_wake(Wake /*wake*/) { return false; }
 
   virtual bool closed() const = 0;
 

@@ -12,6 +12,7 @@
 #include <cerrno>
 #include <condition_variable>
 #include <cstring>
+#include <utility>
 
 #include "compress/bytes.h"
 #include "net/fec/interleave.h"
@@ -483,6 +484,7 @@ struct LoopbackDatagramLink::Channel {
   std::condition_variable cv;
   std::deque<Queued> q;
   bool closed = false;
+  Wake wake;  ///< the receiving end's, until it closes
 };
 
 LoopbackDatagramLink::LoopbackDatagramLink(std::shared_ptr<Channel> tx,
@@ -504,6 +506,7 @@ bool LoopbackDatagramLink::send(std::span<const std::uint8_t> datagram) {
   if (tx_->q.size() < kMaxQueuedDatagrams)
     tx_->q.push_back({{datagram.begin(), datagram.end()}, {}, nullptr, {}});
   tx_->cv.notify_all();
+  if (tx_->wake) tx_->wake();
   return true;
 }
 
@@ -522,6 +525,7 @@ bool LoopbackDatagramLink::send_shared(
     d.payload = payload;
   }
   tx_->cv.notify_all();
+  if (tx_->wake) tx_->wake();
   return true;
 }
 
@@ -544,6 +548,12 @@ std::optional<std::vector<std::uint8_t>> LoopbackDatagramLink::recv(
   out.insert(out.end(), d.header.begin(), d.header.end());
   out.insert(out.end(), d.payload.begin(), d.payload.end());
   return out;
+}
+
+bool LoopbackDatagramLink::set_wake(Wake wake) {
+  std::lock_guard<std::mutex> lk(rx_->mu);
+  rx_->wake = std::move(wake);
+  return true;
 }
 
 bool LoopbackDatagramLink::closed() const {
@@ -569,11 +579,12 @@ void LoopbackDatagramLink::close() {
   // this end re-check and time out instead of sleeping its full budget.
   {
     std::lock_guard<std::mutex> lk(tx_->mu);
-    tx_->closed = true;
+    if (!std::exchange(tx_->closed, true) && tx_->wake) tx_->wake();
     tx_->cv.notify_all();
   }
   std::lock_guard<std::mutex> lk(rx_->mu);
   rx_->cv.notify_all();
+  rx_->wake = nullptr;  // no signal outlives close()
 }
 
 // --------------------------------------------------------------------------
@@ -729,9 +740,10 @@ struct UdpMux {
   std::atomic<bool> closed{false};
 
   struct Peer {
-    std::mutex mu;  ///< guards q only; never held with reg_mu or another peer
+    std::mutex mu;  ///< guards q and wake; never held with another peer's
     std::condition_variable cv;
     std::deque<std::vector<std::uint8_t>> q;
+    Wake wake;  ///< the owner's (MuxPeerLink::set_wake), until retire()
     std::atomic<bool> dead{false};
     std::string desc;
     std::string key;  ///< raw-sockaddr map key (for tombstone eviction)
@@ -775,6 +787,7 @@ struct UdpMux {
       p->dead.store(true);
       std::lock_guard<std::mutex> plk(p->mu);
       p->cv.notify_all();
+      if (p->wake) p->wake();
     }
     reg_cv.notify_all();
   }
@@ -850,6 +863,7 @@ struct UdpMux {
       if (p->q.size() < kMaxQueuedDatagrams)
         p->q.emplace_back(d.begin(), d.end());
       p->cv.notify_all();
+      if (p->wake) p->wake();
     }
   }
 
@@ -863,6 +877,7 @@ struct UdpMux {
       std::lock_guard<std::mutex> plk(p->mu);
       p->q.clear();
       p->cv.notify_all();
+      p->wake = nullptr;  // no signal outlives the link's close()
     }
     if (was_dead) return;
     std::lock_guard<std::mutex> lk(reg_mu);
@@ -920,6 +935,10 @@ class MuxPeerLink final : public DatagramLink {
     return mux_->send_to(*peer_, datagram);
   }
 
+  /// A zero timeout only pops the peer's queue; it never touches the
+  /// socket. Whoever drains the mux (flserver's loop thread, through
+  /// accept(0)) fills the queue and calls the wake. A blocking recv pumps
+  /// the socket itself, for callers that run no loop.
   std::optional<std::vector<std::uint8_t>> recv(
       std::chrono::milliseconds timeout) override {
     const auto deadline = Clock::now() + timeout;
@@ -932,13 +951,14 @@ class MuxPeerLink final : public DatagramLink {
           return d;
         }
       }
+      if (timeout.count() == 0) return std::nullopt;
       if (peer_->dead.load() || mux_->closed.load()) return std::nullopt;
       const auto now = Clock::now();
-      if (now >= deadline && timeout.count() != 0) return std::nullopt;
-      auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-          deadline - now);
-      if (left.count() < 0) left = std::chrono::milliseconds{0};
-      left = std::min(left, kMuxSlice);
+      if (now >= deadline) return std::nullopt;
+      const auto left = std::min(
+          std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
+                                                                now),
+          kMuxSlice);
       if (!mux_->pump(left)) {
         // Another thread holds the pump: sleep on our own queue's cv — the
         // drainer routes into it and notifies (no global lock involved).
@@ -946,15 +966,13 @@ class MuxPeerLink final : public DatagramLink {
         if (peer_->q.empty() && !peer_->dead.load() && left.count() > 0)
           peer_->cv.wait_for(lk, left);
       }
-      if (timeout.count() == 0) {
-        // One nonblocking drain, then report whatever arrived.
-        std::lock_guard<std::mutex> lk(peer_->mu);
-        if (peer_->q.empty()) return std::nullopt;
-        std::vector<std::uint8_t> d = std::move(peer_->q.front());
-        peer_->q.pop_front();
-        return d;
-      }
     }
+  }
+
+  bool set_wake(Wake wake) override {
+    std::lock_guard<std::mutex> lk(peer_->mu);
+    peer_->wake = std::move(wake);
+    return true;
   }
 
   bool closed() const override {

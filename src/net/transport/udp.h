@@ -167,6 +167,10 @@ class DatagramLink {
                            std::span<const std::uint8_t> payload);
   virtual std::optional<std::vector<std::uint8_t>> recv(
       std::chrono::milliseconds timeout) = 0;
+  /// Transport::set_wake for datagrams: `wake` runs each time a datagram
+  /// or a close becomes receivable here, until close() returns. This
+  /// default cannot signal.
+  virtual bool set_wake(Wake /*wake*/) { return false; }
   virtual bool closed() const = 0;
   virtual void close() = 0;
   virtual std::string peer() const = 0;
@@ -192,6 +196,8 @@ class LoopbackDatagramLink final : public DatagramLink {
                    std::span<const std::uint8_t> payload) override;
   std::optional<std::vector<std::uint8_t>> recv(
       std::chrono::milliseconds timeout) override;
+  /// The peer's sends and its close call `wake`.
+  bool set_wake(Wake wake) override;
   bool closed() const override;
   void close() override;
   std::string peer() const override { return "dgram-loopback"; }
@@ -299,6 +305,10 @@ class UdpTransport final : public Transport {
   /// broadcast to N peers of one geometry builds one image.
   bool send_shared(const Frame& f, FrameImage& image) override;
   std::optional<Frame> recv(std::chrono::milliseconds timeout) override;
+  /// Signals as its link does.
+  bool set_wake(Wake wake) override {
+    return link_->set_wake(std::move(wake));
+  }
   bool closed() const override;
   void close() override;
   std::string peer() const override;
@@ -343,7 +353,8 @@ struct UdpMux;
 /// Server-side UDP endpoint: one bound socket, peers demultiplexed by
 /// source address. accept() returns a ready UdpTransport for each
 /// previously-unseen source; datagrams for known peers are routed to their
-/// transport as a side effect of any accept()/recv() poll.
+/// transport (and its wake called) as a side effect of accept() or of a
+/// blocking recv(). A zero-timeout recv() only takes what was routed.
 class UdpListener {
  public:
   /// Binds 0.0.0.0:port (0 = ephemeral). Accepted transports use `cfg`
@@ -372,8 +383,8 @@ class UdpListener {
   std::size_t peer_count() const;
 
   /// The mux's UDP socket, for EventLoop::watch_fd: the loop thread calls
-  /// accept(0ms) when it turns readable instead of a thread blocking here.
-  /// The mux still owns the fd.
+  /// accept(0ms) when it turns readable instead of a thread blocking here,
+  /// and is then the socket's only reader. The mux still owns the fd.
   int fd() const;
 
  private:

@@ -4,8 +4,10 @@
 // compared bitwise (same seed => identical global weights).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -84,6 +86,18 @@ inline SimResult run_simulator(const cli::TaskSpec& spec,
   return r;
 }
 
+/// The longest round of a deployed run in wall seconds, the first counted
+/// from the start of the run.
+inline double longest_round_s(const fl::TrainLog& log) {
+  double longest = 0.0;
+  double prev = 0.0;
+  for (const fl::RoundRecord& r : log.records) {
+    longest = std::max(longest, r.time - prev);
+    prev = r.time;
+  }
+  return longest;
+}
+
 struct DeployedResult {
   fl::TrainLog log;
   std::vector<float> global;
@@ -101,7 +115,6 @@ inline net::transport::ServerSessionConfig make_server_config(
   scfg.expected_clients = spec.clients;
   scfg.quorum = 0;  // all
   scfg.round_deadline = std::chrono::milliseconds(30000);
-  scfg.idle_poll = std::chrono::milliseconds(2);
   scfg.client_config = cli::task_to_kv(spec, client);
   return scfg;
 }
@@ -134,6 +147,13 @@ inline net::transport::ClientSessionConfig test_client_config(int id) {
   ccfg.backoff.max = std::chrono::milliseconds(100);
   ccfg.backoff.max_attempts = 30;
   return ccfg;
+}
+
+/// Spaces a client's heartbeats 30 s apart, so that in a clean run only the
+/// round's own frames can end a server's idle wait.
+inline void quiet_heartbeats(net::transport::ClientSessionConfig& c) {
+  c.heartbeat_interval = std::chrono::seconds(30);
+  c.liveness_timeout = std::chrono::seconds(60);
 }
 
 /// Per-client decorator for the client-side loopback transport, applied on
@@ -208,12 +228,17 @@ inline DeployedResult run_deployed_udp_loopback(
     const net::transport::UdpFecConfig& fec,
     metrics::Tracer* tracer = nullptr, DatagramWrapFn dwrap = nullptr,
     net::transport::FecStats* server_stats = nullptr,
-    std::chrono::milliseconds nudge = std::chrono::milliseconds(300)) {
+    std::chrono::milliseconds nudge = std::chrono::milliseconds(300),
+    std::chrono::milliseconds idle_poll =
+        net::transport::ServerSessionConfig{}.idle_poll,
+    std::function<void(net::transport::ClientSessionConfig&)> client_tweak =
+        nullptr) {
   using namespace net::transport;
   auto task = cli::build_task(spec);
   ServerSessionConfig scfg = make_server_config(spec, client, params, rounds);
   scfg.tracer = tracer;
   scfg.retransmit_nudge = nudge;
+  scfg.idle_poll = idle_poll;
   ServerSession server(scfg, task.factory, &task.test);
 
   UdpFecConfig server_fec = fec;
@@ -227,8 +252,10 @@ inline DeployedResult run_deployed_udp_loopback(
   std::vector<std::thread> threads;
   for (int id = 0; id < n; ++id) {
     threads.emplace_back([&, id] {
+      ClientSessionConfig ccfg = test_client_config(id);
+      if (client_tweak) client_tweak(ccfg);
       ClientSession cs(
-          test_client_config(id),
+          ccfg,
           [&server, &server_fec, &fec, &dwrap,
            id]() -> std::unique_ptr<Transport> {
             auto [a, b] = make_datagram_loopback_pair();

@@ -3,13 +3,16 @@
 // EventLoop's sockets and pumped transports, one poll into a frame batch,
 // closes reported once for reaping after dispatch, one send that shares a
 // broadcast's encoded image across every peer on both carriers, pumped
-// polls that never sleep, and an idle wait that ends on loop activity.
+// polls that never sleep and visit only the peers that signalled, and one
+// idle wait that a pumped frame, a close, an arrival or loop activity ends.
 #include "net/transport/carriers.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <thread>
@@ -82,6 +85,179 @@ class ScriptedTransport final : public Transport {
  private:
   std::shared_ptr<ScriptState> s_;
 };
+
+/// A pumped peer over `inner` that counts its recv calls, and forwards the
+/// wake only when `signals` (as a pass-through decorator may).
+class CountingTransport final : public Transport {
+ public:
+  CountingTransport(std::unique_ptr<Transport> inner, bool signals,
+                    std::atomic<int>* recvs)
+      : inner_(std::move(inner)), signals_(signals), recvs_(recvs) {}
+  bool send(const Frame& f) override { return inner_->send(f); }
+  std::optional<Frame> recv(std::chrono::milliseconds timeout) override {
+    recvs_->fetch_add(1);
+    return inner_->recv(timeout);
+  }
+  bool set_wake(Wake wake) override {
+    return signals_ && inner_->set_wake(std::move(wake));
+  }
+  bool closed() const override { return inner_->closed(); }
+  void close() override { inner_->close(); }
+  std::string peer() const override { return inner_->peer(); }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  bool signals_;
+  std::atomic<int>* recvs_;
+};
+
+/// How long carriers.wait(10 s) takes while another thread runs `act`
+/// 50 ms into it.
+Clock::duration timed_wait(Carriers& carriers,
+                           const std::function<void()>& act) {
+  std::thread other([&act] {
+    std::this_thread::sleep_for(50ms);
+    act();
+  });
+  const auto t0 = Clock::now();
+  carriers.wait(10000ms);
+  const auto took = Clock::now() - t0;
+  other.join();
+  return took;
+}
+
+/// A connected pair of each kind that can signal: a loopback stream, and
+/// FEC datagrams over a loopback link.
+std::vector<std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>>
+signalling_pairs() {
+  std::vector<
+      std::pair<std::unique_ptr<Transport>, std::unique_ptr<Transport>>>
+      pairs;
+  auto stream = make_loopback_pair();
+  pairs.emplace_back(std::move(stream.first), std::move(stream.second));
+  auto link = make_datagram_loopback_pair();
+  pairs.emplace_back(
+      std::make_unique<UdpTransport>(std::move(link.first), UdpFecConfig{}),
+      std::make_unique<UdpTransport>(std::move(link.second), UdpFecConfig{}));
+  return pairs;
+}
+
+TEST(Carriers, PumpedFrameEndsTheIdleWait) {
+  for (auto& [server, client] : signalling_pairs()) {
+    const std::string kind = server->peer();
+    Carriers carriers;
+    carriers.add_transport(std::move(server));
+    std::vector<InFrame> batch;
+    carriers.poll(batch);
+    ASSERT_TRUE(batch.empty());
+
+    Transport* const peer = client.get();
+    const auto took = timed_wait(
+        carriers, [peer] { EXPECT_TRUE(peer->send(tagged(1, 2))); });
+    EXPECT_LT(took, 2s) << kind << ": the frame did not end the wait";
+    poll_until(carriers, batch, 1);
+    ASSERT_EQ(batch.size(), 1u) << kind;
+    EXPECT_EQ(batch[0].frame.round, 2u);
+    carriers.close_all(0ms);
+  }
+}
+
+TEST(Carriers, ArrivalEndsTheIdleWait) {
+  Carriers carriers;
+  auto pair = make_loopback_pair();
+  std::unique_ptr<Transport> server = std::move(pair.first);
+  const auto took = timed_wait(
+      carriers, [&] { carriers.add_transport(std::move(server)); });
+  EXPECT_LT(took, 2s);
+  std::vector<InFrame> batch;
+  carriers.poll(batch);
+  EXPECT_EQ(carriers.size(), 1u);
+  EXPECT_TRUE(carriers.open(Carriers::kPumpedBase));
+  carriers.close_all(0ms);
+}
+
+TEST(Carriers, WakeBeforeAnEmptyPollStillEndsTheNextWait) {
+  // A relay reads its parent itself, before it polls its children: a parent
+  // frame whose wake() lands just before a poll that finds nothing must
+  // still end the wait that follows.
+  Carriers carriers;
+  carriers.wake();
+  std::vector<InFrame> batch;
+  carriers.poll(batch);
+  ASSERT_TRUE(batch.empty());
+  auto t0 = Clock::now();
+  carriers.wait(10000ms);
+  EXPECT_LT(Clock::now() - t0, 2s);
+  // That wait took the wake: the next one sleeps out its idle.
+  carriers.poll(batch);
+  t0 = Clock::now();
+  carriers.wait(30ms);
+  EXPECT_GE(Clock::now() - t0, 25ms);
+}
+
+TEST(Carriers, PeerCloseEndsTheIdleWaitAndIsReportedGone) {
+  for (auto& [server, client] : signalling_pairs()) {
+    const std::string kind = server->peer();
+    Carriers carriers;
+    carriers.add_transport(std::move(server));
+    std::vector<InFrame> batch;
+    carriers.poll(batch);
+    ASSERT_TRUE(carriers.take_gone().empty()) << kind;
+
+    Transport* const peer = client.get();
+    const auto took = timed_wait(carriers, [peer] { peer->close(); });
+    EXPECT_LT(took, 2s) << kind << ": the close did not end the wait";
+    carriers.poll(batch);
+    EXPECT_TRUE(batch.empty());
+    EXPECT_EQ(carriers.take_gone(), std::vector<ConnId>{Carriers::kPumpedBase})
+        << kind;
+    carriers.close(Carriers::kPumpedBase);
+    EXPECT_EQ(carriers.size(), 0u);
+  }
+}
+
+TEST(Carriers, PollVisitsOnlySignalledPeers) {
+  constexpr int kIdle = 1000;  // peers that forward the wake
+  constexpr int kSent = 617;   // the one of them that gets a frame
+  Carriers carriers;
+  std::vector<std::unique_ptr<LoopbackTransport>> clients;
+  // One more peer, last, keeps the default: it cannot signal.
+  std::vector<std::atomic<int>> recvs(kIdle + 1);
+  for (int p = 0; p <= kIdle; ++p) {
+    auto [server, client] = make_loopback_pair();
+    carriers.add_transport(std::make_unique<CountingTransport>(
+        std::move(server), /*signals=*/p < kIdle,
+        &recvs[static_cast<std::size_t>(p)]));
+    clients.push_back(std::move(client));
+  }
+  std::vector<InFrame> batch;
+  carriers.poll(batch);  // adoption visits each peer once
+  ASSERT_TRUE(batch.empty());
+  ASSERT_EQ(carriers.size(), static_cast<std::size_t>(kIdle + 1));
+  for (auto& r : recvs) r.store(0);
+
+  ASSERT_TRUE(clients[kSent]->send(tagged(kSent, 1)));
+  ASSERT_TRUE(clients[kIdle]->send(tagged(kIdle, 1)));
+  carriers.poll(batch);
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0].frame.client_id, static_cast<std::uint32_t>(kSent));
+  EXPECT_EQ(batch[1].frame.client_id, static_cast<std::uint32_t>(kIdle))
+      << "not in ConnId order";
+  int idle_recvs = 0;
+  for (int p = 0; p < kIdle; ++p)
+    if (p != kSent) idle_recvs += recvs[static_cast<std::size_t>(p)].load();
+  EXPECT_EQ(idle_recvs, 0) << "a poll visited peers that did not signal";
+  EXPECT_EQ(recvs[kSent].load(), 2);  // its frame, then empty
+  EXPECT_EQ(recvs[kIdle].load(), 2);
+
+  // A pass with nothing signalled still visits the peer that cannot.
+  batch.clear();
+  carriers.poll(batch);
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(recvs[kSent].load(), 2);
+  EXPECT_EQ(recvs[kIdle].load(), 3);
+  carriers.close_all(0ms);
+}
 
 TEST(Carriers, TransportsAddedMidPollDeliverEveryFrameOnceInOrder) {
   constexpr int kPeers = 16;

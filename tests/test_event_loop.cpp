@@ -11,8 +11,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -37,13 +39,49 @@ Frame small_frame(std::uint32_t round, std::uint32_t client,
   return f;
 }
 
-/// Polls the loop until `n` frames arrived or `deadline` passed.
-std::vector<InFrame> poll_until(EventLoop& loop, std::size_t n,
+/// The loop's activity as Carriers hears it: each on_activity() call. The
+/// count outlives this object, so a loop stopped after it goes is safe.
+class Activity {
+ public:
+  /// Registers on `loop`; construct before loop.start().
+  explicit Activity(EventLoop& loop) {
+    loop.on_activity([s = s_] {
+      {
+        std::lock_guard<std::mutex> lock(s->mu);
+        ++s->seen;
+      }
+      s->cv.notify_all();
+    });
+  }
+  /// True once the loop reported activity since the last wait; false after
+  /// `timeout` without any.
+  bool wait(std::chrono::milliseconds timeout) {
+    std::unique_lock<std::mutex> lock(s_->mu);
+    const bool woke = s_->cv.wait_for(
+        lock, timeout, [this] { return s_->seen != s_->taken; });
+    s_->taken = s_->seen;
+    return woke;
+  }
+
+ private:
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::uint64_t seen = 0;
+    std::uint64_t taken = 0;
+  };
+  std::shared_ptr<State> s_ = std::make_shared<State>();
+};
+
+/// Polls the loop until `n` frames arrived or `deadline` passed, waiting
+/// on its activity in between.
+std::vector<InFrame> poll_until(EventLoop& loop, Activity& activity,
+                                std::size_t n,
                                 std::chrono::milliseconds deadline = 5000ms) {
   std::vector<InFrame> got;
   const auto until = Clock::now() + deadline;
   while (got.size() < n && Clock::now() < until) {
-    if (loop.poll_all(got) == 0) loop.wait_activity(20ms);
+    if (loop.poll_all(got) == 0) activity.wait(20ms);
   }
   return got;
 }
@@ -72,6 +110,7 @@ TEST(EventLoop, AcceptDeliverRespond) {
   cfg.shards = 2;
   EventLoop loop(cfg);
   loop.adopt_listener(listener.fd());
+  Activity activity(loop);
   loop.start();
 
   auto c0 = TcpTransport::connect("127.0.0.1", listener.port(), 1000ms);
@@ -81,7 +120,7 @@ TEST(EventLoop, AcceptDeliverRespond) {
   ASSERT_TRUE(c1->send(small_frame(1, 101, 0xB1)));
   ASSERT_TRUE(c0->send(small_frame(2, 100, 0xA2)));
 
-  auto got = poll_until(loop, 3);
+  auto got = poll_until(loop, activity, 3);
   ASSERT_EQ(got.size(), 3u);
   // Conn attribution: the two frames claiming client 100 share a ConnId,
   // client 101's differs.
@@ -128,6 +167,7 @@ TEST(EventLoop, MaxClientsPausesAcceptUntilAConnCloses) {
   cfg.max_clients = 2;
   EventLoop loop(cfg);
   loop.adopt_listener(listener.fd());
+  Activity activity(loop);
   loop.start();
 
   auto c0 = TcpTransport::connect("127.0.0.1", listener.port(), 1000ms);
@@ -149,7 +189,7 @@ TEST(EventLoop, MaxClientsPausesAcceptUntilAConnCloses) {
     return loop.open_connections() == 2u && !loop.take_accepted().empty();
   }));
   ASSERT_TRUE(c2->send(small_frame(1, 42)));
-  auto got = poll_until(loop, 1);
+  auto got = poll_until(loop, activity, 1);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].frame.client_id, 42u);
   loop.stop();
@@ -167,6 +207,7 @@ TEST(EventLoop, BackpressureBoundsQueueThenDeliversEverything) {
   cfg.read_budget = 4096;  // small so one cycle cannot swallow the burst
   EventLoop loop(cfg);
   loop.adopt_listener(listener.fd());
+  Activity activity(loop);
   loop.start();
 
   auto c = TcpTransport::connect("127.0.0.1", listener.port(), 1000ms);
@@ -191,7 +232,7 @@ TEST(EventLoop, BackpressureBoundsQueueThenDeliversEverything) {
 
   // Steady-state drain must not touch the tensor heap.
   const std::uint64_t allocs_before = tensor::tensor_allocations();
-  auto got = poll_until(loop, kFrames, 10000ms);
+  auto got = poll_until(loop, activity, kFrames, 10000ms);
   EXPECT_EQ(tensor::tensor_allocations(), allocs_before);
   sender.join();
 
@@ -210,6 +251,7 @@ TEST(EventLoop, MalformedStreamDropsOnlyThatConnection) {
   TcpListener listener(0);
   EventLoop loop(EventLoopConfig{});
   loop.adopt_listener(listener.fd());
+  Activity activity(loop);
   loop.start();
 
   auto good = TcpTransport::connect("127.0.0.1", listener.port(), 1000ms);
@@ -218,7 +260,7 @@ TEST(EventLoop, MalformedStreamDropsOnlyThatConnection) {
   ASSERT_TRUE(eventually([&] { return loop.open_connections() == 2u; }));
 
   ASSERT_TRUE(good->send(small_frame(1, 5)));
-  auto got = poll_until(loop, 1);
+  auto got = poll_until(loop, activity, 1);
   ASSERT_EQ(got.size(), 1u);
   const ConnId good_conn = got[0].conn;
 
@@ -227,7 +269,7 @@ TEST(EventLoop, MalformedStreamDropsOnlyThatConnection) {
   // type byte). The resulting CheckError inside the loop thread must
   // translate to "drop that conn", never an exception out of the loop.
   ASSERT_TRUE(bad->send(small_frame(1, 6)));
-  got = poll_until(loop, 1);
+  got = poll_until(loop, activity, 1);
   ASSERT_EQ(got.size(), 1u);
   const ConnId bad_conn = got[0].conn;
   Frame invalid;
@@ -242,7 +284,7 @@ TEST(EventLoop, MalformedStreamDropsOnlyThatConnection) {
 
   // The well-behaved connection is unaffected.
   ASSERT_TRUE(good->send(small_frame(4, 5)));
-  got = poll_until(loop, 1);
+  got = poll_until(loop, activity, 1);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].conn, good_conn);
   loop.stop();
@@ -254,12 +296,13 @@ TEST(EventLoop, DeadConsumerIsDroppedOnOutbufOverflow) {
   cfg.max_outbuf_bytes = 64 * 1024;
   EventLoop loop(cfg);
   loop.adopt_listener(listener.fd());
+  Activity activity(loop);
   loop.start();
 
   auto c = TcpTransport::connect("127.0.0.1", listener.port(), 1000ms);
   ASSERT_TRUE(c);
   ASSERT_TRUE(c->send(small_frame(1, 3)));
-  auto got = poll_until(loop, 1);
+  auto got = poll_until(loop, activity, 1);
   ASSERT_EQ(got.size(), 1u);
   const ConnId conn = got[0].conn;
 
@@ -283,15 +326,16 @@ TEST(EventLoop, WaitActivityTimesOutQuietAndWakesOnTraffic) {
   TcpListener listener(0);
   EventLoop loop(EventLoopConfig{});
   loop.adopt_listener(listener.fd());
+  Activity activity(loop);
   loop.start();
 
   const auto t0 = Clock::now();
-  EXPECT_FALSE(loop.wait_activity(30ms));
+  EXPECT_FALSE(activity.wait(30ms));
   EXPECT_GE(Clock::now() - t0, 25ms);
 
   auto c = TcpTransport::connect("127.0.0.1", listener.port(), 1000ms);
   ASSERT_TRUE(c);
-  EXPECT_TRUE(loop.wait_activity(2000ms));  // the accept is activity
+  EXPECT_TRUE(activity.wait(2000ms));  // the accept is activity
   loop.stop();
 }
 
@@ -307,13 +351,14 @@ TEST(EventLoop, WatchedFdReadinessWakesWaitActivity) {
     while (::read(efd, &drained, sizeof(drained)) > 0) {
     }
   });
+  Activity activity(loop);
   loop.start();
   const std::uint64_t one = 1;
   ASSERT_EQ(::write(efd, &one, sizeof(one)),
             static_cast<ssize_t>(sizeof(one)));
 
   const auto t0 = Clock::now();
-  EXPECT_TRUE(loop.wait_activity(5000ms));
+  EXPECT_TRUE(activity.wait(5000ms));
   EXPECT_LT(Clock::now() - t0, 2500ms);
   loop.stop();
   ::close(efd);

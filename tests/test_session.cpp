@@ -332,10 +332,14 @@ void run_bad_update_scenario(
   auto pair1 = make_loopback_pair();
   server.add_transport(std::move(pair0.first));
   server.add_transport(std::move(pair1.first));
+  // Both HELLOs are queued before the server runs, so both peers are live
+  // before either scores: with quorum 1 a lone early HELLO would let
+  // round 1 close on peer 1's score alone.
+  EXPECT_TRUE(pair0.second->send(hello_frame(0)));
+  EXPECT_TRUE(pair1.second->send(hello_frame(1)));
 
   // Peer 0: cooperative (scores, uploads a valid zero delta).
   std::thread peer0([t = std::move(pair0.second)]() mutable {
-    EXPECT_TRUE(t->send(hello_frame(0)));
     std::optional<compress::DgcCompressor> comp;
     std::uint64_t dims = 0;
     for (;;) {
@@ -377,7 +381,6 @@ void run_bad_update_scenario(
   // Peer 1: scores honestly, then answers SELECT with the bad message. The
   // server must cut this connection (observed as closed()).
   std::thread peer1([t = std::move(pair1.second), &make_bad]() mutable {
-    EXPECT_TRUE(t->send(hello_frame(1)));
     std::uint64_t dims = 0;
     for (;;) {
       auto f = t->recv(milliseconds(2000));

@@ -206,6 +206,26 @@ TEST(TierTransparency, TwoLevelUdpFecBitwiseEqual) {
   for (const auto& rs : tiered.relay_stats) EXPECT_TRUE(rs.completed);
 }
 
+TEST(TierTransparency, TwoLevelLoopbackRoundsNeverWaitOutTheIdlePoll) {
+  // Every hop of a round lands on a transport that signals: MODEL and
+  // SELECT wake the relay through its parent link, SCORE and UPDATE wake
+  // the relay and then the root. So no hop waits out idle_poll, and with
+  // 5 s of it every round still takes a fraction of one. Quiet leaf
+  // heartbeats leave the round's frames as the only wakes.
+  TieredOptions opt;
+  opt.idle_poll = std::chrono::seconds(5);
+  opt.leaf_cfg_tweak = [](int, net::transport::ClientSessionConfig& c) {
+    testutil::quiet_heartbeats(c);
+  };
+  const auto tiered = testutil::run_deployed_tiered(
+      eight_client_spec(), testutil::small_client_config(), grouped_params(),
+      kRounds, two_level(), opt);
+  ASSERT_EQ(sim_reference().global, tiered.global);
+  ASSERT_EQ(tiered.log.records.size(), static_cast<std::size_t>(kRounds));
+  EXPECT_LT(testutil::longest_round_s(tiered.log), 5.0);
+  for (const auto& rs : tiered.relay_stats) EXPECT_TRUE(rs.completed);
+}
+
 TEST(TierTransparency, ThreeLevelSubRelayBitwiseAndTraceEqual) {
   const auto spec = eight_client_spec();
   const auto client = testutil::small_client_config();

@@ -646,6 +646,29 @@ TEST(UdpDeployedEquivalence, BurstLossWithinParityBudget) {
                       /*expect_zero_retransmits=*/false);
 }
 
+TEST(UdpDeployedEquivalence, FecRoundsNeverWaitOutTheIdlePoll) {
+  // A datagram link signals the server as each datagram lands, so with 5 s
+  // of idle_poll every round still takes a fraction of one, and the
+  // weights still equal the simulator's. Quiet heartbeats leave the
+  // round's frames as the only wakes.
+  constexpr int kRounds = 4;
+  const auto spec = testutil::small_task_spec();
+  const auto client = testutil::small_client_config();
+  const auto params = testutil::small_params();
+  const auto sim = testutil::run_simulator(spec, client, params, kRounds);
+  UdpFecConfig fec;
+  fec.data_shards = 8;
+  fec.parity_shards = 8;
+  fec.max_shard_bytes = 700;
+  const auto dep = testutil::run_deployed_udp_loopback(
+      spec, client, params, kRounds, fec, nullptr, nullptr, nullptr,
+      std::chrono::milliseconds(300), std::chrono::seconds(5),
+      testutil::quiet_heartbeats);
+  ASSERT_EQ(sim.global, dep.global);
+  ASSERT_EQ(dep.log.records.size(), static_cast<std::size_t>(kRounds));
+  EXPECT_LT(testutil::longest_round_s(dep.log), 5.0);
+}
+
 // --- Real sockets: UdpListener + UdpSocketLink smoke ------------------------
 
 TEST(UdpRealSocket, ListenerAcceptEchoAndStats) {
@@ -749,6 +772,45 @@ TEST(UdpRealSocket, ZeroTimeoutAcceptDrainsReadableFd) {
   const auto f = t->recv(std::chrono::milliseconds(3000));
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(f->round, 100u);
+  listener.close();
+}
+
+TEST(UdpRealSocket, ZeroTimeoutRecvLeavesTheSocketToItsDrainer) {
+  // In flserver the loop thread drains the mux socket (accept(0ms) from
+  // its watched-fd callback) and is its only reader: a known peer's
+  // recv(0ms) takes what was routed to it, and a datagram still in the
+  // kernel buffer waits for the drainer, which calls the peer's wake.
+  FecStats stats;
+  UdpFecConfig cfg = small_cfg(&stats);
+  UdpListener listener(0, cfg);
+  auto link = UdpSocketLink::connect("127.0.0.1", listener.port());
+  ASSERT_NE(link, nullptr);
+  UdpTransport client(std::move(link), cfg);
+  ASSERT_TRUE(client.send(test_frame(64, 1)));
+  auto t = listener.accept(std::chrono::milliseconds(3000));
+  ASSERT_NE(t, nullptr);
+  ASSERT_TRUE(t->recv(std::chrono::milliseconds(3000)));  // blocking: pumps
+  std::atomic<int> wakes{0};
+  ASSERT_TRUE(t->set_wake([&wakes] { wakes.fetch_add(1); }));
+
+  ASSERT_TRUE(client.send(test_frame(64, 2)));
+  struct pollfd pfd{};
+  pfd.fd = listener.fd();
+  pfd.events = POLLIN;
+  ASSERT_GT(::poll(&pfd, 1, 3000), 0);
+  EXPECT_FALSE(t->recv(std::chrono::milliseconds(0)))
+      << "a zero-timeout recv read the socket";
+  EXPECT_EQ(wakes.load(), 0);
+
+  std::optional<Frame> f;
+  for (int i = 0; i < 300 && !f; ++i) {
+    EXPECT_EQ(listener.accept(std::chrono::milliseconds(0)), nullptr);
+    f = t->recv(std::chrono::milliseconds(0));
+    if (!f) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(f) << "the drained frame never reached its peer";
+  EXPECT_EQ(f->round, 2u);
+  EXPECT_GT(wakes.load(), 0);
   listener.close();
 }
 

@@ -74,6 +74,9 @@ struct TieredOptions {
   /// without SHUTDOWN), like a kill -9 of the flrelay process.
   int kill_relay = -1;
   int kill_round = 0;
+  /// The root's and every relay's idle_poll; the binaries' default.
+  std::chrono::milliseconds idle_poll =
+      net::transport::ServerSessionConfig{}.idle_poll;
 };
 
 /// One relay plus the scaffolding that makes it dial-able and killable.
@@ -102,6 +105,7 @@ inline TieredResult run_deployed_tiered(const cli::TaskSpec& spec,
   scfg.tracer = opt.tracer;
   scfg.quorum = opt.quorum;
   scfg.round_deadline = opt.round_deadline;
+  scfg.idle_poll = opt.idle_poll;
   scfg.retransmit_nudge = std::chrono::milliseconds(
       opt.link == TierLink::kLoopback ? 100 : 300);
   ServerSession server(scfg, task.factory, &task.test);
@@ -176,7 +180,12 @@ inline TieredResult run_deployed_tiered(const cli::TaskSpec& spec,
     rcfg.base = rs.base;
     rcfg.count = rs.count;
     rcfg.standby = rs.standby;
-    rcfg.idle_poll = std::chrono::milliseconds(2);
+    const bool killed_here = static_cast<int>(i) == opt.kill_relay;
+    // The killed relay's parent link is a FaultyTransport, which cannot
+    // signal: poll it about as often as the other relays are woken, or its
+    // range can bind after a quorum closed round 1 without it.
+    rcfg.idle_poll =
+        killed_here ? std::chrono::milliseconds(2) : opt.idle_poll;
     rcfg.heartbeat_interval = std::chrono::milliseconds(300);
     rcfg.liveness_timeout = std::chrono::milliseconds(3000);
     rcfg.retransmit_nudge = std::chrono::milliseconds(
@@ -185,7 +194,6 @@ inline TieredResult run_deployed_tiered(const cli::TaskSpec& spec,
     rcfg.backoff.max = std::chrono::milliseconds(100);
     rcfg.backoff.max_attempts = 50;
     if (i < opt.relay_tracers.size()) rcfg.tracer = opt.relay_tracers[i];
-    const bool killed_here = static_cast<int>(i) == opt.kill_relay;
     const int parent_idx = rs.parent;
     rt.session = std::make_unique<net::relay::RelaySession>(
         rcfg,
