@@ -1,7 +1,8 @@
 // Kernel/threading micro-benchmarks for the deterministic execution layer.
 //
-// Times the blocked matmul kernels, Conv2d forward/backward, DGC compression,
-// and one full synchronous FL round at 1/2/4/8 worker threads, plus the
+// Times the blocked matmul kernels, Conv2d forward/backward (a padded 3x3
+// layer and the paper CNN's two layers), DGC compression, and one full
+// synchronous FL round at 1/2/4/8 worker threads, plus the
 // single-threaded CRC-32 kernel over one MODEL frame and the Reed-Solomon
 // encode and repair of one lossy_udp MODEL frame — once per available
 // kernel backend (scalar always, avx2 when the CPU supports it) — and writes
@@ -118,6 +119,13 @@ int main() {
   const std::int64_t conv_batch = 16;
   tensor::Tensor conv_in =
       tensor::Tensor::randn({conv_batch, 8, 16, 16}, rng);
+  // The paper CNN's conv inputs at batch 20, from their own stream so the
+  // inputs drawn below stay what they were.
+  tensor::Rng cnn_rng(43);
+  const tensor::Tensor cnn1_in =
+      tensor::Tensor::randn({20, 1, 16, 16}, cnn_rng);
+  const tensor::Tensor cnn2_in =
+      tensor::Tensor::randn({20, 20, 6, 6}, cnn_rng);
 
   const std::int64_t dgc_dim = 1 << 18;
   std::vector<float> dgc_grad(static_cast<std::size_t>(dgc_dim));
@@ -248,19 +256,30 @@ int main() {
     }
 
     {
+      // Conv2d forward/backward: the padded 8->16 3x3 layer (conv2d_fwd /
+      // conv2d_bwd), then the paper CNN's two layers at its training batch
+      // (_cnn1: 1->20 k5 on 16x16; _cnn2: 20->50 k5 on 6x6).
+      const auto conv_rows = [&](const std::string& tag, nn::Conv2d& conv,
+                                 const tensor::Tensor& in) {
+        tensor::Tensor y = conv.forward(in, true);
+        Row fwd{"conv2d_fwd" + tag, bk, in.shape()[0], threads,
+                best_seconds(reps_small, [&] { y = conv.forward(in, true); }),
+                0.0};
+        report(fwd);
+        rows.push_back(fwd);
+        Row bwd{"conv2d_bwd" + tag, bk, in.shape()[0], threads,
+                best_seconds(reps_small, [&] { (void)conv.backward(y); }),
+                0.0};
+        report(bwd);
+        rows.push_back(bwd);
+      };
       tensor::Rng layer_rng(7);
       nn::Conv2d conv(8, 16, 3, layer_rng, 1, 1);
-      tensor::Tensor y = conv.forward(conv_in, true);
-      Row fwd{"conv2d_fwd", bk, conv_batch, threads,
-              best_seconds(reps_small,
-                           [&] { y = conv.forward(conv_in, true); }),
-              0.0};
-      report(fwd);
-      rows.push_back(fwd);
-      Row bwd{"conv2d_bwd", bk, conv_batch, threads,
-              best_seconds(reps_small, [&] { (void)conv.backward(y); }), 0.0};
-      report(bwd);
-      rows.push_back(bwd);
+      conv_rows("", conv, conv_in);
+      nn::Conv2d cnn1(1, 20, 5, layer_rng);
+      conv_rows("_cnn1", cnn1, cnn1_in);
+      nn::Conv2d cnn2(20, 50, 5, layer_rng);
+      conv_rows("_cnn2", cnn2, cnn2_in);
     }
 
     {

@@ -8,6 +8,15 @@ namespace adafl::nn {
 
 /// Square-kernel 2-D convolution. Input [N, in_c, H, W], output
 /// [N, out_c, out_h, out_w]. Weight layout is [out_c, in_c*k*k].
+///
+/// The batch runs in blocks of samples. One im2col pass lays a block's
+/// columns side by side in a [in_c*k*k, samples*P] matrix (P = out_h*out_w),
+/// and one GEMM per block gives its outputs (W * cols) and its column
+/// gradients (W^T * dY). Every output element keeps its own ascending-k
+/// chain, so outputs, input gradients and the bias gradient do not depend on
+/// how the batch is blocked. The weight gradient folds each sample's
+/// product in sample order (tensor::matmul_nt_fold_into), bit for bit the
+/// per-sample product-then-add. So the block size follows speed alone.
 class Conv2d final : public Layer {
  public:
   Conv2d(std::int64_t in_c, std::int64_t out_c, std::int64_t kernel,
@@ -22,28 +31,33 @@ class Conv2d final : public Layer {
   std::string name() const override;
 
  private:
+  /// Samples per block for a batch of n, from the output positions per
+  /// sample, a cache budget on the column block and the pool's lane count.
+  std::int64_t block_size(std::int64_t n) const;
+
   std::int64_t in_c_ = 0, out_c_ = 0, kernel_ = 0, stride_ = 1, pad_ = 0;
   Tensor w_;       ///< [out_c, in_c*k*k]
   Tensor b_;       ///< [out_c]
   Tensor w_grad_;
   Tensor b_grad_;
   Tensor input_;   ///< cached [N, in_c, H, W]
-  /// Forward column matrices, valid only when forward() ran with
-  /// training == true so backward() skips the per-sample im2col recompute.
-  /// Memory cost: N * (in_c*k*k) * (out_h*out_w) floats — for this
-  /// library's shapes (batch <= ~32, 16x16 images) a few MB at most.
-  /// Grow-only: slots are reused across batches, never shrunk, so
-  /// steady-state training touches no allocator.
+  std::int64_t block_ = 1;  ///< samples per block of the last forward
+  /// Column blocks of the last forward, one per block, so backward() skips
+  /// the im2col recompute; valid only when forward() ran with training ==
+  /// true (backward() rebuilds them otherwise). Memory cost: N * (in_c*k*k)
+  /// * P floats, a few MB at most for this library's shapes. Grow-only:
+  /// slots are reused across batches, never shrunk, so steady-state
+  /// training touches no allocator.
   std::vector<Tensor> cols_cache_;
-  bool cols_valid_ = false;  ///< cols_cache_[0..N) match the last forward
+  bool cols_valid_ = false;  ///< cols_cache_ matches the last forward
+  std::vector<Tensor> dy_blocks_;  ///< backward's dY per block, side by side
   /// Per-chunk scratch for the parallel regions, indexed by the chunk id of
   /// parallel_for_blocked_indexed (sized to num_threads() up front, grown
-  /// lazily per chunk): eval-mode im2col columns, backward dY and dcols.
+  /// lazily per chunk): eval-mode column blocks, forward GEMM blocks and
+  /// backward column gradients.
   std::vector<Tensor> chunk_cols_;
-  std::vector<Tensor> chunk_dy_;
+  std::vector<Tensor> chunk_out_;
   std::vector<Tensor> chunk_dcols_;
-  std::vector<Tensor> wg_cache_;  ///< per-sample weight-grad contributions
-  std::vector<float> bg_cache_;   ///< per-sample bias-grad, [N * out_c]
   tensor::Conv2dGeom geom_;
 };
 

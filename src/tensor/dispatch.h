@@ -52,6 +52,19 @@ struct KernelTable {
   /// C[m,n] = A[m,k] * B[n,k]^T (fully overwrites C).
   void (*matmul_nt)(const float* a, const float* b, float* c, std::int64_t m,
                     std::int64_t k, std::int64_t n);
+  /// C[m,n] += sum over s of A_s * B_s^T, where A_s and B_s are the s-th
+  /// k-segment of length seg (k a multiple of seg > 0) and C's rows are ldc
+  /// floats apart (ldc >= n, so C may be a column range of a wider matrix).
+  /// Each segment's product is formed per element exactly as matmul_nt
+  /// forms it, then added to C in segment order.
+  void (*matmul_nt_fold)(const float* a, const float* b, float* c,
+                         std::int64_t m, std::int64_t k, std::int64_t n,
+                         std::int64_t ldc, std::int64_t seg);
+  /// Columns per register tile of matmul_nt_fold, so C splits across lanes
+  /// into whole tiles; every row block of a tile repacks its B panel, so
+  /// rows split only when there are fewer tiles than lanes. 0: no column
+  /// tiles and no packing, so C splits by rows.
+  std::int64_t fold_col_tile;
 
   // ---- elementwise over n contiguous floats ----
   void (*add)(const float* a, const float* b, float* out, std::int64_t n);

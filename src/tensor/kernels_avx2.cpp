@@ -71,7 +71,10 @@ inline void gemm_tile(const float* a, std::int64_t a_row, std::int64_t a_dep,
                       const float* b, std::int64_t b_row, float* c,
                       std::int64_t c_row, std::int64_t klen, bool init_zero,
                       __m256i mlo, __m256i mhi) {
+  // The h loops must unroll for the accumulators to live in registers; left
+  // rolled, GCC keeps them on the stack and every FMA round-trips memory.
   __m256 acc0[H], acc1[H];
+#pragma GCC unroll 8
   for (int h = 0; h < H; ++h) {
     if (init_zero) {
       acc0[h] = _mm256_setzero_ps();
@@ -93,12 +96,14 @@ inline void gemm_tile(const float* a, std::int64_t a_row, std::int64_t a_dep,
       b0 = _mm256_loadu_ps(b + kk * b_row);
       b1 = _mm256_loadu_ps(b + kk * b_row + 8);
     }
+#pragma GCC unroll 8
     for (int h = 0; h < H; ++h) {
       const __m256 av = _mm256_broadcast_ss(a + h * a_row + kk * a_dep);
       acc0[h] = _mm256_fmadd_ps(av, b0, acc0[h]);
       acc1[h] = _mm256_fmadd_ps(av, b1, acc1[h]);
     }
   }
+#pragma GCC unroll 8
   for (int h = 0; h < H; ++h) {
     if (Tail) {
       _mm256_maskstore_ps(c + h * c_row, mlo, acc0[h]);
@@ -155,42 +160,42 @@ void gemm_accumulate(const float* pa, std::int64_t a_row, std::int64_t a_dep,
                      std::int64_t k, std::int64_t n) {
   auto rows = [&](std::int64_t ib, std::int64_t ie) {
     for (std::int64_t jt = 0; jt < n; jt += 16) {
-      const std::int64_t rem = n - jt;
-      const bool tail = rem < 16;
-      const __m256i mlo = mask_for(rem);
-      const __m256i mhi = mask_for(rem - 8);
-      for (std::int64_t kb = 0; kb < k; kb += kKc) {
-        const std::int64_t klen = std::min(kKc, k - kb);
-        const float* bblk = pb + kb * n + jt;
-        std::int64_t i = ib;
-        for (; i + kTileRows <= ie; i += kTileRows) {
-          const float* ablk = pa + i * a_row + kb * a_dep;
-          float* cblk = pc + i * n + jt;
-          if (tail)
-            gemm_tile<kTileRows, true>(ablk, a_row, a_dep, bblk, n, cblk, n,
-                                       klen, false, mlo, mhi);
-          else
-            gemm_tile<kTileRows, false>(ablk, a_row, a_dep, bblk, n, cblk, n,
-                                        klen, false, mlo, mhi);
-        }
-        if (i < ie) {
-          const float* ablk = pa + i * a_row + kb * a_dep;
-          float* cblk = pc + i * n + jt;
-          const int h = static_cast<int>(ie - i);
-          if (tail)
-            gemm_tile_rows<true>(h, ablk, a_row, a_dep, bblk, n, cblk, n, klen,
-                                 false, mlo, mhi);
-          else
-            gemm_tile_rows<false>(h, ablk, a_row, a_dep, bblk, n, cblk, n,
-                                  klen, false, mlo, mhi);
-        }
+    const std::int64_t rem = n - jt;
+    const bool tail = rem < 16;
+    const __m256i mlo = mask_for(rem);
+    const __m256i mhi = mask_for(rem - 8);
+    for (std::int64_t kb = 0; kb < k; kb += kKc) {
+      const std::int64_t klen = std::min(kKc, k - kb);
+      const float* bblk = pb + kb * n + jt;
+      std::int64_t i = ib;
+      for (; i + kTileRows <= ie; i += kTileRows) {
+        const float* ablk = pa + i * a_row + kb * a_dep;
+        float* cblk = pc + i * n + jt;
+        if (tail)
+          gemm_tile<kTileRows, true>(ablk, a_row, a_dep, bblk, n, cblk, n,
+                                     klen, false, mlo, mhi);
+        else
+          gemm_tile<kTileRows, false>(ablk, a_row, a_dep, bblk, n, cblk, n,
+                                      klen, false, mlo, mhi);
+      }
+      if (i < ie) {
+        const float* ablk = pa + i * a_row + kb * a_dep;
+        float* cblk = pc + i * n + jt;
+        const int h = static_cast<int>(ie - i);
+        if (tail)
+          gemm_tile_rows<true>(h, ablk, a_row, a_dep, bblk, n, cblk, n, klen,
+                               false, mlo, mhi);
+        else
+          gemm_tile_rows<false>(h, ablk, a_row, a_dep, bblk, n, cblk, n,
+                                klen, false, mlo, mhi);
       }
     }
-  };
-  if (m * k * n < kParallelGrainFlops)
-    rows(0, m);
-  else
-    core::parallel_for_blocked(0, m, rows);
+  }
+};
+if (m * k * n < kParallelGrainFlops)
+  rows(0, m);
+else
+  core::parallel_for_blocked(0, m, rows);
 }
 
 void matmul_avx2(const float* pa, const float* pb, float* pc, std::int64_t m,
@@ -265,6 +270,188 @@ void matmul_nt_avx2(const float* pa, const float* pb, float* pc,
     rows(0, m);
   else
     core::parallel_for_blocked(0, m, rows);
+}
+
+// Rows of C per pass when a segment is deeper than one panel, so the
+// running sums of its rows wait in a bounded stack buffer between depth
+// blocks (a multiple of kTileRows).
+constexpr std::int64_t kFoldPass = 60;
+
+// Writes the transpose of an 8x8 block: dst row r (ldd apart) = src column
+// r (src rows lds apart).
+inline void transpose8x8(const float* src, std::int64_t lds, float* dst,
+                         std::int64_t ldd) {
+  __m256 r[8], t[8];
+#pragma GCC unroll 8
+  for (int i = 0; i < 8; ++i) r[i] = _mm256_loadu_ps(src + i * lds);
+#pragma GCC unroll 4
+  for (int i = 0; i < 8; i += 2) {
+    t[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+    t[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+  }
+#pragma GCC unroll 2
+  for (int i = 0; i < 8; i += 4) {
+    r[i] = _mm256_shuffle_ps(t[i], t[i + 2], 0x44);
+    r[i + 1] = _mm256_shuffle_ps(t[i], t[i + 2], 0xEE);
+    r[i + 2] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0x44);
+    r[i + 3] = _mm256_shuffle_ps(t[i + 1], t[i + 3], 0xEE);
+  }
+#pragma GCC unroll 4
+  for (int i = 0; i < 4; ++i) {
+    _mm256_storeu_ps(dst + i * ldd, _mm256_permute2f128_ps(r[i], r[i + 4], 0x20));
+    _mm256_storeu_ps(dst + (i + 4) * ldd,
+                     _mm256_permute2f128_ps(r[i], r[i + 4], 0x31));
+  }
+}
+
+// Packs `rows` (<= 16) rows of B, lds apart, over klen depth into a
+// (klen x 16) panel: panel[kk * 16 + r] = src[r * lds + kk], ghost columns
+// zero. Whole 8x8 blocks go through register transposes.
+void pack_panel(const float* src, std::int64_t lds, int rows,
+                std::int64_t klen, float* panel) {
+  for (int r0 = 0; r0 < 16; r0 += 8) {
+    std::int64_t kk = 0;
+    if (r0 + 8 <= rows)
+      for (; kk + 8 <= klen; kk += 8)
+        transpose8x8(src + r0 * lds + kk, lds, panel + kk * 16 + r0, 16);
+    for (int r = r0; r < r0 + 8; ++r) {
+      const float* row = src + r * lds;
+      for (std::int64_t q = kk; q < klen; ++q)
+        panel[q * 16 + r] = r < rows ? row[q] : 0.0f;
+    }
+  }
+}
+
+// One H x 16 fold tile: rows of A (lda apart, kk contiguous) against the
+// packed B panel, over nseg segments of len. Each segment's sums start at
+// zero, chain ascending-k FMAs exactly as gemm_tile does for matmul_nt, and
+// are added to C (rows ldc apart) at the segment's end. When a segment is
+// deeper than one panel, the depth block is one piece of it: the sums then
+// resume from `carry` (carry_in) and, unless the piece ends the segment, are
+// parked there again (carry_out) instead of reaching C.
+template <int H, bool Tail>
+inline void fold_tile(const float* a, std::int64_t lda, const float* bp,
+                      float* c, std::int64_t ldc, std::int64_t nseg,
+                      std::int64_t len, float* carry, bool carry_in,
+                      bool carry_out, __m256i mlo, __m256i mhi) {
+  // As in gemm_tile, the h loops unroll to keep the sums in registers.
+  for (std::int64_t s = 0; s < nseg; ++s) {
+    __m256 t0[H], t1[H];
+#pragma GCC unroll 8
+    for (int h = 0; h < H; ++h) {
+      t0[h] = carry_in ? _mm256_load_ps(carry + h * 16) : _mm256_setzero_ps();
+      t1[h] = carry_in ? _mm256_load_ps(carry + h * 16 + 8)
+                       : _mm256_setzero_ps();
+    }
+    const float* prow = bp + s * len * 16;
+    const float* acol = a + s * len;
+    for (std::int64_t kk = 0; kk < len; ++kk, prow += 16) {
+      const __m256 b0 = _mm256_load_ps(prow);
+      const __m256 b1 = _mm256_load_ps(prow + 8);
+#pragma GCC unroll 8
+      for (int h = 0; h < H; ++h) {
+        const __m256 av = _mm256_broadcast_ss(acol + h * lda + kk);
+        t0[h] = _mm256_fmadd_ps(av, b0, t0[h]);
+        t1[h] = _mm256_fmadd_ps(av, b1, t1[h]);
+      }
+    }
+#pragma GCC unroll 8
+    for (int h = 0; h < H; ++h) {
+      float* crow = c + h * ldc;
+      if (carry_out) {
+        _mm256_store_ps(carry + h * 16, t0[h]);
+        _mm256_store_ps(carry + h * 16 + 8, t1[h]);
+      } else if (Tail) {
+        _mm256_maskstore_ps(
+            crow, mlo, _mm256_add_ps(_mm256_maskload_ps(crow, mlo), t0[h]));
+        _mm256_maskstore_ps(
+            crow + 8, mhi,
+            _mm256_add_ps(_mm256_maskload_ps(crow + 8, mhi), t1[h]));
+      } else {
+        _mm256_storeu_ps(crow, _mm256_add_ps(_mm256_loadu_ps(crow), t0[h]));
+        _mm256_storeu_ps(crow + 8,
+                         _mm256_add_ps(_mm256_loadu_ps(crow + 8), t1[h]));
+      }
+    }
+  }
+}
+
+// Row-count dispatch for fold tiles.
+template <bool Tail>
+inline void fold_tile_rows(int rows, const float* a, std::int64_t lda,
+                           const float* bp, float* c, std::int64_t ldc,
+                           std::int64_t nseg, std::int64_t len, float* carry,
+                           bool carry_in, bool carry_out, __m256i mlo,
+                           __m256i mhi) {
+  switch (rows) {
+#define ADAFL_FOLD_CASE(h)                                                 \
+  case h:                                                                  \
+    fold_tile<h, Tail>(a, lda, bp, c, ldc, nseg, len, carry, carry_in,     \
+                       carry_out, mlo, mhi);                               \
+    break;
+    ADAFL_FOLD_CASE(6)
+    ADAFL_FOLD_CASE(5)
+    ADAFL_FOLD_CASE(4)
+    ADAFL_FOLD_CASE(3)
+    ADAFL_FOLD_CASE(2)
+    ADAFL_FOLD_CASE(1)
+#undef ADAFL_FOLD_CASE
+    default:
+      break;
+  }
+}
+
+// C[m,n] += sum_s A_s * B_s^T over k-segments of length seg, C's rows ldc
+// apart. Every element's segment sum is matmul_nt_avx2's chain —
+// ascending-k FMAs from zero, the same operands — and is added to C in
+// segment order, so the result is bitwise that of matmul_nt per segment
+// followed by C += product. Like matmul_nt, B is packed per 16-column tile
+// and depth block and served to every row of A. Serial: the ops.h entry
+// point splits C across the pool.
+void matmul_nt_fold_avx2(const float* pa, const float* pb, float* pc,
+                         std::int64_t m, std::int64_t k, std::int64_t n,
+                         std::int64_t ldc, std::int64_t seg) {
+  // Depth blocks hold whole segments; a segment deeper than a panel is cut
+  // into panel-deep pieces whose running sums park in `carry`.
+  const bool split = seg > kKc;
+  const std::int64_t span = split ? seg : (kKc / seg) * seg;
+  const std::int64_t pass = split ? kFoldPass : m;
+  alignas(32) float panel[kKc * 16];
+  alignas(32) float carry[kFoldPass * 16];
+  for (std::int64_t jt = 0; jt < n; jt += 16) {
+    const std::int64_t rem = n - jt;
+    const int jw = static_cast<int>(std::min<std::int64_t>(rem, 16));
+    const bool tail = rem < 16;
+    const __m256i mlo = mask_for(rem);
+    const __m256i mhi = mask_for(rem - 8);
+    for (std::int64_t ip = 0; ip < m; ip += pass) {
+      const std::int64_t ipe = std::min(m, ip + pass);
+      for (std::int64_t s0 = 0; s0 < k; s0 += span) {
+        const std::int64_t send = std::min(k, s0 + span);
+        for (std::int64_t kb = s0; kb < send; kb += kKc) {
+          const std::int64_t klen = std::min(kKc, send - kb);
+          pack_panel(pb + jt * k + kb, k, jw, klen, panel);
+          const std::int64_t nseg = split ? 1 : klen / seg;
+          const std::int64_t len = split ? klen : seg;
+          const bool carry_in = split && kb > s0;
+          const bool carry_out = split && kb + klen < send;
+          for (std::int64_t i = ip; i < ipe; i += kTileRows) {
+            const int h =
+                static_cast<int>(std::min<std::int64_t>(kTileRows, ipe - i));
+            const float* ablk = pa + i * k + kb;
+            float* cblk = pc + i * ldc + jt;
+            float* cc = split ? carry + (i - ip) * 16 : nullptr;
+            if (tail)
+              fold_tile_rows<true>(h, ablk, k, panel, cblk, ldc, nseg, len,
+                                   cc, carry_in, carry_out, mlo, mhi);
+            else
+              fold_tile_rows<false>(h, ablk, k, panel, cblk, ldc, nseg, len,
+                                    cc, carry_in, carry_out, mlo, mhi);
+          }
+        }
+      }
+    }
+  }
 }
 
 void add_avx2(const float* pa, const float* pb, float* po, std::int64_t n) {
@@ -547,6 +734,8 @@ const KernelTable* avx2_kernel_table_or_null() {
       /*matmul=*/matmul_avx2,
       /*matmul_tn=*/matmul_tn_avx2,
       /*matmul_nt=*/matmul_nt_avx2,
+      /*matmul_nt_fold=*/matmul_nt_fold_avx2,
+      /*fold_col_tile=*/16,
       /*add=*/add_avx2,
       /*mul=*/mul_avx2,
       /*scale=*/scale_avx2,

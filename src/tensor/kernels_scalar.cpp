@@ -135,6 +135,63 @@ void matmul_nt_scalar(const float* pa, const float* pb, float* pc,
     core::parallel_for_blocked(0, m, rows);
 }
 
+// C[m,n] += sum_s A_s * B_s^T over the k-segments of length seg, C's rows
+// ldc apart. Each segment's element is matmul_nt_scalar's double chain from
+// zero, rounded to float and added to C in segment order: bitwise what
+// matmul_nt of every segment into a temporary, each followed by C +=
+// temporary, gives. Serial: the ops.h entry point splits C across the pool.
+void matmul_nt_fold_scalar(const float* pa, const float* pb, float* pc,
+                           std::int64_t m, std::int64_t k, std::int64_t n,
+                           std::int64_t ldc, std::int64_t seg) {
+  constexpr std::int64_t kBj = 32;
+  for (std::int64_t jj = 0; jj < n; jj += kBj) {
+    const std::int64_t je = std::min(jj + kBj, n);
+    for (std::int64_t i = 0; i < m; ++i) {
+      const float* arow = pa + i * k;
+      float* crow = pc + i * ldc;
+      std::int64_t j = jj;
+      for (; j + 4 <= je; j += 4) {
+        const float* b0 = pb + j * k;
+        const float* b1 = b0 + k;
+        const float* b2 = b1 + k;
+        const float* b3 = b2 + k;
+        float c0 = crow[j], c1 = crow[j + 1], c2 = crow[j + 2],
+              c3 = crow[j + 3];
+        for (std::int64_t s = 0; s < k; s += seg) {
+          double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+          for (std::int64_t kk = s; kk < s + seg; ++kk) {
+            const double av = static_cast<double>(arow[kk]);
+            a0 += av * static_cast<double>(b0[kk]);
+            a1 += av * static_cast<double>(b1[kk]);
+            a2 += av * static_cast<double>(b2[kk]);
+            a3 += av * static_cast<double>(b3[kk]);
+          }
+          c0 += static_cast<float>(a0);
+          c1 += static_cast<float>(a1);
+          c2 += static_cast<float>(a2);
+          c3 += static_cast<float>(a3);
+        }
+        crow[j] = c0;
+        crow[j + 1] = c1;
+        crow[j + 2] = c2;
+        crow[j + 3] = c3;
+      }
+      for (; j < je; ++j) {
+        const float* brow = pb + j * k;
+        float cv = crow[j];
+        for (std::int64_t s = 0; s < k; s += seg) {
+          double acc = 0.0;
+          for (std::int64_t kk = s; kk < s + seg; ++kk)
+            acc +=
+                static_cast<double>(arow[kk]) * static_cast<double>(brow[kk]);
+          cv += static_cast<float>(acc);
+        }
+        crow[j] = cv;
+      }
+    }
+  }
+}
+
 void add_scalar(const float* pa, const float* pb, float* po, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) po[i] = pa[i] + pb[i];
 }
@@ -267,6 +324,8 @@ const KernelTable& scalar_kernel_table() {
       /*matmul=*/matmul_scalar,
       /*matmul_tn=*/matmul_tn_scalar,
       /*matmul_nt=*/matmul_nt_scalar,
+      /*matmul_nt_fold=*/matmul_nt_fold_scalar,
+      /*fold_col_tile=*/0,
       /*add=*/add_scalar,
       /*mul=*/mul_scalar,
       /*scale=*/scale_scalar,

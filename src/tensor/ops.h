@@ -33,6 +33,23 @@ void matmul_tn_into(const Tensor& a, const Tensor& b, std::span<float> c);
 void matmul_nt_into(const Tensor& a, const Tensor& b, Tensor& c);
 void matmul_nt_into(const Tensor& a, const Tensor& b, std::span<float> c);
 
+/// C[m,n] += sum over s of A_s * B_s^T for A [m,k], B [n,k], where A_s and
+/// B_s are the s-th k-segment of length `seg` (k a multiple of seg > 0),
+/// added to C in segment order. Bitwise equal to matmul_nt_into of every
+/// segment into a temporary followed by C += temporary, one segment after
+/// another, on either backend — so per-sample weight gradients laid side by
+/// side fold in sample order without a per-sample buffer.
+void matmul_nt_fold_into(const Tensor& a, const Tensor& b, Tensor& c,
+                         std::int64_t seg);
+
+/// The same fold over a sequence of blocks a[i] [m, k_i], b[i] [n, k_i],
+/// block after block, as if their columns sat side by side in one A and one
+/// B. C is split across the pool in cells of rows and columns, and each
+/// lane walks every block for its cells, so the result does not depend on
+/// the thread count.
+void matmul_nt_fold_into(std::span<const Tensor> a, std::span<const Tensor> b,
+                         Tensor& c, std::int64_t seg);
+
 // ---- Elementwise _into kernels (shapes must match exactly) ----
 
 /// out[i] = a[i] + b[i].
@@ -58,14 +75,18 @@ struct Conv2dGeom {
   std::int64_t out_w() const { return (in_w + 2 * pad - kernel) / stride + 1; }
 };
 
-/// im2col for one image: input [C,H,W] -> columns [C*k*k, out_h*out_w].
-/// `cols` must already have that shape (reused across batch items).
-void im2col(std::span<const float> image, const Conv2dGeom& g, Tensor& cols);
+/// im2col for one image: input [C,H,W] -> its out_h*out_w columns, written
+/// at columns [col0, col0 + out_h*out_w) of `cols` [C*k*k, width]. A block
+/// of images shares one column matrix, image i at col0 = i*out_h*out_w;
+/// width == out_h*out_w and col0 == 0 is the single-image matrix.
+void im2col(std::span<const float> image, const Conv2dGeom& g, Tensor& cols,
+            std::int64_t col0 = 0);
 
-/// col2im: scatters gradient columns [C*k*k, out_h*out_w] back into an image
-/// gradient [C,H,W] (accumulating).
+/// col2im: scatters the gradient columns [col0, col0 + out_h*out_w) of
+/// `cols` [C*k*k, width] back into an image gradient [C,H,W]
+/// (accumulating). The adjoint of im2col with the same col0.
 void col2im(const Tensor& cols, const Conv2dGeom& g,
-            std::span<float> image_grad);
+            std::span<float> image_grad, std::int64_t col0 = 0);
 
 /// Row-wise softmax of a [n, c] tensor.
 Tensor softmax_rows(const Tensor& logits);

@@ -12,6 +12,7 @@
 // Every avx2 case skips (not fails) on machines without AVX2+FMA+PCLMUL.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <span>
@@ -20,6 +21,8 @@
 
 #include "compress/codec.h"
 #include "compress/dgc.h"
+#include "data/partition.h"
+#include "data/synthetic.h"
 #include "core/parallel.h"
 #include "fl/client.h"
 #include "fl_fixtures.h"
@@ -28,6 +31,7 @@
 #include "net/fec/gf256.h"
 #include "net/transport/crc32.h"
 #include "nn/linear.h"
+#include "nn/models.h"
 #include "tensor/dispatch.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -125,6 +129,78 @@ TEST(SimdKernels, MatmulFamilyMatchesScalarToEpsilon) {
     expect_epsilon_equal(ctn_s, tensor::matmul_tn(at, b), 1e-5f, "matmul_tn");
     expect_epsilon_equal(cnt_s, tensor::matmul_nt(a, bt), 1e-5f, "matmul_nt");
   }
+}
+
+TEST(SimdKernels, MatmulNtFoldMatchesPerSegmentProductsBitwise) {
+  // The fold against its definition from public ops, on each backend: every
+  // segment's matmul_nt product added to C in segment order, over a single
+  // matrix and over a sequence of blocks. Segment lengths span one column,
+  // the paper CNN's two layers (4 and 144) and 300, deeper than one packed
+  // panel; m and n leave row and column tails, and m = 70 takes more rows
+  // than one pass of a deep segment's running sums.
+  std::vector<KernelBackend> backends{KernelBackend::kScalar};
+  if (tensor::cpu_supports_avx2()) backends.push_back(KernelBackend::kAvx2);
+  struct ThreadGuard {
+    ~ThreadGuard() { core::set_num_threads(0); }
+  } guard;
+  tensor::Rng rng(31);
+  for (KernelBackend backend : backends) {
+    BackendScope scope(backend);
+    for (std::int64_t seg : {1, 4, 144, 300}) {
+      for (std::int64_t m : {13, 70}) {
+        const std::int64_t n = 37;
+        // Enough segments that the fold crosses the parallel grain.
+        const std::int64_t nseg = std::max<std::int64_t>(3, 600 / seg);
+        const std::int64_t k = nseg * seg;
+        std::vector<Tensor> a, b;
+        for (int blk = 0; blk < 2; ++blk) {
+          a.push_back(Tensor::randn({m, k}, rng));
+          b.push_back(Tensor::randn({n, k}, rng));
+        }
+        const Tensor c0 = Tensor::randn({m, n}, rng);
+        Tensor want = c0;
+        Tensor want_one = c0;
+        for (int blk = 0; blk < 2; ++blk) {
+          for (std::int64_t s = 0; s < nseg; ++s) {
+            Tensor as({m, seg}), bs({n, seg});
+            for (std::int64_t i = 0; i < m; ++i)
+              std::copy_n(a[blk].data() + i * k + s * seg, seg,
+                          as.data() + i * seg);
+            for (std::int64_t j = 0; j < n; ++j)
+              std::copy_n(b[blk].data() + j * k + s * seg, seg,
+                          bs.data() + j * seg);
+            const Tensor prod = tensor::matmul_nt(as, bs);
+            want += prod;
+            if (blk == 0) want_one += prod;
+          }
+        }
+        for (int threads : {1, 2, 4}) {
+          core::set_num_threads(threads);
+          const std::string at = std::string(tensor::kernel_backend_name()) +
+                                 " seg=" + std::to_string(seg) +
+                                 " m=" + std::to_string(m) +
+                                 " threads=" + std::to_string(threads);
+          const auto same_bits = [](const Tensor& x, const Tensor& y) {
+            return std::memcmp(x.data(), y.data(),
+                               static_cast<std::size_t>(x.size()) *
+                                   sizeof(float)) == 0;
+          };
+          Tensor got_one = c0;
+          tensor::matmul_nt_fold_into(a[0], b[0], got_one, seg);
+          EXPECT_TRUE(same_bits(want_one, got_one))
+              << at << ": one block differs from per-segment matmul_nt + add";
+          Tensor got = c0;
+          tensor::matmul_nt_fold_into(a, b, got, seg);
+          EXPECT_TRUE(same_bits(want, got))
+              << at << ": two blocks differ from per-segment matmul_nt + add";
+        }
+      }
+    }
+  }
+  Tensor c({2, 3});
+  EXPECT_THROW(tensor::matmul_nt_fold_into(Tensor({2, 6}), Tensor({3, 6}), c,
+                                           4),
+               CheckError);
 }
 
 TEST(SimdKernels, ElementwiseBitwiseIdenticalToScalar) {
@@ -291,6 +367,41 @@ TEST(SimdKernels, ClientTrainingDeterministicWithinBackendAcrossThreads) {
   ASSERT_EQ(d1.size(), d4.size());
   EXPECT_EQ(0, std::memcmp(d1.data(), d4.data(), d1.size() * sizeof(float)))
       << "avx2 training delta depends on thread count";
+}
+
+TEST(SimdKernels, CnnClientTrainingDeterministicAcrossThreads) {
+  // A paper-CNN client's local round: both conv layers run in blocks on the
+  // pool and fold their weight gradients across it, and the delta must not
+  // depend on the lane count, on either backend.
+  std::vector<KernelBackend> backends{KernelBackend::kScalar};
+  if (tensor::cpu_supports_avx2()) backends.push_back(KernelBackend::kAvx2);
+  data::Dataset train = data::make_synthetic(data::mnist_like(200, 5));
+  tensor::Rng prng(6);
+  const data::Partition parts = data::partition_iid(train.size(), 2, prng);
+  const nn::ModelFactory factory = nn::paper_cnn_factory(train.spec(), 8);
+  fl::ClientTrainConfig cfg;
+  cfg.batch_size = 20;
+  cfg.local_steps = 3;
+  cfg.lr = 0.05f;
+  for (KernelBackend backend : backends) {
+    BackendScope scope(backend);
+    auto run = [&](int threads) {
+      core::set_num_threads(threads);
+      auto clients = fl::make_clients(factory, &train, parts, cfg, {}, 7);
+      nn::Model probe(factory());
+      const std::vector<float> global = probe.get_flat();
+      fl::FlClient::LocalResult res;
+      clients[0].train_from_into(global, res);
+      core::set_num_threads(0);
+      return res.delta;
+    };
+    const std::vector<float> d1 = run(1);
+    const std::vector<float> d4 = run(4);
+    ASSERT_EQ(d1.size(), d4.size());
+    EXPECT_EQ(0, std::memcmp(d1.data(), d4.data(), d1.size() * sizeof(float)))
+        << tensor::kernel_backend_name()
+        << " CNN training delta depends on thread count";
+  }
 }
 
 // ---- Zero-allocation guarantee with dispatch enabled -------------------

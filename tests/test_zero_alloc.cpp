@@ -16,6 +16,7 @@
 #include "compress/dgc.h"
 #include "core/adafl_sync.h"
 #include "core/parallel.h"
+#include "data/synthetic.h"
 #include "fl/client.h"
 #include "fl_fixtures.h"
 #include "metrics/registry.h"
@@ -25,6 +26,7 @@
 #include "nn/model.h"
 #include "nn/models.h"
 #include "nn/optimizer.h"
+#include "tensor/dispatch.h"
 #include "tensor/tensor.h"
 
 namespace adafl {
@@ -57,6 +59,46 @@ TEST(ZeroAlloc, ModelAccuracySteadyState) {
   const std::uint64_t before = tensor::tensor_allocations();
   (void)model.accuracy(batch);
   EXPECT_EQ(tensor::tensor_allocations() - before, 0u);
+}
+
+TEST(ZeroAlloc, PaperCnnTrainAndEvalSteadyState) {
+  // The paper CNN at its training batch (20) and a server-sized evaluation
+  // (400 samples), at 1 and 4 lanes on both backends: the conv layers' block
+  // caches and per-chunk scratch settle after warmup.
+  struct Restore {
+    ~Restore() {
+      core::set_num_threads(0);
+      tensor::set_kernel_backend(tensor::KernelBackend::kScalar);
+    }
+  } restore;
+  const data::Dataset data = data::make_synthetic(data::mnist_like(420, 3));
+  std::vector<std::int32_t> idx(20);
+  for (std::int32_t i = 0; i < 20; ++i) idx[static_cast<std::size_t>(i)] = i;
+  const nn::Batch batch = data.gather(idx);
+  const nn::Batch eval = data::make_synthetic(data::mnist_like(400, 4)).all();
+  std::vector<tensor::KernelBackend> backends{tensor::KernelBackend::kScalar};
+  if (tensor::cpu_supports_avx2())
+    backends.push_back(tensor::KernelBackend::kAvx2);
+  for (tensor::KernelBackend backend : backends) {
+    tensor::set_kernel_backend(backend);
+    for (int threads : {1, 4}) {
+      core::set_num_threads(threads);
+      nn::Model model(nn::make_paper_cnn(data.spec(), 5));
+      nn::Sgd opt(0.05f, 0.9f);
+      for (int i = 0; i < 2; ++i) {  // warmup
+        (void)model.train_batch(batch, opt);
+        (void)model.accuracy(eval);
+      }
+      const std::uint64_t before = tensor::tensor_allocations();
+      for (int i = 0; i < 3; ++i) {
+        (void)model.train_batch(batch, opt);
+        (void)model.accuracy(eval);
+      }
+      EXPECT_EQ(tensor::tensor_allocations() - before, 0u)
+          << tensor::kernel_backend_name() << " at " << threads
+          << " lanes: paper CNN allocated tensors in steady state";
+    }
+  }
 }
 
 TEST(ZeroAlloc, ClientRoundSteadyState) {
