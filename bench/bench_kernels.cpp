@@ -3,8 +3,9 @@
 // Times the blocked matmul kernels, Conv2d forward/backward (a padded 3x3
 // layer and the paper CNN's two layers), DGC compression, and one full
 // synchronous FL round at 1/2/4/8 worker threads, plus the
-// single-threaded CRC-32 kernel over one MODEL frame and the Reed-Solomon
-// encode and repair of one lossy_udp MODEL frame — once per available
+// single-threaded CRC-32 kernel over one MODEL frame, the Reed-Solomon
+// encode and repair of one lossy_udp MODEL frame, and that frame's trip
+// through the UDP transport's fragmenter and reassembler — once per available
 // kernel backend (scalar always, avx2 when the CPU supports it) — and writes
 // the results to bench_results/BENCH_kernels.json along with the detected
 // CPU features. Because the execution layer is bitwise deterministic
@@ -30,6 +31,7 @@
 #include "fl/client.h"
 #include "net/fec/rs.h"
 #include "net/transport/crc32.h"
+#include "net/transport/udp.h"
 #include "nn/conv2d.h"
 #include "tensor/dispatch.h"
 #include "tensor/ops.h"
@@ -161,6 +163,20 @@ int main() {
   std::vector<bool> fec_present(kFecN, true);
   fec_present[1] = fec_present[4] = fec_present[6] = false;
 
+  // The same 449,000-byte MODEL frame, whole, for the UDP transport's
+  // fragmenter and reassembler at the lossy_udp geometry.
+  net::transport::Frame udp_model;
+  udp_model.type = net::transport::MsgType::kModel;
+  udp_model.payload.resize(kFecFrame - net::transport::kFrameHeaderBytes);
+  for (auto& b : udp_model.payload)
+    b = static_cast<std::uint8_t>(rng.next_u64() >> 56);
+  const auto udp_bytes = std::make_shared<const std::vector<std::uint8_t>>(
+      net::transport::encode_frame(udp_model));
+  net::transport::UdpFecConfig udp_cfg;
+  udp_cfg.data_shards = static_cast<int>(kFecK);
+  udp_cfg.parity_shards = static_cast<int>(kFecN - kFecK);
+  udp_cfg.max_shard_bytes = kFecShard;
+
   // Per-backend sweep: scalar always, avx2 when the CPU/build supports it.
   // Inputs are shared across backends and thread counts, so every row times
   // the same computation.
@@ -218,6 +234,43 @@ int main() {
       return 1;
     }
     for (Row* r : {&enc, &rep}) {
+      r->gb_per_s = static_cast<double>(kFecFrame) / r->seconds * 1e-9;
+      report(*r);
+      rows.push_back(*r);
+    }
+  }
+  {
+    // Single-threaded, report-only, no loss: a broadcast's first peer
+    // builds the frame's FEC image (interleave and parity) and stamps its
+    // 752 datagrams; the receiver checks each datagram's CRC, completes
+    // every generation and deinterleaves the frame. GB/s are frame bytes
+    // per second.
+    namespace nt = net::transport;
+    nt::FrameFragmenter frag(udp_cfg);
+    const auto fragment = [&] {
+      nt::FrameImage slot{udp_bytes, nullptr};
+      frag.fragment(udp_model, slot,
+                    [](std::span<const std::uint8_t>,
+                       const std::shared_ptr<const nt::FecImage>&,
+                       std::span<const std::uint8_t>) { return true; });
+    };
+    Row fr{"udp_fragment", bk, static_cast<std::int64_t>(kFecFrame), 1,
+           best_seconds(reps_small, fragment), 0.0};
+    const std::vector<std::vector<std::uint8_t>> dgrams =
+        frag.fragment(udp_model);
+    std::optional<nt::Frame> back;
+    const auto reassemble = [&] {
+      nt::FrameReassembler reasm(udp_cfg);
+      for (const auto& d : dgrams) reasm.offer(d);
+      back = reasm.next();
+    };
+    Row ra{"udp_reassemble", bk, static_cast<std::int64_t>(kFecFrame), 1,
+           best_seconds(reps_small, reassemble), 0.0};
+    if (!back || back->payload != udp_model.payload) {
+      std::cerr << "udp_reassemble did not rebuild the frame\n";
+      return 1;
+    }
+    for (Row* r : {&fr, &ra}) {
       r->gb_per_s = static_cast<double>(kFecFrame) / r->seconds * 1e-9;
       report(*r);
       rows.push_back(*r);

@@ -171,17 +171,19 @@ void top_k_by_magnitude_into(std::span<const float> values, std::int64_t k,
   // threshold fill the remaining slots in ascending index order. That
   // reproduces the historical rule exactly — magnitude descending, ties
   // toward the lower index — so the selected *set* (and the wire bytes) is
-  // identical across backends and standard libraries.
-  out.resize(static_cast<std::size_t>(k));
+  // identical across backends and standard libraries. scratch is free once
+  // the threshold is read, so the scans write there.
   const std::int64_t above = kt.scan_abs_gt(values.data(), n, threshold,
-                                            out.data());
+                                            scratch.data());
   const std::int64_t ties = kt.scan_abs_eq(values.data(), n, threshold,
-                                           out.data() + above, k - above);
+                                           scratch.data() + above, k - above);
   ADAFL_CHECK_MSG(above + ties == k, "top_k_by_magnitude: selected "
                                          << above + ties << " of " << k);
-  // Both scans emit ascending indices; sorting the concatenation restores
-  // the canonical ascending on-wire order (in place, no allocation).
-  std::sort(out.begin(), out.end());
+  // Both scans emit ascending indices; merging them gives the canonical
+  // ascending on-wire order (no allocation).
+  out.resize(static_cast<std::size_t>(k));
+  std::merge(scratch.begin(), scratch.begin() + above, scratch.begin() + above,
+             scratch.begin() + k, out.begin());
 }
 
 EncodedGradient encode_top_k(std::span<const float> values, std::int64_t k) {

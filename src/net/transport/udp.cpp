@@ -643,7 +643,7 @@ std::string UdpTransport::peer() const { return link_->peer(); }
 // --------------------------------------------------------------------------
 
 UdpSocketLink::UdpSocketLink(int fd, std::string peer)
-    : fd_(fd), peer_(std::move(peer)) {}
+    : fd_(fd), peer_(std::move(peer)), recv_buf_(kRecvBufBytes) {}
 
 UdpSocketLink::~UdpSocketLink() { close(); }
 
@@ -704,12 +704,12 @@ std::optional<std::vector<std::uint8_t>> UdpSocketLink::recv(
         ::poll(&p, 1, left.count() > 0 ? static_cast<int>(left.count()) : 0);
     if (closed_.load()) return std::nullopt;
     if (rc > 0 && (p.revents & (POLLIN | POLLERR)) != 0) {
-      std::vector<std::uint8_t> buf(kRecvBufBytes);
-      const ssize_t n = ::recv(fd_, buf.data(), buf.size(), MSG_DONTWAIT);
-      if (n >= 0) {
-        buf.resize(static_cast<std::size_t>(n));
-        return buf;
-      }
+      std::lock_guard<std::mutex> lk(recv_mu_);
+      const ssize_t n =
+          ::recv(fd_, recv_buf_.data(), recv_buf_.size(), MSG_DONTWAIT);
+      if (n >= 0)
+        return std::vector<std::uint8_t>(recv_buf_.begin(),
+                                         recv_buf_.begin() + n);
       // ECONNREFUSED: queued ICMP error from a peer that was not up yet —
       // consume it and keep waiting; the session's own timeout decides.
       if (errno != ECONNREFUSED && errno != EINTR && errno != EAGAIN &&

@@ -344,6 +344,11 @@ class UdpSocketLink final : public DatagramLink {
   int fd_ = -1;
   std::atomic<bool> closed_{false};
   std::string peer_;
+  /// recv() reads each datagram into recv_buf_ and returns a copy of
+  /// exactly its bytes. A second concurrent recv() waits on recv_mu_ for
+  /// the buffer (UdpTransport already serializes its reads).
+  std::mutex recv_mu_;
+  std::vector<std::uint8_t> recv_buf_;
 };
 
 namespace detail {

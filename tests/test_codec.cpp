@@ -174,6 +174,11 @@ TEST(TopKHelper, TiesBreakByLowestIndex) {
   std::vector<float> g{0.1f, 2.0f, -2.0f, 0.1f, 2.0f, -2.0f};
   const auto idx = top_k_by_magnitude(g, 2);
   EXPECT_EQ(idx, (std::vector<std::uint32_t>{1, 2}));
+  // Above-threshold indices (1, 3, 6) and the two lowest ties at the
+  // threshold 1.0 (0, 2) interleave in the ascending result.
+  std::vector<float> h{1.0f, 3.0f, -1.0f, -3.0f, 1.0f, 0.5f, 2.0f, 1.0f};
+  EXPECT_EQ(top_k_by_magnitude(h, 5),
+            (std::vector<std::uint32_t>{0, 1, 2, 3, 6}));
 }
 
 TEST(TopKCodec, EncodedIndicesAreSorted) {

@@ -245,32 +245,39 @@ TEST(Interleave, RoundTripAllRemainders) {
   }
 }
 
-// The shard walk writes exactly the definitional layout, shard b % k at
-// offset b / k, zero-fills each shard's tail, and deinterleave inverts it.
+// Both directions write exactly the definitional layout, shard b % k at
+// offset b / k, zero-fill each shard's tail, and deinterleave inverts it:
+// on the word path (groups of 8 shards by blocks of 8 full rows), on the
+// strided remainder around it, and at the fragmenter's production lengths.
 TEST(Interleave, MatchesModuloLayoutAndZeroPads) {
   std::mt19937_64 rng(kSeed ^ 9);
-  for (int k = 1; k <= 25; ++k) {
-    for (std::size_t len = 1; len <= 420; len += 7) {
-      const auto uk = static_cast<std::size_t>(k);
-      const std::size_t s = (len + uk - 1) / uk + 2;  // two spare bytes
-      std::vector<std::uint8_t> src(len);
-      for (auto& b : src) b = static_cast<std::uint8_t>(rng());
-      std::vector<std::vector<std::uint8_t>> want(
-          uk, std::vector<std::uint8_t>(s, 0));
-      for (std::size_t b = 0; b < len; ++b) want[b % uk][b / uk] = src[b];
-      std::vector<std::vector<std::uint8_t>> shards(
-          uk, std::vector<std::uint8_t>(s, 0xEE));
-      std::vector<std::uint8_t*> sp;
-      for (auto& sh : shards) sp.push_back(sh.data());
-      interleave(src, k, s, sp.data());
-      ASSERT_EQ(shards, want) << "k=" << k << " len=" << len;
+  const auto check = [&rng](int k, std::size_t len) {
+    const auto uk = static_cast<std::size_t>(k);
+    const std::size_t s = (len + uk - 1) / uk + 2;  // two spare bytes
+    std::vector<std::uint8_t> src(len);
+    for (auto& b : src) b = static_cast<std::uint8_t>(rng());
+    std::vector<std::vector<std::uint8_t>> want(
+        uk, std::vector<std::uint8_t>(s, 0));
+    for (std::size_t b = 0; b < len; ++b) want[b % uk][b / uk] = src[b];
+    std::vector<std::vector<std::uint8_t>> shards(
+        uk, std::vector<std::uint8_t>(s, 0xEE));
+    std::vector<std::uint8_t*> sp;
+    for (auto& sh : shards) sp.push_back(sh.data());
+    interleave(src, k, s, sp.data());
+    ASSERT_EQ(shards, want) << "k=" << k << " len=" << len;
 
-      std::vector<const std::uint8_t*> cp(sp.begin(), sp.end());
-      std::vector<std::uint8_t> back(len);
-      deinterleave(cp.data(), k, s, back);
-      ASSERT_EQ(back, src) << "k=" << k << " len=" << len;
-    }
-  }
+    std::vector<const std::uint8_t*> cp(sp.begin(), sp.end());
+    std::vector<std::uint8_t> back(len);
+    deinterleave(cp.data(), k, s, back);
+    ASSERT_EQ(back, src) << "k=" << k << " len=" << len;
+  };
+  for (int k = 1; k <= 32; ++k)
+    for (std::size_t len = 1; len <= 420; len += 7) check(k, len);
+  // A 1200-byte-shard generation at k = 8, the 7,400-byte last generation
+  // of a 449,000-byte frame, and a full generation at k = 16.
+  check(8, 9600);
+  check(8, 7400);
+  check(16, 19200);
 }
 
 // Byte b of the source lands in shard b%k at offset b/k — adjacent bytes in

@@ -681,11 +681,13 @@ TEST(UdpRealSocket, ListenerAcceptEchoAndStats) {
   std::thread server([&] {
     auto t = listener.accept(std::chrono::milliseconds(3000));
     if (!t) return;
-    auto f = t->recv(std::chrono::milliseconds(3000));
-    if (!f) return;
-    f->round += 1;
-    if (!t->send(*f)) return;
-    // Hold the connection until the client has read the echo.
+    for (int i = 0; i < 2; ++i) {
+      auto f = t->recv(std::chrono::milliseconds(3000));
+      if (!f) return;
+      f->round += 1;
+      if (!t->send(*f)) return;
+    }
+    // Hold the connection until the client has read the echoes.
     const auto fin = t->recv(std::chrono::milliseconds(3000));
     ok.store(fin.has_value() && fin->type == MsgType::kPing);
   });
@@ -693,12 +695,16 @@ TEST(UdpRealSocket, ListenerAcceptEchoAndStats) {
   auto link = UdpSocketLink::connect("127.0.0.1", listener.port());
   ASSERT_NE(link, nullptr);
   UdpTransport client(std::move(link), cfg);
-  const Frame f = test_frame(3000, 5);
-  ASSERT_TRUE(client.send(f));
-  const auto echo = client.recv(std::chrono::milliseconds(3000));
-  ASSERT_TRUE(echo.has_value());
-  EXPECT_EQ(echo->round, f.round + 1);
-  EXPECT_EQ(echo->payload, f.payload);
+  // The second frame's datagrams are shorter than the first's: the link
+  // reads every datagram into one buffer, and each must come back at its
+  // own length or its CRC check drops it.
+  for (const Frame& f : {test_frame(3000, 5), test_frame(50, 9)}) {
+    ASSERT_TRUE(client.send(f));
+    const auto echo = client.recv(std::chrono::milliseconds(3000));
+    ASSERT_TRUE(echo.has_value()) << f.payload.size() << "-byte frame";
+    EXPECT_EQ(echo->round, f.round + 1);
+    EXPECT_EQ(echo->payload, f.payload);
+  }
   Frame fin;
   fin.type = MsgType::kPing;
   ASSERT_TRUE(client.send(fin));
