@@ -101,6 +101,17 @@ Frame decode_frame(std::span<const std::uint8_t> bytes_in) {
   return f;
 }
 
+Frame decode_frame(std::span<const std::uint8_t, kFrameHeaderBytes> header,
+                   std::vector<std::uint8_t> payload) {
+  std::uint32_t payload_len = 0, crc = 0;
+  Frame f = parse_header(header, &payload_len, &crc);
+  ADAFL_CHECK_MSG(payload.size() == payload_len,
+                  "frame: buffer size does not match length prefix");
+  ADAFL_CHECK_MSG(crc32(payload) == crc, "frame: payload CRC mismatch");
+  f.payload = std::move(payload);
+  return f;
+}
+
 void FrameParser::feed(std::span<const std::uint8_t> data) {
   buf_.insert(buf_.end(), data.begin(), data.end());
   std::size_t off = 0;

@@ -102,6 +102,11 @@ const FrameBytes& encode_once(const Frame& f, FrameImage& image);
 /// the buffer is not exactly one well-formed frame.
 Frame decode_frame(std::span<const std::uint8_t> bytes);
 
+/// decode_frame of `header` followed by `payload`, which becomes the
+/// frame's payload without a copy. Same checks, same throws.
+Frame decode_frame(std::span<const std::uint8_t, kFrameHeaderBytes> header,
+                   std::vector<std::uint8_t> payload);
+
 /// Incremental stream parser: feed() raw bytes as they arrive, next() pops
 /// completed frames. Throws CheckError on malformed input; after a throw the
 /// stream is poisoned and the connection should be dropped.

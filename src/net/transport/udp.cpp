@@ -26,9 +26,11 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kRecvBufBytes = kDatagramHeaderBytes + kMaxShardBytes;
-/// Per-peer datagram queue bound: beyond this the oldest wait, new arrivals
-/// are dropped — datagram semantics, and FEC absorbs the loss.
-constexpr std::size_t kMaxQueuedDatagrams = 65536;
+/// Header offsets of the fields a stamp writes or a header is read for.
+constexpr std::size_t kSeqAt = 8;
+constexpr std::size_t kGenIndexAt = 16;
+constexpr std::size_t kShardLenAt = 32;
+constexpr std::size_t kCrcAt = kDatagramHeaderBytes - 4;
 /// A mux poll never blocks longer than this so close() is noticed promptly.
 constexpr std::chrono::milliseconds kMuxSlice{50};
 
@@ -62,11 +64,48 @@ void wr_u64(std::uint8_t* p, std::uint64_t v) {
 /// CRC of a datagram: its header up to the CRC field, then its payload.
 std::uint32_t datagram_crc(const std::uint8_t* header,
                            std::span<const std::uint8_t> payload) {
-  return crc32_update(crc32_update(0, {header, kDatagramHeaderBytes - 4}),
-                      payload);
+  return crc32_update(crc32_update(0, {header, kCrcAt}), payload);
 }
 
-/// Appends h's header bytes, frame_seq and crc left 0 for stamp().
+/// crc32_update over `n` zero bytes.
+std::uint32_t crc_zeros(std::uint32_t crc, std::size_t n) {
+  static constexpr std::array<std::uint8_t, 1024> kZeros{};
+  while (n > 0) {
+    const std::size_t step = std::min(n, kZeros.size());
+    crc = crc32_update(crc, {kZeros.data(), step});
+    n -= step;
+  }
+  return crc;
+}
+
+std::size_t shard_len_of(const std::uint8_t* header) {
+  return rd_u16(header + kShardLenAt);
+}
+
+/// `out` = the datagram of `header` and the payload at `payload`.
+void join_datagram(std::vector<std::uint8_t>& out, const std::uint8_t* header,
+                   const std::uint8_t* payload) {
+  const std::size_t len = shard_len_of(header);
+  out.reserve(kDatagramHeaderBytes + len);
+  out.assign(header, header + kDatagramHeaderBytes);
+  out.insert(out.end(), payload, payload + len);
+}
+
+/// Calls `fn(header, payload)` on each of a frame's datagrams in order;
+/// stops at the first false and returns it.
+template <class Fn>
+bool each_datagram(std::span<const std::uint8_t> headers,
+                   const FecImage& image, Fn&& fn) {
+  const std::uint8_t* payload = image.payloads.data();
+  for (std::size_t at = 0; at < headers.size(); at += kDatagramHeaderBytes) {
+    const std::uint8_t* header = headers.data() + at;
+    if (!fn(header, payload)) return false;
+    payload += shard_len_of(header);
+  }
+  return true;
+}
+
+/// Appends h's header bytes, frame_seq and crc left 0.
 void put_header(std::vector<std::uint8_t>& out, const DatagramHeader& h) {
   bytes::put_u32(out, kDatagramMagic);
   bytes::put_u8(out, kDatagramVersion);
@@ -81,14 +120,6 @@ void put_header(std::vector<std::uint8_t>& out, const DatagramHeader& h) {
   bytes::put_u16(out, h.shard_len);
   bytes::put_u16(out, 0);  // reserved
   bytes::put_u32(out, 0);  // crc
-}
-
-/// Writes a link's frame_seq and the resulting CRC into a put_header()
-/// header for `payload`.
-void stamp(std::uint8_t* header, std::uint64_t frame_seq,
-           std::span<const std::uint8_t> payload) {
-  wr_u64(header + 8, frame_seq);
-  wr_u32(header + kDatagramHeaderBytes - 4, datagram_crc(header, payload));
 }
 
 /// The RS code for (n, k) from `cache`, rebuilt when the geometry differs
@@ -125,7 +156,8 @@ std::vector<std::uint8_t> encode_datagram(
   std::vector<std::uint8_t> out;
   out.reserve(kDatagramHeaderBytes + payload.size());
   put_header(out, h);
-  stamp(out.data(), h.frame_seq, payload);
+  wr_u64(out.data() + kSeqAt, h.frame_seq);
+  wr_u32(out.data() + kCrcAt, datagram_crc(out.data(), payload));
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
@@ -172,6 +204,16 @@ std::optional<DatagramHeader> parse_datagram(
   return h;
 }
 
+std::uint32_t datagram_crc_correction(std::uint64_t frame_seq,
+                                      std::size_t shard_len) {
+  const std::size_t n = kCrcAt + shard_len;  // the bytes a CRC covers
+  std::uint8_t seq[8];
+  wr_u64(seq, frame_seq);
+  const std::uint32_t e =
+      crc_zeros(crc32_update(crc_zeros(0, kSeqAt), seq), n - kSeqAt - 8);
+  return e ^ crc_zeros(0, n);
+}
+
 // --------------------------------------------------------------------------
 // Fragmenter
 // --------------------------------------------------------------------------
@@ -198,8 +240,10 @@ std::shared_ptr<const FecImage> FrameFragmenter::build(
   img->data_shards = K;
   img->parity_shards = R;
   img->max_shard_bytes = cfg_.max_shard_bytes;
-  img->headers.reserve(static_cast<std::size_t>(gen_count) *
-                       static_cast<std::size_t>(K + R) * kDatagramHeaderBytes);
+  const std::size_t most = static_cast<std::size_t>(gen_count) *
+                          static_cast<std::size_t>(K + R);
+  img->headers.reserve(most * kDatagramHeaderBytes);
+  img->crcs.reserve(most);
   // Every generation but the last is K full shards; the last is resized
   // below and holds no more, so this bounds the payload bytes.
   img->payloads.resize(static_cast<std::size_t>(gen_count) *
@@ -236,6 +280,9 @@ std::shared_ptr<const FecImage> FrameFragmenter::build(
     for (int i = 0; i < n; ++i) {
       h.shard = static_cast<std::uint8_t>(i);
       put_header(img->headers, h);
+      img->crcs.push_back(datagram_crc(
+          img->headers.data() + img->headers.size() - kDatagramHeaderBytes,
+          {ptr[static_cast<std::size_t>(i)], s}));
     }
     img->parity_bytes +=
         static_cast<std::int64_t>(R) *
@@ -245,8 +292,7 @@ std::shared_ptr<const FecImage> FrameFragmenter::build(
   return img;
 }
 
-bool FrameFragmenter::fragment(const Frame& f, FrameImage& slot,
-                               const Sink& sink) {
+FrameDatagrams FrameFragmenter::fragment(const Frame& f, FrameImage& slot) {
   std::shared_ptr<const FecImage> img = slot.fec;
   if (!img || img->data_shards != cfg_.data_shards ||
       img->parity_shards != cfg_.parity_shards ||
@@ -262,33 +308,35 @@ bool FrameFragmenter::fragment(const Frame& f, FrameImage& slot,
        static_cast<std::int64_t>(img->datagrams()));
   bump(cfg_.stats, &FecStats::parity_bytes, img->parity_bytes);
 
-  std::uint8_t header[kDatagramHeaderBytes];
-  const std::uint8_t* payload = img->payloads.data();
+  // A shard length's correction is computed once: a frame has at most two
+  // (full generations and the last).
+  FrameDatagrams out{img->headers, img};
+  std::size_t len = 0;
+  std::uint32_t fix = 0;
   for (std::size_t i = 0; i < img->datagrams(); ++i) {
-    std::memcpy(header, img->headers.data() + i * kDatagramHeaderBytes,
-                kDatagramHeaderBytes);
-    const std::span<const std::uint8_t> slice(payload, rd_u16(header + 32));
-    payload += slice.size();
-    stamp(header, seq, slice);
-    if (!sink(header, img, slice)) return false;
+    std::uint8_t* header = out.headers.data() + i * kDatagramHeaderBytes;
+    if (shard_len_of(header) != len) {
+      len = shard_len_of(header);
+      fix = datagram_crc_correction(seq, len);
+    }
+    wr_u64(header + kSeqAt, seq);
+    wr_u32(header + kCrcAt, img->crcs[i] ^ fix);
   }
-  return true;
+  return out;
 }
 
 std::vector<std::vector<std::uint8_t>> FrameFragmenter::fragment(
     const Frame& f) {
-  std::vector<std::vector<std::uint8_t>> out;
   FrameImage once;
-  fragment(f, once,
-           [&out](std::span<const std::uint8_t> header,
-                  const std::shared_ptr<const FecImage>&,
-                  std::span<const std::uint8_t> payload) {
-             std::vector<std::uint8_t>& d = out.emplace_back();
-             d.reserve(header.size() + payload.size());
-             d.insert(d.end(), header.begin(), header.end());
-             d.insert(d.end(), payload.begin(), payload.end());
-             return true;
-           });
+  const FrameDatagrams d = fragment(f, once);
+  std::vector<std::vector<std::uint8_t>> out;
+  out.reserve(d.image->datagrams());
+  each_datagram(
+      d.headers, *d.image,
+      [&out](const std::uint8_t* header, const std::uint8_t* payload) {
+        join_datagram(out.emplace_back(), header, payload);
+        return true;
+      });
   return out;
 }
 
@@ -304,15 +352,38 @@ void FrameReassembler::drop_malformed() {
   bump(cfg_.stats, &FecStats::datagrams_malformed);
 }
 
-void FrameReassembler::offer(std::span<const std::uint8_t> datagram) {
+bool FrameReassembler::late(std::span<const std::uint8_t> d) const {
+  if (d.size() < kDatagramHeaderBytes) return false;
+  const std::uint64_t seq = rd_u64(d.data() + kSeqAt);
+  if (done_.count(seq) != 0) return true;
+  const auto it = assemblies_.find(seq);
+  if (it == assemblies_.end()) return false;
+  const auto git = it->second.gens.find(rd_u32(d.data() + kGenIndexAt));
+  return git != it->second.gens.end() && !git->second.data.empty();
+}
+
+std::optional<DatagramHeader> FrameReassembler::screen(
+    std::span<const std::uint8_t> d) {
   bump(cfg_.stats, &FecStats::datagrams_received);
-  const auto hopt = parse_datagram(datagram);
-  if (!hopt) return drop_malformed();
-  const DatagramHeader& h = *hopt;
-  const auto payload = datagram.subspan(kDatagramHeaderBytes);
+  // A late datagram is dropped before its CRC: verified, it would be
+  // dropped all the same (late parity is half of a lossless frame).
+  if (late(d)) return std::nullopt;
+  auto h = parse_datagram(d);
+  if (!h) drop_malformed();
+  return h;
+}
 
-  if (done_.count(h.frame_seq) != 0) return;  // late: frame already delivered
+void FrameReassembler::offer(std::vector<std::uint8_t>&& datagram) {
+  if (const auto h = screen(datagram)) keep(*h, std::move(datagram));
+}
 
+void FrameReassembler::offer(std::span<const std::uint8_t> datagram) {
+  if (const auto h = screen(datagram))
+    keep(*h, {datagram.begin(), datagram.end()});
+}
+
+void FrameReassembler::keep(const DatagramHeader& h,
+                            std::vector<std::uint8_t> datagram) {
   auto it = assemblies_.find(h.frame_seq);
   if (it == assemblies_.end()) {
     if (assemblies_.size() >= cfg_.max_assemblies) {
@@ -340,20 +411,17 @@ void FrameReassembler::offer(std::span<const std::uint8_t> datagram) {
              h.gen_off != g.gen_off) {
     return drop_malformed();
   }
-  if (!g.data.empty()) return;  // late shard for an already-repaired generation
   for (const auto& shard : g.arrived)
     if (shard.first == h.shard) return;  // duplicate
-  g.arrived.emplace_back(h.shard,
-                         std::vector<std::uint8_t>(payload.begin(),
-                                                   payload.end()));
+  g.arrived.emplace_back(h.shard, std::move(datagram));
   if (g.arrived.size() >= g.k) try_complete_gen(a, g);
 
   if (a.gens_complete == a.gen_count) {
-    // decode_frame throws on any inconsistency, an empty (untiled) buffer
-    // included; the frame-level CRC is the final integrity gate. A bad
-    // frame is dropped, never propagated.
+    // assemble throws on any inconsistency, untiled generations included;
+    // the frame-level CRC is the final integrity gate. A bad frame is
+    // dropped, never propagated.
     try {
-      ready_.push_back(decode_frame(assemble(a)));
+      ready_.push_back(assemble(a));
       bump(cfg_.stats, &FecStats::frames_delivered);
     } catch (const CheckError&) {
       bump(cfg_.stats, &FecStats::frames_dropped);
@@ -368,33 +436,53 @@ void FrameReassembler::offer(std::span<const std::uint8_t> datagram) {
   }
 }
 
-std::vector<std::uint8_t> FrameReassembler::assemble(Assembly& a) {
+Frame FrameReassembler::assemble(Assembly& a) {
+  const auto gen_len = [&a](const Gen& g) {
+    return std::min<std::size_t>(std::size_t{g.k} * g.shard_len,
+                                 a.frame_len - g.gen_off);
+  };
   std::uint64_t end = 0;
   for (const auto& [index, g] : a.gens) {
-    if (g.gen_off != end) return {};
-    end += std::min<std::uint64_t>(std::uint64_t{g.k} * g.shard_len,
-                                   a.frame_len - g.gen_off);
+    ADAFL_CHECK_MSG(g.gen_off == end, "udp: generations do not tile a frame");
+    end += gen_len(g);
   }
-  if (end != a.frame_len) return {};
-  std::vector<std::uint8_t> bytes(a.frame_len);
+  ADAFL_CHECK_MSG(end == a.frame_len, "udp: generations do not tile a frame");
+  // Generations go straight into the payload. One that holds frame header
+  // bytes (the first; more when a generation is under 24 bytes) is split
+  // through `split`.
+  std::array<std::uint8_t, kFrameHeaderBytes> header{};
+  std::vector<std::uint8_t> payload(a.frame_len - kFrameHeaderBytes);
+  std::vector<std::uint8_t> split;
   std::vector<const std::uint8_t*> ptr;
   for (auto& [index, g] : a.gens) {
     ptr.clear();
-    for (const auto& shard : g.data) ptr.push_back(shard.data());
-    const std::size_t gen_len = std::min<std::size_t>(
-        std::size_t{g.k} * g.shard_len, a.frame_len - g.gen_off);
-    fec::deinterleave(ptr.data(), g.k, g.shard_len,
-                      {bytes.data() + g.gen_off, gen_len});
+    for (const auto& shard : g.data)
+      ptr.push_back(shard.data() + kDatagramHeaderBytes);
+    const std::size_t len = gen_len(g);
+    if (g.gen_off >= kFrameHeaderBytes) {
+      fec::deinterleave(
+          ptr.data(), g.k, g.shard_len,
+          {payload.data() + (g.gen_off - kFrameHeaderBytes), len});
+    } else {
+      split.resize(len);
+      fec::deinterleave(ptr.data(), g.k, g.shard_len, split);
+      const std::size_t head = std::min(len, kFrameHeaderBytes - g.gen_off);
+      std::copy_n(split.begin(), head, header.begin() + g.gen_off);
+      // Past the header the generation continues at payload byte 0.
+      std::copy(split.begin() + static_cast<std::ptrdiff_t>(head), split.end(),
+                payload.begin());
+    }
     g.data = {};  // the frame holds these bytes now
   }
-  return bytes;
+  return decode_frame(header, std::move(payload));
 }
 
 void FrameReassembler::try_complete_gen(Assembly& a, Gen& g) {
   const int n = static_cast<int>(g.k) + static_cast<int>(g.r);
   const std::size_t s = g.shard_len;
   std::vector<std::uint8_t*> ptr(static_cast<std::size_t>(n), nullptr);
-  for (auto& [index, bytes] : g.arrived) ptr[index] = bytes.data();
+  for (auto& [index, bytes] : g.arrived)
+    ptr[index] = bytes.data() + kDatagramHeaderBytes;
   std::vector<bool> present(static_cast<std::size_t>(n));
   for (std::size_t i = 0; i < present.size(); ++i)
     present[i] = ptr[i] != nullptr;
@@ -408,8 +496,8 @@ void FrameReassembler::try_complete_gen(Assembly& a, Gen& g) {
   int missing_data = 0;
   for (std::size_t i = 0; i < data.size(); ++i) {
     if (ptr[i] != nullptr) continue;
-    data[i].resize(s);
-    ptr[i] = data[i].data();
+    data[i].resize(kDatagramHeaderBytes + s);
+    ptr[i] = data[i].data() + kDatagramHeaderBytes;
     ++missing_data;
   }
   // With k shards present only a singular system could refuse, which an MDS
@@ -461,28 +549,33 @@ std::optional<Frame> FrameReassembler::next() {
 // Datagram links
 // --------------------------------------------------------------------------
 
-bool DatagramLink::send_shared(std::span<const std::uint8_t> header,
-                               const std::shared_ptr<const FecImage>& /*image*/,
-                               std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> d;
-  d.reserve(header.size() + payload.size());
-  d.insert(d.end(), header.begin(), header.end());
-  d.insert(d.end(), payload.begin(), payload.end());
-  return send(d);
+bool DatagramLink::send_frame(std::vector<std::uint8_t> headers,
+                              std::shared_ptr<const FecImage> image) {
+  std::vector<std::uint8_t> d;  // reused: send() copies or writes it out
+  return each_datagram(
+      headers, *image,
+      [this, &d](const std::uint8_t* header, const std::uint8_t* payload) {
+        join_datagram(d, header, payload);
+        return send(d);
+      });
 }
 
 struct LoopbackDatagramLink::Channel {
-  /// A datagram in flight: a whole one from send(), or a header and a
-  /// slice of the image that owns it from send_shared().
+  /// Sends in flight, in order: a whole datagram from send(), or a frame
+  /// from send_frame() (its stamped headers and the image holding its
+  /// payloads) that recv() hands out one datagram at a time.
   struct Queued {
     std::vector<std::uint8_t> datagram;
-    std::array<std::uint8_t, kDatagramHeaderBytes> header;
+    std::vector<std::uint8_t> headers;
     std::shared_ptr<const FecImage> image;
-    std::span<const std::uint8_t> payload;
+    std::size_t count = 0;   ///< the frame's datagrams that were queued
+    std::size_t next = 0;    ///< the one recv() hands out next
+    std::size_t offset = 0;  ///< its payload's offset in image->payloads
   };
   std::mutex mu;
   std::condition_variable cv;
   std::deque<Queued> q;
+  std::size_t queued = 0;  ///< datagrams in q, at most kMaxQueuedDatagrams
   bool closed = false;
   Wake wake;  ///< the receiving end's, until it closes
 };
@@ -503,26 +596,28 @@ make_datagram_loopback_pair() {
 bool LoopbackDatagramLink::send(std::span<const std::uint8_t> datagram) {
   std::lock_guard<std::mutex> lk(tx_->mu);
   if (tx_->closed) return false;
-  if (tx_->q.size() < kMaxQueuedDatagrams)
-    tx_->q.push_back({{datagram.begin(), datagram.end()}, {}, nullptr, {}});
+  if (tx_->queued < kMaxQueuedDatagrams) {
+    tx_->q.emplace_back().datagram.assign(datagram.begin(), datagram.end());
+    ++tx_->queued;
+  }
   tx_->cv.notify_all();
   if (tx_->wake) tx_->wake();
   return true;
 }
 
-bool LoopbackDatagramLink::send_shared(
-    std::span<const std::uint8_t> header,
-    const std::shared_ptr<const FecImage>& image,
-    std::span<const std::uint8_t> payload) {
-  if (header.size() != kDatagramHeaderBytes || !image)
-    return DatagramLink::send_shared(header, image, payload);
+bool LoopbackDatagramLink::send_frame(std::vector<std::uint8_t> headers,
+                                      std::shared_ptr<const FecImage> image) {
   std::lock_guard<std::mutex> lk(tx_->mu);
   if (tx_->closed) return false;
-  if (tx_->q.size() < kMaxQueuedDatagrams) {
-    Channel::Queued& d = tx_->q.emplace_back();
-    std::copy(header.begin(), header.end(), d.header.begin());
-    d.image = image;
-    d.payload = payload;
+  const std::size_t fit =
+      std::min(headers.size() / kDatagramHeaderBytes,
+               kMaxQueuedDatagrams - tx_->queued);
+  if (fit > 0) {
+    Channel::Queued& e = tx_->q.emplace_back();
+    e.headers = std::move(headers);
+    e.image = std::move(image);
+    e.count = fit;
+    tx_->queued += fit;
   }
   tx_->cv.notify_all();
   if (tx_->wake) tx_->wake();
@@ -531,23 +626,30 @@ bool LoopbackDatagramLink::send_shared(
 
 std::optional<std::vector<std::uint8_t>> LoopbackDatagramLink::recv(
     std::chrono::milliseconds timeout) {
-  Channel::Queued d;
-  {
-    std::unique_lock<std::mutex> lk(rx_->mu);
-    // As in LoopbackTransport::recv: a zero timeout polls without waiting.
-    if (timeout.count() > 0)
-      rx_->cv.wait_for(lk, timeout,
-                       [&] { return !rx_->q.empty() || rx_->closed; });
-    if (rx_->q.empty()) return std::nullopt;
-    d = std::move(rx_->q.front());
+  std::shared_ptr<const FecImage> drained;  // released after the lock
+  std::unique_lock<std::mutex> lk(rx_->mu);
+  // As in LoopbackTransport::recv: a zero timeout polls without waiting.
+  if (timeout.count() > 0)
+    rx_->cv.wait_for(lk, timeout,
+                     [&] { return !rx_->q.empty() || rx_->closed; });
+  if (rx_->q.empty()) return std::nullopt;
+  --rx_->queued;
+  Channel::Queued& e = rx_->q.front();
+  std::vector<std::uint8_t> d;
+  if (!e.image) {
+    d = std::move(e.datagram);
+    rx_->q.pop_front();
+    return d;
+  }
+  const std::uint8_t* header =
+      e.headers.data() + e.next * kDatagramHeaderBytes;
+  join_datagram(d, header, e.image->payloads.data() + e.offset);
+  e.offset += shard_len_of(header);
+  if (++e.next == e.count) {
+    drained = std::move(e.image);
     rx_->q.pop_front();
   }
-  if (!d.image) return std::move(d.datagram);
-  std::vector<std::uint8_t> out;
-  out.reserve(d.header.size() + d.payload.size());
-  out.insert(out.end(), d.header.begin(), d.header.end());
-  out.insert(out.end(), d.payload.begin(), d.payload.end());
-  return out;
+  return d;
 }
 
 bool LoopbackDatagramLink::set_wake(Wake wake) {
@@ -605,13 +707,8 @@ bool UdpTransport::send(const Frame& f) {
 bool UdpTransport::send_shared(const Frame& f, FrameImage& image) {
   std::lock_guard<std::mutex> lk(send_mu_);
   if (link_->closed()) return false;
-  return frag_.fragment(
-      f, image,
-      [this](std::span<const std::uint8_t> header,
-             const std::shared_ptr<const FecImage>& fec,
-             std::span<const std::uint8_t> payload) {
-        return link_->send_shared(header, fec, payload);
-      });
+  FrameDatagrams d = frag_.fragment(f, image);
+  return link_->send_frame(std::move(d.headers), std::move(d.image));
 }
 
 std::optional<Frame> UdpTransport::recv(std::chrono::milliseconds timeout) {
@@ -628,7 +725,7 @@ std::optional<Frame> UdpTransport::recv(std::chrono::milliseconds timeout) {
     }
     auto d = link_->recv(wait);
     if (!d) return std::nullopt;  // timed out / closed with nothing queued
-    reasm_.offer(*d);
+    reasm_.offer(std::move(*d));
     // Past the deadline the loop keeps draining with zero-wait recvs until
     // the link has nothing buffered, so a ready frame is never left behind.
   }

@@ -14,11 +14,14 @@
 //
 // A frame's datagrams differ between links only in frame_seq and the CRC.
 // Everything else (interleaved data and parity payloads, the other header
-// fields) is one immutable FecImage, built once per broadcast: the first
-// UdpTransport of a broadcast fills the broadcast's FrameImage slot with
-// it, and every peer stamps its own frame_seq and CRC on the shared
-// payloads (send_shared). LoopbackDatagramLink queues each datagram as its
-// 40-byte header plus a slice of the image, not a copy.
+// fields, each datagram's CRC at frame_seq 0) is one immutable FecImage,
+// built once per broadcast: the first UdpTransport of a broadcast fills the
+// broadcast's FrameImage slot with it, and every peer stamps its own
+// frame_seq on a copy of the headers, with each CRC derived from the
+// image's (datagram_crc_correction). The link gets the whole frame in one
+// call (send_frame): LoopbackDatagramLink queues it as one entry, the
+// stamped headers plus a reference to the image, and copies each datagram
+// out of the image only when it is read.
 //
 // Datagram wire format (little-endian, version 1):
 //
@@ -41,10 +44,11 @@
 // The reassembler NEVER throws: a malformed, duplicate, stale, or
 // inconsistent datagram is counted and dropped (loss tolerance is the whole
 // point — one bad datagram must not cost the peer). It holds what arrived,
-// not what headers claim: a frame's buffer is allocated only once its
-// repaired generations tile [0, frame_len). The inner frame's own CRC
-// (validated by decode_frame on reassembly) remains the last line of
-// defense against any reconstruction the datagram CRCs failed to catch.
+// not what headers claim: each shard is the received datagram itself, and
+// a frame's payload is allocated only once its repaired generations tile
+// [0, frame_len). The inner frame's own CRC (validated by decode_frame on
+// reassembly) remains the last line of defense against any reconstruction
+// the datagram CRCs failed to catch.
 //
 // Layering: everything here sits on DatagramLink — a UDP socket, a mux'd
 // server-side peer, or an in-process loopback pair — so deterministic
@@ -78,6 +82,9 @@ constexpr std::size_t kMaxShardBytes = 65495;
 /// Ceiling on generations per frame a reassembler will track (a forged
 /// header cannot make it allocate unboundedly).
 constexpr std::uint32_t kMaxGenerationsPerFrame = 16384;
+/// Datagrams a loopback link or a mux peer holds unread: past it new
+/// arrivals are dropped (datagram semantics; FEC absorbs the loss).
+constexpr std::size_t kMaxQueuedDatagrams = 65536;
 
 /// Parsed datagram header (see the wire layout above).
 struct DatagramHeader {
@@ -102,6 +109,15 @@ std::vector<std::uint8_t> encode_datagram(const DatagramHeader& h,
 std::optional<DatagramHeader> parse_datagram(
     std::span<const std::uint8_t> datagram);
 
+/// What to XOR into the CRC of a datagram with a `shard_len`-byte payload,
+/// stamped with frame_seq 0, to get its CRC under `frame_seq`. CRC-32 is
+/// affine: for equal lengths crc(a ^ b) = crc(a) ^ crc(b) ^ crc(0...0), and
+/// the two datagrams differ only in the frame_seq bytes, so the correction
+/// is crc(e) ^ crc(0...0) for e = frame_seq's bytes in an otherwise zero
+/// datagram. It depends on nothing else in the datagram.
+std::uint32_t datagram_crc_correction(std::uint64_t frame_seq,
+                                      std::size_t shard_len);
+
 /// One frame's datagrams minus what differs per link (frame_seq and the
 /// CRC), for one FEC geometry. Immutable once built; every peer of a
 /// broadcast shares one through its FrameImage slot.
@@ -113,6 +129,8 @@ struct FecImage {
   std::vector<std::uint8_t> headers;
   /// Every datagram's payload (shard_len bytes each), in send order.
   std::vector<std::uint8_t> payloads;
+  /// Every datagram's CRC as stamped with frame_seq 0, in send order.
+  std::vector<std::uint32_t> crcs;
   std::int64_t parity_bytes = 0;  ///< wire bytes of the parity datagrams
 
   std::size_t datagrams() const {
@@ -120,11 +138,23 @@ struct FecImage {
   }
 };
 
+/// One frame's datagrams for one link: their stamped headers
+/// (kDatagramHeaderBytes each, in send order) and the image whose payloads,
+/// consecutive and shard_len bytes each, follow them one to one.
+struct FrameDatagrams {
+  std::vector<std::uint8_t> headers;
+  std::shared_ptr<const FecImage> image;
+};
+
 /// Shared FEC/datagram counters. One instance may back many transports
 /// (e.g. every server-side connection), so everything is atomic.
 struct FecStats {
   std::atomic<std::int64_t> datagrams_sent{0};
   std::atomic<std::int64_t> datagrams_received{0};
+  /// Failed the header checks or the CRC, or disagrees with its frame's
+  /// other datagrams. One whose header names a frame already delivered or
+  /// a generation already complete is dropped before either check and is
+  /// not counted here, corrupt or not.
   std::atomic<std::int64_t> datagrams_malformed{0};
   std::atomic<std::int64_t> datagrams_lost{0};      ///< detected missing
   std::atomic<std::int64_t> datagrams_repaired{0};  ///< rebuilt from parity
@@ -159,12 +189,11 @@ class DatagramLink {
  public:
   virtual ~DatagramLink() = default;
   virtual bool send(std::span<const std::uint8_t> datagram) = 0;
-  /// send() of `header` followed by `payload`, a slice of `image` that the
-  /// link may hold by reference until the datagram is read. This default
-  /// joins the two and calls send().
-  virtual bool send_shared(std::span<const std::uint8_t> header,
-                           const std::shared_ptr<const FecImage>& image,
-                           std::span<const std::uint8_t> payload);
+  /// Sends one frame's datagrams in order (FrameDatagrams: `headers` are
+  /// stamped, the payloads are `image`'s). This default joins each header
+  /// to its payload and calls send(), stopping at the first false.
+  virtual bool send_frame(std::vector<std::uint8_t> headers,
+                          std::shared_ptr<const FecImage> image);
   virtual std::optional<std::vector<std::uint8_t>> recv(
       std::chrono::milliseconds timeout) = 0;
   /// Transport::set_wake for datagrams: `wake` runs each time a datagram
@@ -190,10 +219,11 @@ class LoopbackDatagramLink final : public DatagramLink {
   ~LoopbackDatagramLink() override { close(); }
 
   bool send(std::span<const std::uint8_t> datagram) override;
-  /// Queues a copy of `header` and a reference to the payload slice.
-  bool send_shared(std::span<const std::uint8_t> header,
-                   const std::shared_ptr<const FecImage>& image,
-                   std::span<const std::uint8_t> payload) override;
+  /// Queues the frame as one entry, the headers and a reference to the
+  /// image, under one lock and one wake; recv() hands its datagrams out in
+  /// order. The queue cap counts datagrams: those past it are dropped.
+  bool send_frame(std::vector<std::uint8_t> headers,
+                  std::shared_ptr<const FecImage> image) override;
   std::optional<std::vector<std::uint8_t>> recv(
       std::chrono::milliseconds timeout) override;
   /// The peer's sends and its close call `wake`.
@@ -218,22 +248,17 @@ class LoopbackDatagramLink final : public DatagramLink {
 /// Splits encoded frames into FEC generations of sequenced datagrams.
 class FrameFragmenter {
  public:
-  /// Takes one datagram: its stamped header and its payload, a slice of
-  /// `image`. Returning false stops the frame.
-  using Sink = std::function<bool(std::span<const std::uint8_t> header,
-                                  const std::shared_ptr<const FecImage>& image,
-                                  std::span<const std::uint8_t> payload)>;
-
   explicit FrameFragmenter(const UdpFecConfig& cfg);
 
-  /// Hands `f`'s datagrams to `sink` in send order (per generation: data
-  /// then parity) under this fragmenter's next frame_seq. The FEC image is
+  /// `f`'s datagrams in send order (per generation: data then parity),
+  /// stamped with this fragmenter's next frame_seq. The FEC image is
   /// `slot`'s if it was built for this geometry; otherwise it is built here,
   /// and kept in the slot if the slot had none. Each call consumes one
-  /// frame_seq. Returns false when the sink stopped the frame.
-  bool fragment(const Frame& f, FrameImage& slot, const Sink& sink);
+  /// frame_seq.
+  FrameDatagrams fragment(const Frame& f, FrameImage& slot);
 
-  /// All datagrams for `f`, as fragment() with a slot for this frame only.
+  /// All datagrams for `f`, whole, as fragment() with a slot for this
+  /// frame only.
   std::vector<std::vector<std::uint8_t>> fragment(const Frame& f);
 
  private:
@@ -251,19 +276,24 @@ class FrameReassembler {
  public:
   explicit FrameReassembler(const UdpFecConfig& cfg);
 
-  /// Feeds one received datagram.
+  /// Feeds one received datagram. A shard it carries is kept in the
+  /// datagram's own buffer, not copied out of it.
+  void offer(std::vector<std::uint8_t>&& datagram);
+  /// Feeds a copy of one received datagram.
   void offer(std::span<const std::uint8_t> datagram);
 
   /// Pops the oldest fully reassembled frame, if any.
   std::optional<Frame> next();
 
  private:
+  /// Each shard buffer is a whole datagram: the shard starts at
+  /// kDatagramHeaderBytes (a repaired one has an unused header).
   struct Gen {
     std::uint8_t k = 0;
     std::uint8_t r = 0;
     std::uint16_t shard_len = 0;
     std::uint32_t gen_off = 0;
-    /// Shards as they arrived (index, payload), until the generation
+    /// Shards as they arrived (index, datagram), until the generation
     /// completes.
     std::vector<std::pair<std::uint8_t, std::vector<std::uint8_t>>> arrived;
     /// The k data shards, repaired, once it has: nonempty means complete.
@@ -276,11 +306,20 @@ class FrameReassembler {
     std::map<std::uint32_t, Gen> gens;  ///< only generations seen
   };
 
-  /// The frame bytes of `a` once every generation is repaired (its shards
-  /// are released as they are copied), or nothing when the generations do
-  /// not tile [0, frame_len) exactly. Allocated only after that check, so a
+  /// The frame `a` carries once every generation is repaired (its shards
+  /// are released as they are copied). Throws CheckError when the
+  /// generations do not tile [0, frame_len) exactly, or as decode_frame
+  /// does. The payload is allocated only after the tiling check, so a
   /// forged frame_len costs no more than the bytes that arrived.
-  static std::vector<std::uint8_t> assemble(Assembly& a);
+  static Frame assemble(Assembly& a);
+  /// True when `d`'s header, not yet verified, names a delivered frame or a
+  /// complete generation: the datagram would be dropped after its CRC.
+  bool late(std::span<const std::uint8_t> d) const;
+  /// Counts `d` as received; its header if it is neither late nor
+  /// malformed (which is counted), before any copy of it is made.
+  std::optional<DatagramHeader> screen(std::span<const std::uint8_t> d);
+  /// Files a screened datagram under its frame and generation.
+  void keep(const DatagramHeader& h, std::vector<std::uint8_t> datagram);
   void drop_malformed();
   void try_complete_gen(Assembly& a, Gen& g);
   void evict_oldest();

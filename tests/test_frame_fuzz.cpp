@@ -220,6 +220,31 @@ Frame make_random_frame(std::mt19937_64& rng) {
   return f;
 }
 
+/// Mutation `mode` (0-5) of one frame's datagrams, then a shuffle: a bit
+/// flip, a header byte overwrite, a truncation, a duplicate, a drop, or
+/// none.
+void mutate_datagrams(std::vector<std::vector<std::uint8_t>>& dgrams,
+                      int mode, std::mt19937_64& rng) {
+  if (mode == 0) {  // single bit flip somewhere (often the header)
+    auto& d = dgrams[rng() % dgrams.size()];
+    d[rng() % d.size()] ^= static_cast<std::uint8_t>(1u << (rng() % 8));
+  } else if (mode == 1) {  // byte overwrite targeted at the header
+    auto& d = dgrams[rng() % dgrams.size()];
+    d[rng() % std::min<std::size_t>(d.size(),
+                                    net::transport::kDatagramHeaderBytes)] =
+        static_cast<std::uint8_t>(rng());
+  } else if (mode == 2) {  // truncate one datagram
+    auto& d = dgrams[rng() % dgrams.size()];
+    d.resize(rng() % d.size());
+  } else if (mode == 3) {  // duplicate one datagram
+    dgrams.push_back(dgrams[rng() % dgrams.size()]);
+  } else if (mode == 4) {  // drop within the parity budget
+    if (dgrams.size() > 1) dgrams.erase(dgrams.begin() + static_cast<long>(
+                                            rng() % dgrams.size()));
+  }  // mode 5: intact
+  std::shuffle(dgrams.begin(), dgrams.end(), rng);
+}
+
 // ~6k cases: datagrams of a valid frame with one mutated member — bit flips
 // and byte overwrites across the header (bad generation/sequence numbers,
 // bad shard indices, bad lengths), truncations, duplicates, and drops.
@@ -235,24 +260,7 @@ TEST(DatagramFuzz, MutatedDatagrams) {
     const Frame f = make_random_frame(rng);
     auto dgrams = frag.fragment(f);
     const int mode = i % 6;
-    if (mode == 0) {  // single bit flip somewhere (often the header)
-      auto& d = dgrams[rng() % dgrams.size()];
-      d[rng() % d.size()] ^= static_cast<std::uint8_t>(1u << (rng() % 8));
-    } else if (mode == 1) {  // byte overwrite targeted at the header
-      auto& d = dgrams[rng() % dgrams.size()];
-      d[rng() % std::min<std::size_t>(d.size(),
-                                      net::transport::kDatagramHeaderBytes)] =
-          static_cast<std::uint8_t>(rng());
-    } else if (mode == 2) {  // truncate one datagram
-      auto& d = dgrams[rng() % dgrams.size()];
-      d.resize(rng() % d.size());
-    } else if (mode == 3) {  // duplicate one datagram
-      dgrams.push_back(dgrams[rng() % dgrams.size()]);
-    } else if (mode == 4) {  // drop within the parity budget
-      if (dgrams.size() > 1) dgrams.erase(dgrams.begin() + static_cast<long>(
-                                              rng() % dgrams.size()));
-    }  // mode 5: intact
-    std::shuffle(dgrams.begin(), dgrams.end(), rng);
+    mutate_datagrams(dgrams, mode, rng);
     for (const auto& d : dgrams)
       ASSERT_NO_THROW(reasm.offer(d)) << "offer threw at case " << i;
     while (auto got = reasm.next()) {
@@ -266,6 +274,57 @@ TEST(DatagramFuzz, MutatedDatagrams) {
   // Intact and single-drop cases must actually deliver (parity covers one
   // loss), so a silent drop-everything reassembler cannot pass.
   EXPECT_GT(delivered, 2000);
+}
+
+// The vector form of offer(), which keeps the datagram as shard storage,
+// and the span form, which copies it, deliver the same frames and count the
+// same datagrams on the mutated and garbage inputs above.
+TEST(DatagramFuzz, SpanAndVectorOffersAgree) {
+  std::mt19937_64 rng(kFuzzSeed ^ 0xDA7A0004u);
+  net::transport::FecStats span_stats, vec_stats;
+  UdpFecConfig cfg = fuzz_fec_config();
+  FrameFragmenter frag(cfg);
+  cfg.stats = &span_stats;
+  FrameReassembler by_span(cfg);
+  cfg.stats = &vec_stats;
+  FrameReassembler by_vector(cfg);
+  int delivered = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::vector<std::vector<std::uint8_t>> dgrams;
+    if (i % 7 == 6) {  // garbage, sometimes wearing a valid magic
+      dgrams.emplace_back(rng() % 200);
+      for (auto& b : dgrams.back()) b = static_cast<std::uint8_t>(rng());
+      if (i % 2 == 0 && dgrams.back().size() >= 4)
+        std::copy_n("AFD1", 4, dgrams.back().begin());
+    } else {
+      dgrams = frag.fragment(make_random_frame(rng));
+      mutate_datagrams(dgrams, i % 6, rng);
+    }
+    for (auto& d : dgrams) {
+      by_span.offer(std::span<const std::uint8_t>(d));
+      by_vector.offer(std::move(d));
+    }
+    for (;;) {
+      auto a = by_span.next();
+      auto b = by_vector.next();
+      ASSERT_EQ(a.has_value(), b.has_value()) << "case " << i;
+      if (!a) break;
+      ++delivered;
+      EXPECT_EQ(a->type, b->type);
+      EXPECT_EQ(a->round, b->round);
+      EXPECT_EQ(a->client_id, b->client_id);
+      EXPECT_EQ(a->payload, b->payload) << "case " << i;
+    }
+  }
+  EXPECT_GT(delivered, 1000);
+  EXPECT_EQ(span_stats.datagrams_received.load(),
+            vec_stats.datagrams_received.load());
+  EXPECT_EQ(span_stats.datagrams_malformed.load(),
+            vec_stats.datagrams_malformed.load());
+  EXPECT_GT(vec_stats.datagrams_malformed.load(), 0);
+  EXPECT_EQ(span_stats.frames_delivered.load(),
+            vec_stats.frames_delivered.load());
+  EXPECT_EQ(span_stats.frames_dropped.load(), vec_stats.frames_dropped.load());
 }
 
 // ~2k cases of pure garbage, sometimes wearing a valid magic. Never throws,

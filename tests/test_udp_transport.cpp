@@ -153,28 +153,86 @@ TEST(DatagramCodec, RejectsCorruptionAndBadStructure) {
   rejects(b, 100);
 }
 
+std::uint32_t crc_field(const std::vector<std::uint8_t>& datagram) {
+  const std::uint8_t* p = datagram.data() + kDatagramHeaderBytes - 4;
+  return std::uint32_t{p[0]} | (std::uint32_t{p[1]} << 8) |
+         (std::uint32_t{p[2]} << 16) | (std::uint32_t{p[3]} << 24);
+}
+
+// A peer's datagram CRCs are the image's frame_seq-0 CRCs XOR a correction
+// that depends only on (frame_seq, shard_len). It must give the CRC of the
+// stamped bytes for sequence numbers no fragmenter reaches in a test (high
+// bits set) and for every shard length, the short last generation's too.
+TEST(DatagramCodec, CrcCorrectionMatchesStampedBytes) {
+  DatagramHeader h;
+  h.frame_len = static_cast<std::uint32_t>(kFrameHeaderBytes) +
+                kMaxFramePayload;
+  std::mt19937_64 rng(kSeed ^ 23);
+  // 925 bytes: the last generation's shards of a 449,000-byte MODEL at
+  // RS(8+8) and 1200-byte shards.
+  for (const std::size_t len : {std::size_t{1}, std::size_t{925},
+                                std::size_t{1200}, kMaxShardBytes}) {
+    std::vector<std::uint8_t> payload(len);
+    for (auto& b : payload) b = static_cast<std::uint8_t>(rng());
+    h.shard_len = static_cast<std::uint16_t>(len);
+    h.frame_seq = 0;
+    const std::uint32_t crc0 = crc_field(encode_datagram(h, payload));
+    EXPECT_EQ(datagram_crc_correction(0, len), 0u);
+    for (const std::uint64_t seq :
+         {std::uint64_t{1}, (std::uint64_t{1} << 32) + 7,
+          (std::uint64_t{1} << 63) + 1, ~std::uint64_t{0}}) {
+      h.frame_seq = seq;
+      const auto stamped = encode_datagram(h, payload);
+      ASSERT_TRUE(parse_datagram(stamped).has_value());
+      EXPECT_EQ(crc_field(stamped), crc0 ^ datagram_crc_correction(seq, len))
+          << "frame_seq " << seq << ", shard_len " << len;
+    }
+  }
+
+  // The fragmenter's derived CRCs, short last generation included, are
+  // what encode_datagram computes over the same header and payload.
+  FrameFragmenter frag(small_cfg());
+  const Frame f = test_frame(1100);  // four full generations, one of 100 B
+  for (int seq = 0; seq < 3; ++seq) {
+    for (const auto& d : frag.fragment(f)) {
+      const auto got = parse_datagram(d);
+      ASSERT_TRUE(got.has_value()) << "frame_seq " << seq;
+      EXPECT_EQ(encode_datagram(*got, std::span(d).subspan(
+                                          kDatagramHeaderBytes)),
+                d);
+    }
+  }
+}
+
 // --- Fragment / reassemble round trips -------------------------------------
 
 TEST(UdpFragmentation, RoundTripAcrossSizes) {
-  const UdpFecConfig cfg = small_cfg();
-  FrameFragmenter frag(cfg);
-  FrameReassembler reasm(cfg);
-  // Sub-shard, exact shard, exact generation, multi-generation, and
-  // off-by-one around each boundary. (Frame encoding adds its own header.)
-  const std::size_t sizes[] = {0,   1,   63,  64,  65,   255,  256,
-                               257, 512, 513, 999, 4096, 10000};
-  for (const std::size_t sz : sizes) {
-    const Frame f = test_frame(sz);
-    const auto dgrams = frag.fragment(f);
-    ASSERT_FALSE(dgrams.empty());
-    for (const auto& d : dgrams) reasm.offer(d);
-    const auto got = reasm.next();
-    ASSERT_TRUE(got.has_value()) << "size " << sz;
-    EXPECT_EQ(got->payload, f.payload);
-    EXPECT_EQ(got->round, f.round);
-    EXPECT_EQ(got->client_id, f.client_id);
-    EXPECT_EQ(static_cast<int>(got->type), static_cast<int>(f.type));
-    EXPECT_FALSE(reasm.next().has_value());
+  // With 2 data shards of at most 5 bytes, the 24-byte frame header spans
+  // three generations, and the third is split between header and payload.
+  UdpFecConfig tiny = small_cfg();
+  tiny.data_shards = 2;
+  tiny.max_shard_bytes = 5;
+  for (const UdpFecConfig& cfg : {small_cfg(), tiny}) {
+    SCOPED_TRACE("data_shards " + std::to_string(cfg.data_shards));
+    FrameFragmenter frag(cfg);
+    FrameReassembler reasm(cfg);
+    // Sub-shard, exact shard, exact generation, multi-generation, and
+    // off-by-one around each boundary. (Frame encoding adds its own header.)
+    const std::size_t sizes[] = {0,   1,   63,  64,  65,   255,  256,
+                                 257, 512, 513, 999, 4096, 10000};
+    for (const std::size_t sz : sizes) {
+      const Frame f = test_frame(sz);
+      const auto dgrams = frag.fragment(f);
+      ASSERT_FALSE(dgrams.empty());
+      for (const auto& d : dgrams) reasm.offer(d);
+      const auto got = reasm.next();
+      ASSERT_TRUE(got.has_value()) << "size " << sz;
+      EXPECT_EQ(got->payload, f.payload);
+      EXPECT_EQ(got->round, f.round);
+      EXPECT_EQ(got->client_id, f.client_id);
+      EXPECT_EQ(static_cast<int>(got->type), static_cast<int>(f.type));
+      EXPECT_FALSE(reasm.next().has_value());
+    }
   }
 }
 
@@ -305,6 +363,37 @@ TEST(UdpFragmentation, LossBeyondBudgetIsUnrecoverableNeverCorrupt) {
   EXPECT_EQ(got->payload, f.payload);
 }
 
+// A datagram naming a complete generation or a delivered frame is dropped
+// before its CRC is checked, so a corrupted copy of it is not counted as
+// malformed; a corrupted datagram of a generation still incomplete is.
+TEST(UdpFragmentation, LateDatagramsAreDroppedUnverified) {
+  FecStats stats;
+  const UdpFecConfig cfg = small_cfg(&stats);
+  FrameFragmenter frag(cfg);
+  FrameReassembler reasm(cfg);
+  const Frame f = test_frame(600);  // 3 generations of 4 data + 2 parity
+  const auto dgrams = frag.fragment(f);
+  ASSERT_EQ(dgrams.size(), 18u);
+  const auto corrupt = [](std::vector<std::uint8_t> d) {
+    d.back() ^= 0x5A;
+    return d;
+  };
+  for (std::size_t i = 0; i < 4; ++i) reasm.offer(dgrams[i]);  // gen 0 done
+  reasm.offer(corrupt(dgrams[4]));  // generation 0's first parity
+  EXPECT_EQ(stats.datagrams_malformed.load(), 0);
+  reasm.offer(corrupt(dgrams[6]));  // generation 1's first data shard
+  EXPECT_EQ(stats.datagrams_malformed.load(), 1);
+
+  for (std::size_t i = 4; i < dgrams.size(); ++i) reasm.offer(dgrams[i]);
+  const auto got = reasm.next();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->payload, f.payload);
+  reasm.offer(corrupt(dgrams[0]));  // the delivered frame's
+  EXPECT_EQ(stats.datagrams_malformed.load(), 1);
+  EXPECT_EQ(stats.datagrams_received.load(), 21);
+  EXPECT_FALSE(reasm.next().has_value());
+}
+
 TEST(UdpFragmentation, DuplicatesAndReorderAreHarmless) {
   std::mt19937_64 rng(kSeed ^ 13);
   const UdpFecConfig cfg = small_cfg();
@@ -402,10 +491,11 @@ std::vector<std::vector<std::uint8_t>> drain(DatagramLink& link) {
 }
 
 // One broadcast to eight UDP peers builds one FEC image: every peer sends
-// from the slot's image, the loopback links queue references to it rather
-// than copies, and each peer's datagrams are bitwise what
-// FrameFragmenter::fragment emits at that peer's own frame_seq. A peer of
-// another geometry encodes for itself and leaves the slot's image alone.
+// from the slot's image, each loopback link queues the frame as one entry
+// holding one reference to it rather than copies, and each peer's
+// datagrams are bitwise what FrameFragmenter::fragment emits at that
+// peer's own frame_seq. A peer of another geometry encodes for itself and
+// leaves the slot's image alone.
 TEST(UdpTransportLoopback, BroadcastPeersShareOneFecImage) {
   constexpr int kPeers = 8;
   UdpFecConfig cfg;
@@ -434,9 +524,8 @@ TEST(UdpTransportLoopback, BroadcastPeersShareOneFecImage) {
   }
   const std::size_t count = image->datagrams();
   EXPECT_EQ(count, 240u);
-  // The slot plus one reference per queued datagram: no payload was copied.
-  EXPECT_EQ(slot.fec.use_count(),
-            static_cast<long>(1 + kPeers * count));
+  // The slot plus one reference per queued frame: no payload was copied.
+  EXPECT_EQ(slot.fec.use_count(), static_cast<long>(1 + kPeers));
 
   for (int p = 0; p < kPeers; ++p) {
     FrameFragmenter reference(cfg);
@@ -454,6 +543,118 @@ TEST(UdpTransportLoopback, BroadcastPeersShareOneFecImage) {
   EXPECT_EQ(slot.fec.get(), image);
   FrameFragmenter reference(other);
   EXPECT_EQ(drain(*b), reference.fragment(f));
+}
+
+// The loopback queue's cap counts datagrams, not sends: a frame that
+// overflows it keeps the datagrams that fit, as the same datagrams sent one
+// at a time would, and a send past the cap is dropped.
+TEST(UdpTransportLoopback, BurstCapCountsDatagrams) {
+  const UdpFecConfig cfg = small_cfg();
+  const Frame f = test_frame(10000);  // 240 datagrams
+  FrameFragmenter frag(cfg);
+  FrameImage slot;
+  auto [a, b] = make_datagram_loopback_pair();
+  const std::vector<std::uint8_t> single = {1, 2, 3};
+  ASSERT_TRUE(a->send(single));
+  std::size_t queued = 1;
+  std::size_t frames = 0;
+  std::size_t per_frame = 0;
+  while (queued < kMaxQueuedDatagrams) {
+    FrameDatagrams d = frag.fragment(f, slot);
+    per_frame = d.image->datagrams();
+    ASSERT_TRUE(a->send_frame(std::move(d.headers), std::move(d.image)));
+    queued += per_frame;
+    ++frames;
+  }
+  const std::size_t kept = per_frame - (queued - kMaxQueuedDatagrams);
+  ASSERT_GT(kept, 0u);
+  ASSERT_LT(kept, per_frame);  // the last frame did overflow
+  ASSERT_TRUE(a->send(single));  // past the cap: lost in flight
+
+  FrameFragmenter reference(cfg);
+  FrameImage ref_slot;
+  for (std::size_t i = 0; i + 1 < frames; ++i) reference.fragment(f, ref_slot);
+  const auto last = reference.fragment(f);
+  const auto got = drain(*b);
+  ASSERT_EQ(got.size(), kMaxQueuedDatagrams);
+  EXPECT_EQ(got.front(), single);
+  EXPECT_TRUE(std::equal(got.end() - static_cast<long>(kept), got.end(),
+                         last.begin()));
+  ASSERT_TRUE(a->send(single));  // drained, the queue takes sends again
+  EXPECT_EQ(drain(*b).size(), 1u);
+}
+
+// A reader draining one frame while the writer queues the next receives
+// every datagram of every frame, in send order.
+TEST(UdpTransportLoopback, BurstReadsInOrderWhileTheNextIsQueued) {
+  const UdpFecConfig cfg = small_cfg();
+  constexpr int kFrames = 20;
+  std::vector<Frame> frames;
+  std::vector<std::size_t> starts;  // each frame's first datagram
+  std::vector<std::vector<std::uint8_t>> want;
+  FrameFragmenter reference(cfg);
+  for (int i = 0; i < kFrames; ++i) {
+    frames.push_back(test_frame(3000 + 100 * static_cast<std::size_t>(i),
+                                static_cast<std::uint32_t>(i)));
+    starts.push_back(want.size());
+    for (auto& d : reference.fragment(frames.back()))
+      want.push_back(std::move(d));
+  }
+  auto [a, b] = make_datagram_loopback_pair();
+  std::atomic<std::size_t> read{0};
+  std::thread writer([&, link = a.get()] {
+    FrameFragmenter frag(cfg);
+    for (std::size_t i = 0; i < frames.size(); ++i) {
+      // Queue each frame once the reader is inside the one before it.
+      while (i > 0 && read.load() <= starts[i - 1]) std::this_thread::yield();
+      FrameImage slot;
+      FrameDatagrams d = frag.fragment(frames[i], slot);
+      link->send_frame(std::move(d.headers), std::move(d.image));
+    }
+  });
+  std::vector<std::vector<std::uint8_t>> got;
+  while (got.size() < want.size()) {
+    auto d = b->recv(std::chrono::milliseconds(5000));
+    if (!d) break;
+    got.push_back(std::move(*d));
+    read.fetch_add(1);
+  }
+  writer.join();
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_TRUE(got == want);
+}
+
+// A close while the reader is partway through a frame: the rest of the
+// frame stays readable, and the reader's closed() flips only once it is
+// drained.
+TEST(UdpTransportLoopback, BurstStaysReadableAfterACloseMidFrame) {
+  const UdpFecConfig cfg = small_cfg();
+  const Frame f = test_frame(2000);
+  const auto want = FrameFragmenter(cfg).fragment(f);
+  FrameFragmenter frag(cfg);
+  FrameImage slot;
+  auto [a, b] = make_datagram_loopback_pair();
+  FrameDatagrams d = frag.fragment(f, slot);
+  ASSERT_TRUE(a->send_frame(std::move(d.headers), std::move(d.image)));
+  std::vector<std::vector<std::uint8_t>> got;
+  for (int i = 0; i < 5; ++i)
+    got.push_back(*b->recv(std::chrono::milliseconds(0)));
+  a->close();
+  EXPECT_TRUE(a->closed());
+  FrameDatagrams refused = frag.fragment(f, slot);
+  EXPECT_FALSE(
+      a->send_frame(std::move(refused.headers), std::move(refused.image)));
+  while (got.size() < want.size()) {
+    EXPECT_FALSE(b->closed()) << "closed with datagram " << got.size()
+                              << " unread";
+    auto dg = b->recv(std::chrono::milliseconds(0));
+    ASSERT_TRUE(dg.has_value());
+    got.push_back(std::move(*dg));
+  }
+  EXPECT_TRUE(b->closed());
+  EXPECT_FALSE(b->recv(std::chrono::milliseconds(0)).has_value());
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(slot.fec.use_count(), 1);  // the drained frame let go of it
 }
 
 // --- Deterministic datagram chaos ------------------------------------------
