@@ -3,8 +3,9 @@
 // Times the blocked matmul kernels, Conv2d forward/backward (a padded 3x3
 // layer and the paper CNN's two layers), DGC compression, and one full
 // synchronous FL round at 1/2/4/8 worker threads, plus the
-// single-threaded CRC-32 kernel over one MODEL frame, the Reed-Solomon
-// encode and repair of one lossy_udp MODEL frame, and that frame's trip
+// single-threaded CRC-32 kernel over one MODEL frame, that frame's stream
+// parse in TCP-sized reads, the Reed-Solomon encode and repair of one
+// lossy_udp MODEL frame, and that frame's trip
 // through the UDP transport's fragmenter and reassembler — once per available
 // kernel backend (scalar always, avx2 when the CPU supports it) — and writes
 // the results to bench_results/BENCH_kernels.json along with the detected
@@ -31,6 +32,7 @@
 #include "fl/client.h"
 #include "net/fec/rs.h"
 #include "net/transport/crc32.h"
+#include "net/transport/frame.h"
 #include "net/transport/udp.h"
 #include "nn/conv2d.h"
 #include "tensor/dispatch.h"
@@ -61,6 +63,7 @@ struct Row {
   double seconds = 0.0;
   double gflops = 0.0;  ///< 0 when a FLOP count is not meaningful
   double gb_per_s = 0.0;  ///< byte-stream kernels: size bytes / seconds
+  double mb_per_s = 0.0;  ///< frame_parse: size bytes / seconds
 };
 
 void write_json(const std::vector<Row>& rows) {
@@ -79,6 +82,7 @@ void write_json(const std::vector<Row>& rows) {
        << ", \"threads\": " << r.threads << ", \"seconds\": " << r.seconds;
     if (r.gflops > 0.0) os << ", \"gflops\": " << r.gflops;
     if (r.gb_per_s > 0.0) os << ", \"gb_per_s\": " << r.gb_per_s;
+    if (r.mb_per_s > 0.0) os << ", \"mb_per_s\": " << r.mb_per_s;
     os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
@@ -94,6 +98,8 @@ void report(const Row& r) {
     std::cout << "  (" << std::setprecision(2) << r.gflops << " GFLOP/s)";
   if (r.gb_per_s > 0.0)
     std::cout << "  (" << std::setprecision(2) << r.gb_per_s << " GB/s)";
+  if (r.mb_per_s > 0.0)
+    std::cout << "  (" << std::setprecision(1) << r.mb_per_s << " MB/s)";
   std::cout << "\n";
 }
 
@@ -137,6 +143,12 @@ int main() {
   // send and parse does.
   std::vector<std::uint8_t> crc_buf(140296);
   for (auto& b : crc_buf) b = static_cast<std::uint8_t>(rng.next_u64() >> 56);
+  // The same payload as one encoded MODEL frame, for the stream parser.
+  net::transport::Frame parse_model;
+  parse_model.type = net::transport::MsgType::kModel;
+  parse_model.payload = crc_buf;
+  const std::vector<std::uint8_t> parse_stream =
+      net::transport::encode_frame(parse_model);
 
   // One lossy_udp MODEL frame (449 KB) as RS(8+8) generations of 1200-byte
   // shards, laid out generation by generation: 8 data shards, then 8
@@ -202,6 +214,34 @@ int main() {
               kPasses,
           0.0};
     r.gb_per_s = static_cast<double>(crc_buf.size()) / r.seconds * 1e-9;
+    report(r);
+    rows.push_back(r);
+  }
+  {
+    // Single-threaded, report-only: the frame through one connection's
+    // FrameParser::consume in TcpTransport's 16 KB reads (header and CRC
+    // checks, the partial frame's buffering, the payload copy); seconds per
+    // frame, each sample the mean of 50.
+    constexpr int kPasses = 50;
+    constexpr std::size_t kRead = 16384;
+    const std::span<const std::uint8_t> stream(parse_stream);
+    net::transport::FrameParser parser;
+    std::optional<net::transport::Frame> back;
+    const auto parse = [&] {
+      for (int p = 0; p < kPasses; ++p) {
+        for (std::size_t off = 0; off < stream.size(); off += kRead)
+          parser.consume(
+              stream.subspan(off, std::min(kRead, stream.size() - off)));
+        back = parser.next();
+      }
+    };
+    Row r{"frame_parse", bk, static_cast<std::int64_t>(stream.size()), 1,
+          best_seconds(reps_small, parse) / kPasses, 0.0};
+    if (!back || back->payload != crc_buf || parser.pending_bytes() != 0) {
+      std::cerr << "frame_parse did not rebuild the frame\n";
+      return 1;
+    }
+    r.mb_per_s = static_cast<double>(stream.size()) / r.seconds * 1e-6;
     report(r);
     rows.push_back(r);
   }

@@ -278,11 +278,6 @@ int main(int argc, char** argv) {
     // server.frame_dispatch_ms is the scaling health metric.
     cfg.registry = outputs.registry();
 
-    // Every server accepts STANDBY_HELLO peers and streams them each
-    // checkpoint it writes (no-op until a standby actually attaches).
-    net::replication::CheckpointPublisher publisher(cfg.tracer);
-    cfg.publisher = &publisher;
-
     // --- Listener: TCP byte-stream frames or FEC-coded UDP datagrams.
     net::transport::UdpFecConfig fec_cfg;
     fec_cfg.data_shards = args.get_int_at_least("fec-generation", 1);
@@ -360,10 +355,10 @@ int main(int argc, char** argv) {
 
     if (session.resumed_from() > 0)
       std::cout << "resumed-from: " << session.resumed_from() << std::endl;
-    if (publisher.checkpoints_replicated() > 0)
+    if (session.checkpoints_replicated() > 0)
       std::cout << "replication: checkpoints-replicated="
-                << publisher.checkpoints_replicated()
-                << " standbys=" << publisher.standby_count() << std::endl;
+                << session.checkpoints_replicated()
+                << " standbys=" << session.standbys_attached() << std::endl;
     cli::print_run_report(
         std::cout, log, !cfg.checkpoint_dir.empty(),
         {{"wall-clock time", metrics::fmt_f(log.total_time, 1) + "s"}});

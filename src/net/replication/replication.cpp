@@ -43,79 +43,6 @@ ReplicatePayload parse_replicate(std::span<const std::uint8_t> payload) {
   return p;
 }
 
-// --- CheckpointPublisher. ------------------------------------------------
-
-void CheckpointPublisher::adopt(
-    std::unique_ptr<transport::Transport> standby) {
-  Slot s;
-  s.conn = std::move(standby);
-  s.id = next_slot_id_++;
-  if (!last_payload_.empty()) {
-    // Late attach: seed with the newest checkpoint right away.
-    if (s.conn->send(Frame{MsgType::kReplicate, last_next_round_, kServerId,
-                           last_payload_})) {
-      ++replicated_;
-    } else {
-      return;  // dead on arrival
-    }
-  }
-  standbys_.push_back(std::move(s));
-}
-
-void CheckpointPublisher::publish(std::uint32_t next_round,
-                                  const std::vector<std::uint8_t>& image,
-                                  double t) {
-  ReplicatePayload p;
-  p.next_round = next_round;
-  p.image = image;
-  last_payload_ = encode_replicate(p);
-  last_next_round_ = next_round;
-  for (auto& s : standbys_) {
-    if (s.conn == nullptr || s.conn->closed()) continue;
-    if (s.conn->send(
-            Frame{MsgType::kReplicate, next_round, kServerId, last_payload_})) {
-      ++replicated_;
-      if (tracer_ != nullptr)
-        tracer_->record(metrics::ev_replicate(
-            static_cast<int>(next_round), s.id,
-            static_cast<std::int64_t>(last_payload_.size()), t));
-    } else {
-      s.conn->close();
-    }
-  }
-  service();  // reap anything the failed sends closed
-}
-
-void CheckpointPublisher::service() {
-  for (auto& s : standbys_) {
-    if (s.conn == nullptr || s.conn->closed()) continue;
-    try {
-      while (auto f = s.conn->recv(std::chrono::milliseconds(0))) {
-        if (f->type == MsgType::kPing)
-          s.conn->send(Frame{MsgType::kPong, 0, kServerId, {}});
-        // Anything else from a standby is ignored; replication is one-way.
-      }
-    } catch (const CheckError&) {
-      s.conn->close();  // poisoned stream
-    }
-  }
-  standbys_.erase(
-      std::remove_if(standbys_.begin(), standbys_.end(),
-                     [](const Slot& s) {
-                       return s.conn == nullptr || s.conn->closed();
-                     }),
-      standbys_.end());
-}
-
-void CheckpointPublisher::shutdown_standbys() {
-  for (auto& s : standbys_) {
-    if (s.conn == nullptr || s.conn->closed()) continue;
-    s.conn->send(Frame{MsgType::kShutdown, 0, kServerId, {}});
-    s.conn->close();
-  }
-  standbys_.clear();
-}
-
 // --- StandbyReplica. -----------------------------------------------------
 
 StandbyReplica::StandbyReplica(StandbyConfig cfg, DialFn dial)

@@ -10,6 +10,12 @@
 // checkpoints: a torn or corrupt image is rejected wholesale and the
 // previous one stays resumable.
 //
+// The primary's half is ServerSession's (session.h), which serves a
+// standby as one more peer: it binds it on kStandbyHello, answers its
+// PINGs from dispatch and sends each checkpoint it writes as one REPLICATE
+// encoding shared by every standby. This file holds the REPLICATE codec
+// and the standby's half.
+//
 // Liveness: the standby holds a heartbeat lease. Any frame from the primary
 // (REPLICATE, PONG, PING) renews it; while the link is quiet the standby
 // PINGs at ~lease/3. If the lease expires — the primary died, or the
@@ -58,58 +64,6 @@ struct ReplicatePayload {
 std::vector<std::uint8_t> encode_replicate(const ReplicatePayload& p);
 /// Throws CheckError on truncated or malformed payloads.
 ReplicatePayload parse_replicate(std::span<const std::uint8_t> payload);
-
-// --- Primary side. -------------------------------------------------------
-
-/// Fans freshly-written checkpoint images out to attached standbys.
-///
-/// Not thread-safe: every method is driven from the server session's run
-/// thread (ServerSession routes kStandbyHello handshakes into adopt() and
-/// calls service()/publish() from its poll loop).
-class CheckpointPublisher {
- public:
-  explicit CheckpointPublisher(metrics::Tracer* tracer = nullptr)
-      : tracer_(tracer) {}
-
-  /// Takes ownership of a handshaken replication peer. If a checkpoint was
-  /// already published this run, the newcomer is seeded with it
-  /// immediately so a late-attaching standby is not blind until the next
-  /// round boundary.
-  void adopt(std::unique_ptr<transport::Transport> standby);
-
-  /// Ships one checkpoint image to every attached standby. `t` is the
-  /// trace timestamp (seconds since the server run started). A standby
-  /// whose send fails is dropped.
-  void publish(std::uint32_t next_round,
-               const std::vector<std::uint8_t>& image, double t);
-
-  /// One poll pass: answers standby PINGs (lease renewal — without this a
-  /// standby would promote under a live but idle primary) and reaps dead
-  /// connections.
-  void service();
-
-  /// Graceful end of run: SHUTDOWN to every standby so it stands down
-  /// instead of promoting. A SIGKILLed primary never reaches this — that
-  /// is exactly the case where promotion is wanted.
-  void shutdown_standbys();
-
-  std::size_t standby_count() const { return standbys_.size(); }
-  /// Total successful per-standby checkpoint sends.
-  std::uint64_t checkpoints_replicated() const { return replicated_; }
-
- private:
-  struct Slot {
-    std::unique_ptr<transport::Transport> conn;
-    int id = 0;  ///< stable slot id for trace events
-  };
-
-  metrics::Tracer* tracer_ = nullptr;
-  std::vector<Slot> standbys_;
-  std::vector<std::uint8_t> last_payload_;  ///< encoded REPLICATE payload
-  std::uint32_t last_next_round_ = 0;
-  std::uint64_t replicated_ = 0;
-  int next_slot_id_ = 0;
-};
 
 // --- Standby side. -------------------------------------------------------
 

@@ -112,27 +112,6 @@ Frame decode_frame(std::span<const std::uint8_t, kFrameHeaderBytes> header,
   return f;
 }
 
-void FrameParser::feed(std::span<const std::uint8_t> data) {
-  buf_.insert(buf_.end(), data.begin(), data.end());
-  std::size_t off = 0;
-  while (buf_.size() - off >= kFrameHeaderBytes) {
-    std::uint32_t payload_len = 0, crc = 0;
-    Frame f = parse_header(
-        std::span<const std::uint8_t>(buf_).subspan(off, kFrameHeaderBytes),
-        &payload_len, &crc);
-    if (buf_.size() - off < kFrameHeaderBytes + payload_len) break;
-    auto payload = std::span<const std::uint8_t>(buf_).subspan(
-        off + kFrameHeaderBytes, payload_len);
-    ADAFL_CHECK_MSG(crc32(payload) == crc, "frame: payload CRC mismatch");
-    f.payload.assign(payload.begin(), payload.end());
-    ready_.push_back(std::move(f));
-    off += kFrameHeaderBytes + payload_len;
-  }
-  if (off > 0)
-    buf_.erase(buf_.begin(),
-               buf_.begin() + static_cast<std::ptrdiff_t>(off));
-}
-
 bool FrameParser::try_complete_buffered() {
   if (buf_.size() < kFrameHeaderBytes) return false;
   std::uint32_t payload_len = 0, crc = 0;
@@ -140,8 +119,8 @@ bool FrameParser::try_complete_buffered() {
       std::span<const std::uint8_t>(buf_).first(kFrameHeaderBytes),
       &payload_len, &crc);
   if (buf_.size() < kFrameHeaderBytes + payload_len) return false;
-  // Both feed() and consume() keep at most one partial frame buffered, so a
-  // complete frame here consumes the whole buffer.
+  // consume() keeps at most one partial frame buffered, so a complete frame
+  // here consumes the whole buffer.
   auto payload =
       std::span<const std::uint8_t>(buf_).subspan(kFrameHeaderBytes,
                                                   payload_len);

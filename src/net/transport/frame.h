@@ -107,22 +107,17 @@ Frame decode_frame(std::span<const std::uint8_t> bytes);
 Frame decode_frame(std::span<const std::uint8_t, kFrameHeaderBytes> header,
                    std::vector<std::uint8_t> payload);
 
-/// Incremental stream parser: feed() raw bytes as they arrive, next() pops
-/// completed frames. Throws CheckError on malformed input; after a throw the
-/// stream is poisoned and the connection should be dropped.
+/// Incremental stream parser: consume() raw bytes as they arrive, next()
+/// pops completed frames. Throws CheckError on malformed input; after a
+/// throw the stream is poisoned and the connection should be dropped.
 class FrameParser {
  public:
-  /// Appends stream bytes and extracts any completed frames.
-  void feed(std::span<const std::uint8_t> data);
-
-  /// Non-copying incremental feed for non-blocking readers (the event
-  /// loop): frames wholly contained in `data` are decoded straight out of
-  /// the caller's buffer without ever passing through the internal stream
-  /// buffer; only a trailing partial frame (or the continuation of one) is
-  /// copied and retained. Byte-for-byte equivalent to feed() — any split of
-  /// a stream across consume() calls yields the identical frame sequence
-  /// (tests/test_frame.cpp pins this). Returns the number of frames
-  /// completed by this call.
+  /// Extracts the frames `data` completes: frames wholly contained in it
+  /// are decoded straight out of the caller's buffer; only a trailing
+  /// partial frame (or the continuation of one) is copied and retained.
+  /// Any split of a stream across consume() calls yields the frame
+  /// sequence of one whole-buffer call (tests/test_frame.cpp pins this).
+  /// Returns the number of frames completed by this call.
   std::size_t consume(std::span<const std::uint8_t> data);
 
   /// Pops the oldest completed frame, if any.
@@ -132,8 +127,8 @@ class FrameParser {
   std::size_t pending_bytes() const { return buf_.size(); }
 
  private:
-  /// Decodes one frame at buf_[0..] if complete; used by the consume() path
-  /// to finish a partial frame carried over from an earlier call.
+  /// Decodes one frame at buf_[0..] if complete: finishes a partial frame
+  /// carried over from an earlier call.
   bool try_complete_buffered();
 
   std::vector<std::uint8_t> buf_;

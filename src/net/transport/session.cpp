@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -327,48 +326,6 @@ void validate_update_agg(const UpdateAggPayload& a, std::int64_t dense_size,
 
 // --- ServerSession. ------------------------------------------------------
 
-/// What the session keeps of a standby peer: the frames dispatch routed to
-/// it, and whether the connection is gone. Session thread only.
-struct ServerSession::StandbyLink {
-  std::deque<Frame> inbox;
-  bool closed = false;
-};
-
-/// The replication publisher's Transport view of a standby peer, on either
-/// carrier. The publisher only polls with recv(0) from the session thread,
-/// so recv() just pops the inbox dispatch fills; send() and close() are the
-/// session's own send and close by ConnId.
-class ServerSession::StandbyTransport final : public Transport {
- public:
-  StandbyTransport(ServerSession* session, ConnId conn,
-                   std::shared_ptr<StandbyLink> link)
-      : session_(session), conn_(conn), link_(std::move(link)) {}
-
-  bool send(const Frame& f) override {
-    return !link_->closed && session_->send(conn_, f) != 0;
-  }
-
-  std::optional<Frame> recv(std::chrono::milliseconds) override {
-    if (link_->inbox.empty()) return std::nullopt;
-    Frame f = std::move(link_->inbox.front());
-    link_->inbox.pop_front();
-    return f;
-  }
-
-  bool closed() const override { return link_->closed; }
-
-  void close() override {
-    if (!link_->closed) session_->close(conn_);
-  }
-
-  std::string peer() const override { return "standby"; }
-
- private:
-  ServerSession* session_;
-  ConnId conn_;
-  std::shared_ptr<StandbyLink> link_;
-};
-
 ServerSession::ServerSession(ServerSessionConfig cfg, nn::ModelFactory factory,
                              const data::Dataset* test)
     : cfg_(std::move(cfg)),
@@ -401,7 +358,7 @@ void ServerSession::request_stop(bool write_checkpoint) {
 }
 
 void ServerSession::write_checkpoint(
-    int next_round, const core::AdaFlServerCore::State& snap) const {
+    int next_round, const core::AdaFlServerCore::State& snap) {
   core::ServerCheckpoint ck;
   ck.producer = "deployed";
   ck.next_round = static_cast<std::uint32_t>(next_round);
@@ -410,12 +367,24 @@ void ServerSession::write_checkpoint(
   core::save_core_state(snap, ck);
   // Encode once: the byte image written to disk is the byte image every
   // standby receives, so wire and disk validation are the same code path.
-  const std::vector<std::uint8_t> image =
+  std::vector<std::uint8_t> image =
       core::encode_checkpoint_file_bytes(core::encode_server_checkpoint(ck));
   core::write_checkpoint_bytes_atomic(
       core::checkpoint_path(cfg_.checkpoint_dir), image);
-  if (cfg_.publisher != nullptr)
-    cfg_.publisher->publish(ck.next_round, image, trace_now());
+  replicate_ = Frame{MsgType::kReplicate, ck.next_round, kServerId,
+                     replication::encode_replicate(
+                         {ck.next_round, std::move(image)})};
+  replicate_image_ = FrameImage{};
+  const double t = trace_now();
+  // A copy: a failed send closes the standby, which erases it.
+  for (const auto& [conn, slot] : std::map<ConnId, int>(standbys_)) {
+    if (send(conn, replicate_, &replicate_image_) == 0) continue;
+    ++replicated_;
+    if (cfg_.tracer != nullptr)
+      cfg_.tracer->record(metrics::ev_replicate(
+          next_round, slot,
+          static_cast<std::int64_t>(replicate_.payload.size()), t));
+  }
 }
 
 int ServerSession::resume_from_checkpoint() {
@@ -447,7 +416,6 @@ int ServerSession::resume_from_checkpoint() {
 }
 
 void ServerSession::drop_all_connections(std::chrono::milliseconds flush) {
-  for (auto& [conn, link] : standbys_) link->closed = true;
   standbys_.clear();
   carriers_.close_all(flush);
 }
@@ -475,10 +443,7 @@ std::size_t ServerSession::send(ConnId conn, const Frame& f,
 }
 
 void ServerSession::close(ConnId conn) {
-  if (const auto it = standbys_.find(conn); it != standbys_.end()) {
-    it->second->closed = true;
-    standbys_.erase(it);
-  }
+  standbys_.erase(conn);
   // A client's or relay's routes go, but its leaves' round debts stay: a
   // promoted standby re-binding the range can still recover the round;
   // unrecovered loss falls to the round deadline exactly as a flat client
@@ -683,9 +648,6 @@ void ServerSession::handle_frame(RoundCtx& rc, int id, const Frame& f) {
 }
 
 bool ServerSession::service(RoundCtx& rc) {
-  // Keep standby leases alive (answer their PINGs) and reap dead ones.
-  if (cfg_.publisher != nullptr) cfg_.publisher->service();
-
   carriers_.poll(frame_batch_);
   const bool progress = !frame_batch_.empty();
   if (progress) dispatch(rc);
@@ -705,7 +667,7 @@ void ServerSession::dispatch(RoundCtx& rc) {
   };
 
   // Pass 1 (sequential, arrival order): dispatch-latency metric, standby
-  // routing, handshakes, and every non-UPDATE frame. Aggregatable UPDATE
+  // PINGs, handshakes, and every non-UPDATE frame. Aggregatable UPDATE
   // frames only get collected as decode jobs — one per client at most
   // (pending_decode_), so every job owns a disjoint delivery slot.
   decode_jobs_.clear();
@@ -718,8 +680,10 @@ void ServerSession::dispatch(RoundCtx& rc) {
           std::chrono::duration<double, std::milli>(drained_at - inf.enqueued)
               .count());
     if (!carriers_.open(inf.conn)) continue;  // closed earlier in this pass
-    if (const auto sb = standbys_.find(inf.conn); sb != standbys_.end()) {
-      sb->second->inbox.push_back(std::move(inf.frame));  // the publisher's
+    if (standbys_.count(inf.conn) != 0) {
+      // Replication is one-way; a PING renews the standby's lease.
+      if (f.type == MsgType::kPing)
+        send(inf.conn, Frame{MsgType::kPong, 0, kServerId, {}});
       continue;
     }
     const ServerFace::Claim* bound = face_.binding(inf.conn);
@@ -804,8 +768,6 @@ void ServerSession::handshake(RoundCtx& rc, ConnId conn, const Frame& f) {
   ServerFace::Claim claim;
   try {
     if (f.type == MsgType::kStandbyHello) {
-      ADAFL_CHECK_MSG(cfg_.publisher != nullptr,
-                      "session: standby joined but replication is off");
       ADAFL_CHECK_MSG(parse_hello(f.payload) == kProtocolVersion,
                       "session: standby protocol version mismatch");
     } else {
@@ -817,11 +779,12 @@ void ServerSession::handshake(RoundCtx& rc, ConnId conn, const Frame& f) {
   }
 
   if (f.type == MsgType::kStandbyHello) {
-    // A replication peer, not a client: its frames now belong to the
-    // publisher, which talks to it through a Transport view.
-    const auto link = std::make_shared<StandbyLink>();
-    standbys_.emplace(conn, link);
-    cfg_.publisher->adopt(std::make_unique<StandbyTransport>(this, conn, link));
+    // A replication peer, not a client. A late one is seeded with the
+    // newest checkpoint at once, not blind until the next round boundary.
+    standbys_.emplace(conn, standbys_attached_++);
+    if (!replicate_.payload.empty() &&
+        send(conn, replicate_, &replicate_image_) != 0)
+      ++replicated_;
     return;
   }
   const int id = claim.range ? -1 : claim.base;
@@ -1053,12 +1016,13 @@ fl::TrainLog ServerSession::run() {
 
   // --- Orderly shutdown: tell everyone training is over — one SHUTDOWN per
   // direct client and per relay, which broadcasts it to its subtree.
-  const Frame sd{MsgType::kShutdown, 0, kServerId, {}};
-  FrameImage sd_image;
-  for (const ConnId conn : face_.conns()) send(conn, sd, &sd_image);
   // Standbys stand down on a completed run — SIGKILL never reaches this,
   // which is exactly when promotion is wanted.
-  if (cfg_.publisher != nullptr) cfg_.publisher->shutdown_standbys();
+  std::vector<ConnId> conns = face_.conns();
+  for (const auto& [conn, slot] : standbys_) conns.push_back(conn);
+  const Frame sd{MsgType::kShutdown, 0, kServerId, {}};
+  FrameImage sd_image;
+  for (const ConnId conn : conns) send(conn, sd, &sd_image);
   drop_all_connections(std::chrono::milliseconds(2000));
 
   if (traced) tracer->flush();

@@ -48,10 +48,6 @@
 #include "net/transport/tcp.h"
 #include "net/transport/transport.h"
 
-namespace adafl::net::replication {
-class CheckpointPublisher;
-}
-
 namespace adafl::metrics {
 class Registry;
 class Histogram;
@@ -226,13 +222,6 @@ struct ServerSessionConfig {
   /// must outlive run().
   metrics::Tracer* tracer = nullptr;
 
-  /// Optional hot-standby replication (net/replication/). When set, the
-  /// session routes kStandbyHello handshakes into it, ships every
-  /// checkpoint image it writes via publish(), keeps standby leases alive
-  /// from the poll loop, and stands standbys down on orderly completion.
-  /// Not owned; must outlive run().
-  replication::CheckpointPublisher* publisher = nullptr;
-
   /// Optional metrics registry. When set, the session records the
   /// "server.round_latency_ms" histogram (wall time per committed round)
   /// and — with an event loop attached — "server.frame_dispatch_ms"
@@ -253,8 +242,12 @@ struct ServerSessionConfig {
 /// ConnId. Clients and relays are bound in a ServerFace over
 /// [0, expected_clients), which decides their catch-up and nudges and is
 /// where a connection's role is read; the session builds, sends and books
-/// those frames. add_transport() may be called from another thread at any
-/// time before or during run().
+/// those frames. Standbys are peers of the session too: dispatch answers
+/// their PINGs, each checkpoint written goes to every standby as one shared
+/// REPLICATE encoding (the newest one at once to a standby that attaches
+/// later), and a completed run sends them SHUTDOWN with the clients'.
+/// add_transport() may be called from another thread at any time before or
+/// during run().
 class ServerSession {
  public:
   /// `test` may be null (no evaluation; records carry accuracy 0).
@@ -289,6 +282,11 @@ class ServerSession {
   const std::vector<float>& global() const { return core_.global(); }
   const core::AdaFlStats& stats() const { return core_.stats(); }
 
+  /// REPLICATE frames sent to standbys, late-attach seeds included.
+  std::uint64_t checkpoints_replicated() const { return replicated_; }
+  /// Standbys that said STANDBY_HELLO this run.
+  int standbys_attached() const { return standbys_attached_; }
+
  private:
   /// Per-round mutable state shared by the service loop (the round's debts
   /// are face_'s).
@@ -306,11 +304,6 @@ class ServerSession {
     /// (first accepted UPDATE-AGG per group wins; duplicates are ignored).
     std::map<int, compress::EncodedGradient> wire_partials;
   };
-
-  /// A standby's inbox and liveness, shared with the publisher's Transport
-  /// view of it (both defined in session.cpp).
-  struct StandbyLink;
-  class StandbyTransport;
 
   /// Sends `f` on `conn`; `image` is f's encoded image shared across a
   /// broadcast (Carriers::send). Returns the wire size, or 0 when the peer
@@ -336,8 +329,8 @@ class ServerSession {
   /// it, then reaps closed connections. Returns true if any frame arrived
   /// (progress).
   bool service(RoundCtx& rc);
-  /// Handles frame_batch_ in three passes: (1) in arrival order, routes
-  /// standby frames, runs handshakes and handles every non-UPDATE frame,
+  /// Handles frame_batch_ in three passes: (1) in arrival order, answers
+  /// standby PINGs, runs handshakes and handles every non-UPDATE frame,
   /// collecting aggregatable UPDATEs as decode jobs; (2) decodes them in
   /// parallel, one disjoint delivery slot per client; (3) commits them in
   /// batch order.
@@ -345,8 +338,8 @@ class ServerSession {
   /// Handles the first frame of an unbound connection: HELLO binds a client
   /// and RELAY_HELLO a relay leaf range in face_ (closing what they
   /// supersede), which queues their WELCOME and catch-up; STANDBY_HELLO
-  /// hands the peer to the replication publisher. Anything else, or an
-  /// invalid claim, closes the connection.
+  /// binds a standby and sends it the newest REPLICATE, if any. Anything
+  /// else, or an invalid claim, closes the connection.
   void handshake(RoundCtx& rc, ConnId conn, const Frame& f);
   void handle_frame(RoundCtx& rc, int id, const Frame& f);
   /// Dispatches one frame arriving on relay connection `conn`. Frames
@@ -356,9 +349,10 @@ class ServerSession {
   void handle_update_agg(RoundCtx& rc, const ServerFace::Claim& relay,
                          const Frame& f);
   /// Builds the durable checkpoint for a run whose next round is
-  /// `next_round`, from an AdaFl core snapshot taken at a round boundary.
+  /// `next_round`, from an AdaFl core snapshot taken at a round boundary,
+  /// and sends its image to every standby as one REPLICATE frame.
   void write_checkpoint(int next_round,
-                        const core::AdaFlServerCore::State& snap) const;
+                        const core::AdaFlServerCore::State& snap);
   /// Loads + validates the checkpoint and restores the core. Returns the
   /// round to resume at.
   int resume_from_checkpoint();
@@ -382,8 +376,13 @@ class ServerSession {
   ServerFace face_;
 
   Carriers carriers_;
-  /// Standby peers, whose frames belong to the replication publisher.
-  std::map<ConnId, std::shared_ptr<StandbyLink>> standbys_;
+  /// Standby peers, each with its trace slot (attach order).
+  std::map<ConnId, int> standbys_;
+  int standbys_attached_ = 0;
+  /// The newest checkpoint's REPLICATE frame, shared by every standby.
+  Frame replicate_;
+  FrameImage replicate_image_;
+  std::uint64_t replicated_ = 0;
   std::vector<bool> ever_joined_;
 
   // --- Dispatch scratch, reused across passes. ----------------------------

@@ -156,9 +156,9 @@ std::optional<Frame> TcpTransport::recv(std::chrono::milliseconds timeout) {
   for (;;) {
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n > 0) {
-      // feed() throws CheckError on a malformed stream; the caller drops
-      // the connection.
-      parser_.feed(std::span<const std::uint8_t>(
+      // consume() throws CheckError on a malformed stream; the caller
+      // drops the connection.
+      parser_.consume(std::span<const std::uint8_t>(
           chunk, static_cast<std::size_t>(n)));
       if (auto f = parser_.next()) return f;
       continue;

@@ -359,7 +359,8 @@ inline DeployedResult run_deployed_tcp(
 /// Full deployed run over real TCP on 127.0.0.1 driven by the epoll event
 /// loop (the flserver production path): the loop owns the listening fd and
 /// every accepted socket, and the session runs in loop mode
-/// (attach_event_loop) with sharded parallel UPDATE decode. Mirrors
+/// (attach_event_loop), decoding each pass's UPDATEs in parallel on the
+/// worker pool. Mirrors
 /// run_deployed_tcp's crash-injection knobs so the rejoin/catch-up paths get
 /// exercised through the loop handshake.
 inline DeployedResult run_deployed_event_loop(

@@ -1,8 +1,9 @@
 // ServerSession with an event loop attached (the flserver production
-// path): the epoll loop owns the sockets, UPDATEs are decoded in parallel
-// across shards, and apply_round aggregates in parallel over element ranges
-// — yet the run must stay bitwise identical to the in-process simulator at
-// every shard count and worker-thread count, survive a mid-round client
+// path): the epoll loop owns the sockets, every UPDATE of a pass decodes in
+// parallel on the worker pool whatever the shard count, and apply_round
+// aggregates in parallel over element ranges — yet the run must stay
+// bitwise identical to the in-process simulator at every shard count and
+// worker-thread count, survive a mid-round client
 // crash, and populate the round-latency / frame-dispatch histograms. Loop
 // peers and add_transport() peers share one ConnId space, so a fleet split
 // across both carriers and a standby attached through the loop are pinned
@@ -172,7 +173,7 @@ TEST(EventLoopSession, ShardCountInvariant) {
 }
 
 // Worker-thread count sweeps the parallel_for_blocked partition under the
-// sharded apply_round; the per-element accumulation order is fixed by
+// parallel apply_round; the per-element accumulation order is fixed by
 // selection order, so the result is bitwise invariant.
 TEST(EventLoopSession, WorkerThreadCountInvariant) {
   ThreadGuard guard;
@@ -287,9 +288,9 @@ TEST(EventLoopSession, MixedCarriersMatchSimulatorBitwiseAndTrace) {
   std::remove(dep_path.c_str());
 }
 
-// A standby dialing the loop-owned listener is handed to the publisher
-// through the session's Transport view: it receives every checkpoint and is
-// stood down by the completed run.
+// A standby dialing the loop-owned listener is a peer of the session like
+// any client: it receives every checkpoint and is stood down by the
+// completed run.
 TEST(EventLoopSession, StandbyThroughTheLoopReplicatesAndStandsDown) {
   const auto spec = testutil::small_task_spec();
   const auto client = testutil::small_client_config();
@@ -302,7 +303,6 @@ TEST(EventLoopSession, StandbyThroughTheLoopReplicatesAndStandsDown) {
   std::filesystem::create_directories(dir);
   std::filesystem::create_directories(standby_dir);
 
-  replication::CheckpointPublisher pub;
   replication::StandbyConfig stcfg;
   stcfg.checkpoint_dir = standby_dir;
   stcfg.recv_poll = milliseconds(10);
@@ -315,7 +315,6 @@ TEST(EventLoopSession, StandbyThroughTheLoopReplicatesAndStandsDown) {
       spec, client, params, rounds,
       [&](ServerSessionConfig& c) {
         c.checkpoint_dir = dir;
-        c.publisher = &pub;
       },
       [&](std::uint16_t port) {
         // Dialed before any client, so the STANDBY_HELLO lands early.
@@ -333,7 +332,6 @@ TEST(EventLoopSession, StandbyThroughTheLoopReplicatesAndStandsDown) {
   EXPECT_GE(replica->checkpoints_received(), 1u);
   EXPECT_EQ(replica->rejected_payloads(), 0u);
   EXPECT_EQ(replica->last_next_round(), static_cast<std::uint32_t>(rounds + 1));
-  EXPECT_EQ(pub.standby_count(), 0u);
   std::filesystem::remove_all(dir);
   std::filesystem::remove_all(standby_dir);
 }

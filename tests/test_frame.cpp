@@ -85,10 +85,10 @@ TEST(FrameParser, ByteAtATimeDelivery) {
   const auto bytes = encode_frame(f);
   FrameParser p;
   for (std::size_t i = 0; i + 1 < bytes.size(); ++i) {
-    p.feed(std::span<const std::uint8_t>(&bytes[i], 1));
+    p.consume(std::span<const std::uint8_t>(&bytes[i], 1));
     EXPECT_FALSE(p.next().has_value()) << "frame surfaced early at byte " << i;
   }
-  p.feed(std::span<const std::uint8_t>(&bytes[bytes.size() - 1], 1));
+  p.consume(std::span<const std::uint8_t>(&bytes[bytes.size() - 1], 1));
   const auto g = p.next();
   ASSERT_TRUE(g.has_value());
   EXPECT_EQ(g->payload, f.payload);
@@ -115,13 +115,13 @@ TEST(FrameParser, MultipleFramesPerFeed) {
   stream.insert(stream.end(), d.begin(), d.begin() + 30);
 
   FrameParser p;
-  p.feed(stream);
+  p.consume(stream);
   EXPECT_EQ(p.next()->type, MsgType::kUpdate);
   EXPECT_EQ(p.next()->type, MsgType::kScore);
   EXPECT_EQ(p.next()->type, MsgType::kPong);
   EXPECT_FALSE(p.next().has_value());
   EXPECT_EQ(p.pending_bytes(), 30u);
-  p.feed(std::span<const std::uint8_t>(d).subspan(30));
+  p.consume(std::span<const std::uint8_t>(d).subspan(30));
   EXPECT_EQ(p.next()->payload, sample_frame().payload);
 }
 
@@ -129,7 +129,7 @@ TEST(FrameParser, RejectsBadMagic) {
   auto bytes = encode_frame(sample_frame());
   bytes[0] ^= 0xFF;
   FrameParser p;
-  EXPECT_THROW(p.feed(bytes), CheckError);
+  EXPECT_THROW(p.consume(bytes), CheckError);
   EXPECT_THROW(decode_frame(bytes), CheckError);
 }
 
@@ -139,7 +139,7 @@ TEST(FrameParser, RejectsUnknownMessageType) {
     auto bytes = encode_frame(sample_frame());
     bytes[4] = bad;  // type byte follows the 4-byte magic
     FrameParser p;
-    EXPECT_THROW(p.feed(bytes), CheckError) << int(bad);
+    EXPECT_THROW(p.consume(bytes), CheckError) << int(bad);
   }
 }
 
@@ -148,7 +148,7 @@ TEST(FrameParser, RejectsNonzeroReservedBytes) {
     auto bytes = encode_frame(sample_frame());
     bytes[off] = 1;
     FrameParser p;
-    EXPECT_THROW(p.feed(bytes), CheckError) << "reserved byte " << off;
+    EXPECT_THROW(p.consume(bytes), CheckError) << "reserved byte " << off;
   }
 }
 
@@ -166,14 +166,14 @@ TEST(FrameParser, RejectsOversizedLengthPrefixFromHeaderAlone) {
   bytes[18] = static_cast<std::uint8_t>(huge >> 16);
   bytes[19] = static_cast<std::uint8_t>(huge >> 24);
   FrameParser p;
-  EXPECT_THROW(p.feed(bytes), CheckError);
+  EXPECT_THROW(p.consume(bytes), CheckError);
 }
 
 TEST(FrameParser, RejectsCorruptedPayloadCrc) {
   auto bytes = encode_frame(sample_frame());
   bytes.back() ^= 0x01;  // flip one payload bit
   FrameParser p;
-  EXPECT_THROW(p.feed(bytes), CheckError);
+  EXPECT_THROW(p.consume(bytes), CheckError);
   EXPECT_THROW(decode_frame(bytes), CheckError);
 }
 
@@ -201,7 +201,7 @@ TEST(Frame, EncodeRejectsOversizedPayload) {
   EXPECT_THROW(encode_frame(f), CheckError);
 }
 
-// --- consume(): the event loop's non-copying feed. ------------------------
+// --- consume() across splits of one stream. --------------------------------
 
 namespace {
 
@@ -246,7 +246,7 @@ void expect_same_frames(const std::vector<Frame>& got,
 
 }  // namespace
 
-TEST(FrameParserConsume, WholeBufferMatchesFeed) {
+TEST(FrameParserConsume, WholeBufferMatchesEncodedFrames) {
   std::vector<Frame> want;
   const auto stream = sample_stream(&want);
   FrameParser p;
@@ -283,27 +283,6 @@ TEST(FrameParserConsume, EverySplitPointMatchesWholeBuffer) {
     expect_same_frames(drain(p), want);
     EXPECT_EQ(p.pending_bytes(), 0u) << "split at " << cut;
   }
-}
-
-// consume() and feed() interleave on one parser: a partial frame buffered by
-// consume() is finished by feed() and vice versa.
-TEST(FrameParserConsume, InterleavesWithFeed) {
-  std::vector<Frame> want;
-  const auto stream = sample_stream(&want);
-  const std::span<const std::uint8_t> s(stream);
-  FrameParser p;
-  bool use_consume = true;
-  const std::size_t chunk = 13;  // never aligned with a frame boundary
-  for (std::size_t off = 0; off < s.size(); off += chunk) {
-    const auto part = s.subspan(off, std::min(chunk, s.size() - off));
-    if (use_consume)
-      p.consume(part);
-    else
-      p.feed(part);
-    use_consume = !use_consume;
-  }
-  expect_same_frames(drain(p), want);
-  EXPECT_EQ(p.pending_bytes(), 0u);
 }
 
 TEST(FrameParserConsume, RejectsBadMagic) {

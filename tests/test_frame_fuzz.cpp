@@ -44,9 +44,9 @@ std::vector<std::uint8_t> make_valid_frame_bytes(std::mt19937_64& rng) {
   return net::transport::encode_frame(f);
 }
 
-/// Feeds `bytes` to a fresh parser in random-sized chunks; returns the
+/// Consumes `bytes` on a fresh parser in random-sized chunks; returns the
 /// number of frames parsed, or -1 if the stream was rejected (CheckError).
-int feed_stream(std::span<const std::uint8_t> bytes, std::mt19937_64& rng) {
+int consume_stream(std::span<const std::uint8_t> bytes, std::mt19937_64& rng) {
   FrameParser parser;
   int frames = 0;
   std::size_t off = 0;
@@ -54,7 +54,7 @@ int feed_stream(std::span<const std::uint8_t> bytes, std::mt19937_64& rng) {
     while (off < bytes.size()) {
       const std::size_t chunk =
           std::min<std::size_t>(1 + rng() % 97, bytes.size() - off);
-      parser.feed(bytes.subspan(off, chunk));
+      parser.consume(bytes.subspan(off, chunk));
       off += chunk;
       while (parser.next()) ++frames;
     }
@@ -85,7 +85,7 @@ TEST(FrameFuzz, MutatedFrameStreams) {
     } else if (mode == 2) {  // truncate
       stream.resize(rng() % stream.size());
     }  // mode 3: leave intact
-    const int got = feed_stream(stream, rng);
+    const int got = consume_stream(stream, rng);
     if (mode == 3) {
       ASSERT_GE(got, 1) << "intact stream rejected at case " << i;
       ++intact;
@@ -108,20 +108,20 @@ TEST(FrameFuzz, GarbageStreams) {
     if (i % 3 == 0 && stream.size() >= 4) {
       stream[0] = 'A'; stream[1] = 'F'; stream[2] = 'L'; stream[3] = '1';
     }
-    feed_stream(stream, rng);  // must not crash or hang
+    consume_stream(stream, rng);  // must not crash or hang
   }
 }
 
-// A poisoned parser (post-throw) must stay safely rejectable: feeding more
+// A poisoned parser (post-throw) must stay safely rejectable: consuming more
 // bytes may throw again but never crashes.
 TEST(FrameFuzz, PoisonedParserStaysSafe) {
   std::mt19937_64 rng(kFuzzSeed ^ 0x9177u);
   for (int i = 0; i < 500; ++i) {
     FrameParser parser;
     std::vector<std::uint8_t> bad(net::transport::kFrameHeaderBytes, 0xFF);
-    EXPECT_THROW(parser.feed(bad), CheckError);
+    EXPECT_THROW(parser.consume(bad), CheckError);
     try {
-      parser.feed(make_valid_frame_bytes(rng));
+      parser.consume(make_valid_frame_bytes(rng));
       while (parser.next()) {}
     } catch (const CheckError&) {
     }

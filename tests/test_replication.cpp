@@ -1,8 +1,10 @@
 // Hot-standby replication tests: REPLICATE codec, standby-side validation
 // (truncated / bit-flipped / version-skewed / config-skewed images are
 // rejected and the previous complete checkpoint survives), atomic install,
-// publisher fan-out, and an in-process mid-run failover that must land
-// bitwise identical to the clean simulator.
+// the primary's session serving standbys as peers (PONG, one REPLICATE per
+// checkpoint, late-attach seeding, SHUTDOWN, forgetting a closed standby),
+// and an in-process mid-run failover that must land bitwise identical to
+// the clean simulator.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
@@ -10,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <mutex>
 #include <thread>
 
@@ -209,50 +212,172 @@ TEST(StandbyReplica, PromotesWhenThePrimaryIsUnreachable) {
   EXPECT_EQ(replica.run(), StandbyOutcome::kPromote);
 }
 
-// --- Publisher. -----------------------------------------------------------
+// --- Standbys as peers of the primary's session. -------------------------
 
-TEST(CheckpointPublisher, SeedsLateAttachersAndAnswersPings) {
-  CheckpointPublisher pub;
-  const auto img = image_of(make_ckpt(3, 6, 0));
-  pub.publish(3, img, 0.5);  // nobody attached yet
-  EXPECT_EQ(pub.checkpoints_replicated(), 0u);
+constexpr int kStandbyRounds = 4;
 
-  // A standby attaching after the publish is seeded immediately.
+/// A loopback standby attached to `server`: its STANDBY_HELLO, then
+/// `extra`, are queued before the session first reads it, and `faults`
+/// apply to the session's end. Returns the standby's end.
+std::unique_ptr<Transport> attach_standby(ServerSession& server,
+                                          const std::vector<Frame>& extra = {},
+                                          FaultPlan faults = {}) {
   auto pair = make_loopback_pair();
-  std::unique_ptr<Transport> standby_end = std::move(pair.second);
-  pub.adopt(std::move(pair.first));
-  EXPECT_EQ(pub.standby_count(), 1u);
-  EXPECT_EQ(pub.checkpoints_replicated(), 1u);
-  auto f = standby_end->recv(milliseconds(100));
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->type, MsgType::kReplicate);
-  const ReplicatePayload p = parse_replicate(f->payload);
-  EXPECT_EQ(p.next_round, 3u);
-  EXPECT_EQ(p.image, img);
+  EXPECT_TRUE(pair.second->send(Frame{MsgType::kStandbyHello, 0, kServerId,
+                                      encode_hello(kProtocolVersion)}));
+  for (const Frame& f : extra) EXPECT_TRUE(pair.second->send(f));
+  std::unique_ptr<Transport> end = std::move(pair.first);
+  if (!faults.rules.empty())
+    end = std::make_unique<FaultyTransport>(std::move(end), std::move(faults));
+  server.add_transport(std::move(end));
+  return std::move(pair.second);
+}
 
-  // PING from the standby renews its lease via a PONG.
-  Frame ping;
-  ping.type = MsgType::kPing;
-  ping.client_id = kServerId;
-  ASSERT_TRUE(standby_end->send(ping));
-  pub.service();
-  auto pong = standby_end->recv(milliseconds(100));
-  ASSERT_TRUE(pong.has_value());
-  EXPECT_EQ(pong->type, MsgType::kPong);
+/// Every frame queued on a standby's end.
+std::vector<Frame> drain_frames(Transport& t) {
+  std::vector<Frame> out;
+  while (auto f = t.recv(milliseconds(0))) out.push_back(std::move(*f));
+  return out;
+}
 
-  // A later publish reaches the attached standby.
-  pub.publish(4, image_of(make_ckpt(4, 6, 0)), 1.0);
-  EXPECT_EQ(pub.checkpoints_replicated(), 2u);
-  auto f2 = standby_end->recv(milliseconds(100));
-  ASSERT_TRUE(f2.has_value());
-  EXPECT_EQ(parse_replicate(f2->payload).next_round, 4u);
+/// next_round of each REPLICATE in `frames`, in order.
+std::vector<std::uint32_t> replicated_rounds(const std::vector<Frame>& frames) {
+  std::vector<std::uint32_t> out;
+  for (const Frame& f : frames)
+    if (f.type == MsgType::kReplicate)
+      out.push_back(parse_replicate(f.payload).next_round);
+  return out;
+}
 
-  // Graceful end of run: SHUTDOWN, not silence.
-  pub.shutdown_standbys();
-  EXPECT_EQ(pub.standby_count(), 0u);
-  auto bye = standby_end->recv(milliseconds(100));
-  ASSERT_TRUE(bye.has_value());
-  EXPECT_EQ(bye->type, MsgType::kShutdown);
+/// Runs `server` against the small task's loopback clients. `hook` runs on
+/// client 0's thread as its first connection receives MODEL(hook_round),
+/// before the client sees it, so the server cannot finish that round's
+/// score phase before the hook returns.
+fl::TrainLog run_with_hook(ServerSession& server, const cli::TaskSpec& spec,
+                           int hook_round, const std::function<void()>& hook) {
+  const int n = spec.clients;
+  std::vector<std::optional<cli::TaskBundle>> bundles(
+      static_cast<std::size_t>(n));
+  std::vector<ClientRunStats> stats(static_cast<std::size_t>(n));
+  std::atomic<bool> hooked{false};
+  std::vector<std::thread> threads;
+  for (int id = 0; id < n; ++id) {
+    threads.emplace_back([&, id] {
+      ClientSession cs(
+          test_client_config(id),
+          [&, id]() -> std::unique_ptr<Transport> {
+            auto pair = make_loopback_pair();
+            server.add_transport(std::move(pair.first));
+            std::unique_ptr<Transport> t = std::move(pair.second);
+            if (id != 0 || hooked.exchange(true)) return t;
+            FaultPlan plan;  // a zero delay only to observe the frame
+            plan.delay_frame(FaultDir::kRecv, MsgType::kModel, hook_round,
+                             milliseconds(0));
+            auto ft = std::make_unique<FaultyTransport>(std::move(t),
+                                                        std::move(plan));
+            ft->set_on_fault([&](const FaultRule&, const Frame&) { hook(); });
+            return ft;
+          },
+          make_bootstrap(&bundles[static_cast<std::size_t>(id)]));
+      stats[static_cast<std::size_t>(id)] = cs.run();
+    });
+  }
+  fl::TrainLog log = server.run();
+  for (auto& t : threads) t.join();
+  for (const auto& st : stats) EXPECT_TRUE(st.completed);
+  return log;
+}
+
+ServerSessionConfig standby_server_config(const cli::TaskSpec& spec,
+                                          const std::string& dir) {
+  ServerSessionConfig scfg = make_server_config(
+      spec, small_client_config(), small_params(), kStandbyRounds);
+  scfg.checkpoint_dir = dir;
+  scfg.checkpoint_every = 1;
+  return scfg;
+}
+
+TEST(StandbyPeer, PingsReplicatesSeedsLateAttachersAndStandsDown) {
+  const cli::TaskSpec spec = small_task_spec();
+  auto task = cli::build_task(spec);
+  const std::string dir = fresh_dir("standby_peer_seed");
+  ServerSession server(standby_server_config(spec, dir), task.factory,
+                       &task.test);
+
+  // The early standby's HELLO and PING are read before round 1 ends.
+  std::unique_ptr<Transport> early =
+      attach_standby(server, {Frame{MsgType::kPing, 0, kServerId, {}}});
+  // The late one says hello as client 0 receives MODEL(3), after the
+  // round-2 checkpoint. Client 0 sees that MODEL only once the late
+  // standby has its first frame, so round 3 cannot end before the session
+  // read the hello: the seed is the round-2 checkpoint.
+  std::unique_ptr<Transport> late;
+  std::vector<Frame> b;
+  const fl::TrainLog log = run_with_hook(server, spec, 3, [&] {
+    late = attach_standby(server);
+    if (auto f = late->recv(std::chrono::seconds(10)))
+      b.push_back(std::move(*f));
+  });
+  EXPECT_FALSE(log.interrupted);
+  ASSERT_NE(late, nullptr);
+
+  const std::vector<Frame> a = drain_frames(*early);
+  ASSERT_EQ(a.size(), 6u);
+  EXPECT_EQ(a.front().type, MsgType::kPong);
+  EXPECT_EQ(replicated_rounds(a), (std::vector<std::uint32_t>{2, 3, 4, 5}));
+  EXPECT_EQ(a.back().type, MsgType::kShutdown);
+
+  for (Frame& f : drain_frames(*late)) b.push_back(std::move(f));
+  ASSERT_EQ(b.size(), 4u);
+  EXPECT_EQ(replicated_rounds(b), (std::vector<std::uint32_t>{3, 4, 5}));
+  EXPECT_EQ(b.back().type, MsgType::kShutdown);
+  // Both standbys got the same encoding of each checkpoint, and the last
+  // one carries the image the primary wrote to disk.
+  for (std::size_t i = 0; i < 3; ++i)
+    EXPECT_EQ(b[i].payload, a[i + 2].payload) << "REPLICATE " << i;
+  std::ifstream disk(core::checkpoint_path(dir), std::ios::binary);
+  const std::vector<std::uint8_t> written(
+      (std::istreambuf_iterator<char>(disk)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(parse_replicate(a[4].payload).image, written);
+
+  EXPECT_EQ(server.checkpoints_replicated(), 7u);
+  EXPECT_EQ(server.standbys_attached(), 2);
+}
+
+TEST(StandbyPeer, ClosedStandbyIsForgotten) {
+  const cli::TaskSpec spec = small_task_spec();
+  const SimResult sim = run_simulator(spec, small_client_config(),
+                                      small_params(), kStandbyRounds);
+  auto task = cli::build_task(spec);
+  ServerSession server(
+      standby_server_config(spec, fresh_dir("standby_peer_closed")),
+      task.factory, &task.test);
+
+  std::unique_ptr<Transport> dropped = attach_standby(server);
+  // The session's send of this one's second frame, REPLICATE(3), fails.
+  std::unique_ptr<Transport> severed =
+      attach_standby(server, {}, FaultPlan().sever_on_send_frame(1));
+  std::unique_ptr<Transport> kept = attach_standby(server);
+  // Closed as client 0 receives MODEL(2): after the round-1 checkpoint,
+  // before the round-2 one.
+  const fl::TrainLog log =
+      run_with_hook(server, spec, 2, [&] { dropped->close(); });
+  EXPECT_FALSE(log.interrupted);
+  EXPECT_EQ(server.global(), sim.global);
+
+  for (Transport* t : {dropped.get(), severed.get()}) {
+    const std::vector<Frame> gone = drain_frames(*t);
+    EXPECT_EQ(gone.size(), 1u);
+    EXPECT_EQ(replicated_rounds(gone), std::vector<std::uint32_t>{2});
+  }
+  const std::vector<Frame> stayed = drain_frames(*kept);
+  EXPECT_EQ(replicated_rounds(stayed),
+            (std::vector<std::uint32_t>{2, 3, 4, 5}));
+  ASSERT_FALSE(stayed.empty());
+  EXPECT_EQ(stayed.back().type, MsgType::kShutdown);
+
+  EXPECT_EQ(server.checkpoints_replicated(), 6u);
+  EXPECT_EQ(server.standbys_attached(), 3);
 }
 
 // --- End-to-end failover, bitwise (ISSUE 8 tentpole). ---------------------
@@ -272,8 +397,6 @@ TEST(Failover, PromotedStandbyFinishesTheRunBitwise) {
   scfg.retransmit_nudge = milliseconds(150);
   scfg.checkpoint_dir = dir_a;
   scfg.checkpoint_every = 1;
-  CheckpointPublisher pub;
-  scfg.publisher = &pub;
   ServerSession server1(scfg, task.factory, &task.test);
 
   // Endpoint table: slot 0 = primary, slot 1 = the promoted standby (null
@@ -350,7 +473,6 @@ TEST(Failover, PromotedStandbyFinishesTheRunBitwise) {
   ASSERT_GE(replica.last_next_round(), 2u);
 
   ServerSessionConfig scfg2 = scfg;
-  scfg2.publisher = nullptr;
   scfg2.checkpoint_dir = dir_b;
   scfg2.resume = true;
   ServerSession server2(scfg2, task.factory, &task.test);
