@@ -200,23 +200,16 @@ int main(int argc, char** argv) {
       const std::string primary_host = primary.front().host;
       const std::uint16_t primary_port = primary.front().port;
 
-      // Fingerprint of the run configuration THIS process would serve.
-      // Built exactly like ServerSession's WELCOME payload, so a checkpoint
-      // replicated from a differently-configured primary is rejected at
-      // replication time instead of corrupting the run at promotion.
-      net::transport::WelcomeInfo w;
-      w.rounds = static_cast<std::uint32_t>(cfg.rounds);
-      auto probe = task.factory();
-      w.param_count = probe.get_flat().size();
-      w.params = cfg.params;
-      w.config = cfg.client_config;
-
       net::replication::StandbyConfig scfg;
       scfg.checkpoint_dir = cfg.checkpoint_dir;
       scfg.lease = std::chrono::milliseconds(
           args.get_int_at_least("lease-ms", 1));
+      // The fingerprint of the run THIS process would serve, so a checkpoint
+      // replicated from a differently-configured primary is rejected at
+      // replication time instead of corrupting the run at promotion.
       scfg.expected_config_crc =
-          net::transport::crc32(net::transport::encode_welcome(w));
+          net::transport::crc32(net::transport::welcome_payload(
+              cfg, static_cast<std::size_t>(task.factory().param_count())));
       net::replication::StandbyReplica replica(
           scfg,
           [&args, use_udp, primary_host,

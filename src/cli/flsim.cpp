@@ -11,7 +11,6 @@
 #include <csignal>
 #include <cstdio>
 #include <iostream>
-#include <optional>
 #include <span>
 
 #include "cli/args.h"
@@ -179,9 +178,14 @@ int main(int argc, char** argv) {
 
     fl::TrainLog log;
     bool by_time = false;
-    // CRC-32 of the final global weight bytes; the CI deployment smoke job
-    // compares this against flserver to prove bitwise equivalence.
-    std::optional<std::uint32_t> weights_crc;
+    // The final global weights. Their CRC-32 is the run's fingerprint: the
+    // deployment smoke job compares it against flserver's, and CI compares
+    // runs at different thread counts.
+    std::vector<float> weights;
+    const auto train = [&](auto&& trainer) {
+      log = trainer.run();
+      weights = trainer.global();
+    };
     if (algo == "fedavg" || algo == "fedadam" || algo == "fedprox" ||
         algo == "scaffold") {
       fl::SyncConfig cfg;
@@ -200,9 +204,8 @@ int main(int argc, char** argv) {
       cfg.checkpoint_every = ckpt_every;
       cfg.resume = resume;
       cfg.stop = &g_stop;
-      fl::SyncTrainer t(cfg, task.factory, &task.train, task.parts,
-                        &task.test);
-      log = t.run();
+      train(fl::SyncTrainer(cfg, task.factory, &task.train, task.parts,
+                            &task.test));
     } else if (algo == "fedasync" || algo == "fedbuff") {
       by_time = true;
       fl::AsyncConfig cfg;
@@ -214,9 +217,8 @@ int main(int argc, char** argv) {
       cfg.links = links;
       cfg.seed = seed;
       cfg.tracer = tracer;
-      fl::AsyncTrainer t(cfg, task.factory, &task.train, task.parts,
-                         &task.test);
-      log = t.run();
+      train(fl::AsyncTrainer(cfg, task.factory, &task.train, task.parts,
+                             &task.test));
     } else if (algo == "fedat") {
       by_time = true;
       fl::FedAtConfig cfg;
@@ -227,9 +229,8 @@ int main(int argc, char** argv) {
       cfg.links = links;
       cfg.seed = seed;
       cfg.tracer = tracer;
-      fl::FedAtTrainer t(cfg, task.factory, &task.train, task.parts,
-                         &task.test);
-      log = t.run();
+      train(fl::FedAtTrainer(cfg, task.factory, &task.train, task.parts,
+                             &task.test));
     } else if (algo == "adafl-sync") {
       core::AdaFlSyncConfig cfg;
       cfg.rounds = args.get_int("rounds");
@@ -245,12 +246,8 @@ int main(int argc, char** argv) {
       cfg.resume = resume;
       cfg.stop = &g_stop;
       cfg.tracer = tracer;
-      core::AdaFlSyncTrainer t(cfg, task.factory, &task.train, task.parts,
-                               &task.test);
-      log = t.run();
-      const auto& w = t.global();
-      weights_crc = net::transport::crc32(std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(w.data()), w.size() * 4));
+      train(core::AdaFlSyncTrainer(cfg, task.factory, &task.train, task.parts,
+                                   &task.test));
     } else if (algo == "adafl-async") {
       by_time = true;
       core::AdaFlAsyncConfig cfg;
@@ -262,9 +259,8 @@ int main(int argc, char** argv) {
       cfg.params.max_selected = args.get_int("k");
       cfg.params.tau = args.get_double("tau");
       cfg.tracer = tracer;
-      core::AdaFlAsyncTrainer t(cfg, task.factory, &task.train, task.parts,
-                                &task.test);
-      log = t.run();
+      train(core::AdaFlAsyncTrainer(cfg, task.factory, &task.train, task.parts,
+                                    &task.test));
     } else {
       std::cerr << "flsim: unknown --algo=" << algo << "\n\n" << args.usage();
       return 2;
@@ -282,11 +278,12 @@ int main(int argc, char** argv) {
          {"download", metrics::fmt_bytes(log.ledger.total_download_bytes())},
          {"simulated time", metrics::fmt_f(log.total_time, 1) + "s"}});
     // Machine-readable result line (consumed by scripts/deploy_smoke.sh).
-    if (weights_crc) {
-      char buf[16];
-      std::snprintf(buf, sizeof(buf), "%08x", *weights_crc);
-      std::cout << "weights-crc32: " << buf << "\n";
-    }
+    char crc[16];
+    std::snprintf(crc, sizeof(crc), "%08x",
+                  net::transport::crc32(std::span<const std::uint8_t>(
+                      reinterpret_cast<const std::uint8_t*>(weights.data()),
+                      weights.size() * 4)));
+    std::cout << "weights-crc32: " << crc << "\n";
     if (args.get_bool("chart") && !series.empty()) {
       std::cout << "\naccuracy vs " << (by_time ? "time" : "round") << ":\n";
       metrics::AsciiChart chart(64, 14);

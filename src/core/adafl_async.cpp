@@ -3,13 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "metrics/trace.h"
 
 namespace adafl::core {
-
-namespace {
-constexpr std::int64_t kMsgHeaderBytes = 8;
-}
 
 AdaFlAsyncTrainer::AdaFlAsyncTrainer(AdaFlAsyncConfig cfg,
                                      nn::ModelFactory factory,
@@ -19,40 +14,20 @@ AdaFlAsyncTrainer::AdaFlAsyncTrainer(AdaFlAsyncConfig cfg,
                                      std::vector<fl::DeviceProfile> devices)
     : cfg_(std::move(cfg)),
       factory_(std::move(factory)),
-      test_(test),
-      clients_([&] {
-        const int n = static_cast<int>(parts.size());
-        const int n_unreliable = static_cast<int>(
-            std::lround(n * cfg_.faults.unreliable_fraction));
-        std::vector<fl::DeviceProfile> devs =
-            devices.empty()
-                ? std::vector<fl::DeviceProfile>(static_cast<std::size_t>(n),
-                                                 fl::workstation())
-                : devices;
-        ADAFL_CHECK_MSG(static_cast<int>(devs.size()) == n,
-                        "AdaFlAsyncTrainer: need 0 or " << n << " devices");
-        if (cfg_.faults.straggler_slowdown > 1.0)
-          for (int i = 0; i < n_unreliable; ++i)
-            devs[static_cast<std::size_t>(i)] = fl::straggler(
-                devs[static_cast<std::size_t>(i)],
-                cfg_.faults.straggler_slowdown);
-        return fl::make_clients(factory_, train, parts, cfg_.client, devs,
-                                cfg_.seed ^ 0xADAFA51ULL);
-      }()),
-      controller_(cfg_.params.compression),
-      eval_model_(factory_()),
-      rng_(cfg_.seed) {
-  ADAFL_CHECK_MSG(test_ != nullptr, "AdaFlAsyncTrainer: null test set");
+      clients_(fl::make_clients(
+          factory_, train, parts, cfg_.client,
+          cfg_.faults.devices_for(std::move(devices), parts.size(),
+                                  "AdaFlAsyncTrainer"),
+          cfg_.seed ^ 0xADAFA51ULL)),
+      eval_(factory_(), test),
+      rng_(cfg_.seed),
+      links_(cfg_.links, clients_.size(), rng_, 0xA11F, "AdaFlAsyncTrainer"),
+      global_(eval_.weights()),
+      global_gradient_(global_.size(), 0.0f),
+      controller_(cfg_.params.compression) {
+  ADAFL_CHECK_MSG(test != nullptr, "AdaFlAsyncTrainer: null test set");
   ADAFL_CHECK_MSG(cfg_.duration > 0,
                   "AdaFlAsyncTrainer: duration must be positive");
-  ADAFL_CHECK_MSG(
-      cfg_.links.empty() || cfg_.links.size() == clients_.size(),
-      "AdaFlAsyncTrainer: need 0 or " << clients_.size() << " link configs");
-  global_ = eval_model_.get_flat();
-  global_gradient_.assign(global_.size(), 0.0f);
-  tensor::Rng link_rng = rng_.fork(0xA11F);
-  for (std::size_t i = 0; i < cfg_.links.size(); ++i)
-    links_.emplace_back(cfg_.links[i], link_rng.fork(i + 1));
   compressors_.reserve(clients_.size());
   for (std::size_t i = 0; i < clients_.size(); ++i)
     compressors_.emplace_back(static_cast<std::int64_t>(global_.size()),
@@ -63,91 +38,43 @@ AdaFlAsyncTrainer::AdaFlAsyncTrainer(AdaFlAsyncConfig cfg,
 fl::TrainLog AdaFlAsyncTrainer::run() {
   fl::TrainLog log;
   log_ = &log;
-  dense_bytes_ =
-      kMsgHeaderBytes + 4 * static_cast<std::int64_t>(global_.size());
+  dense_bytes_ = fl::dense_update_bytes(global_.size());
   log.dense_update_bytes = dense_bytes_;
-  delivered_ = 0;
-  delivered_since_eval_ = 0;
-  loss_since_eval_ = 0.0;
-  losses_since_eval_ = 0;
   consecutive_skips_.assign(clients_.size(), 0);
 
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    const double jitter = rng_.uniform(0.0, 0.01);
-    queue_.schedule(jitter, [this, i] { start_cycle(static_cast<int>(i)); });
-  }
-
-  for (double t = cfg_.eval_interval; t <= cfg_.duration;
-       t += cfg_.eval_interval) {
-    queue_.schedule(t, [this, t] {
-      eval_model_.set_flat(global_);
-      fl::RoundRecord rec;
-      rec.round = delivered_;
-      rec.time = t;
-      rec.test_accuracy = eval_model_.accuracy(test_->all());
-      rec.mean_train_loss =
-          losses_since_eval_ > 0
-              ? loss_since_eval_ / static_cast<double>(losses_since_eval_)
-              : 0.0;
-      rec.participants = delivered_since_eval_;
-      log_->records.push_back(rec);
-      delivered_since_eval_ = 0;
-      loss_since_eval_ = 0.0;
-      losses_since_eval_ = 0;
-      if (cfg_.tracer != nullptr && cfg_.tracer->enabled()) {
-        cfg_.tracer->record(metrics::ev_round_end(
-            rec.round, rec.participants, rec.mean_train_loss, true,
-            rec.test_accuracy, t));
-        cfg_.tracer->flush();
-      }
-    });
-  }
-
-  queue_.run_until(cfg_.duration);
-  log.total_time = queue_.now();
-  log.applied_updates = delivered_;
+  ticks_.run(
+      queue_, rng_, static_cast<int>(clients_.size()),
+      [this](int id) { start_cycle(id); }, cfg_.eval_interval, cfg_.duration,
+      eval_, global_, log, cfg_.tracer);
   log_ = nullptr;
   return log;
 }
 
 void AdaFlAsyncTrainer::start_cycle(int client_id) {
-  if (cfg_.max_updates > 0 && delivered_ >= cfg_.max_updates) return;
+  if (cfg_.max_updates > 0 && ticks_.applied() >= cfg_.max_updates) return;
   fl::FlClient& cl = clients_[static_cast<std::size_t>(client_id)];
   const std::int64_t version_at_start = version_;
-  const bool unreliable =
-      client_id < static_cast<int>(std::lround(
-                      static_cast<double>(clients_.size()) *
-                      cfg_.faults.unreliable_fraction));
+  const bool unreliable = cfg_.faults.unreliable(client_id, clients_.size());
 
   // Download the fresh global model.
-  double down_t = 0.0;
-  if (!links_.empty()) {
-    auto tr = links_[static_cast<std::size_t>(client_id)].download(
-        dense_bytes_, queue_.now());
-    down_t = tr.duration;
-  }
-  if (unreliable && cfg_.faults.straggler_slowdown > 1.0)
-    down_t *= cfg_.faults.straggler_slowdown;
+  const double down_t = cfg_.faults.stretch(
+      links_.download(client_id, dense_bytes_, queue_.now()).duration,
+      unreliable);
   log_->ledger.record_download(client_id, dense_bytes_);
 
   auto res = cl.train_from(global_);
 
   // Client-side utility gating (the client knows g_hat from consecutive
   // downloaded models, so this costs no extra traffic).
-  double up_bw = cfg_.params.utility.bw_ref;
-  double down_bw = cfg_.params.utility.bw_ref;
-  if (!links_.empty()) {
-    up_bw =
-        links_[static_cast<std::size_t>(client_id)].up_bandwidth(queue_.now());
-    down_bw = links_[static_cast<std::size_t>(client_id)].down_bandwidth(
-        queue_.now());
-  }
+  const auto [up_bw, down_bw] = links_.bandwidths(
+      client_id, queue_.now(), cfg_.params.utility.bw_ref);
   const double score = utility_score(cfg_.params.utility, res.delta,
                                      global_gradient_, up_bw, down_bw);
   // "Round" for warm-up purposes = accepted updates so far, scaled to the
   // fleet size so warm-up covers roughly warmup_rounds fleet-wide passes.
   const int pseudo_round =
-      1 + delivered_ / std::max<int>(1, static_cast<int>(clients_.size()));
+      1 + ticks_.applied() /
+              std::max<int>(1, static_cast<int>(clients_.size()));
   const bool warmup = controller_.in_warmup(pseudo_round);
 
   // Freshness guard: never skip indefinitely.
@@ -181,19 +108,11 @@ void AdaFlAsyncTrainer::start_cycle(int client_id) {
   compress::EncodedGradient msg =
       compressors_[static_cast<std::size_t>(client_id)].compress(res.delta,
                                                                  ratio);
-  double up_t = 0.0;
-  bool ok = true;
-  if (!links_.empty()) {
-    auto tr = links_[static_cast<std::size_t>(client_id)].upload(
-        msg.wire_bytes, queue_.now());
-    up_t = tr.duration;
-    ok = tr.delivered;
-  }
-  if (unreliable && cfg_.faults.straggler_slowdown > 1.0)
-    up_t *= cfg_.faults.straggler_slowdown;
-  if (unreliable && cfg_.faults.dropout_prob > 0.0 &&
-      rng_.bernoulli(cfg_.faults.dropout_prob))
-    ok = false;
+  const net::TransferResult up =
+      links_.upload(client_id, msg.wire_bytes, queue_.now());
+  const double up_t = cfg_.faults.stretch(up.duration, unreliable);
+  bool ok = up.delivered;
+  if (cfg_.faults.drops(unreliable, rng_)) ok = false;
   log_->ledger.record_upload(client_id, msg.wire_bytes, ok);
 
   const double arrival = down_t + res.compute_seconds + up_t;
@@ -217,7 +136,7 @@ void AdaFlAsyncTrainer::on_arrival(int client_id,
                                    std::int64_t version_at_start, float loss) {
   // The update cap applies to *applied* updates: in-flight arrivals beyond
   // the cap are discarded.
-  if (cfg_.max_updates > 0 && delivered_ >= cfg_.max_updates) return;
+  if (cfg_.max_updates > 0 && ticks_.applied() >= cfg_.max_updates) return;
   const std::int64_t staleness = version_ - version_at_start;
   const float a =
       cfg_.alpha * std::pow(1.0f + static_cast<float>(staleness),
@@ -238,15 +157,8 @@ void AdaFlAsyncTrainer::on_arrival(int client_id,
   for (std::size_t i = 0; i < global_gradient_.size(); ++i)
     global_gradient_[i] = a * decoded[i];
   ++version_;
-  ++delivered_;
-  ++delivered_since_eval_;
   ++stats_.selected_updates;
-  loss_since_eval_ += loss;
-  ++losses_since_eval_;
-  if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-    cfg_.tracer->record(metrics::ev_update_delivered(
-        delivered_, client_id, msg.wire_bytes, 0,
-        static_cast<double>(loss)));
+  ticks_.count(client_id, msg.wire_bytes, loss);
   start_cycle(client_id);
 }
 

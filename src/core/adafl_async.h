@@ -52,26 +52,22 @@ class AdaFlAsyncTrainer {
 
   AdaFlAsyncConfig cfg_;
   nn::ModelFactory factory_;
-  const data::Dataset* test_;
   std::vector<fl::FlClient> clients_;
-  std::vector<net::Link> links_;
-  std::vector<compress::DgcCompressor> compressors_;
-  CompressionController controller_;
+  fl::Evaluator eval_;
+  tensor::Rng rng_;
+  fl::ClientLinks links_;
   std::vector<float> global_;
   std::vector<float> global_gradient_;
+  std::vector<compress::DgcCompressor> compressors_;
+  CompressionController controller_;
   std::int64_t version_ = 0;
-  nn::Model eval_model_;
-  tensor::Rng rng_;
   net::EventQueue queue_;
   AdaFlStats stats_;
 
   fl::TrainLog* log_ = nullptr;
   std::vector<int> consecutive_skips_;
   std::int64_t dense_bytes_ = 0;
-  int delivered_ = 0;
-  int delivered_since_eval_ = 0;
-  double loss_since_eval_ = 0.0;
-  int losses_since_eval_ = 0;
+  fl::EvalTicks ticks_;
 };
 
 }  // namespace adafl::core

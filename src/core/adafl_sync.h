@@ -16,6 +16,7 @@
 #include "core/adafl_server.h"
 #include "core/config.h"
 #include "fl/sync_trainer.h"
+#include "fl/trainer_common.h"
 
 namespace adafl::core {
 
@@ -64,13 +65,12 @@ class AdaFlSyncTrainer {
  private:
   AdaFlSyncConfig cfg_;
   nn::ModelFactory factory_;
-  const data::Dataset* test_;
   std::vector<fl::FlClient> clients_;
-  std::vector<net::Link> links_;
-  std::vector<compress::DgcCompressor> compressors_;
-  nn::Model eval_model_;
+  fl::Evaluator eval_;
   tensor::Rng rng_;
+  fl::ClientLinks links_;
   AdaFlServerCore core_;
+  std::vector<compress::DgcCompressor> compressors_;
 
   // Per-client round buffers, reused across rounds: local results, delivery
   // slots (+ delivered flags, reset each round), scores, download+compute
@@ -82,10 +82,6 @@ class AdaFlSyncTrainer {
   std::vector<double> scores_;
   std::vector<double> down_plus_compute_;
   std::vector<int> plan_index_;
-  /// Full test set, materialised once (Dataset::all() copies the images
-  /// tensor; evaluating every round from this cache keeps eval allocation
-  /// free after the first use).
-  nn::Batch eval_batch_;
 };
 
 }  // namespace adafl::core

@@ -407,4 +407,62 @@ ServerCheckpoint load_server_checkpoint(const std::string& path) {
   }
 }
 
+ServerCheckpoint resume_checkpoint(
+    const std::string& path, const ServerCheckpoint& want,
+    const std::function<void(ServerCheckpoint&)>& restore) {
+  ServerCheckpoint ck = load_server_checkpoint(path);
+  const auto reject = [&path](const std::string& why) {
+    fail(path, why + "; delete the checkpoint or rerun without --resume");
+  };
+  const auto counts = [](std::size_t have, std::size_t wanted) {
+    return " (checkpoint has " + std::to_string(have) + ", this run has " +
+           std::to_string(wanted) + ")";
+  };
+  if (ck.producer != want.producer)
+    reject("written by '" + ck.producer + "', expected '" + want.producer +
+           "'");
+  if (ck.seed != want.seed) reject("seed mismatch");
+  if (ck.config_crc != want.config_crc)
+    reject("run configuration changed since the checkpoint was written");
+  if (ck.total_rounds != want.total_rounds)
+    reject("round count mismatch" + counts(ck.total_rounds, want.total_rounds));
+  if (ck.next_round > ck.total_rounds)
+    reject("run already complete (all " + std::to_string(ck.total_rounds) +
+           " rounds done); nothing to resume");
+  if (ck.global.size() != want.global.size())
+    reject("model dimension mismatch" +
+           counts(ck.global.size(), want.global.size()));
+  if (ck.adafl.has_value() != want.adafl.has_value())
+    reject("AdaFL server state mismatch");
+  if (ck.adam.has_value() != want.adam.has_value())
+    reject("server optimizer state mismatch");
+  if (ck.c_global.has_value() != want.c_global.has_value())
+    reject("SCAFFOLD state mismatch");
+  if (ck.c_global && ck.c_global->size() != want.c_global->size())
+    reject("c_global dimension mismatch");
+  if (ck.server_rng.has_value() != want.server_rng.has_value())
+    reject("server RNG state mismatch");
+  if (ck.clients.size() != want.clients.size())
+    reject("client count mismatch" +
+           counts(ck.clients.size(), want.clients.size()));
+  if (ck.link_rngs.size() != want.link_rngs.size())
+    reject("link count mismatch" +
+           counts(ck.link_rngs.size(), want.link_rngs.size()));
+  if (ck.schedule.size() != want.schedule.size())
+    reject("schedule length mismatch");
+  std::vector<bool> seen(ck.schedule.size(), false);
+  for (const std::int32_t id : ck.schedule) {
+    const auto i = static_cast<std::size_t>(id);
+    if (id < 0 || i >= seen.size() || seen[i])
+      reject("schedule is not a permutation of the clients");
+    seen[i] = true;
+  }
+  try {
+    restore(ck);
+  } catch (const CheckError& e) {
+    reject(e.what());
+  }
+  return ck;
+}
+
 }  // namespace adafl::core

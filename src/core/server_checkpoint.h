@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -148,5 +149,17 @@ void save_server_checkpoint(const std::string& path,
 
 /// read + decode; all errors carry `path` and a reason.
 ServerCheckpoint load_server_checkpoint(const std::string& path);
+
+/// The one resume check of every producer. Loads the checkpoint at `path`,
+/// checks it against `want` (the checkpoint the resuming run would write
+/// now) and hands it to `restore`. The producer, seed, configuration
+/// fingerprint and round count must match, the run must not be complete,
+/// and the model, server state, client, link and schedule shapes must
+/// agree. Each mismatch, and each CheckError `restore` throws, throws
+/// std::runtime_error naming `path` and the reason, and how to go on.
+/// Returns the checkpoint as `restore` left it.
+ServerCheckpoint resume_checkpoint(
+    const std::string& path, const ServerCheckpoint& want,
+    const std::function<void(ServerCheckpoint&)>& restore);
 
 }  // namespace adafl::core

@@ -4,12 +4,19 @@
 #include <utility>
 
 #include "core/parallel.h"
-#include "metrics/trace.h"
 
 namespace adafl::fl {
 
-namespace {
-constexpr std::int64_t kMsgHeaderBytes = 8;
+std::vector<DeviceProfile> AsyncFaults::devices_for(
+    std::vector<DeviceProfile> devices, std::size_t n, const char* who) const {
+  if (devices.empty()) devices.assign(n, workstation());
+  ADAFL_CHECK_MSG(devices.size() == n, who << ": need 0 or " << n
+                                           << " devices");
+  if (straggler_slowdown > 1.0)
+    for (std::size_t i = 0; i < n; ++i)
+      if (unreliable(static_cast<int>(i), n))
+        devices[i] = straggler(devices[i], straggler_slowdown);
+  return devices;
 }
 
 AsyncTrainer::AsyncTrainer(AsyncConfig cfg, nn::ModelFactory factory,
@@ -18,91 +25,36 @@ AsyncTrainer::AsyncTrainer(AsyncConfig cfg, nn::ModelFactory factory,
                            std::vector<DeviceProfile> devices)
     : cfg_(std::move(cfg)),
       factory_(std::move(factory)),
-      test_(test),
-      clients_([&] {
-        // Apply the straggler slowdown to the unreliable prefix before the
-        // clients are constructed.
-        const int n = static_cast<int>(parts.size());
-        const int n_unreliable = static_cast<int>(
-            std::lround(n * cfg_.faults.unreliable_fraction));
-        std::vector<DeviceProfile> devs =
-            devices.empty() ? std::vector<DeviceProfile>(
-                                  static_cast<std::size_t>(n), workstation())
-                            : devices;
-        ADAFL_CHECK_MSG(static_cast<int>(devs.size()) == n,
-                        "AsyncTrainer: need 0 or " << n << " devices");
-        if (cfg_.faults.straggler_slowdown > 1.0)
-          for (int i = 0; i < n_unreliable; ++i)
-            devs[static_cast<std::size_t>(i)] = straggler(
-                devs[static_cast<std::size_t>(i)],
-                cfg_.faults.straggler_slowdown);
-        return make_clients(factory_, train, parts, cfg_.client, devs,
-                            cfg_.seed ^ 0xA51C57ULL);
-      }()),
-      eval_model_(factory_()),
-      rng_(cfg_.seed) {
-  ADAFL_CHECK_MSG(test_ != nullptr, "AsyncTrainer: null test set");
+      clients_(make_clients(
+          factory_, train, parts, cfg_.client,
+          cfg_.faults.devices_for(std::move(devices), parts.size(),
+                                  "AsyncTrainer"),
+          cfg_.seed ^ 0xA51C57ULL)),
+      eval_(factory_(), test),
+      rng_(cfg_.seed),
+      links_(cfg_.links, clients_.size(), rng_, 0xFEED, "AsyncTrainer"),
+      global_(eval_.weights()) {
+  ADAFL_CHECK_MSG(test != nullptr, "AsyncTrainer: null test set");
   ADAFL_CHECK_MSG(cfg_.duration > 0, "AsyncTrainer: duration must be positive");
-  ADAFL_CHECK_MSG(
-      cfg_.links.empty() || cfg_.links.size() == clients_.size(),
-      "AsyncTrainer: need 0 or " << clients_.size() << " link configs");
   ADAFL_CHECK_MSG(cfg_.buffer_size > 0, "AsyncTrainer: buffer_size >= 1");
-  global_ = eval_model_.get_flat();
-  tensor::Rng link_rng = rng_.fork(0xFEED);
-  for (std::size_t i = 0; i < cfg_.links.size(); ++i)
-    links_.emplace_back(cfg_.links[i], link_rng.fork(i + 1));
 }
 
 TrainLog AsyncTrainer::run() {
   TrainLog log;
   log_ = &log;
-  dense_bytes_ =
-      kMsgHeaderBytes + 4 * static_cast<std::int64_t>(global_.size());
+  dense_bytes_ = dense_update_bytes(global_.size());
   log.dense_update_bytes = dense_bytes_;
-  delivered_ = 0;
-  delivered_since_eval_ = 0;
-  loss_since_eval_ = 0.0;
-  losses_since_eval_ = 0;
   buffer_sum_.assign(global_.size(), 0.0f);
   buffered_ = 0;
   training_.clear();
   training_.resize(clients_.size());
 
-  // Kick off every client's first cycle, slightly staggered so version
+  // Every client's first cycle starts slightly staggered so version
   // counters differentiate.
-  for (std::size_t i = 0; i < clients_.size(); ++i) {
-    const double jitter = rng_.uniform(0.0, 0.01);
-    queue_.schedule(jitter, [this, i] { start_cycle(static_cast<int>(i)); });
-  }
-
-  // Periodic evaluation.
-  for (double t = cfg_.eval_interval; t <= cfg_.duration;
-       t += cfg_.eval_interval) {
-    queue_.schedule(t, [this, t] {
-      eval_model_.set_flat(global_);
-      RoundRecord rec;
-      rec.round = delivered_;
-      rec.time = t;
-      rec.test_accuracy = eval_model_.accuracy(test_->all());
-      rec.mean_train_loss =
-          losses_since_eval_ > 0
-              ? loss_since_eval_ / static_cast<double>(losses_since_eval_)
-              : 0.0;
-      rec.participants = delivered_since_eval_;
-      log_->records.push_back(rec);
-      delivered_since_eval_ = 0;
-      loss_since_eval_ = 0.0;
-      losses_since_eval_ = 0;
-      if (cfg_.tracer != nullptr && cfg_.tracer->enabled()) {
-        cfg_.tracer->record(metrics::ev_round_end(
-            rec.round, rec.participants, rec.mean_train_loss, true,
-            rec.test_accuracy, t));
-        cfg_.tracer->flush();
-      }
-    });
-  }
-
-  queue_.run_until(cfg_.duration);
+  ticks_.run(
+      queue_, rng_, static_cast<int>(clients_.size()),
+      [this](int id) { start_cycle(id); }, cfg_.eval_interval, cfg_.duration,
+      eval_, global_, log, cfg_.tracer);
   // Join training tasks whose arrival events fell past the horizon: the
   // client state they mutate must settle before run() returns (the serial
   // schedule trained at cycle start, so these trainings "happened" too).
@@ -111,14 +63,12 @@ TrainLog AsyncTrainer::run() {
       p->done.get();
       p.reset();
     }
-  log.total_time = queue_.now();
-  log.applied_updates = delivered_;
   log_ = nullptr;
   return log;
 }
 
 void AsyncTrainer::start_cycle(int client_id) {
-  if (cfg_.max_updates > 0 && delivered_ >= cfg_.max_updates) return;
+  if (cfg_.max_updates > 0 && ticks_.applied() >= cfg_.max_updates) return;
   FlClient& cl = clients_[static_cast<std::size_t>(client_id)];
   const std::int64_t version_at_start = version_;
 
@@ -128,18 +78,10 @@ void AsyncTrainer::start_cycle(int client_id) {
   take_training(client_id);
 
   // Download leg.
-  double down_t = 0.0;
-  if (!links_.empty()) {
-    auto tr = links_[static_cast<std::size_t>(client_id)].download(
-        dense_bytes_, queue_.now());
-    down_t = tr.duration;
-  }
-  const bool unreliable =
-      client_id < static_cast<int>(std::lround(
-                      static_cast<double>(clients_.size()) *
-                      cfg_.faults.unreliable_fraction));
-  if (unreliable && cfg_.faults.straggler_slowdown > 1.0)
-    down_t *= cfg_.faults.straggler_slowdown;
+  const bool unreliable = cfg_.faults.unreliable(client_id, clients_.size());
+  const double down_t = cfg_.faults.stretch(
+      links_.download(client_id, dense_bytes_, queue_.now()).duration,
+      unreliable);
   log_->ledger.record_download(client_id, dense_bytes_);
 
   // Local training happens "now" algorithmically but costs simulated time.
@@ -163,19 +105,11 @@ void AsyncTrainer::start_cycle(int client_id) {
   training_[static_cast<std::size_t>(client_id)] = std::move(task);
 
   // Upload leg.
-  double up_t = 0.0;
-  bool ok = true;
-  if (!links_.empty()) {
-    auto tr = links_[static_cast<std::size_t>(client_id)].upload(dense_bytes_,
-                                                                 queue_.now());
-    up_t = tr.duration;
-    ok = tr.delivered;
-  }
-  if (unreliable && cfg_.faults.straggler_slowdown > 1.0)
-    up_t *= cfg_.faults.straggler_slowdown;
-  if (unreliable && cfg_.faults.dropout_prob > 0.0 &&
-      rng_.bernoulli(cfg_.faults.dropout_prob))
-    ok = false;
+  const net::TransferResult up =
+      links_.upload(client_id, dense_bytes_, queue_.now());
+  const double up_t = cfg_.faults.stretch(up.duration, unreliable);
+  bool ok = up.delivered;
+  if (cfg_.faults.drops(unreliable, rng_)) ok = false;
 
   const double arrival = down_t + compute_t + up_t;
   if (ok) {
@@ -208,7 +142,7 @@ void AsyncTrainer::on_arrival(int client_id, std::vector<float> local,
                               std::int64_t version_at_start, float loss) {
   // The update cap applies to *applied* updates: in-flight arrivals beyond
   // the cap are discarded.
-  if (cfg_.max_updates > 0 && delivered_ >= cfg_.max_updates) return;
+  if (cfg_.max_updates > 0 && ticks_.applied() >= cfg_.max_updates) return;
   const std::int64_t staleness = version_ - version_at_start;
   switch (cfg_.algo) {
     case AsyncAlgorithm::kFedAsync:
@@ -218,13 +152,7 @@ void AsyncTrainer::on_arrival(int client_id, std::vector<float> local,
       apply_fedbuff(delta, staleness);
       break;
   }
-  ++delivered_;
-  ++delivered_since_eval_;
-  loss_since_eval_ += loss;
-  ++losses_since_eval_;
-  if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-    cfg_.tracer->record(metrics::ev_update_delivered(
-        delivered_, client_id, dense_bytes_, 0, static_cast<double>(loss)));
+  ticks_.count(client_id, dense_bytes_, loss);
   // Client immediately begins its next cycle.
   start_cycle(client_id);
 }

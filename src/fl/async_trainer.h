@@ -3,17 +3,15 @@
 // paper's §III async study.
 #pragma once
 
+#include <cmath>
 #include <future>
 #include <memory>
 
 #include "fl/client.h"
+#include "fl/trainer_common.h"
 #include "fl/types.h"
 #include "net/event_queue.h"
 #include "net/link.h"
-
-namespace adafl::metrics {
-class Tracer;
-}
 
 namespace adafl::fl {
 
@@ -26,6 +24,28 @@ struct AsyncFaults {
   /// Probability an unreliable client's upload is lost — the dropout
   /// condition.
   double dropout_prob = 0.0;
+
+  /// Whether client `id` of `n` is in the unreliable prefix.
+  bool unreliable(int id, std::size_t n) const {
+    return id < static_cast<int>(
+                    std::lround(static_cast<double>(n) * unreliable_fraction));
+  }
+  /// `seconds` of transfer, slowed down for an unreliable client.
+  double stretch(double seconds, bool unreliable) const {
+    return unreliable && straggler_slowdown > 1.0
+               ? seconds * straggler_slowdown
+               : seconds;
+  }
+  /// Whether an unreliable client's upload is dropped; draws from `rng`
+  /// only when the dropout condition applies.
+  bool drops(bool unreliable, tensor::Rng& rng) const {
+    return unreliable && dropout_prob > 0.0 && rng.bernoulli(dropout_prob);
+  }
+  /// One device per client of `n`: `devices` (empty = all workstation())
+  /// with the unreliable prefix slowed down. `who` names the trainer in the
+  /// error.
+  std::vector<DeviceProfile> devices_for(std::vector<DeviceProfile> devices,
+                                         std::size_t n, const char* who) const;
 };
 
 /// Configuration of one asynchronous run. The run stops at `duration`
@@ -85,22 +105,18 @@ class AsyncTrainer {
 
   AsyncConfig cfg_;
   nn::ModelFactory factory_;
-  const data::Dataset* test_;
   std::vector<FlClient> clients_;
-  std::vector<net::Link> links_;
+  Evaluator eval_;
+  tensor::Rng rng_;
+  ClientLinks links_;
   std::vector<float> global_;
   std::int64_t version_ = 0;
-  nn::Model eval_model_;
-  tensor::Rng rng_;
   net::EventQueue queue_;
 
   // Run-scoped accumulators (reset in run()).
   TrainLog* log_ = nullptr;
   std::int64_t dense_bytes_ = 0;
-  int delivered_ = 0;
-  int delivered_since_eval_ = 0;
-  double loss_since_eval_ = 0.0;
-  int losses_since_eval_ = 0;
+  EvalTicks ticks_;
   // FedBuff buffer.
   std::vector<float> buffer_sum_;
   int buffered_ = 0;

@@ -4,13 +4,8 @@
 #include <numeric>
 
 #include "core/parallel.h"
-#include "metrics/trace.h"
 
 namespace adafl::fl {
-
-namespace {
-constexpr std::int64_t kMsgHeaderBytes = 8;
-}
 
 FedAtTrainer::FedAtTrainer(FedAtConfig cfg, nn::ModelFactory factory,
                            const data::Dataset* train, data::Partition parts,
@@ -18,38 +13,31 @@ FedAtTrainer::FedAtTrainer(FedAtConfig cfg, nn::ModelFactory factory,
                            std::vector<DeviceProfile> devices)
     : cfg_(std::move(cfg)),
       factory_(std::move(factory)),
-      test_(test),
       clients_(make_clients(factory_, train, parts, cfg_.client, devices,
                             cfg_.seed ^ 0xFEDA7ULL)),
-      eval_model_(factory_()),
-      rng_(cfg_.seed) {
-  ADAFL_CHECK_MSG(test_ != nullptr, "FedAtTrainer: null test set");
+      eval_(factory_(), test),
+      rng_(cfg_.seed),
+      links_(cfg_.links, clients_.size(), rng_, 0x7157, "FedAtTrainer"),
+      global_(eval_.weights()),
+      dense_bytes_(dense_update_bytes(global_.size())) {
+  ADAFL_CHECK_MSG(test != nullptr, "FedAtTrainer: null test set");
   ADAFL_CHECK_MSG(cfg_.num_tiers >= 1, "FedAtTrainer: num_tiers >= 1");
   ADAFL_CHECK_MSG(cfg_.num_tiers <= static_cast<int>(clients_.size()),
                   "FedAtTrainer: more tiers than clients");
   ADAFL_CHECK_MSG(cfg_.duration > 0, "FedAtTrainer: duration must be positive");
-  ADAFL_CHECK_MSG(
-      cfg_.links.empty() || cfg_.links.size() == clients_.size(),
-      "FedAtTrainer: need 0 or " << clients_.size() << " link configs");
-  global_ = eval_model_.get_flat();
-  tensor::Rng link_rng = rng_.fork(0x7157);
-  for (std::size_t i = 0; i < cfg_.links.size(); ++i)
-    links_.emplace_back(cfg_.links[i], link_rng.fork(i + 1));
 
   // --- Tiering: sort clients by estimated response time (one local round
   // on their device + a dense round trip on their link), then cut into
   // near-equal contiguous tiers — FedAT's profiling step.
-  const std::int64_t d =
-      static_cast<std::int64_t>(global_.size()) * 4 + kMsgHeaderBytes;
   std::vector<double> response(clients_.size());
   for (std::size_t i = 0; i < clients_.size(); ++i) {
     const auto& cl = clients_[i];
     double t = cl.device().seconds_for(cfg_.client.local_steps *
                                        cfg_.client.batch_size);
-    if (!links_.empty()) {
+    if (!links_.ideal()) {
       const auto& lc = cfg_.links[i];
-      t += 2.0 * lc.latency + static_cast<double>(d) / lc.up_bw +
-           static_cast<double>(d) / lc.down_bw;
+      t += 2.0 * lc.latency + static_cast<double>(dense_bytes_) / lc.up_bw +
+           static_cast<double>(dense_bytes_) / lc.down_bw;
     }
     response[i] = t;
   }
@@ -75,47 +63,11 @@ FedAtTrainer::FedAtTrainer(FedAtConfig cfg, nn::ModelFactory factory,
 TrainLog FedAtTrainer::run() {
   TrainLog log;
   log_ = &log;
-  dense_bytes_ =
-      kMsgHeaderBytes + 4 * static_cast<std::int64_t>(global_.size());
   log.dense_update_bytes = dense_bytes_;
-  applied_ = 0;
-  delivered_since_eval_ = 0;
-  loss_since_eval_ = 0.0;
-  losses_since_eval_ = 0;
 
-  for (int t = 0; t < cfg_.num_tiers; ++t) {
-    queue_.schedule(rng_.uniform(0.0, 0.01),
-                    [this, t] { start_tier_round(t); });
-  }
-  for (double t = cfg_.eval_interval; t <= cfg_.duration;
-       t += cfg_.eval_interval) {
-    queue_.schedule(t, [this, t] {
-      eval_model_.set_flat(global_);
-      RoundRecord rec;
-      rec.round = static_cast<int>(applied_);
-      rec.time = t;
-      rec.test_accuracy = eval_model_.accuracy(test_->all());
-      rec.mean_train_loss =
-          losses_since_eval_ > 0
-              ? loss_since_eval_ / static_cast<double>(losses_since_eval_)
-              : 0.0;
-      rec.participants = delivered_since_eval_;
-      log_->records.push_back(rec);
-      delivered_since_eval_ = 0;
-      loss_since_eval_ = 0.0;
-      losses_since_eval_ = 0;
-      if (cfg_.tracer != nullptr && cfg_.tracer->enabled()) {
-        cfg_.tracer->record(metrics::ev_round_end(
-            rec.round, rec.participants, rec.mean_train_loss, true,
-            rec.test_accuracy, t));
-        cfg_.tracer->flush();
-      }
-    });
-  }
-
-  queue_.run_until(cfg_.duration);
-  log.total_time = queue_.now();
-  log.applied_updates = applied_;
+  ticks_.run(
+      queue_, rng_, cfg_.num_tiers, [this](int t) { start_tier_round(t); },
+      cfg_.eval_interval, cfg_.duration, eval_, global_, log, cfg_.tracer);
   log_ = nullptr;
   return log;
 }
@@ -129,14 +81,11 @@ void FedAtTrainer::start_tier_round(int tier) {
   // phase and a serial upload + fold phase in member order, so each link
   // still draws its download before its upload and the weighted sum keeps
   // its order at any thread count.
-  std::vector<double> down_t(m, 0.0);
+  std::vector<double> down_t(m);
   results_.resize(m);
   for (std::size_t k = 0; k < m; ++k) {
     const int id = members[k];
-    if (!links_.empty())
-      down_t[k] = links_[static_cast<std::size_t>(id)]
-                      .download(dense_bytes_, queue_.now())
-                      .duration;
+    down_t[k] = links_.download(id, dense_bytes_, queue_.now()).duration;
     log_->ledger.record_download(id, dense_bytes_);
   }
   core::parallel_for(0, static_cast<std::int64_t>(m), [&](std::int64_t i) {
@@ -155,17 +104,12 @@ void FedAtTrainer::start_tier_round(int tier) {
   for (std::size_t k = 0; k < m; ++k) {
     const int id = members[k];
     const FlClient::LocalResult& res = results_[k];
-    double up_t = 0.0;
-    bool ok = true;
-    if (!links_.empty()) {
-      const auto tr = links_[static_cast<std::size_t>(id)].upload(
-          dense_bytes_, queue_.now());
-      up_t = tr.duration;
-      ok = tr.delivered;
-    }
-    log_->ledger.record_upload(id, dense_bytes_, ok);
-    round_time = std::max(round_time, down_t[k] + res.compute_seconds + up_t);
-    if (!ok) continue;
+    const net::TransferResult up =
+        links_.upload(id, dense_bytes_, queue_.now());
+    log_->ledger.record_upload(id, dense_bytes_, up.delivered);
+    round_time =
+        std::max(round_time, down_t[k] + res.compute_seconds + up.duration);
+    if (!up.delivered) continue;
     const float w = static_cast<float>(res.num_examples);
     for (std::size_t i = 0; i < sum_delta.size(); ++i)
       sum_delta[i] += w * res.delta[i];
@@ -196,14 +140,7 @@ void FedAtTrainer::on_tier_arrival(int tier, std::vector<float> tier_delta,
   model = global_;
   for (std::size_t i = 0; i < model.size(); ++i) model[i] -= tier_delta[i];
   ++tier_rounds_[static_cast<std::size_t>(tier)];
-  ++applied_;
-  ++delivered_since_eval_;
-  loss_since_eval_ += loss;
-  ++losses_since_eval_;
-  if (cfg_.tracer != nullptr && cfg_.tracer->enabled())
-    cfg_.tracer->record(metrics::ev_update_delivered(
-        static_cast<int>(applied_), tier, dense_bytes_, 0,
-        static_cast<double>(loss)));
+  ticks_.count(tier, dense_bytes_, loss);
   rebuild_global();
   start_tier_round(tier);
 }

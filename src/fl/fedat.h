@@ -8,13 +8,10 @@
 #pragma once
 
 #include "fl/client.h"
+#include "fl/trainer_common.h"
 #include "fl/types.h"
 #include "net/event_queue.h"
 #include "net/link.h"
-
-namespace adafl::metrics {
-class Tracer;
-}
 
 namespace adafl::fl {
 
@@ -55,16 +52,16 @@ class FedAtTrainer {
 
   FedAtConfig cfg_;
   nn::ModelFactory factory_;
-  const data::Dataset* test_;
   std::vector<FlClient> clients_;
-  std::vector<net::Link> links_;
+  Evaluator eval_;
+  tensor::Rng rng_;
+  ClientLinks links_;
+  std::vector<float> global_;
+  std::int64_t dense_bytes_;
   std::vector<int> tier_of_;
   std::vector<std::vector<int>> tiers_;   ///< client ids per tier
   std::vector<std::vector<float>> tier_model_;  ///< latest model per tier
   std::vector<std::int64_t> tier_rounds_;
-  std::vector<float> global_;
-  nn::Model eval_model_;
-  tensor::Rng rng_;
   net::EventQueue queue_;
 
   /// Local results of the tier round being started, by member position;
@@ -72,11 +69,7 @@ class FedAtTrainer {
   std::vector<FlClient::LocalResult> results_;
 
   TrainLog* log_ = nullptr;
-  std::int64_t dense_bytes_ = 0;
-  int delivered_since_eval_ = 0;
-  double loss_since_eval_ = 0.0;
-  int losses_since_eval_ = 0;
-  std::int64_t applied_ = 0;
+  EvalTicks ticks_;
 };
 
 }  // namespace adafl::fl

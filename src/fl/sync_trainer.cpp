@@ -4,16 +4,13 @@
 #include <cmath>
 #include <numeric>
 #include <optional>
-#include <stdexcept>
 
 #include "core/parallel.h"
-#include "core/server_checkpoint.h"
+#include "fl/trainer_common.h"
 
 namespace adafl::fl {
 
 namespace {
-
-constexpr std::int64_t kMsgHeaderBytes = 8;
 
 /// Simulated server-side aggregation overhead per round.
 constexpr double kServerOverheadSeconds = 0.002;
@@ -26,22 +23,16 @@ SyncTrainer::SyncTrainer(SyncConfig cfg, nn::ModelFactory factory,
                          std::vector<DeviceProfile> devices)
     : cfg_(std::move(cfg)),
       factory_(std::move(factory)),
-      test_(test),
       clients_(make_clients(factory_, train, parts, cfg_.client, devices,
                             cfg_.seed ^ 0xC11E57ULL)),
-      eval_model_(factory_()),
-      rng_(cfg_.seed) {
-  ADAFL_CHECK_MSG(test_ != nullptr, "SyncTrainer: null test set");
+      eval_(factory_(), test),
+      rng_(cfg_.seed),
+      links_(cfg_.links, clients_.size(), rng_, 0xBEEF, "SyncTrainer"),
+      global_(eval_.weights()) {
+  ADAFL_CHECK_MSG(test != nullptr, "SyncTrainer: null test set");
   ADAFL_CHECK_MSG(cfg_.rounds > 0, "SyncTrainer: rounds must be positive");
   ADAFL_CHECK_MSG(cfg_.participation > 0.0 && cfg_.participation <= 1.0,
                   "SyncTrainer: participation in (0,1]");
-  ADAFL_CHECK_MSG(
-      cfg_.links.empty() || cfg_.links.size() == clients_.size(),
-      "SyncTrainer: need 0 or " << clients_.size() << " link configs");
-  global_ = eval_model_.get_flat();
-  tensor::Rng link_rng = rng_.fork(0xBEEF);
-  for (std::size_t i = 0; i < cfg_.links.size(); ++i)
-    links_.emplace_back(cfg_.links[i], link_rng.fork(i + 1));
 }
 
 std::vector<float> SyncTrainer::robust_aggregate(
@@ -79,7 +70,7 @@ std::vector<float> SyncTrainer::robust_aggregate(
 
 TrainLog SyncTrainer::run() {
   const std::int64_t d = static_cast<std::int64_t>(global_.size());
-  const std::int64_t dense_bytes = kMsgHeaderBytes + 4 * d;
+  const std::int64_t dense_bytes = dense_update_bytes(global_.size());
   const int n = static_cast<int>(clients_.size());
   const int per_round =
       std::max(1, static_cast<int>(std::ceil(n * cfg_.participation)));
@@ -127,15 +118,12 @@ TrainLog SyncTrainer::run() {
                     "data-loss fault (pending stale updates are not "
                     "serialized)");
   }
-  const std::string producer = std::string("sync-") + to_string(cfg_.algo);
-
-  auto save = [&](int next_round) {
-    core::ServerCheckpoint ck;
-    ck.producer = producer;
-    ck.next_round = static_cast<std::uint32_t>(next_round);
-    ck.total_rounds = static_cast<std::uint32_t>(cfg_.rounds);
-    ck.seed = cfg_.seed;
-    ck.clock = clock;
+  // The checkpoint at a round boundary: the shared run state plus the
+  // server model, optimizer moments, SCAFFOLD variate and visit order.
+  const auto pack = [&](int next_round) {
+    core::ServerCheckpoint ck =
+        pack_sim_run(std::string("sync-") + to_string(cfg_.algo), next_round,
+                     cfg_.rounds, cfg_.seed, clock, rng_, links_, clients_);
     ck.global = global_;
     if (server_adam) {
       nn::FlatAdam::State st = server_adam->state();
@@ -143,80 +131,26 @@ TrainLog SyncTrainer::run() {
                                                   std::move(st.v), st.t};
     }
     if (cfg_.algo == Algorithm::kScaffold) ck.c_global = c_global;
-    ck.server_rng = rng_.state();
-    for (const auto& l : links_) ck.link_rngs.push_back(l.rng_state());
     ck.schedule.assign(ids.begin(), ids.end());
-    for (const auto& cl : clients_) {
-      FlClient::PersistentState ps = cl.persistent_state();
-      core::ServerCheckpoint::ClientState c;
-      c.loader_rng = ps.loader.rng;
-      c.loader_cursor = ps.loader.cursor;
-      c.loader_indices = std::move(ps.loader.indices);
-      c.c_local = std::move(ps.c_local);
-      ck.clients.push_back(std::move(c));
-    }
-    core::save_server_checkpoint(cfg_.checkpoint_path, ck);
+    return ck;
+  };
+  const auto save = [&](int next_round) {
+    core::save_server_checkpoint(cfg_.checkpoint_path, pack(next_round));
   };
 
   int start_round = 1;
   if (cfg_.resume) {
     ADAFL_CHECK_MSG(ckpt, "SyncTrainer: resume requires checkpoint_path");
-    core::ServerCheckpoint ck =
-        core::load_server_checkpoint(cfg_.checkpoint_path);
-    auto reject = [this](const std::string& why) {
-      throw std::runtime_error("server checkpoint " + cfg_.checkpoint_path +
-                               ": " + why +
-                               "; delete the checkpoint or rerun without "
-                               "resume");
-    };
-    if (ck.producer != producer)
-      reject("written by '" + ck.producer + "', expected '" + producer + "'");
-    if (ck.seed != cfg_.seed) reject("seed mismatch");
-    if (ck.total_rounds != static_cast<std::uint32_t>(cfg_.rounds))
-      reject("round count mismatch");
-    if (ck.next_round > ck.total_rounds)
-      reject("run already complete (all " + std::to_string(ck.total_rounds) +
-             " rounds done); nothing to resume");
-    if (ck.global.size() != global_.size())
-      reject("model dimension mismatch");
-    if (ck.clients.size() != clients_.size()) reject("client count mismatch");
-    if (ck.link_rngs.size() != links_.size()) reject("link count mismatch");
-    if (!ck.server_rng) reject("missing server RNG state");
-    if (server_adam.has_value() != ck.adam.has_value())
-      reject("server optimizer state mismatch");
-    if ((cfg_.algo == Algorithm::kScaffold) != ck.c_global.has_value())
-      reject("SCAFFOLD state mismatch");
-    if (ck.c_global && ck.c_global->size() != global_.size())
-      reject("c_global dimension mismatch");
-    if (ck.schedule.size() != ids.size())
-      reject("schedule length mismatch");
-    std::vector<bool> seen(ids.size(), false);
-    for (std::int32_t id : ck.schedule) {
-      if (id < 0 || id >= n || seen[static_cast<std::size_t>(id)])
-        reject("schedule is not a permutation of the clients");
-      seen[static_cast<std::size_t>(id)] = true;
-    }
-    try {
-      global_ = std::move(ck.global);
-      if (ck.adam)
-        server_adam->set_state(
-            {std::move(ck.adam->m), std::move(ck.adam->v), ck.adam->t});
-      if (ck.c_global) c_global = std::move(*ck.c_global);
-      rng_.set_state(*ck.server_rng);
-      for (std::size_t i = 0; i < links_.size(); ++i)
-        links_[i].set_rng_state(ck.link_rngs[i]);
-      ids.assign(ck.schedule.begin(), ck.schedule.end());
-      for (std::size_t i = 0; i < clients_.size(); ++i) {
-        FlClient::PersistentState ps;
-        ps.loader.rng = ck.clients[i].loader_rng;
-        ps.loader.cursor = ck.clients[i].loader_cursor;
-        ps.loader.indices = std::move(ck.clients[i].loader_indices);
-        ps.c_local = std::move(ck.clients[i].c_local);
-        clients_[i].set_persistent_state(std::move(ps));
-      }
-    } catch (const CheckError& e) {
-      reject(e.what());
-    }
+    const core::ServerCheckpoint ck = core::resume_checkpoint(
+        cfg_.checkpoint_path, pack(1), [&](core::ServerCheckpoint& ck) {
+          unpack_sim_run(ck, rng_, links_, clients_);
+          global_ = std::move(ck.global);
+          if (ck.adam)
+            server_adam->set_state(
+                {std::move(ck.adam->m), std::move(ck.adam->v), ck.adam->t});
+          if (ck.c_global) c_global = std::move(*ck.c_global);
+          ids.assign(ck.schedule.begin(), ck.schedule.end());
+        });
     clock = ck.clock;
     start_round = static_cast<int>(ck.next_round);
     log.ledger.record_recovery();
@@ -279,10 +213,7 @@ TrainLog SyncTrainer::run() {
       s.trains = !(dataloss_client &&
                    pending[static_cast<std::size_t>(s.id)].has_value());
       if (!s.trains) continue;
-      if (!links_.empty())
-        s.down_t = links_[static_cast<std::size_t>(s.id)]
-                       .download(dense_bytes, clock)
-                       .duration;
+      s.down_t = links_.download(s.id, dense_bytes, clock).duration;
       log.ledger.record_download(s.id, dense_bytes);
     }
 
@@ -316,16 +247,10 @@ TrainLog SyncTrainer::run() {
           t_client = s.down_t + s.res.compute_seconds;
         } else {
           // Deliver the stale pending update.
-          double up_t = 0.0;
-          bool ok = true;
-          if (!links_.empty()) {
-            auto tr = links_[static_cast<std::size_t>(s.id)].upload(
-                dense_bytes, clock);
-            up_t = tr.duration;
-            ok = tr.delivered;
-          }
-          log.ledger.record_upload(s.id, dense_bytes, ok);
-          if (ok) {
+          const net::TransferResult up =
+              links_.upload(s.id, dense_bytes, clock);
+          log.ledger.record_upload(s.id, dense_bytes, up.delivered);
+          if (up.delivered) {
             const double w = static_cast<double>(slot->weight);
             for (std::size_t i = 0; i < sum_delta.size(); ++i)
               sum_delta[i] += static_cast<float>(w) * slot->delta[i];
@@ -335,7 +260,7 @@ TrainLog SyncTrainer::run() {
             ++delivered;
           }
           slot.reset();
-          t_client = up_t;
+          t_client = up.duration;
         }
         round_time = std::max(round_time, t_client);
         continue;
@@ -352,15 +277,10 @@ TrainLog SyncTrainer::run() {
 
       double up_t = 0.0;
       if (deliver) {
-        bool ok = true;
-        if (!links_.empty()) {
-          auto tr = links_[static_cast<std::size_t>(s.id)].upload(dense_bytes,
-                                                                  clock);
-          up_t = tr.duration;
-          ok = tr.delivered;
-        }
-        log.ledger.record_upload(s.id, dense_bytes, ok);
-        if (ok) {
+        const net::TransferResult up = links_.upload(s.id, dense_bytes, clock);
+        up_t = up.duration;
+        log.ledger.record_upload(s.id, dense_bytes, up.delivered);
+        if (up.delivered) {
           const double w = static_cast<double>(s.res.num_examples);
           for (std::size_t i = 0; i < sum_delta.size(); ++i)
             sum_delta[i] += static_cast<float>(w) * s.res.delta[i];
@@ -406,17 +326,9 @@ TrainLog SyncTrainer::run() {
     applied_total += delivered;
     clock += round_time + kServerOverheadSeconds;
 
-    if (round % cfg_.eval_every == 0 || round == cfg_.rounds) {
-      eval_model_.set_flat(global_);
-      RoundRecord rec;
-      rec.round = round;
-      rec.time = clock;
-      rec.test_accuracy = eval_model_.accuracy(test_->all());
-      rec.mean_train_loss =
-          delivered > 0 ? loss_sum / static_cast<double>(delivered) : 0.0;
-      rec.participants = delivered;
-      log.records.push_back(rec);
-    }
+    eval_.end_round(log, global_, round, clock, delivered, loss_sum,
+                    round % cfg_.eval_every == 0 || round == cfg_.rounds,
+                    nullptr);
 
     if (ckpt && (round % cfg_.checkpoint_every == 0 || round == cfg_.rounds))
       save(round + 1);

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "fl/client.h"
+#include "fl/trainer_common.h"
 #include "fl/types.h"
 #include "net/link.h"
 
@@ -104,12 +105,11 @@ class SyncTrainer {
 
   SyncConfig cfg_;
   nn::ModelFactory factory_;
-  const data::Dataset* test_;
   std::vector<FlClient> clients_;
-  std::vector<net::Link> links_;
-  std::vector<float> global_;
-  nn::Model eval_model_;
+  Evaluator eval_;
   tensor::Rng rng_;
+  ClientLinks links_;
+  std::vector<float> global_;
 };
 
 }  // namespace adafl::fl

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <stdexcept>
 #include <thread>
 
 #include "compress/bytes.h"
@@ -330,9 +329,8 @@ ServerSession::ServerSession(ServerSessionConfig cfg, nn::ModelFactory factory,
                              const data::Dataset* test)
     : cfg_(std::move(cfg)),
       factory_(std::move(factory)),
-      test_(test),
-      eval_model_(factory_()),
-      core_(cfg_.params, eval_model_.get_flat()),
+      eval_(factory_(), test),
+      core_(cfg_.params, eval_.weights()),
       face_(ServerFaceConfig{0, cfg_.expected_clients,
                              cfg_.retransmit_nudge}) {
   ADAFL_CHECK_MSG(cfg_.rounds > 0, "ServerSession: rounds must be positive");
@@ -343,12 +341,18 @@ ServerSession::ServerSession(ServerSessionConfig cfg, nn::ModelFactory factory,
   const auto n = static_cast<std::size_t>(cfg_.expected_clients);
   ever_joined_.assign(n, false);
   pending_decode_.assign(n, 0);
+  welcome_ = Frame{MsgType::kWelcome, 0, kServerId,
+                   welcome_payload(cfg_, core_.global().size())};
+}
+
+std::vector<std::uint8_t> welcome_payload(const ServerSessionConfig& cfg,
+                                          std::size_t param_count) {
   WelcomeInfo w;
-  w.rounds = static_cast<std::uint32_t>(cfg_.rounds);
-  w.param_count = core_.global().size();
-  w.params = cfg_.params;
-  w.config = cfg_.client_config;
-  welcome_ = Frame{MsgType::kWelcome, 0, kServerId, encode_welcome(w)};
+  w.rounds = static_cast<std::uint32_t>(cfg.rounds);
+  w.param_count = param_count;
+  w.params = cfg.params;
+  w.config = cfg.client_config;
+  return encode_welcome(w);
 }
 
 void ServerSession::request_stop(bool write_checkpoint) {
@@ -357,62 +361,43 @@ void ServerSession::request_stop(bool write_checkpoint) {
   stop_.store(true, std::memory_order_release);
 }
 
-void ServerSession::write_checkpoint(
-    int next_round, const core::AdaFlServerCore::State& snap) {
+core::ServerCheckpoint ServerSession::checkpoint(
+    int next_round, core::AdaFlServerCore::State snap) const {
   core::ServerCheckpoint ck;
   ck.producer = "deployed";
   ck.next_round = static_cast<std::uint32_t>(next_round);
   ck.total_rounds = static_cast<std::uint32_t>(cfg_.rounds);
   ck.config_crc = crc32(welcome_.payload);
-  core::save_core_state(snap, ck);
+  core::save_core_state(std::move(snap), ck);
+  return ck;
+}
+
+void ServerSession::write_checkpoint(int next_round,
+                                     core::AdaFlServerCore::State snap) {
+  const core::ServerCheckpoint ck = checkpoint(next_round, std::move(snap));
   // Encode once: the byte image written to disk is the byte image every
   // standby receives, so wire and disk validation are the same code path.
   std::vector<std::uint8_t> image =
       core::encode_checkpoint_file_bytes(core::encode_server_checkpoint(ck));
   core::write_checkpoint_bytes_atomic(
       core::checkpoint_path(cfg_.checkpoint_dir), image);
+  replicate_image_bytes_ = static_cast<std::int64_t>(image.size());
   replicate_ = Frame{MsgType::kReplicate, ck.next_round, kServerId,
                      replication::encode_replicate(
                          {ck.next_round, std::move(image)})};
   replicate_image_ = FrameImage{};
-  const double t = trace_now();
   // A copy: a failed send closes the standby, which erases it.
-  for (const auto& [conn, slot] : std::map<ConnId, int>(standbys_)) {
-    if (send(conn, replicate_, &replicate_image_) == 0) continue;
-    ++replicated_;
-    if (cfg_.tracer != nullptr)
-      cfg_.tracer->record(metrics::ev_replicate(
-          next_round, slot,
-          static_cast<std::int64_t>(replicate_.payload.size()), t));
-  }
+  for (const auto& [conn, slot] : std::map<ConnId, int>(standbys_))
+    replicate_to(conn, slot);
 }
 
-int ServerSession::resume_from_checkpoint() {
-  const std::string path = core::checkpoint_path(cfg_.checkpoint_dir);
-  core::ServerCheckpoint ck = core::load_server_checkpoint(path);
-  auto reject = [&path](const std::string& why) {
-    throw std::runtime_error("server checkpoint " + path + ": " + why +
-                             "; delete the checkpoint or rerun without "
-                             "--resume");
-  };
-  if (ck.producer != "deployed")
-    reject("written by '" + ck.producer + "', not the deployed server");
-  if (ck.config_crc != crc32(welcome_.payload))
-    reject("run configuration changed since the checkpoint was written");
-  if (ck.total_rounds != static_cast<std::uint32_t>(cfg_.rounds))
-    reject("round count mismatch (checkpoint has " +
-           std::to_string(ck.total_rounds) + ", config has " +
-           std::to_string(cfg_.rounds) + ")");
-  if (ck.next_round > ck.total_rounds)
-    reject("run already complete (all " + std::to_string(ck.total_rounds) +
-           " rounds done); nothing to resume");
-  if (ck.global.size() != core_.global().size())
-    reject("model dimension mismatch (checkpoint has " +
-           std::to_string(ck.global.size()) + " params, model has " +
-           std::to_string(core_.global().size()) + ")");
-  if (!ck.adafl) reject("missing AdaFL server state");
-  core_.restore(core::take_core_state(ck));
-  return static_cast<int>(ck.next_round);
+void ServerSession::replicate_to(ConnId conn, int slot) {
+  if (send(conn, replicate_, &replicate_image_) == 0) return;
+  ++replicated_;
+  if (cfg_.tracer != nullptr)
+    cfg_.tracer->record(metrics::ev_replicate(
+        static_cast<int>(replicate_.round), slot, replicate_image_bytes_,
+        trace_now()));
 }
 
 void ServerSession::drop_all_connections(std::chrono::milliseconds flush) {
@@ -781,10 +766,9 @@ void ServerSession::handshake(RoundCtx& rc, ConnId conn, const Frame& f) {
   if (f.type == MsgType::kStandbyHello) {
     // A replication peer, not a client. A late one is seeded with the
     // newest checkpoint at once, not blind until the next round boundary.
-    standbys_.emplace(conn, standbys_attached_++);
-    if (!replicate_.payload.empty() &&
-        send(conn, replicate_, &replicate_image_) != 0)
-      ++replicated_;
+    const int slot = standbys_attached_++;
+    standbys_.emplace(conn, slot);
+    if (!replicate_.payload.empty()) replicate_to(conn, slot);
     return;
   }
   const int id = claim.range ? -1 : claim.base;
@@ -816,7 +800,7 @@ fl::TrainLog ServerSession::run() {
   const bool ckpt = !cfg_.checkpoint_dir.empty();
 
   fl::TrainLog log;
-  log.dense_update_bytes = 8 + 4 * static_cast<std::int64_t>(d);
+  log.dense_update_bytes = fl::dense_update_bytes(d);
   const auto t0 = Clock::now();
   trace_t0_ = t0;
 
@@ -836,7 +820,13 @@ fl::TrainLog ServerSession::run() {
   int start_round = 1;
   if (cfg_.resume) {
     ADAFL_CHECK_MSG(ckpt, "ServerSession: resume requires a checkpoint dir");
-    start_round = resume_from_checkpoint();
+    start_round = static_cast<int>(
+        core::resume_checkpoint(core::checkpoint_path(cfg_.checkpoint_dir),
+                                checkpoint(1, core_.state()),
+                                [this](core::ServerCheckpoint& ck) {
+                                  core_.restore(core::take_core_state(ck));
+                                })
+            .next_round);
     resumed_from_ = start_round;
     log.ledger.record_recovery();
     if (traced) {
@@ -968,36 +958,13 @@ fl::TrainLog ServerSession::run() {
       }
     }
 
-    const double round_mean_loss =
-        out.delivered > 0 ? out.loss_sum / static_cast<double>(out.delivered)
-                          : 0.0;
-    const bool evaled = round % cfg_.eval_every == 0 || round == cfg_.rounds;
-    double round_accuracy = 0.0;
-    if (evaled) {
-      metrics::PhaseScope prof("eval");
-      fl::RoundRecord rec;
-      rec.round = round;
-      rec.time = std::chrono::duration<double>(Clock::now() - t0).count();
-      if (test_ != nullptr) {
-        eval_model_.set_flat(core_.global());
-        if (eval_batch_.size() == 0) eval_batch_ = test_->all();
-        rec.test_accuracy = eval_model_.accuracy(eval_batch_);
-      }
-      rec.mean_train_loss = round_mean_loss;
-      rec.participants = out.delivered;
-      round_accuracy = rec.test_accuracy;
-      log.records.push_back(rec);
-    }
-
-    if (traced) {
-      tracer->record(metrics::ev_round_end(round, out.delivered,
-                                           round_mean_loss, evaled,
-                                           round_accuracy, trace_now()));
-      // Flush BEFORE the checkpoint below: the stitched crash-recovery
-      // trace relies on the file always covering at least the rounds the
-      // checkpoint says are done.
-      tracer->flush();
-    }
+    // The trace is flushed BEFORE the checkpoint below: the stitched
+    // crash-recovery trace relies on the file always covering at least the
+    // rounds the checkpoint says are done.
+    eval_.end_round(log, core_.global(), round, trace_now(), out.delivered,
+                    out.loss_sum,
+                    round % cfg_.eval_every == 0 || round == cfg_.rounds,
+                    tracer);
 
     if (round_hist != nullptr)
       round_hist->observe(

@@ -42,6 +42,7 @@
 
 #include "core/adafl_server.h"
 #include "fl/client.h"
+#include "fl/trainer_common.h"
 #include "fl/types.h"
 #include "net/transport/carriers.h"
 #include "net/transport/server_face.h"
@@ -230,6 +231,13 @@ struct ServerSessionConfig {
   metrics::Registry* registry = nullptr;
 };
 
+/// The WELCOME payload a session configured by `cfg` sends for a model of
+/// `param_count` weights. Its CRC-32 is the run-configuration fingerprint
+/// the session stamps into every checkpoint (ServerCheckpoint::config_crc):
+/// a resume and a standby (StandbyConfig::expected_config_crc) check it.
+std::vector<std::uint8_t> welcome_payload(const ServerSessionConfig& cfg,
+                                          std::size_t param_count);
+
 /// Runs the AdaFL server over any mix of carriers.
 ///
 /// Peer model: every connection is a ConnId on Carriers (carriers.h), which
@@ -348,14 +356,16 @@ class ServerSession {
   void handle_relay_frame(RoundCtx& rc, ConnId conn, const Frame& f);
   void handle_update_agg(RoundCtx& rc, const ServerFace::Claim& relay,
                          const Frame& f);
-  /// Builds the durable checkpoint for a run whose next round is
-  /// `next_round`, from an AdaFl core snapshot taken at a round boundary,
-  /// and sends its image to every standby as one REPLICATE frame.
-  void write_checkpoint(int next_round,
-                        const core::AdaFlServerCore::State& snap);
-  /// Loads + validates the checkpoint and restores the core. Returns the
-  /// round to resume at.
-  int resume_from_checkpoint();
+  /// The checkpoint of the run at `next_round`, with the AdaFL core
+  /// snapshot `snap` taken at a round boundary.
+  core::ServerCheckpoint checkpoint(int next_round,
+                                    core::AdaFlServerCore::State snap) const;
+  /// Writes checkpoint(next_round, snap) and sends its image to every
+  /// standby as one REPLICATE frame.
+  void write_checkpoint(int next_round, core::AdaFlServerCore::State snap);
+  /// Sends the newest REPLICATE to the standby on `conn`, counts it and
+  /// traces a replicate event for trace slot `slot`.
+  void replicate_to(ConnId conn, int slot);
   /// Closes every connection on both carriers and stops the loop, after
   /// flushing loop sends for up to `flush` (0 = abruptly, as a crash would).
   void drop_all_connections(std::chrono::milliseconds flush);
@@ -364,10 +374,7 @@ class ServerSession {
 
   ServerSessionConfig cfg_;
   nn::ModelFactory factory_;
-  const data::Dataset* test_;
-  nn::Model eval_model_;
-  /// Full test set, materialised on first eval and reused every round.
-  nn::Batch eval_batch_;
+  fl::Evaluator eval_;
   core::AdaFlServerCore core_;
   /// WELCOME frame; its payload doubles as the checkpoint config stamp.
   Frame welcome_;
@@ -379,9 +386,11 @@ class ServerSession {
   /// Standby peers, each with its trace slot (attach order).
   std::map<ConnId, int> standbys_;
   int standbys_attached_ = 0;
-  /// The newest checkpoint's REPLICATE frame, shared by every standby.
+  /// The newest checkpoint's REPLICATE frame, shared by every standby,
+  /// and the size of the checkpoint image it carries.
   Frame replicate_;
   FrameImage replicate_image_;
+  std::int64_t replicate_image_bytes_ = 0;
   std::uint64_t replicated_ = 0;
   std::vector<bool> ever_joined_;
 

@@ -365,13 +365,21 @@ TEST(ChaosRecovery, KillResumeLoopbackBitwise) {
 
 // --- Kill + resume: simulator trainers, bitwise. --------------------------
 
+/// Every client on a lossy link: a quarter of the uploads are lost and
+/// every transfer draws jitter, so a resume that restored the wrong link
+/// RNG state drifts in both the weights and the simulated clock.
+std::vector<net::LinkConfig> lossy_links(const cli::TaskSpec& spec) {
+  return net::make_fleet(spec.clients, 1.0, net::LinkQuality::kGood,
+                         net::LinkQuality::kLossy);
+}
+
 // Stops an AdaFL simulator run after round 3 and resumes it from the
 // stop-time checkpoint, with `stop_threads` pool lanes up to the stop and
 // `resume_threads` after it (0 = automatic). The resumed run must land bit
 // for bit where an uninterrupted run at the automatic size does.
-void expect_adafl_sim_stop_resume_bitwise(const char* dir_tag,
-                                          int stop_threads,
-                                          int resume_threads) {
+void expect_adafl_sim_stop_resume_bitwise(
+    const char* dir_tag, int stop_threads, int resume_threads,
+    const std::vector<net::LinkConfig>& links = {}) {
   struct ThreadGuard {
     ~ThreadGuard() { core::set_num_threads(0); }
   } guard;
@@ -382,6 +390,7 @@ void expect_adafl_sim_stop_resume_bitwise(const char* dir_tag,
   cfg.params = small_params();
   cfg.rounds = rounds;
   cfg.client = small_client_config();
+  cfg.links = links;
   cfg.eval_every = 1;
   cfg.seed = spec.seed;
 
@@ -389,6 +398,10 @@ void expect_adafl_sim_stop_resume_bitwise(const char* dir_tag,
   core::AdaFlSyncTrainer clean(cfg, task.factory, &task.train, task.parts,
                                &task.test);
   const fl::TrainLog clean_log = clean.run();
+  if (!links.empty()) {
+    EXPECT_LT(clean_log.ledger.delivered_updates(),
+              clean_log.ledger.attempted_updates());
+  }
 
   const std::string path = fresh_dir(dir_tag) + "/server.ckpt";
   std::atomic<bool> stop{false};
@@ -430,19 +443,33 @@ TEST(ChaosRecovery, AdaFlSimStopAtFourThreadsResumeAtOneBitwise) {
   expect_adafl_sim_stop_resume_bitwise("adafl_sim_resume_threads", 4, 1);
 }
 
-TEST(ChaosRecovery, FedAdamSimResumeFromCadenceCheckpointBitwise) {
+// The server RNG, each link's RNG and the client state all live in the
+// checkpoint: lost uploads and jitter replay exactly after the stop.
+TEST(ChaosRecovery, AdaFlSimOnLossyLinksStopResumeBitwise) {
+  expect_adafl_sim_stop_resume_bitwise("adafl_sim_resume_lossy", 0, 0,
+                                       lossy_links(small_task_spec()));
+}
+
+// Runs a SyncTrainer with a checkpoint every round, then resumes a second
+// trainer from the round-2 checkpoint exactly as a kill -9 would have left
+// it (next_round = 3, no stop-time write). The resumed run must end bit for
+// bit where the uninterrupted one did.
+void expect_sync_sim_resume_bitwise(
+    const char* dir_tag, fl::Algorithm algo, double participation,
+    const std::vector<net::LinkConfig>& links = {}) {
   const cli::TaskSpec spec = small_task_spec();
   const int rounds = 5;
   auto task = cli::build_task(spec);
   fl::SyncConfig cfg;
-  cfg.algo = fl::Algorithm::kFedAdam;
+  cfg.algo = algo;
   cfg.rounds = rounds;
-  cfg.participation = 0.75;  // exercises the schedule permutation
+  cfg.participation = participation;
   cfg.client = small_client_config();
+  cfg.links = links;
   cfg.eval_every = 1;
   cfg.seed = spec.seed;
 
-  const std::string dir = fresh_dir("fedadam_sim_resume");
+  const std::string dir = fresh_dir(dir_tag);
   const std::string path = dir + "/server.ckpt";
   const std::string saved = dir + "/server.ckpt.round2";
 
@@ -457,6 +484,9 @@ TEST(ChaosRecovery, FedAdamSimResumeFromCadenceCheckpointBitwise) {
   fl::SyncTrainer t1(icfg, task.factory, &task.train, task.parts, &task.test);
   const fl::TrainLog log1 = t1.run();
   EXPECT_FALSE(log1.interrupted);
+  if (!links.empty()) {
+    EXPECT_LT(log1.ledger.delivered_updates(), log1.ledger.attempted_updates());
+  }
 
   copy_file(saved, path);
   fl::SyncConfig rcfg = cfg;
@@ -469,6 +499,25 @@ TEST(ChaosRecovery, FedAdamSimResumeFromCadenceCheckpointBitwise) {
   EXPECT_EQ(log2.total_time, log1.total_time);
   std::remove(path.c_str());
   std::remove(saved.c_str());
+}
+
+TEST(ChaosRecovery, FedAdamSimResumeFromCadenceCheckpointBitwise) {
+  // Participation 0.75 exercises the schedule permutation.
+  expect_sync_sim_resume_bitwise("fedadam_sim_resume",
+                                 fl::Algorithm::kFedAdam, 0.75);
+}
+
+// SCAFFOLD adds the server variate c and each client's c_i, which clients
+// outside the first rounds' samples have not initialised yet.
+TEST(ChaosRecovery, ScaffoldSimResumeFromCadenceCheckpointBitwise) {
+  expect_sync_sim_resume_bitwise("scaffold_sim_resume",
+                                 fl::Algorithm::kScaffold, 0.75);
+}
+
+TEST(ChaosRecovery, FedAvgSimOnLossyLinksResumeFromCadenceCheckpointBitwise) {
+  expect_sync_sim_resume_bitwise("fedavg_sim_resume_lossy",
+                                 fl::Algorithm::kFedAvg, 0.75,
+                                 lossy_links(small_task_spec()));
 }
 
 TEST(ChaosRecovery, ResumeRejectsAMismatchedRun) {

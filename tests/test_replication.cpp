@@ -18,6 +18,7 @@
 
 #include "core/server_checkpoint.h"
 #include "deployed_test_util.h"
+#include "metrics/trace.h"
 #include "net/replication/replication.h"
 #include "net/transport/crc32.h"
 #include "net/transport/loopback.h"
@@ -297,12 +298,32 @@ ServerSessionConfig standby_server_config(const cli::TaskSpec& spec,
   return scfg;
 }
 
+/// A tracer writing to `name` in the test's temp dir.
+std::string open_tracer(metrics::Tracer& tracer, const char* name) {
+  const std::string path = ::testing::TempDir() + name;
+  metrics::RunManifest m;
+  m.producer = "test";
+  tracer.open(path, m);
+  return path;
+}
+
+/// The replicate events of the trace at `path`, in order.
+std::vector<metrics::TraceEvent> replicate_events(const std::string& path) {
+  std::vector<metrics::TraceEvent> out;
+  for (const metrics::TraceEvent& e : metrics::read_trace_file(path).events)
+    if (e.type == metrics::TraceEventType::kReplicate) out.push_back(e);
+  return out;
+}
+
 TEST(StandbyPeer, PingsReplicatesSeedsLateAttachersAndStandsDown) {
   const cli::TaskSpec spec = small_task_spec();
   auto task = cli::build_task(spec);
   const std::string dir = fresh_dir("standby_peer_seed");
-  ServerSession server(standby_server_config(spec, dir), task.factory,
-                       &task.test);
+  metrics::Tracer tracer;
+  const std::string trace = open_tracer(tracer, "standby_peer_seed.jsonl");
+  ServerSessionConfig scfg = standby_server_config(spec, dir);
+  scfg.tracer = &tracer;
+  ServerSession server(scfg, task.factory, &task.test);
 
   // The early standby's HELLO and PING are read before round 1 ends.
   std::unique_ptr<Transport> early =
@@ -342,6 +363,57 @@ TEST(StandbyPeer, PingsReplicatesSeedsLateAttachersAndStandsDown) {
 
   EXPECT_EQ(server.checkpoints_replicated(), 7u);
   EXPECT_EQ(server.standbys_attached(), 2);
+
+  // One replicate event per REPLICATE sent, the late standby's seed
+  // included, each with its standby's slot.
+  tracer.close();
+  std::vector<std::pair<int, int>> sent;  // (round, slot)
+  for (const metrics::TraceEvent& e : replicate_events(trace))
+    sent.emplace_back(e.round, e.client);
+  EXPECT_EQ(sent, (std::vector<std::pair<int, int>>{
+                      {2, 0}, {3, 0}, {3, 1}, {4, 0}, {4, 1}, {5, 0}, {5, 1}}));
+}
+
+// Both ends trace a replicate as the size of the checkpoint image, not of
+// the REPLICATE payload around it.
+TEST(StandbyPeer, PrimaryAndStandbyTraceTheSameImageBytes) {
+  const cli::TaskSpec spec = small_task_spec();
+  auto task = cli::build_task(spec);
+  metrics::Tracer primary_tracer;
+  const std::string primary_trace =
+      open_tracer(primary_tracer, "standby_bytes_primary.jsonl");
+  ServerSessionConfig scfg =
+      standby_server_config(spec, fresh_dir("standby_bytes_primary"));
+  scfg.tracer = &primary_tracer;
+  ServerSession server(scfg, task.factory, &task.test);
+  std::unique_ptr<Transport> standby = attach_standby(server);
+  (void)run_with_hook(server, spec, 1, [] {});
+  primary_tracer.close();
+
+  // What the primary sent, replayed into a standby replica.
+  auto pair = make_loopback_pair();
+  for (const Frame& f : drain_frames(*standby))
+    ASSERT_TRUE(pair.first->send(f));
+  metrics::Tracer standby_tracer;
+  const std::string standby_trace =
+      open_tracer(standby_tracer, "standby_bytes_standby.jsonl");
+  StandbyConfig rcfg;
+  rcfg.checkpoint_dir = fresh_dir("standby_bytes_standby");
+  rcfg.recv_poll = milliseconds(5);
+  rcfg.tracer = &standby_tracer;
+  std::unique_ptr<Transport> end = std::move(pair.second);
+  StandbyReplica replica(rcfg, [&end] { return std::move(end); });
+  EXPECT_EQ(replica.run(), StandbyOutcome::kStandDown);
+  standby_tracer.close();
+
+  const auto sent = replicate_events(primary_trace);
+  const auto installed = replicate_events(standby_trace);
+  ASSERT_EQ(sent.size(), static_cast<std::size_t>(kStandbyRounds));
+  ASSERT_EQ(installed.size(), sent.size());
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(installed[i].round, sent[i].round);
+    EXPECT_EQ(installed[i].bytes, sent[i].bytes) << "replicate " << i;
+  }
 }
 
 TEST(StandbyPeer, ClosedStandbyIsForgotten) {
