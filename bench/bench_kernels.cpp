@@ -1,17 +1,18 @@
 // Kernel/threading micro-benchmarks for the deterministic execution layer.
 //
 // Times the blocked matmul kernels, Conv2d forward/backward (a padded 3x3
-// layer and the paper CNN's two layers), DGC compression, and one full
-// synchronous FL round at 1/2/4/8 worker threads, plus the
+// layer and the paper CNN's two layers), DGC compression, 8 CNN clients'
+// round with and without compression, one 400-sample evaluation and one
+// full synchronous FL round at 1/2/4/8 worker threads, plus the
 // single-threaded CRC-32 kernel over one MODEL frame, that frame's stream
 // parse in TCP-sized reads, the Reed-Solomon encode and repair of one
-// lossy_udp MODEL frame, and that frame's trip
-// through the UDP transport's fragmenter and reassembler — once per available
-// kernel backend (scalar always, avx2 when the CPU supports it) — and writes
-// the results to bench_results/BENCH_kernels.json along with the detected
-// CPU features. Because the execution layer is bitwise deterministic
-// within a backend, every timing below computes the exact same numbers at
-// every thread count — only the wall clock changes.
+// lossy_udp MODEL frame, that frame's trip through the UDP transport's
+// fragmenter and reassembler, and the paper CNN's first max-pool — once per
+// available kernel backend (scalar always, avx2 when the CPU supports it) —
+// and writes the results to bench_results/BENCH_kernels.json along with the
+// detected CPU features. Because the execution layer is bitwise
+// deterministic within a backend, every timing below computes the exact
+// same numbers at every thread count — only the wall clock changes.
 //
 // Usage:
 //   bench_kernels                  # full sweep
@@ -29,12 +30,16 @@
 #include "bench_common.h"
 #include "compress/dgc.h"
 #include "core/parallel.h"
+#include "data/synthetic.h"
 #include "fl/client.h"
+#include "fl/trainer_common.h"
 #include "net/fec/rs.h"
 #include "net/transport/crc32.h"
 #include "net/transport/frame.h"
 #include "net/transport/udp.h"
 #include "nn/conv2d.h"
+#include "nn/models.h"
+#include "nn/pool.h"
 #include "tensor/dispatch.h"
 #include "tensor/ops.h"
 
@@ -134,6 +139,15 @@ int main() {
       tensor::Tensor::randn({20, 1, 16, 16}, cnn_rng);
   const tensor::Tensor cnn2_in =
       tensor::Tensor::randn({20, 20, 6, 6}, cnn_rng);
+  // The first max-pool's input (the first conv's output) and its output
+  // gradient, at batch 20.
+  const tensor::Tensor pool1_in =
+      tensor::Tensor::randn({20, 20, 12, 12}, cnn_rng);
+  const tensor::Tensor pool1_grad =
+      tensor::Tensor::randn({20, 20, 6, 6}, cnn_rng);
+  // A server-sized test set for the evaluation row.
+  const data::Dataset eval_test =
+      data::make_synthetic(data::mnist_like(400, 9001));
 
   const std::int64_t dgc_dim = 1 << 18;
   std::vector<float> dgc_grad(static_cast<std::size_t>(dgc_dim));
@@ -319,6 +333,26 @@ int main() {
       rows.push_back(*r);
     }
   }
+  {
+    // Single-threaded, report-only: the paper CNN's first 2x2 max-pool,
+    // forward then backward, at its training batch; seconds per pass, each
+    // sample the mean of 200.
+    constexpr int kPasses = 200;
+    nn::MaxPool2d pool(2);
+    tensor::Workspace ws;
+    const auto pass = [&] {
+      for (int p = 0; p < kPasses; ++p) {
+        const tensor::Workspace::Mark m = ws.mark();
+        (void)pool.forward(pool1_in, true, ws);
+        (void)pool.backward(pool1_grad, ws);
+        ws.rewind(m);
+      }
+    };
+    Row r{"maxpool2d_cnn1", bk, pool1_in.shape()[0], 1,
+          best_seconds(reps_small, pass) / kPasses, 0.0};
+    report(r);
+    rows.push_back(r);
+  }
   for (int threads : thread_counts) {
     core::set_num_threads(threads);
     std::cout << "--- backend=" << bk << " threads=" << threads << " ---\n";
@@ -414,6 +448,34 @@ int main() {
       one_round();  // warm all arenas/buffers
       Row r{"client_round", bk, static_cast<std::int64_t>(clients.size()),
             threads, best_seconds(reps_small, one_round), 0.0};
+      report(r);
+      rows.push_back(r);
+      // The same clients' local training alone, without compression.
+      const auto train = [&] {
+        for (std::size_t i = 0; i < clients.size(); ++i)
+          clients[i].train_from_into(global, results[i]);
+      };
+      Row t{"client_train", bk, static_cast<std::int64_t>(clients.size()),
+            threads, best_seconds(reps_small, train), 0.0};
+      report(t);
+      rows.push_back(t);
+    }
+
+    {
+      // One evaluation of the paper CNN on 400 test samples, as a trainer
+      // or the server scores each round's global model: chunks split across
+      // the lanes, each lane on its own model. The untimed first pass builds
+      // the lane models.
+      fl::Evaluator eval(nn::paper_cnn_factory(eval_test.spec(), 4),
+                         &eval_test);
+      const std::vector<float> global = eval.weights();
+      fl::TrainLog log;
+      const auto evaluate = [&] {
+        eval.end_round(log, global, 1, 0.0, 0, 0.0, true, nullptr);
+      };
+      evaluate();
+      Row r{"cnn_eval", bk, eval_test.size(), threads,
+            best_seconds(reps_small, evaluate), 0.0};
       report(r);
       rows.push_back(r);
     }

@@ -149,15 +149,15 @@ int main(int argc, char** argv) {
     const auto task = cli::build_task(spec);
 
     fl::ClientTrainConfig client;
-    client.batch_size = args.get_int("batch");
-    client.local_steps = args.get_int("steps");
+    client.batch_size = args.get_int_at_least("batch", 1);
+    client.local_steps = args.get_int_at_least("steps", 1);
     client.lr = static_cast<float>(args.get_double("lr"));
 
     net::transport::ServerSessionConfig cfg;
     cfg.params.max_selected = args.get_int("k");
     cfg.params.tau = args.get_double("tau");
     cfg.params.agg_group = args.get_int_at_least("agg-group", 0);
-    cfg.rounds = args.get_int("rounds");
+    cfg.rounds = args.get_int_at_least("rounds", 1);
     cfg.eval_every = std::max(1, cfg.rounds / 12);
     cfg.expected_clients = spec.clients;
     cfg.quorum = args.get_int("quorum");

@@ -131,11 +131,11 @@ int main(int argc, char** argv) {
       tensor::set_kernel_backend(tensor::resolve_kernel_backend(kb));
     const cli::TaskSpec spec = cli::spec_from_args(args);
     const auto task = cli::build_task(spec);
-    const int clients = args.get_int("clients");
+    const int clients = spec.clients;
     const auto links = build_links(args, clients);
     fl::ClientTrainConfig client;
-    client.batch_size = args.get_int("batch");
-    client.local_steps = args.get_int("steps");
+    client.batch_size = args.get_int_at_least("batch", 1);
+    client.local_steps = args.get_int_at_least("steps", 1);
     client.lr = static_cast<float>(args.get_double("lr"));
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));
     const std::string algo = args.get("algo");
@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
     manifest.producer = "flsim";
     manifest.algo = algo;
     manifest.seed = seed;
-    manifest.rounds = round_sync ? args.get_int("rounds") : 0;
+    manifest.rounds = round_sync ? args.get_int_at_least("rounds", 1) : 0;
     manifest.clients = clients;
     manifest.config = cli::task_to_kv(spec, client);
     cli::RunOutputs outputs(args, std::move(manifest));
@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
                  : algo == "fedadam" ? fl::Algorithm::kFedAdam
                  : algo == "fedprox" ? fl::Algorithm::kFedProx
                                      : fl::Algorithm::kScaffold;
-      cfg.rounds = args.get_int("rounds");
+      cfg.rounds = args.get_int_at_least("rounds", 1);
       cfg.participation = args.get_double("participation");
       cfg.client = client;
       if (cfg.algo == fl::Algorithm::kFedProx) cfg.client.prox_mu = 0.01f;
@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
                              &task.test));
     } else if (algo == "adafl-sync") {
       core::AdaFlSyncConfig cfg;
-      cfg.rounds = args.get_int("rounds");
+      cfg.rounds = args.get_int_at_least("rounds", 1);
       cfg.client = client;
       cfg.links = links;
       cfg.eval_every = std::max(1, cfg.rounds / 12);

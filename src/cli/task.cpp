@@ -36,9 +36,9 @@ TaskSpec spec_from_args(const ArgParser& args) {
   s.model = args.get("model");
   s.dist = args.get("dist");
   s.alpha = args.get_double("alpha");
-  s.clients = args.get_int("clients");
-  s.train_samples = args.get_int("train-samples");
-  s.test_samples = args.get_int("test-samples");
+  s.clients = args.get_int_at_least("clients", 1);
+  s.train_samples = args.get_int_at_least("train-samples", 1);
+  s.test_samples = args.get_int_at_least("test-samples", 1);
   s.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   return s;
 }

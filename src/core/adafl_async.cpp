@@ -19,7 +19,7 @@ AdaFlAsyncTrainer::AdaFlAsyncTrainer(AdaFlAsyncConfig cfg,
           cfg_.faults.devices_for(std::move(devices), parts.size(),
                                   "AdaFlAsyncTrainer"),
           cfg_.seed ^ 0xADAFA51ULL)),
-      eval_(factory_(), test),
+      eval_(factory_, test),
       rng_(cfg_.seed),
       links_(cfg_.links, clients_.size(), rng_, 0xA11F, "AdaFlAsyncTrainer"),
       global_(eval_.weights()),

@@ -25,7 +25,7 @@ AdaFlSyncTrainer::AdaFlSyncTrainer(AdaFlSyncConfig cfg,
       factory_(std::move(factory)),
       clients_(fl::make_clients(factory_, train, parts, cfg_.client, devices,
                                 cfg_.seed ^ kAdaFlClientSeedSalt)),
-      eval_(factory_(), test),
+      eval_(factory_, test),
       rng_(cfg_.seed),
       links_(cfg_.links, clients_.size(), rng_, 0x11F7, "AdaFlSyncTrainer"),
       core_(cfg_.params, eval_.weights()) {

@@ -185,7 +185,13 @@ void parallel_for_blocked_indexed(
   // exits harmlessly even after the caller returned.
   for (std::int64_t h = 0; h < job->nchunks - 1; ++h)
     pool.enqueue([job] { job->run_available_chunks(); });
+  // The forking thread is one of the region's lanes: while it runs chunks,
+  // nested regions run serially on it, as they do on a worker, so a chunk
+  // does the same work whichever lane takes it. Chunk exceptions are caught
+  // inside, so the flag is always reset.
+  tl_in_pool = true;
   job->run_available_chunks();
+  tl_in_pool = false;
 
   {
     std::unique_lock<std::mutex> lk(job->mu);

@@ -12,9 +12,10 @@
 //  - parallel_map collects per-index results into a pre-sized vector, so
 //    there is no reduction-order nondeterminism; callers that need an
 //    ordered reduction fold the vector serially afterwards.
-//  - Nested calls from inside a pool worker run serially on that worker
-//    (OpenMP-style), so layered parallelism (trainer -> layer -> kernel)
-//    cannot deadlock and stays deterministic.
+//  - Nested calls from inside a parallel region run serially on the lane
+//    that makes them (OpenMP-style), a pool worker or the thread that forked
+//    the region, so layered parallelism (trainer -> layer -> kernel) cannot
+//    deadlock, stays deterministic, and does the same work on every lane.
 //
 // Sizing: the pool is lazily constructed with ADAFL_THREADS threads (if
 // set and > 0) or std::thread::hardware_concurrency() otherwise; tests and
@@ -38,7 +39,8 @@ int num_threads();
 /// flight; intended for startup configuration and tests.
 void set_num_threads(int n);
 
-/// True on a pool worker thread (nested parallel calls run serially).
+/// True on a pool worker thread, and on the thread that forked a region
+/// while it runs the region's chunks (nested parallel calls run serially).
 bool in_parallel_region();
 
 /// Calls fn(chunk_begin, chunk_end) over a static contiguous partition of

@@ -30,7 +30,7 @@ AsyncTrainer::AsyncTrainer(AsyncConfig cfg, nn::ModelFactory factory,
           cfg_.faults.devices_for(std::move(devices), parts.size(),
                                   "AsyncTrainer"),
           cfg_.seed ^ 0xA51C57ULL)),
-      eval_(factory_(), test),
+      eval_(factory_, test),
       rng_(cfg_.seed),
       links_(cfg_.links, clients_.size(), rng_, 0xFEED, "AsyncTrainer"),
       global_(eval_.weights()) {

@@ -15,7 +15,7 @@ FedAtTrainer::FedAtTrainer(FedAtConfig cfg, nn::ModelFactory factory,
       factory_(std::move(factory)),
       clients_(make_clients(factory_, train, parts, cfg_.client, devices,
                             cfg_.seed ^ 0xFEDA7ULL)),
-      eval_(factory_(), test),
+      eval_(factory_, test),
       rng_(cfg_.seed),
       links_(cfg_.links, clients_.size(), rng_, 0x7157, "FedAtTrainer"),
       global_(eval_.weights()),

@@ -25,7 +25,7 @@ SyncTrainer::SyncTrainer(SyncConfig cfg, nn::ModelFactory factory,
       factory_(std::move(factory)),
       clients_(make_clients(factory_, train, parts, cfg_.client, devices,
                             cfg_.seed ^ 0xC11E57ULL)),
-      eval_(factory_(), test),
+      eval_(factory_, test),
       rng_(cfg_.seed),
       links_(cfg_.links, clients_.size(), rng_, 0xBEEF, "SyncTrainer"),
       global_(eval_.weights()) {

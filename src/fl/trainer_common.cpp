@@ -1,5 +1,8 @@
 #include "fl/trainer_common.h"
 
+#include <algorithm>
+
+#include "core/parallel.h"
 #include "metrics/registry.h"
 #include "metrics/trace.h"
 
@@ -27,6 +30,32 @@ void ClientLinks::set_rng_states(
     links_[i].set_rng_state(states[i]);
 }
 
+Evaluator::Evaluator(const nn::ModelFactory& factory,
+                     const data::Dataset* test)
+    : factory_(factory), test_(test) {
+  lanes_.push_back(factory_());
+}
+
+std::int64_t Evaluator::count_correct(std::span<const float> global) {
+  const std::int64_t n = batch_.size();
+  const std::int64_t chunks =
+      (n + nn::Model::kEvalChunk - 1) / nn::Model::kEvalChunk;
+  const auto lanes = static_cast<std::size_t>(core::num_threads());
+  while (lanes_.size() < lanes) lanes_.push_back(factory_());
+  lane_correct_.assign(lanes, 0);
+  core::parallel_for_blocked_indexed(
+      0, chunks, [&](std::int64_t lane, std::int64_t c0, std::int64_t c1) {
+        nn::Model& model = lanes_[static_cast<std::size_t>(lane)];
+        model.set_flat(global);
+        lane_correct_[static_cast<std::size_t>(lane)] = model.count_correct(
+            batch_, c0 * nn::Model::kEvalChunk,
+            std::min(n, c1 * nn::Model::kEvalChunk));
+      });
+  std::int64_t correct = 0;
+  for (const std::int64_t c : lane_correct_) correct += c;
+  return correct;
+}
+
 void Evaluator::end_round(TrainLog& log, std::span<const float> global,
                           int round, double time, int participants,
                           double loss_sum, bool evaluate,
@@ -37,9 +66,10 @@ void Evaluator::end_round(TrainLog& log, std::span<const float> global,
   if (evaluate) {
     metrics::PhaseScope prof("eval");
     if (test_ != nullptr) {
-      model_.set_flat(global);
       if (batch_.size() == 0) batch_ = test_->all();
-      accuracy = model_.accuracy(batch_);
+      ADAFL_CHECK_MSG(batch_.size() > 0, "Evaluator: empty test set");
+      accuracy = static_cast<double>(count_correct(global)) /
+                 static_cast<double>(batch_.size());
     }
     log.records.push_back({round, time, accuracy, loss, participants});
   }

@@ -67,17 +67,23 @@ class ClientLinks {
 
 /// Evaluates global models on the test set, materialised on first use and
 /// reused by every later evaluation. EvalTicks' events hold its address.
+///
+/// The test batch is scored in nn::Model::kEvalChunk-sample chunks, and the
+/// pool's lanes take contiguous runs of chunks, each lane on a model of its
+/// own. A sample's logits do not depend on its chunk or lane, so accuracy
+/// has the same bits at every thread count.
 class Evaluator {
  public:
-  /// `test` may be null: every record then carries accuracy 0.
-  Evaluator(nn::Model model, const data::Dataset* test)
-      : model_(std::move(model)), test_(test) {}
+  /// Builds one model from `factory` now and one per further pool lane at
+  /// the first evaluation. `test` may be null: every record then carries
+  /// accuracy 0.
+  Evaluator(const nn::ModelFactory& factory, const data::Dataset* test);
   Evaluator(const Evaluator&) = delete;
   Evaluator& operator=(const Evaluator&) = delete;
 
-  /// The evaluation model's weights; before any record, the run's initial
-  /// global model.
-  std::vector<float> weights() const { return model_.get_flat(); }
+  /// The first lane's weights; before any record, the run's initial global
+  /// model.
+  std::vector<float> weights() const { return lanes_.front().get_flat(); }
 
   /// Ends round `round` (or an evaluation tick) at `time`, after which
   /// `participants` updates with training losses summing to `loss_sum` were
@@ -89,7 +95,13 @@ class Evaluator {
                  bool evaluate, metrics::Tracer* tracer);
 
  private:
-  nn::Model model_;
+  /// Correct predictions of `global` on the test batch, its chunks split
+  /// across the pool's lanes.
+  std::int64_t count_correct(std::span<const float> global);
+
+  nn::ModelFactory factory_;
+  std::vector<nn::Model> lanes_;  ///< indexed by parallel chunk
+  std::vector<std::int64_t> lane_correct_;
   const data::Dataset* test_;
   nn::Batch batch_;
 };

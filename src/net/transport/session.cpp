@@ -329,7 +329,7 @@ ServerSession::ServerSession(ServerSessionConfig cfg, nn::ModelFactory factory,
                              const data::Dataset* test)
     : cfg_(std::move(cfg)),
       factory_(std::move(factory)),
-      eval_(factory_(), test),
+      eval_(factory_, test),
       core_(cfg_.params, eval_.weights()),
       face_(ServerFaceConfig{0, cfg_.expected_clients,
                              cfg_.retransmit_nudge}) {

@@ -65,15 +65,25 @@ const Tensor& Conv1d::forward(const Tensor& x, bool /*training*/,
 
 const Tensor& Conv1d::backward(const Tensor& grad_out, Workspace& ws) {
   ADAFL_CHECK_MSG(!input_.empty(), "Conv1d::backward before forward");
+  // dx accumulates via scatter, so it relies on ws.get()'s zero-fill.
+  Tensor& dx = ws.get(input_.shape());
+  accumulate_grads(grad_out, &dx);
+  return dx;
+}
+
+void Conv1d::backward_params(const Tensor& grad_out, Workspace& /*ws*/) {
+  ADAFL_CHECK_MSG(!input_.empty(), "Conv1d::backward before forward");
+  accumulate_grads(grad_out, nullptr);
+}
+
+void Conv1d::accumulate_grads(const Tensor& grad_out, Tensor* dx) {
   const std::int64_t n = input_.shape()[0], len = input_.shape()[3];
   const std::int64_t out_len = (len + 2 * pad_ - kernel_) / stride_ + 1;
   ADAFL_CHECK(grad_out.shape() == Shape({n, out_c_, 1, out_len}));
-  // dx accumulates via scatter, so it relies on ws.get()'s zero-fill.
-  Tensor& dx = ws.get(input_.shape());
   for (std::int64_t i = 0; i < n; ++i) {
     const float* xi = input_.data() + i * in_c_ * len;
     const float* dyi = grad_out.data() + i * out_c_ * out_len;
-    float* dxi = dx.data() + i * in_c_ * len;
+    float* dxi = dx != nullptr ? dx->data() + i * in_c_ * len : nullptr;
     for (std::int64_t oc = 0; oc < out_c_; ++oc) {
       const float* wk = w_.data() + oc * in_c_ * kernel_;
       float* dwk = w_grad_.data() + oc * in_c_ * kernel_;
@@ -87,13 +97,13 @@ const Tensor& Conv1d::backward(const Tensor& grad_out, Workspace& ws) {
             const std::int64_t pos = t0 + k;
             if (pos >= 0 && pos < len) {
               dwk[c * kernel_ + k] += dy * xi[c * len + pos];
-              dxi[c * len + pos] += dy * wk[c * kernel_ + k];
+              if (dxi != nullptr)
+                dxi[c * len + pos] += dy * wk[c * kernel_ + k];
             }
           }
       }
     }
   }
-  return dx;
 }
 
 void Conv1d::collect_params(std::vector<ParamRef>& out) {

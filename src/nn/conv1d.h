@@ -18,10 +18,16 @@ class Conv1d final : public Layer {
   const Tensor& forward(const Tensor& x, bool training,
                         Workspace& ws) override;
   const Tensor& backward(const Tensor& grad_out, Workspace& ws) override;
+  /// backward() without the input-gradient scatter.
+  void backward_params(const Tensor& grad_out, Workspace& ws) override;
   void collect_params(std::vector<ParamRef>& out) override;
   std::string name() const override;
 
  private:
+  /// Accumulates the parameter gradients, and dLoss/dInput into `dx` (a
+  /// zero-filled tensor of the input's shape) unless it is null.
+  void accumulate_grads(const Tensor& grad_out, Tensor* dx);
+
   std::int64_t in_c_, out_c_, kernel_, stride_, pad_;
   Tensor w_;       ///< [out_c, in_c * kernel]
   Tensor b_;       ///< [out_c]

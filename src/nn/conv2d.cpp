@@ -129,12 +129,20 @@ const Tensor& Conv2d::forward(const Tensor& x, bool training, Workspace& ws) {
 }
 
 const Tensor& Conv2d::backward(const Tensor& grad_out, Workspace& ws) {
+  return *backward_into(grad_out, &ws);
+}
+
+void Conv2d::backward_params(const Tensor& grad_out, Workspace& /*ws*/) {
+  backward_into(grad_out, nullptr);
+}
+
+Tensor* Conv2d::backward_into(const Tensor& grad_out, Workspace* ws) {
   ADAFL_CHECK_MSG(!input_.empty(), "Conv2d::backward before forward");
   const std::int64_t n = input_.shape()[0];
   const std::int64_t oh = geom_.out_h(), ow = geom_.out_w();
   ADAFL_CHECK(grad_out.shape() ==
               tensor::Shape({n, out_c_, oh, ow}));
-  Tensor& dx = ws.get(input_.shape());
+  Tensor* dx = ws != nullptr ? &ws->get(input_.shape()) : nullptr;
   const std::int64_t p = oh * ow;
   const std::int64_t rows = in_c_ * kernel_ * kernel_;
   const std::int64_t img = geom_.in_c * geom_.in_h * geom_.in_w;
@@ -147,10 +155,11 @@ const Tensor& Conv2d::backward(const Tensor& grad_out, Workspace& ws) {
     dy_blocks_.resize(at(nblocks));
   const auto nchunks = at(core::num_threads());
   if (chunk_dcols_.size() < nchunks) chunk_dcols_.resize(nchunks);
-  // Phase 1 (parallel): every block's dY laid side by side, its column
-  // gradients W^T * dY, and col2im into its own samples of dx — all writes
-  // disjoint per block. A forward that ran with training == false left no
-  // columns, so they are rebuilt here into the cache.
+  // Phase 1 (parallel): every block's dY laid side by side and, when dx is
+  // wanted, its column gradients W^T * dY and col2im into its own samples
+  // of dx — all writes disjoint per block. A forward that ran with
+  // training == false left no columns, so they are rebuilt here into the
+  // cache.
   core::parallel_for_blocked_indexed(
       0, nblocks, [&](std::int64_t chunk, std::int64_t bb, std::int64_t be) {
         Tensor& dcols = chunk_dcols_[at(chunk)];
@@ -171,15 +180,16 @@ const Tensor& Conv2d::backward(const Tensor& grad_out, Workspace& ws) {
                               static_cast<std::size_t>(img)},
                              geom_, cols, s * p);
           }
+          if (dx == nullptr) continue;
           // matmul_tn accumulates, so dcols is re-zeroed per block (a
           // capacity-reusing fill, not an allocation).
           dcols.resize({rows, bs * p});
           tensor::matmul_tn_into(w_, dy, dcols);
           for (std::int64_t s = 0; s < bs; ++s)
-            tensor::col2im(
-                dcols, geom_,
-                {dx.data() + (s0 + s) * img, static_cast<std::size_t>(img)},
-                s * p);
+            tensor::col2im(dcols, geom_,
+                           {dx->data() + (s0 + s) * img,
+                            static_cast<std::size_t>(img)},
+                           s * p);
         }
       });
   cols_valid_ = true;

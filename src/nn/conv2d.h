@@ -27,10 +27,16 @@ class Conv2d final : public Layer {
   const Tensor& forward(const Tensor& x, bool training,
                         Workspace& ws) override;
   const Tensor& backward(const Tensor& grad_out, Workspace& ws) override;
+  /// backward() without W^T * dY and col2im.
+  void backward_params(const Tensor& grad_out, Workspace& ws) override;
   void collect_params(std::vector<ParamRef>& out) override;
   std::string name() const override;
 
  private:
+  /// The gradients of backward(); dx is drawn from `ws` and returned, or
+  /// skipped (nullptr) when `ws` is null.
+  Tensor* backward_into(const Tensor& grad_out, Workspace* ws);
+
   /// Samples per block for a batch of n, from the output positions per
   /// sample, a cache budget on the column block and the pool's lane count.
   std::int64_t block_size(std::int64_t n) const;

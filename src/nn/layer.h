@@ -32,11 +32,11 @@ struct ParamRef {
 /// gradients live in the caller's Workspace, so steady-state training
 /// allocates nothing.
 ///
-/// Contract: backward(grad_out) may only be called after forward() on the
-/// same input batch, and accumulates into the parameter gradients (callers
-/// zero them via zero_grad()). The returned references stay valid until the
-/// workspace is rewound past them; a layer may also return a reference to
-/// its input or to an internal cache.
+/// Contract: backward(grad_out) or backward_params(grad_out) may only be
+/// called after forward() on the same input batch, and accumulates into the
+/// parameter gradients (callers zero them via zero_grad()). The returned
+/// references stay valid until the workspace is rewound past them; a layer
+/// may also return a reference to its input or to an internal cache.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -51,8 +51,16 @@ class Layer {
                                 Workspace& ws) = 0;
 
   /// Given dLoss/dOutput, accumulates parameter gradients and returns
-  /// dLoss/dInput (storage drawn from `ws`).
+  /// dLoss/dInput (storage drawn from `ws`). A model's first layer with
+  /// parameters runs backward_params() instead, which skips dLoss/dInput.
   virtual const Tensor& backward(const Tensor& grad_out, Workspace& ws) = 0;
+
+  /// The params-only entry: accumulates exactly the parameter gradients
+  /// backward() would, bit for bit, and need not compute dLoss/dInput.
+  /// Default: backward(), its input gradient discarded.
+  virtual void backward_params(const Tensor& grad_out, Workspace& ws) {
+    (void)backward(grad_out, ws);
+  }
 
   /// Allocating convenience wrappers over the workspace virtuals: run the
   /// layer against a lazily-created private workspace and return a copy of

@@ -33,6 +33,14 @@ const Tensor& Linear::forward(const Tensor& x, bool /*training*/,
 }
 
 const Tensor& Linear::backward(const Tensor& grad_out, Workspace& ws) {
+  backward_params(grad_out, ws);
+  // dX = dY * W
+  Tensor& dx = ws.get({grad_out.shape()[0], in_});
+  tensor::matmul_into(grad_out, w_, dx);
+  return dx;
+}
+
+void Linear::backward_params(const Tensor& grad_out, Workspace& ws) {
   ADAFL_CHECK_MSG(!input_.empty(), "Linear::backward before forward");
   ADAFL_CHECK(grad_out.shape().rank() == 2 && grad_out.shape()[1] == out_);
   // dW = dY^T * X, accumulated.
@@ -43,10 +51,6 @@ const Tensor& Linear::backward(const Tensor& grad_out, Workspace& ws) {
   for (std::int64_t i = 0; i < n; ++i)
     for (std::int64_t j = 0; j < out_; ++j)
       b_grad_[j] += grad_out[i * out_ + j];
-  // dX = dY * W
-  Tensor& dx = ws.get({n, in_});
-  tensor::matmul_into(grad_out, w_, dx);
-  return dx;
 }
 
 void Linear::collect_params(std::vector<ParamRef>& out) {

@@ -16,6 +16,8 @@ class Linear final : public Layer {
   const Tensor& forward(const Tensor& x, bool training,
                         Workspace& ws) override;
   const Tensor& backward(const Tensor& grad_out, Workspace& ws) override;
+  /// backward() without the dX GEMM.
+  void backward_params(const Tensor& grad_out, Workspace& ws) override;
   void collect_params(std::vector<ParamRef>& out) override;
   std::string name() const override;
 

@@ -1,5 +1,7 @@
 #include "nn/model.h"
 
+#include <algorithm>
+
 namespace adafl::nn {
 
 Model::Model(std::unique_ptr<Layer> net) : net_(std::move(net)) {
@@ -28,7 +30,9 @@ float Model::compute_gradients(const Batch& batch) {
   Tensor& grad = ws_.get(logits.shape());
   const float loss =
       softmax_cross_entropy_into(logits, batch.labels, grad, ws_);
-  net_->backward(grad, ws_);
+  // Nothing reads the input gradient of the first layer with parameters,
+  // so it is not computed.
+  net_->backward_params(grad, ws_);
   ws_.rewind(m);
   return loss;
 }
@@ -40,22 +44,42 @@ float Model::train_batch(const Batch& batch, Optimizer& opt) {
   return loss;
 }
 
+std::int64_t Model::count_correct(const Batch& batch, std::int64_t begin,
+                                  std::int64_t end) {
+  ADAFL_CHECK_MSG(0 <= begin && begin <= end && end <= batch.size(),
+                  "count_correct: range [" << begin << ", " << end
+                                           << ") of " << batch.size());
+  std::int64_t correct = 0;
+  if (begin == end) return correct;
+  const tensor::Shape& in = batch.inputs.shape();
+  ADAFL_CHECK(in.rank() >= 2 && in[0] == batch.size());
+  const std::int64_t sample = in.numel() / in[0];
+  for (std::int64_t s0 = begin; s0 < end; s0 += kEvalChunk) {
+    const std::int64_t len = std::min(kEvalChunk, end - s0);
+    const tensor::Workspace::Mark m = ws_.mark();
+    std::vector<std::int64_t> dims = in.dims();
+    dims[0] = len;
+    Tensor& x = ws_.get(tensor::Shape(dims));
+    std::copy_n(batch.inputs.data() + s0 * sample, len * sample, x.data());
+    const Tensor& logits = net_->forward(x, /*training=*/false, ws_);
+    const std::int64_t c = logits.shape()[1];
+    ADAFL_CHECK(logits.shape()[0] == len);
+    for (std::int64_t i = 0; i < len; ++i) {
+      const float* row = logits.data() + i * c;
+      std::int64_t best = 0;
+      for (std::int64_t j = 1; j < c; ++j)
+        if (row[j] > row[best]) best = j;
+      if (best == batch.labels[static_cast<std::size_t>(s0 + i)]) ++correct;
+    }
+    ws_.rewind(m);
+  }
+  return correct;
+}
+
 double Model::accuracy(const Batch& batch) {
   ADAFL_CHECK_MSG(batch.size() > 0, "accuracy: empty batch");
-  const tensor::Workspace::Mark m = ws_.mark();
-  const Tensor& logits = net_->forward(batch.inputs, /*training=*/false, ws_);
-  const std::int64_t n = logits.shape()[0], c = logits.shape()[1];
-  ADAFL_CHECK(n == batch.size());
-  std::int64_t correct = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float* row = logits.data() + i * c;
-    std::int64_t best = 0;
-    for (std::int64_t j = 1; j < c; ++j)
-      if (row[j] > row[best]) best = j;
-    if (best == batch.labels[static_cast<std::size_t>(i)]) ++correct;
-  }
-  ws_.rewind(m);
-  return static_cast<double>(correct) / static_cast<double>(n);
+  return static_cast<double>(count_correct(batch, 0, batch.size())) /
+         static_cast<double>(batch.size());
 }
 
 void Model::zero_grad() {

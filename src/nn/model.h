@@ -34,14 +34,27 @@ class Model {
   /// Runs the network; `training` enables dropout etc.
   Tensor forward(const Tensor& x, bool training = false);
 
-  /// Forward + loss + backward, leaving gradients in the parameters
-  /// (accumulated on top of whatever is there). Returns the mean batch loss.
+  /// Forward + loss + backward_params, leaving gradients in the parameters
+  /// (accumulated on top of whatever is there); no input gradient is
+  /// computed. Returns the mean batch loss.
   float compute_gradients(const Batch& batch);
 
   /// zero_grad + compute_gradients + optimizer step. Returns the batch loss.
   float train_batch(const Batch& batch, Optimizer& opt);
 
-  /// Fraction of `batch` classified correctly (argmax of logits).
+  /// Samples per evaluation chunk. A paper-CNN sample's activations take
+  /// about 20 KB at 16x16 input (the first conv's output is 11.5 KB of it),
+  /// so a chunk's stay in L2 where a whole test batch's would not.
+  static constexpr std::int64_t kEvalChunk = 25;
+
+  /// Correct predictions (argmax of logits) among samples [begin, end) of
+  /// `batch`, evaluated kEvalChunk samples at a time from `begin`. Each
+  /// sample's logits are the same bits whatever chunk it shares.
+  std::int64_t count_correct(const Batch& batch, std::int64_t begin,
+                             std::int64_t end);
+
+  /// Fraction of `batch` classified correctly: count_correct over the
+  /// whole batch.
   double accuracy(const Batch& batch);
 
   void zero_grad();
@@ -71,6 +84,10 @@ class Model {
   /// The model's workspace: activation/gradient storage reused across
   /// batches (compute_gradients marks and rewinds it per batch).
   tensor::Workspace& workspace() { return ws_; }
+
+  /// The network, for callers that run its forward() and full backward()
+  /// chain on a workspace of their own.
+  Layer& net() { return *net_; }
 
  private:
   std::unique_ptr<Layer> net_;

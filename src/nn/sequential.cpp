@@ -7,6 +7,11 @@ namespace adafl::nn {
 
 Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
   ADAFL_CHECK_MSG(layer != nullptr, "Sequential::add: null layer");
+  if (first_param_ == layers_.size()) {
+    std::vector<ParamRef> params;
+    layer->collect_params(params);
+    if (params.empty()) ++first_param_;
+  }
   layers_.push_back(std::move(layer));
   return *this;
 }
@@ -23,6 +28,14 @@ const Tensor& Sequential::backward(const Tensor& grad_out, Workspace& ws) {
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
     cur = &(*it)->backward(*cur, ws);
   return *cur;
+}
+
+void Sequential::backward_params(const Tensor& grad_out, Workspace& ws) {
+  if (first_param_ == layers_.size()) return;  // no parameters at all
+  const Tensor* cur = &grad_out;
+  for (std::size_t i = layers_.size() - 1; i > first_param_; --i)
+    cur = &layers_[i]->backward(*cur, ws);
+  layers_[first_param_]->backward_params(*cur, ws);
 }
 
 void Sequential::collect_params(std::vector<ParamRef>& out) {

@@ -8,7 +8,9 @@
 namespace adafl::nn {
 
 /// Owns an ordered list of layers; forward applies them in order, backward
-/// in reverse.
+/// in reverse. backward_params stops at the first layer with parameters:
+/// that layer runs its own backward_params, and the layers before it run
+/// nothing.
 class Sequential final : public Layer {
  public:
   Sequential() = default;
@@ -27,6 +29,7 @@ class Sequential final : public Layer {
   const Tensor& forward(const Tensor& x, bool training,
                         Workspace& ws) override;
   const Tensor& backward(const Tensor& grad_out, Workspace& ws) override;
+  void backward_params(const Tensor& grad_out, Workspace& ws) override;
   void collect_params(std::vector<ParamRef>& out) override;
   std::string name() const override;
 
@@ -34,6 +37,8 @@ class Sequential final : public Layer {
 
  private:
   std::vector<std::unique_ptr<Layer>> layers_;
+  /// Index of the first layer with parameters; size() while there is none.
+  std::size_t first_param_ = 0;
 };
 
 /// Residual block: y = ReLU(F(x) + P(x)) where F is the owned body and P is

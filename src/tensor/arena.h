@@ -23,8 +23,11 @@ namespace adafl::tensor {
 /// order, so reuse never changes values — every get() result is zero-filled
 /// exactly like a freshly constructed Tensor.
 ///
-/// Not thread-safe: one Workspace per model/thread; never call get() from
-/// inside a parallel region.
+/// Not thread-safe: one thread at a time per Workspace. A model's workspace
+/// may be used from inside a parallel region — client-parallel training and
+/// the evaluator's lanes each run a model of their own on one lane — but
+/// never from inside that model's own layer bodies, whose parallel regions
+/// write pre-sized outputs.
 class Workspace {
  public:
   struct Stats {

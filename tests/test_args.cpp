@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "cli/task.h"
 #include "tensor/check.h"
 
 namespace adafl::cli {
@@ -107,6 +108,38 @@ TEST(ArgParser, GetIntAtLeastRejectsValuesBelowBound) {
   ArgParser p = make();
   ASSERT_TRUE(parse(p, {"--rounds=-3"}));
   EXPECT_THROW(p.get_int_at_least("rounds", 0), std::invalid_argument);
+}
+
+TEST(SpecFromArgs, CountsBelowOneAreUsageErrorsNamingTheFlag) {
+  // A count of 0 would fail a check deep in the data set-up (exit 1); it is
+  // a usage error (std::invalid_argument, exit 2) that names the flag.
+  const auto spec_parser = [] {
+    ArgParser p("prog");
+    p.option("dataset", "mnist", "data set")
+        .option("model", "cnn", "model")
+        .option("dist", "iid", "partition")
+        .option("alpha", "0.5", "Dirichlet concentration")
+        .option("clients", "4", "clients")
+        .option("train-samples", "100", "training samples")
+        .option("test-samples", "40", "test samples")
+        .option("seed", "1", "seed");
+    return p;
+  };
+  ArgParser ok = spec_parser();
+  ASSERT_TRUE(parse(ok, {"--clients=1", "--test-samples=1"}));
+  EXPECT_EQ(spec_from_args(ok).test_samples, 1);
+  for (const std::string flag : {"clients", "train-samples", "test-samples"}) {
+    ArgParser p = spec_parser();
+    const std::string token = "--" + flag + "=0";
+    ASSERT_TRUE(parse(p, {token.c_str()}));
+    try {
+      (void)spec_from_args(p);
+      ADD_FAILURE() << token << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--" + flag), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ArgParser, GetPortAcceptsTheWholeRange) {

@@ -18,6 +18,7 @@
 #include "core/parallel.h"
 #include "data/synthetic.h"
 #include "fl/client.h"
+#include "fl/trainer_common.h"
 #include "fl_fixtures.h"
 #include "metrics/registry.h"
 #include "metrics/trace.h"
@@ -98,6 +99,40 @@ TEST(ZeroAlloc, PaperCnnTrainAndEvalSteadyState) {
           << tensor::kernel_backend_name() << " at " << threads
           << " lanes: paper CNN allocated tensors in steady state";
     }
+  }
+}
+
+TEST(ZeroAlloc, PaperCnnEvaluatorLanesSteadyState) {
+  // A server-sized paper-CNN evaluation split across 4 lanes: the first
+  // evaluation builds the three further lane models and warms each lane's
+  // workspace and conv scratch; later evaluations allocate no tensor, on
+  // both backends.
+  struct Restore {
+    ~Restore() {
+      core::set_num_threads(0);
+      tensor::set_kernel_backend(tensor::KernelBackend::kScalar);
+    }
+  } restore;
+  const data::Dataset test = data::make_synthetic(data::mnist_like(400, 4));
+  std::vector<tensor::KernelBackend> backends{tensor::KernelBackend::kScalar};
+  if (tensor::cpu_supports_avx2())
+    backends.push_back(tensor::KernelBackend::kAvx2);
+  for (tensor::KernelBackend backend : backends) {
+    tensor::set_kernel_backend(backend);
+    core::set_num_threads(4);
+    fl::Evaluator eval(nn::paper_cnn_factory(test.spec(), 5), &test);
+    const std::vector<float> global = eval.weights();
+    fl::TrainLog log;
+    std::uint64_t before = tensor::tensor_allocations();
+    eval.end_round(log, global, 1, 0.0, 0, 0.0, true, nullptr);
+    EXPECT_GT(tensor::tensor_allocations() - before, 0u)
+        << "the first evaluation builds the lane models";
+    before = tensor::tensor_allocations();
+    for (int round = 2; round <= 4; ++round)
+      eval.end_round(log, global, round, 0.0, 0, 0.0, true, nullptr);
+    EXPECT_EQ(tensor::tensor_allocations() - before, 0u)
+        << tensor::kernel_backend_name()
+        << ": lane evaluation allocated tensors in steady state";
   }
 }
 
